@@ -3,67 +3,50 @@
 // Forwarder and recursive resolver are both DCC-enabled; the attacker, heavy
 // and light clients sit behind the forwarder while the medium client queries
 // the resolver directly (§5.1). Two attacker patterns (NX at 200 QPS, FF at
-// 20 QPS), each run with the signaling mechanism off and on. Without
-// signals, the resolver polices the whole forwarder and its benign clients
-// share the attacker's fate; with signals, the forwarder convicts the real
-// culprit before that happens.
+// 20 QPS; examples/scenarios/fig9_{nx,ff}.json), each run with the
+// signaling mechanism off and on. Without signals, the resolver polices the
+// whole forwarder and its benign clients share the attacker's fate; with
+// signals, the forwarder convicts the real culprit before that happens.
 
 #include <cstdio>
 
 #include "bench/benches.h"
 #include "src/measure/fairness.h"
-#include "src/scenario/scenarios.h"
 #include "src/telemetry/telemetry.h"
 
 namespace dcc {
 namespace {
 
-void PrintSeries(const ScenarioResult& result, bool ff_attacker) {
-  std::printf("%-10s", "t(s)");
-  for (const auto& client : result.clients) {
-    std::printf("%10s", client.label.c_str());
+// The Fig. 9 comparison axis: the same spec with signaling on or off at
+// every DCC shim.
+scenario::ScenarioSpec WithSignaling(scenario::ScenarioSpec spec, bool enabled) {
+  for (scenario::NodeSpec& node : spec.nodes) {
+    node.dcc.signaling_enabled = enabled;
   }
-  std::printf("\n");
-  // FF landed-load math shared with fig8 via measure/fairness.
-  const std::vector<measure::ClientFairnessSample> samples =
-      measure::FairnessSamples(result);
-  const std::vector<double> landed =
-      measure::AttackerLandedSeries(samples, result.ans_qps);
-  const size_t seconds = result.clients.front().effective_qps.size();
-  for (size_t t = 0; t < seconds; t += 2) {
-    std::printf("%-10zu", t);
-    for (const auto& client : result.clients) {
-      double value = client.effective_qps[t];
-      if (ff_attacker && client.label == "Attacker" && t < landed.size()) {
-        value = landed[t];
-      }
-      std::printf("%10.0f", value);
-    }
-    std::printf("\n");
-  }
+  return spec;
 }
 
-void RunPattern(const char* title, QueryPattern pattern, double attacker_qps) {
-  std::printf("\n=== Scenario: %s (attacker %.0f QPS) ===\n", title, attacker_qps);
+void RunPattern(const char* title, const char* file) {
+  const scenario::ScenarioSpec spec = bench::LoadExampleSpec(file);
+  const scenario::ClientSpec& attacker = spec.clients.back();
+  std::printf("\n=== Scenario: %s (attacker %.0f QPS) ===\n", title, attacker.qps);
   for (bool signaling : {false, true}) {
     // Accounting flows through the telemetry registry, aggregating both DCC
     // instances (forwarder + resolver) under the shared metric families.
     telemetry::TelemetrySink sink;
-    SignalingOptions options;
-    options.telemetry = &sink;
-    options.signaling_enabled = signaling;
-    options.attacker_pattern = pattern;
-    options.attacker_qps = attacker_qps;
-    const ScenarioResult result = RunSignalingScenario(options);
+    scenario::EngineHooks hooks;
+    hooks.telemetry = &sink;
+    const scenario::ScenarioOutcome result =
+        bench::MustRunSpec(WithSignaling(spec, signaling), hooks);
     std::printf("\n--- signaling %s ---\n", signaling ? "ON" : "OFF");
-    PrintSeries(result, pattern == QueryPattern::kFf);
+    bench::PrintClientSeries(result, attacker.pattern == scenario::QueryPattern::kFf);
     const telemetry::MetricsSnapshot snap = sink.metrics.Snapshot();
     std::printf("summary:");
     for (const auto& client : result.clients) {
       std::printf("  %s=%.2f", client.label.c_str(), client.success_ratio);
     }
     const measure::BenignCollateral collateral =
-        measure::SummarizeBenignCollateral(measure::FairnessSamples(result));
+        measure::SummarizeBenignCollateral(measure::FairnessSamples(result.clients));
     std::printf("  worst-benign=%.2f(%s)", collateral.worst_ratio,
                 collateral.worst_label.c_str());
     std::printf(
@@ -85,9 +68,9 @@ int RunFig9Signaling(const BenchOptions& options) {
   std::printf("Fig. 9 — anomaly monitoring, policing and signaling on a\n");
   std::printf("forwarder -> resolver path (channel 1000 QPS; heavy/light behind\n");
   std::printf("the forwarder, medium direct at the resolver)\n");
-  RunPattern("(a) NX pattern", QueryPattern::kNx, 200);
+  RunPattern("(a) NX pattern", "fig9_nx.json");
   if (!options.quick) {
-    RunPattern("(b) FF amplification pattern", QueryPattern::kFf, 20);
+    RunPattern("(b) FF amplification pattern", "fig9_ff.json");
   }
   return 0;
 }

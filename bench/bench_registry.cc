@@ -1,8 +1,36 @@
 #include "bench/benches.h"
+
+#include <cstdio>
+#include <cstdlib>
+
 #include "bench/harness.h"
 
 namespace dcc {
 namespace bench {
+
+scenario::ScenarioSpec LoadExampleSpec(const std::string& name) {
+  const std::string path =
+      std::string(DCC_SOURCE_DIR) + "/examples/scenarios/" + name;
+  scenario::ScenarioSpec spec;
+  std::string error;
+  if (!scenario::LoadScenarioSpecFile(path, &spec, &error)) {
+    std::fprintf(stderr, "%s: %s\n", path.c_str(), error.c_str());
+    std::abort();
+  }
+  return spec;
+}
+
+scenario::ScenarioOutcome MustRunSpec(const scenario::ScenarioSpec& spec,
+                                      const scenario::EngineHooks& hooks) {
+  scenario::ScenarioOutcome outcome;
+  std::string error;
+  if (!scenario::RunScenarioSpec(spec, hooks, &outcome, &error)) {
+    std::fprintf(stderr, "scenario '%s': %s\n", spec.name.c_str(),
+                 error.c_str());
+    std::abort();
+  }
+  return outcome;
+}
 
 const std::vector<BenchInfo>& AllBenches() {
   static const std::vector<BenchInfo> benches = {

@@ -52,22 +52,6 @@ std::vector<ClientFairnessSample> FairnessSamples(
   return samples;
 }
 
-std::vector<ClientFairnessSample> FairnessSamples(
-    const ScenarioResult& result) {
-  std::vector<ClientFairnessSample> samples;
-  samples.reserve(result.clients.size());
-  for (const ClientResult& client : result.clients) {
-    ClientFairnessSample sample;
-    sample.label = client.label;
-    sample.is_attacker = client.label == "Attacker";
-    sample.sent = client.sent;
-    sample.success_ratio = client.success_ratio;
-    sample.effective_qps = client.effective_qps;
-    samples.push_back(std::move(sample));
-  }
-  return samples;
-}
-
 BenignCollateral SummarizeBenignCollateral(
     const std::vector<ClientFairnessSample>& samples) {
   BenignCollateral out;

@@ -1,12 +1,11 @@
 // Benign-collateral and fairness summaries over per-client outcomes.
 //
 // One vocabulary for "how badly did the benign clients fare" shared by the
-// Fig. 8/9 benches and dcc_search's objective layer: converters from both the
-// engine's ClientOutcome list and the legacy ScenarioResult (where the
-// attacker is identified by label), a BenignCollateral summary (worst/mean
-// benign success ratio, Jain's index, longest starvation streak), and the
-// Fig. 8-caption attacker landed-load series (ANS query rate minus the
-// benign clients' share) previously duplicated in both benches.
+// Fig. 8/9 benches and dcc_search's objective layer: a converter from the
+// engine's ClientOutcome list, a BenignCollateral summary (worst/mean benign
+// success ratio, Jain's index, longest starvation streak), and the Fig. 8
+// caption's attacker landed-load series (ANS query rate minus the benign
+// clients' share).
 
 #ifndef SRC_MEASURE_FAIRNESS_H_
 #define SRC_MEASURE_FAIRNESS_H_
@@ -15,7 +14,6 @@
 #include <vector>
 
 #include "src/scenario/engine.h"
-#include "src/scenario/scenarios.h"
 
 namespace dcc {
 namespace measure {
@@ -35,10 +33,6 @@ struct ClientFairnessSample {
 // From the engine's per-client outcomes (attacker flag carried through).
 std::vector<ClientFairnessSample> FairnessSamples(
     const std::vector<scenario::ClientOutcome>& clients);
-
-// From a legacy result, where the attacker is the client labelled
-// "Attacker" (the Table 2 convention used by the Fig. 8/9 runners).
-std::vector<ClientFairnessSample> FairnessSamples(const ScenarioResult& result);
 
 struct BenignCollateral {
   // Benign clients that sent at least one query (the summarized population).

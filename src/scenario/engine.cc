@@ -285,7 +285,7 @@ bool RunScenarioSpec(const ScenarioSpec& input, const EngineHooks& hooks,
     stubs.push_back(&stub);
   }
 
-  // --- faults / samplers, in the legacy relative order -----------------------
+  // --- faults / samplers, in a fixed relative order --------------------------
   fault::FaultInjector* injector = nullptr;
   if (!spec.faults.plan.empty() && spec.faults.arm_before_sampling) {
     injector = &bed.InstallFaultPlan(spec.faults.plan);

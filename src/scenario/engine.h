@@ -5,16 +5,16 @@
 // contract — addresses are assigned in node-then-client spec order, hosts
 // that schedule events at construction time (DCC shims) are created in spec
 // order, and the scoreboard sampler / user sampler / fault injector are
-// started in the same relative order the legacy Run*Scenario runners used —
-// so a compiled spec replays the corresponding legacy run event-for-event
-// (ScenarioOutcome::events_executed is compared in the golden tests).
+// started in a fixed relative order — so a spec replays event-for-event
+// (ScenarioOutcome::events_executed is pinned by the golden tests in
+// tests/scenario_spec_test.cc).
 //
 // Outcome collection is spec-driven: per-client totals and success series,
 // per-authoritative query-rate series (trimmed to the horizon) plus the
 // untrimmed peak (the Fig. 4 saturation signal), per-resolver degradation
 // series (upstream sends, stale answers, hold-downs), aggregate DCC shim
-// counters, and fault activations. The legacy entry points in scenarios.h
-// rebuild their result structs from this.
+// counters, and fault activations. The paper-figure benches reshape this
+// into their tables.
 
 #ifndef SRC_SCENARIO_ENGINE_H_
 #define SRC_SCENARIO_ENGINE_H_
@@ -104,10 +104,10 @@ struct ScenarioOutcome {
   size_t events_executed = 0;
 };
 
-// Optional observability hooks, same ownership contract as the legacy
-// options structs: neither is owned; the telemetry sink has its callback
-// gauges frozen before the engine returns, and the sampler is ticked on its
-// own interval for the whole run with the full introspection seam attached.
+// Optional observability hooks. None is owned: the telemetry sink has its
+// callback gauges frozen before the engine returns, and the sampler is
+// ticked on its own interval for the whole run with the full introspection
+// seam attached.
 struct EngineHooks {
   telemetry::TelemetrySink* telemetry = nullptr;
   telemetry::TimeSeriesSampler* sampler = nullptr;

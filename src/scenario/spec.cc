@@ -1089,7 +1089,7 @@ bool ValidateScenarioSpec(ScenarioSpec* spec, std::string* error) {
                           zone.target_zone + "')");
     }
     if (zone.attacker.instances <= 0) {
-      // The legacy sizing: enough distinct instances that every FF request
+      // The default sizing: enough distinct instances that every FF request
       // misses the cache over the whole run.
       double ff_qps = 0;
       for (const ClientSpec& client : spec->clients) {
@@ -1260,8 +1260,8 @@ bool ValidateScenarioSpec(ScenarioSpec* spec, std::string* error) {
     if (client.stop < 0) {
       client.stop = spec->horizon;
     }
-    // stop <= start is allowed (the client simply never sends); legacy
-    // callers truncate schedules that way when shortening the horizon.
+    // stop <= start is allowed (the client simply never sends); callers
+    // truncate schedules that way when shortening the horizon.
     if (client.ramp_to_qps < 0) {
       return ctx.Fail(Sub(path, "ramp_to_qps"), "must be >= 0");
     }

@@ -1,7 +1,7 @@
 // ScenarioSpec: a data-driven description of one simulated experiment.
 //
-// A spec captures everything the four hand-built Run*Scenario topologies
-// used to wire up imperatively — network (jitter/loss/per-link delays),
+// A spec captures everything a simulated experiment wires up — network
+// (jitter/loss/per-link delays),
 // zones, a node list (authoritatives, resolvers, forwarders, each optionally
 // wrapped by a DCC shim, with per-node config overrides), client workloads
 // (WC/NX/CQ/FF/NX-then-WC patterns with schedules and optional linear QPS
@@ -12,16 +12,17 @@
 // back by WriteScenarioSpec, and executed by the ScenarioEngine
 // (src/scenario/engine.h) against a Testbed.
 //
-// The legacy Resilience/Validation/Signaling/Chaos entry points
-// (src/scenario/scenarios.h) compile their option structs into specs via
-// Compile*Spec, so a spec run and the corresponding legacy run are the same
-// event-for-event simulation.
+// The paper's evaluation topologies are committed spec files under
+// examples/scenarios/ (fig4_*, fig8_*, fig9_*, chaos*.json); the Fig. 4/8/9
+// benches, dcc_search's seeds and the tests all start from them.
 //
 // Determinism contract: everything a spec does not say is derived from
-// ScenarioSpec::seed with the same formulas the legacy runners used
-// (delay-jitter seed = seed*13+1, client i's generator seed = seed*101+i,
-// FF instance counts = max FF QPS x horizon + 8), so a spec + seed is a
-// complete, reproducible description of a run.
+// ScenarioSpec::seed (delay-jitter seed = seed*13+1, client i's generator
+// seed = seed*101+i, FF instance counts = max FF QPS x horizon + 8), so a
+// spec + seed is a complete, reproducible description of a run, and a
+// --seed/--horizon override of a file that leaves those fields out re-derives
+// them. Fields a file pins (e.g. the Fig. 4 and Fig. 9 client seeds) keep
+// their pinned values.
 
 #ifndef SRC_SCENARIO_SPEC_H_
 #define SRC_SCENARIO_SPEC_H_
@@ -67,7 +68,7 @@ struct ZoneSpec {
   TargetZoneOptions target;
   // kAttacker: fan-out options (see MakeAttackerZone). instances <= 0 is
   // materialized by validation to max-FF-client-QPS x horizon + 8, the
-  // "every attack request misses the cache" sizing the legacy runners used.
+  // "every attack request misses the cache" sizing.
   AttackerZoneOptions attacker;
   std::string target_zone;  // kAttacker: id of the zone fanned into.
 };
@@ -144,7 +145,7 @@ struct ClientSpec {
   // Generator seed; when absent, materialized to run seed * 101 + index.
   uint64_t seed = 0;
   bool has_seed = false;
-  // WC/NX name-pool bound (0 = unbounded), the chaos runner's `name_pool`.
+  // WC/NX name-pool bound (0 = unbounded; chaos.json cycles 12 names).
   uint64_t unique_names = 0;
   // kNxThenWc: schedule time at which the pattern flips to WC.
   Duration nx_then_wc_switch = Seconds(20);
@@ -185,7 +186,7 @@ struct MeasureSpec {
   // Fig. 4 saturation peak).
   std::vector<AnsProbeSpec> ans;
   // Resolver nodes whose upstream-send and stale-answer rates are sampled
-  // (the chaos runner's degradation series).
+  // (the chaos degradation series).
   std::vector<std::string> resolver_series;
   // Nodes whose UpstreamTracker attaches to the optional user sampler
   // (labels: none when one entry, {"node": id} otherwise).
@@ -196,10 +197,9 @@ struct MeasureSpec {
 
 struct FaultSpec {
   fault::FaultPlan plan;
-  // Arm the injector before the measurement samplers start (the chaos
-  // runner's setup order) instead of after (the other runners'). Only
-  // observable when a fault event collides with a sampler tick to the exact
-  // microsecond; kept so compiled specs replay event-for-event.
+  // Arm the injector before the measurement samplers start (chaos*.json)
+  // instead of after (every other spec). Only observable when a fault event
+  // collides with a sampler tick to the exact microsecond.
   bool arm_before_sampling = false;
 };
 

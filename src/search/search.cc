@@ -7,7 +7,6 @@
 #include <thread>
 
 #include "src/common/rng.h"
-#include "src/scenario/scenarios.h"
 
 namespace dcc {
 namespace search {
@@ -89,49 +88,27 @@ void EvaluateSeeds(const std::vector<SeedSpec>& seeds,
 }  // namespace
 
 std::vector<SeedSpec> DefaultSeedSpecs(Duration horizon, uint64_t seed) {
-  struct SeedDef {
-    const char* name;
-    QueryPattern pattern;
-    double qps;
-  };
-  // WC/NX/FF rates are the paper's §5.1 settings; CQ (never run by the
-  // legacy Table 2 benches) gets 100 QPS — each CQ request costs the
-  // resolver ~chain_length x labels upstream queries, so 1100 is off-model.
-  static const SeedDef kDefs[] = {
-      {"wc", QueryPattern::kWc, 1100},
-      {"nx", QueryPattern::kNx, 1100},
-      {"cq", QueryPattern::kCq, 100},
-      {"ff", QueryPattern::kFf, 50},
-  };
   std::vector<SeedSpec> out;
-  for (const SeedDef& def : kDefs) {
-    ResilienceOptions options;
-    options.dcc_enabled = true;
-    options.channel_qps = 1000;
-    options.horizon = horizon;
-    options.seed = seed;
-    options.clients = Table2Clients(def.pattern, def.qps);
-    scenario::ScenarioSpec spec = CompileResilienceSpec(options);
-    spec.name = std::string("seed-") + def.name;
-    if (def.pattern == QueryPattern::kCq) {
-      // The legacy compiler never provisions CQ chains; give the target
-      // zone enough instances that the attacker cycles distinct chains.
-      for (scenario::ZoneSpec& zone : spec.zones) {
-        if (zone.kind == scenario::ZoneKind::kTarget) {
-          zone.target.cq_instances = 64;
-        }
-      }
-    }
-    // Materialize derived fields now so candidate-vs-seed diffs show only
-    // what a mutation changed, not validation's own bookkeeping. Compiled
-    // specs are valid by construction.
+  for (const char* pattern : {"wc", "nx", "cq", "ff"}) {
+    const std::string path = std::string(DCC_SOURCE_DIR) +
+                             "/examples/scenarios/fig8_" + pattern + ".json";
+    scenario::ScenarioSpec spec;
     std::string error;
+    if (!scenario::LoadScenarioSpecFile(path, &spec, &error)) {
+      std::fprintf(stderr, "seed spec %s: %s\n", path.c_str(), error.c_str());
+      std::abort();
+    }
+    spec.name = std::string("seed-") + pattern;
+    spec.horizon = horizon;
+    spec.seed = seed;
+    // Materialize derived fields now so candidate-vs-seed diffs show only
+    // what a mutation changed, not validation's own bookkeeping.
     if (!ValidateScenarioSpec(&spec, &error)) {
-      std::fprintf(stderr, "seed spec '%s' invalid: %s\n", spec.name.c_str(),
+      std::fprintf(stderr, "seed spec %s invalid: %s\n", path.c_str(),
                    error.c_str());
       std::abort();
     }
-    out.push_back({def.name, std::move(spec)});
+    out.push_back({pattern, std::move(spec)});
   }
   return out;
 }

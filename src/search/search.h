@@ -32,10 +32,12 @@ struct SeedSpec {
   scenario::ScenarioSpec spec;
 };
 
-// The four legacy §5.1 attack scenarios (WC/NX/CQ/FF Table 2 mixes against a
-// DCC-enabled resolver on a 1000-QPS channel), compiled to specs at the
-// given horizon and run seed. These are both the search starting points and
-// the baselines a discovered scenario must beat.
+// The four §5.1 attack scenarios (WC/NX/CQ/FF Table 2 mixes against a
+// DCC-enabled resolver on a 1000-QPS channel), loaded from
+// examples/scenarios/fig8_{wc,nx,cq,ff}.json, renamed seed-<pattern> and
+// materialized at the given horizon and run seed. Client schedules keep the
+// files' stops. These are both the search starting points and the
+// baselines a discovered scenario must beat.
 std::vector<SeedSpec> DefaultSeedSpecs(Duration horizon, uint64_t seed);
 
 struct Candidate {

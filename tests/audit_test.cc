@@ -19,15 +19,11 @@
 
 #include "src/scenario/engine.h"
 #include "src/scenario/outcome_json.h"
-#include "src/scenario/scenarios.h"
 #include "src/scenario/spec.h"
 #include "src/telemetry/audit.h"
 #include "src/telemetry/telemetry.h"
 #include "src/telemetry/trace.h"
-
-#ifndef DCC_SOURCE_DIR
-#define DCC_SOURCE_DIR "."
-#endif
+#include "tests/example_specs.h"
 
 namespace dcc {
 namespace {
@@ -36,34 +32,14 @@ using telemetry::AuditCause;
 using telemetry::AuditRecord;
 using telemetry::DecisionAuditLog;
 
-std::string SpecPath(const char* name) {
-  return std::string(DCC_SOURCE_DIR) + "/examples/scenarios/" + name;
-}
+using testing_specs::Fig8NxSlice;
+using testing_specs::LoadExampleSpec;
 
-scenario::ScenarioSpec LoadSpec(const char* name) {
-  scenario::ScenarioSpec spec;
-  std::string error;
-  EXPECT_TRUE(
-      scenario::LoadScenarioSpecFile(SpecPath(name).c_str(), &spec, &error))
-      << error;
-  return spec;
-}
-
-// The 3 s seeded fig8 slice used by profiler_test's neutrality gate: long
-// enough that the policer/MOPI/anomaly paths all fire, short enough for CI.
-scenario::ScenarioSpec Fig8Spec() {
-  ResilienceOptions options;
-  options.horizon = Seconds(3);
-  options.seed = 42;
-  options.clients = Table2Clients(QueryPattern::kNx, /*attacker_qps=*/200);
-  return CompileResilienceSpec(options);
-}
-
-// The seeded fig8 resilience deliverable, trimmed to the shortest horizon at
-// which the NX flood congests the upstream channel and the shim starts
-// synthesizing SERVFAILs (the ramp needs ~6 virtual seconds).
+// The Fig. 8a WC flood, trimmed to the shortest horizon at which it
+// congests the upstream channel and the shim starts synthesizing SERVFAILs
+// (the ramp needs ~6 virtual seconds).
 scenario::ScenarioSpec CongestedSpec() {
-  scenario::ScenarioSpec spec = LoadSpec("resilience.json");
+  scenario::ScenarioSpec spec = LoadExampleSpec("fig8_wc.json");
   spec.horizon = Seconds(8);
   return spec;
 }
@@ -187,7 +163,7 @@ TEST(AuditLogTest, QnamesAreSanitizedAndTruncated) {
 // --- behavior neutrality (the tentpole guarantee) ---------------------------
 
 TEST(AuditNeutralityTest, AuditingDoesNotPerturbScenario) {
-  const scenario::ScenarioSpec spec = Fig8Spec();
+  const scenario::ScenarioSpec spec = Fig8NxSlice();
 
   auto run = [&spec](bool audited) {
     DecisionAuditLog log;
@@ -224,7 +200,7 @@ TEST(AuditNeutralityTest, AuditingDoesNotPerturbScenario) {
 // --- replay determinism -----------------------------------------------------
 
 TEST(AuditDeterminismTest, Fig8AuditStreamReplaysByteIdentical) {
-  const scenario::ScenarioSpec spec = Fig8Spec();
+  const scenario::ScenarioSpec spec = Fig8NxSlice();
 
   auto run = [&spec](DecisionAuditLog* log) {
     scenario::EngineHooks hooks;
@@ -247,7 +223,7 @@ TEST(AuditDeterminismTest, Fig8AuditStreamReplaysByteIdentical) {
 }
 
 TEST(AuditDeterminismTest, FleetBlackoutAuditsFaultAndHolddownCauses) {
-  const scenario::ScenarioSpec spec = LoadSpec("fleet_blackout.json");
+  const scenario::ScenarioSpec spec = LoadExampleSpec("fleet_blackout.json");
 
   auto run = [&spec](DecisionAuditLog* log) {
     scenario::EngineHooks hooks;
@@ -370,7 +346,7 @@ TEST(AuditRegressionTest, ShimSynthesizedServfailsCarryTraceSpans) {
 // synthesize a SERVFAIL toward the client, and that response must both show
 // up as a kResolverResponse span and be attributed in the audit stream.
 TEST(AuditRegressionTest, FrontendBudgetDenialIsAuditedWithSpan) {
-  scenario::ScenarioSpec spec = LoadSpec("fleet_blackout.json");
+  scenario::ScenarioSpec spec = LoadExampleSpec("fleet_blackout.json");
   // Starve the re-steer budget so the blackout forces denials.
   bool adjusted = false;
   for (scenario::NodeSpec& node : spec.nodes) {

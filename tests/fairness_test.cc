@@ -1,6 +1,6 @@
 // Tests for the shared benign-collateral summaries (src/measure/fairness):
 // victim selection, starvation streaks, Jain aggregation, the Fig. 8 landed-
-// load series, and the legacy-result converter's attacker-by-label rule.
+// load series, and the engine-outcome converter's attacker flag.
 
 #include <gtest/gtest.h>
 
@@ -90,18 +90,18 @@ TEST(FairnessTest, AttackerLandedSeriesSubtractsBenignShare) {
   EXPECT_DOUBLE_EQ(landed[2], 25);  // 30 - 5.
 }
 
-TEST(FairnessTest, LegacyResultConverterMarksAttackerByLabel) {
-  ScenarioResult result;
-  ClientResult benign;
+TEST(FairnessTest, OutcomeConverterCarriesAttackerFlag) {
+  scenario::ClientOutcome benign;
   benign.label = "Heavy";
   benign.sent = 10;
   benign.success_ratio = 0.4;
-  ClientResult attacker;
+  scenario::ClientOutcome attacker;
   attacker.label = "Attacker";
+  attacker.is_attacker = true;
   attacker.sent = 10;
   attacker.success_ratio = 0.1;
-  result.clients = {benign, attacker};
-  const std::vector<ClientFairnessSample> samples = FairnessSamples(result);
+  const std::vector<ClientFairnessSample> samples =
+      FairnessSamples(std::vector<scenario::ClientOutcome>{benign, attacker});
   ASSERT_EQ(samples.size(), 2u);
   EXPECT_FALSE(samples[0].is_attacker);
   EXPECT_TRUE(samples[1].is_attacker);

@@ -11,26 +11,13 @@
 #include "src/scenario/engine.h"
 #include "src/scenario/spec.h"
 #include "src/search/mutation.h"
-
-#ifndef DCC_SOURCE_DIR
-#define DCC_SOURCE_DIR "."
-#endif
+#include "tests/example_specs.h"
 
 namespace dcc {
 namespace scenario {
 namespace {
 
-std::string SpecPath(const char* name) {
-  return std::string(DCC_SOURCE_DIR) + "/examples/scenarios/" + name;
-}
-
-ScenarioSpec LoadSpec(const char* name) {
-  ScenarioSpec spec;
-  std::string error;
-  EXPECT_TRUE(LoadScenarioSpecFile(SpecPath(name).c_str(), &spec, &error))
-      << error;
-  return spec;
-}
+using testing_specs::LoadExampleSpec;
 
 // A frontend spec built in code: one auth, a 3-member replicated fleet, one
 // client. Tests perturb copies.
@@ -194,7 +181,7 @@ TEST(FleetValidateTest, RotationActiveBeyondFleetSizeNamesThePath) {
 // --- satellite: failover robustness on the seeded deliverable spec ----------
 
 TEST(FleetBlackoutTest, BenignClientsStayAboveFloorWithBoundedResteerBurst) {
-  const ScenarioSpec spec = LoadSpec("fleet_blackout.json");
+  const ScenarioSpec spec = LoadExampleSpec("fleet_blackout.json");
   ScenarioOutcome outcome;
   std::string error;
   ASSERT_TRUE(RunScenarioSpec(spec, {}, &outcome, &error)) << error;
@@ -225,7 +212,7 @@ TEST(FleetBlackoutTest, BenignClientsStayAboveFloorWithBoundedResteerBurst) {
 }
 
 TEST(FleetBlackoutTest, ReplayIsEventForEventIdentical) {
-  const ScenarioSpec spec = LoadSpec("fleet_blackout.json");
+  const ScenarioSpec spec = LoadExampleSpec("fleet_blackout.json");
   ScenarioOutcome first;
   ScenarioOutcome second;
   std::string error;
@@ -242,7 +229,7 @@ TEST(FleetBlackoutTest, ReplayIsEventForEventIdentical) {
 }
 
 TEST(FleetRotationTest, RotationSpecRunsAndRotates) {
-  const ScenarioSpec spec = LoadSpec("fleet_rotation_ff.json");
+  const ScenarioSpec spec = LoadExampleSpec("fleet_rotation_ff.json");
   ScenarioOutcome outcome;
   std::string error;
   ASSERT_TRUE(RunScenarioSpec(spec, {}, &outcome, &error)) << error;
@@ -264,7 +251,7 @@ TEST(FleetRotationTest, RotationSpecRunsAndRotates) {
 TEST(FleetMutationTest, OpsApplyDeterministicallyAndRevalidate) {
   using search::ApplyMutation;
   using search::MutationStep;
-  ScenarioSpec base = LoadSpec("fleet_blackout.json");
+  ScenarioSpec base = LoadExampleSpec("fleet_blackout.json");
   std::string validate_error;
   ASSERT_TRUE(ValidateScenarioSpec(&base, &validate_error)) << validate_error;
   const search::MutationOp ops[] = {search::MutationOp::kRotatePeriod,
@@ -288,7 +275,7 @@ TEST(FleetMutationTest, OpsApplyDeterministicallyAndRevalidate) {
 }
 
 TEST(FleetMutationTest, OpsFailGracefullyWithoutFrontends) {
-  ScenarioSpec spec = LoadSpec("resilience.json");
+  ScenarioSpec spec = LoadExampleSpec("fig8_wc.json");
   std::string error;
   EXPECT_FALSE(search::ApplyMutation(
       &spec, {search::MutationOp::kRotatePeriod, 1}, &error));
@@ -297,7 +284,7 @@ TEST(FleetMutationTest, OpsFailGracefullyWithoutFrontends) {
 
 TEST(FleetMutationTest, FleetSizeStaysWithinBounds) {
   using search::ApplyMutation;
-  ScenarioSpec base = LoadSpec("fleet_blackout.json");
+  ScenarioSpec base = LoadExampleSpec("fleet_blackout.json");
   std::string error;
   ASSERT_TRUE(ValidateScenarioSpec(&base, &error)) << error;
   ScenarioSpec spec = base;

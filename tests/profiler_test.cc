@@ -17,9 +17,9 @@
 #include "src/dns/message.h"
 #include "src/scenario/engine.h"
 #include "src/scenario/outcome_json.h"
-#include "src/scenario/scenarios.h"
 #include "src/sim/event_loop.h"
 #include "src/telemetry/profiler.h"
+#include "tests/example_specs.h"
 
 namespace dcc {
 namespace {
@@ -270,11 +270,7 @@ TEST(ProfilerTest, WriteProfileJsonContainsSchema) {
 // The tentpole guarantee: running with the profiler enabled leaves the
 // simulation byte-identical — same events executed, same full outcome JSON.
 TEST(ProfilerDeterminismTest, ProfilingDoesNotPerturbScenario) {
-  ResilienceOptions options;
-  options.horizon = Seconds(3);
-  options.seed = 42;
-  options.clients = Table2Clients(QueryPattern::kNx, /*attacker_qps=*/200);
-  const scenario::ScenarioSpec spec = CompileResilienceSpec(options);
+  const scenario::ScenarioSpec spec = testing_specs::Fig8NxSlice();
 
   auto run = [&spec](bool profiled) {
     prof::Reset();

@@ -1,22 +1,19 @@
 // Tests for the declarative scenario layer (src/scenario): JSON parse and
-// validation diagnostics, write -> parse round-trip exactness, the example
-// specs under examples/scenarios/, and golden equivalence between the legacy
-// Run*Scenario entry points and the generic engine executing the compiled
-// (and JSON-round-tripped) specs.
+// validation diagnostics, write -> parse round-trip exactness of every
+// committed spec under examples/scenarios/, and golden runs of the
+// paper-figure spec files (and their JSON round-trips).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/scenario/engine.h"
-#include "src/scenario/scenarios.h"
 #include "src/scenario/spec.h"
-#include "src/sim/event_loop.h"
-
-#ifndef DCC_SOURCE_DIR
-#define DCC_SOURCE_DIR "."
-#endif
+#include "tests/example_specs.h"
 
 namespace dcc {
 namespace scenario {
@@ -160,154 +157,107 @@ TEST(SpecValidateTest, KindMismatchesAreRejected) {
   }
 }
 
-TEST(SpecRoundTripTest, WriteParseReproducesExactly) {
-  ScenarioSpec spec = CompileResilienceSpec(ResilienceOptions{});
-  std::string error;
-  ASSERT_TRUE(ValidateScenarioSpec(&spec, &error)) << error;
-  const std::string text = WriteScenarioSpec(spec);
-  ScenarioSpec reparsed;
-  ASSERT_TRUE(ParseScenarioSpec(text, &reparsed, &error)) << error;
-  EXPECT_EQ(text, WriteScenarioSpec(reparsed));
-}
-
+// Every committed spec — the paper-figure setups, the fleet and chain
+// examples, and the search corpus under found/ — parses, writes back to text
+// that re-parses to the same spec, and validates; its materialized form
+// round-trips too.
 TEST(SpecRoundTripTest, ExampleSpecsParseAndValidate) {
-  const std::string dir = std::string(DCC_SOURCE_DIR) + "/examples/scenarios/";
-  for (const char* name : {"resilience.json", "validation.json",
-                           "signaling.json", "chaos.json",
-                           "chain_ff_loss.json"}) {
+  const std::filesystem::path root =
+      std::filesystem::path(DCC_SOURCE_DIR) / "examples" / "scenarios";
+  std::vector<std::filesystem::path> files;
+  for (const std::filesystem::path& dir : {root, root / "found"}) {
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      if (entry.is_regular_file() && entry.path().extension() == ".json") {
+        files.push_back(entry.path());
+      }
+    }
+  }
+  std::sort(files.begin(), files.end());
+  ASSERT_GE(files.size(), 16u) << "examples/scenarios/ lost its spec files";
+  for (const std::filesystem::path& file : files) {
+    SCOPED_TRACE(file.string());
     ScenarioSpec spec;
     std::string error;
-    ASSERT_TRUE(LoadScenarioSpecFile(dir + name, &spec, &error))
-        << name << ": " << error;
-    ASSERT_TRUE(ValidateScenarioSpec(&spec, &error)) << name << ": " << error;
-    EXPECT_FALSE(spec.nodes.empty()) << name;
-    EXPECT_FALSE(spec.clients.empty()) << name;
+    ASSERT_TRUE(LoadScenarioSpecFile(file.string(), &spec, &error)) << error;
+    const std::string text = WriteScenarioSpec(spec);
+    ScenarioSpec reparsed;
+    ASSERT_TRUE(ParseScenarioSpec(text, &reparsed, &error)) << error;
+    EXPECT_EQ(text, WriteScenarioSpec(reparsed));
+
+    ASSERT_TRUE(ValidateScenarioSpec(&spec, &error)) << error;
+    EXPECT_FALSE(spec.nodes.empty());
+    EXPECT_FALSE(spec.clients.empty());
+    const std::string materialized = WriteScenarioSpec(spec);
+    ASSERT_TRUE(ParseScenarioSpec(materialized, &reparsed, &error)) << error;
+    EXPECT_EQ(materialized, WriteScenarioSpec(reparsed));
   }
 }
 
-// Runs `spec` via the engine, returning the outcome plus the exact number of
-// loop events the run executed (from the global event counter).
-ScenarioOutcome RunCounted(const ScenarioSpec& spec, uint64_t* events) {
-  const uint64_t before = EventLoop::TotalEventsExecuted();
-  ScenarioOutcome outcome;
-  std::string error;
-  EXPECT_TRUE(RunScenarioSpec(spec, {}, &outcome, &error)) << error;
-  *events = EventLoop::TotalEventsExecuted() - before;
-  return outcome;
+// Golden runs of the paper-figure spec files at trimmed horizons: the loop
+// events executed and each client's (sent, succeeded). The numbers were
+// recorded from the option-struct runners these files replaced, so a spec
+// file that drifts from the topology the paper figures were produced with
+// fails here. Fig. 8 runs also end every client schedule at the trimmed
+// horizon, as the Fig. 8 command line always did; the other runs only move
+// the horizon.
+struct GoldenPin {
+  const char* file;
+  int horizon_s;
+  bool trim_schedules;
+  size_t events;
+  std::vector<std::pair<uint64_t, uint64_t>> clients;
+};
+
+const std::vector<GoldenPin>& GoldenPins() {
+  static const std::vector<GoldenPin> pins = {
+      {"fig4_a.json", 50, false, 112920, {{250, 0}, {90, 44}, {90, 42}, {90, 39}}},
+      {"fig4_b.json", 50, false, 121158, {{250, 0}, {143, 58}, {144, 62}, {140, 59}}},
+      {"fig4_c.json", 50, false, 119189, {{5000, 715}, {90, 5}, {90, 4}, {90, 4}}},
+      {"fig4_d.json", 50, false, 88027, {{250, 0}, {90, 80}, {90, 75}, {90, 75}}},
+      {"fig8_wc.json", 12, true, 132097, {{7200, 6702}, {4200, 4198}, {0, 0}, {2200, 703}}},
+      {"fig8_nx.json", 12, true, 132162, {{7200, 6702}, {4200, 4198}, {0, 0}, {2200, 704}}},
+      {"fig8_cq.json", 12, true, 132635, {{7200, 6707}, {4200, 4198}, {0, 0}, {200, 0}}},
+      {"fig8_ff.json", 12, true, 130442, {{7200, 6703}, {4200, 4198}, {0, 0}, {100, 0}}},
+      {"fig9_nx.json", 12, false, 188974, {{9004, 8437}, {5251, 5245}, {0, 0}, {1001, 809}}},
+      {"fig9_ff.json", 12, false, 205189, {{9004, 7268}, {5251, 5246}, {0, 0}, {101, 0}}},
+      {"chaos.json", 20, false, 4844, {{800, 800}}},
+      {"chaos_dcc.json", 20, false, 4946, {{800, 800}}},
+  };
+  return pins;
 }
 
-// Compiled spec and its JSON round-trip must replay the legacy entry point
-// event-for-event with identical headline metrics.
-template <typename Options, typename Result>
-void ExpectGoldenEquivalence(const Options& options,
-                             ScenarioSpec (*compile)(const Options&),
-                             Result (*run)(const Options&),
-                             uint64_t* legacy_events,
-                             Result* legacy_result,
-                             ScenarioOutcome* outcome) {
-  const uint64_t before = EventLoop::TotalEventsExecuted();
-  *legacy_result = run(options);
-  *legacy_events = EventLoop::TotalEventsExecuted() - before;
-
-  const ScenarioSpec spec = compile(options);
-  uint64_t direct_events = 0;
-  *outcome = RunCounted(spec, &direct_events);
-  EXPECT_EQ(direct_events, *legacy_events);
-
-  ScenarioSpec validated = spec;
-  std::string error;
-  ASSERT_TRUE(ValidateScenarioSpec(&validated, &error)) << error;
-  ScenarioSpec reparsed;
-  ASSERT_TRUE(ParseScenarioSpec(WriteScenarioSpec(validated), &reparsed, &error))
-      << error;
-  uint64_t roundtrip_events = 0;
-  const ScenarioOutcome rt = RunCounted(reparsed, &roundtrip_events);
-  EXPECT_EQ(roundtrip_events, *legacy_events);
-  ASSERT_EQ(rt.clients.size(), outcome->clients.size());
-  for (size_t i = 0; i < rt.clients.size(); ++i) {
-    EXPECT_EQ(rt.clients[i].sent, outcome->clients[i].sent);
-    EXPECT_EQ(rt.clients[i].succeeded, outcome->clients[i].succeeded);
+void ExpectPinned(const GoldenPin& pin, const ScenarioOutcome& outcome) {
+  EXPECT_EQ(outcome.events_executed, pin.events);
+  ASSERT_EQ(outcome.clients.size(), pin.clients.size());
+  for (size_t i = 0; i < pin.clients.size(); ++i) {
+    EXPECT_EQ(outcome.clients[i].sent, pin.clients[i].first) << "client " << i;
+    EXPECT_EQ(outcome.clients[i].succeeded, pin.clients[i].second)
+        << "client " << i;
   }
 }
 
-TEST(GoldenEquivalenceTest, Resilience) {
-  ResilienceOptions options;
-  options.horizon = Seconds(12);
-  options.clients = Table2Clients(QueryPattern::kNx, 1100);
-  for (auto& client : options.clients) {
-    client.stop = std::min(client.stop, options.horizon);
-  }
-  uint64_t legacy_events = 0;
-  ScenarioResult legacy;
-  ScenarioOutcome outcome;
-  ExpectGoldenEquivalence(options, CompileResilienceSpec,
-                          RunResilienceScenario, &legacy_events, &legacy,
-                          &outcome);
-  ASSERT_EQ(outcome.clients.size(), legacy.clients.size());
-  for (size_t i = 0; i < legacy.clients.size(); ++i) {
-    EXPECT_EQ(outcome.clients[i].sent, legacy.clients[i].sent);
-    EXPECT_EQ(outcome.clients[i].succeeded, legacy.clients[i].succeeded);
-    EXPECT_EQ(outcome.clients[i].effective_qps, legacy.clients[i].effective_qps);
-  }
-  EXPECT_EQ(outcome.ans[0].qps, legacy.ans_qps);
-  EXPECT_EQ(outcome.dcc_convictions, legacy.dcc_convictions);
-  EXPECT_EQ(outcome.dcc_policed_drops, legacy.dcc_policed_drops);
-  EXPECT_EQ(outcome.dcc_servfails, legacy.dcc_servfails);
-}
+TEST(GoldenPinTest, SpecFilesReplayPinnedRuns) {
+  for (const GoldenPin& pin : GoldenPins()) {
+    SCOPED_TRACE(pin.file);
+    ScenarioSpec spec = testing_specs::LoadExampleSpec(pin.file);
+    if (pin.trim_schedules) {
+      testing_specs::TrimToHorizon(&spec, Seconds(pin.horizon_s));
+    } else {
+      spec.horizon = Seconds(pin.horizon_s);
+    }
+    ScenarioOutcome outcome;
+    std::string error;
+    ASSERT_TRUE(RunScenarioSpec(spec, {}, &outcome, &error)) << error;
+    ExpectPinned(pin, outcome);
 
-TEST(GoldenEquivalenceTest, ValidationRedundantResolverFf) {
-  ValidationOptions options;
-  options.setup = ValidationSetup::kRedundantResolver;
-  options.attacker_qps = 8;
-  uint64_t legacy_events = 0;
-  ValidationResult legacy;
-  ScenarioOutcome outcome;
-  ExpectGoldenEquivalence(options, CompileValidationSpec,
-                          RunValidationScenario, &legacy_events, &legacy,
-                          &outcome);
-  EXPECT_EQ(outcome.clients[0].success_ratio, legacy.attacker_success_ratio);
-  double peak = 0;
-  for (const auto& ans : outcome.ans) {
-    peak = std::max(peak, ans.peak_qps);
+    // The materialized spec's JSON round-trip replays the same run.
+    ASSERT_TRUE(ValidateScenarioSpec(&spec, &error)) << error;
+    ScenarioSpec reparsed;
+    ASSERT_TRUE(ParseScenarioSpec(WriteScenarioSpec(spec), &reparsed, &error))
+        << error;
+    ASSERT_TRUE(RunScenarioSpec(reparsed, {}, &outcome, &error)) << error;
+    ExpectPinned(pin, outcome);
   }
-  EXPECT_EQ(peak, legacy.ans_peak_qps);
-}
-
-TEST(GoldenEquivalenceTest, SignalingNx) {
-  SignalingOptions options;
-  options.horizon = Seconds(12);
-  options.attacker_qps = 150;
-  uint64_t legacy_events = 0;
-  ScenarioResult legacy;
-  ScenarioOutcome outcome;
-  ExpectGoldenEquivalence(options, CompileSignalingSpec, RunSignalingScenario,
-                          &legacy_events, &legacy, &outcome);
-  ASSERT_EQ(outcome.clients.size(), legacy.clients.size());
-  for (size_t i = 0; i < legacy.clients.size(); ++i) {
-    EXPECT_EQ(outcome.clients[i].sent, legacy.clients[i].sent);
-    EXPECT_EQ(outcome.clients[i].succeeded, legacy.clients[i].succeeded);
-  }
-  EXPECT_EQ(outcome.dcc_signals_attached, legacy.dcc_signals_attached);
-}
-
-TEST(GoldenEquivalenceTest, ChaosWithDefaultBlackout) {
-  ChaosOptions options;
-  options.horizon = Seconds(20);
-  options.blackout_start = Seconds(5);
-  options.blackout_end = Seconds(12);
-  uint64_t legacy_events = 0;
-  ChaosResult legacy;
-  ScenarioOutcome outcome;
-  ExpectGoldenEquivalence(options, CompileChaosSpec, RunChaosScenario,
-                          &legacy_events, &legacy, &outcome);
-  EXPECT_EQ(outcome.clients[0].sent, legacy.client.sent);
-  EXPECT_EQ(outcome.clients[0].succeeded, legacy.client.succeeded);
-  ASSERT_EQ(outcome.resolver_series.size(), 1u);
-  EXPECT_EQ(outcome.resolver_series[0].stale_responses, legacy.stale_served);
-  EXPECT_EQ(outcome.resolver_series[0].holddowns, legacy.holddowns);
-  EXPECT_EQ(outcome.resolver_series[0].upstream_send_qps,
-            legacy.upstream_send_qps);
-  EXPECT_EQ(outcome.fault_activations, legacy.fault_activations);
 }
 
 }  // namespace

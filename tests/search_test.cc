@@ -4,7 +4,7 @@
 // seeded search (including the corpus bytes it writes), and the acceptance
 // check for the committed corpus under examples/scenarios/found/ — every
 // find must replay to its recorded score/event count and beat all four
-// legacy attack baselines on worst benign-client success ratio.
+// Fig. 8 seed baselines on worst benign-client success ratio.
 
 #include <gtest/gtest.h>
 
@@ -20,10 +20,6 @@
 #include "src/search/mutation.h"
 #include "src/search/objective.h"
 #include "src/search/search.h"
-
-#ifndef DCC_SOURCE_DIR
-#define DCC_SOURCE_DIR "."
-#endif
 
 namespace dcc {
 namespace search {
@@ -241,7 +237,7 @@ TEST(CorpusTest, WriteReplayCheckDetectsDrift) {
 
 // Acceptance for the committed corpus: every find replays to its recorded
 // identity, and its worst benign-client success ratio is strictly lower than
-// all four legacy attack scenarios at the same horizon and run seed.
+// all four Fig. 8 seed scenarios at the same horizon and run seed.
 TEST(FoundCorpusTest, CommittedFindsBeatEveryLegacyBaseline) {
   const std::string dir =
       std::string(DCC_SOURCE_DIR) + "/examples/scenarios/found";
@@ -268,7 +264,7 @@ TEST(FoundCorpusTest, CommittedFindsBeatEveryLegacyBaseline) {
           << baseline.name << ": " << error;
       EXPECT_LT(report.breakdown.collateral.worst_ratio,
                 seed_run.breakdown.collateral.worst_ratio)
-          << file << " does not beat legacy seed " << baseline.name;
+          << file << " does not beat seed " << baseline.name;
     }
   }
 }

@@ -12,11 +12,11 @@
 #include <string>
 #include <vector>
 
-#include "src/scenario/scenarios.h"
 #include "src/common/json.h"
 #include "src/telemetry/chrome_trace.h"
 #include "src/telemetry/span_tree.h"
 #include "src/telemetry/trace.h"
+#include "tests/example_specs.h"
 
 namespace dcc {
 namespace telemetry {
@@ -290,20 +290,20 @@ TEST(ChromeTraceTest, TracerOverloadExportsRetainedWindow) {
 // same run is documented as the dcc_trace walkthrough in EXPERIMENTS.md.
 TEST(SpanTreeForensicsTest, FfAttackerAmplificationNearFanoutSquared) {
   TelemetrySink sink;
-  ResilienceOptions options;
-  options.telemetry = &sink;
-  options.dcc_enabled = false;      // Vanilla resolver: nothing policed away.
-  options.channel_qps = 100000;     // Uncongested: the full fan-out completes.
-  options.horizon = Seconds(25);
-  options.clients = Table2Clients(QueryPattern::kFf, /*attacker_qps=*/2);
-  for (auto& client : options.clients) {
-    client.stop = std::min(client.stop, options.horizon);
+  scenario::ScenarioSpec spec = testing_specs::LoadExampleSpec("fig8_ff.json");
+  testing_specs::TrimToHorizon(&spec, Seconds(25));
+  spec.clients[3].qps = 2;  // The attacker.
+  for (scenario::NodeSpec& node : spec.nodes) {
+    node.dcc_enabled = false;      // Vanilla resolver: nothing policed away.
+    node.auth.rrl.enabled = false;  // Uncongested: the full fan-out completes.
   }
-  RunResilienceScenario(options);
+  scenario::EngineHooks hooks;
+  hooks.telemetry = &sink;
+  testing_specs::RunSpec(spec, hooks);
 
-  // Address layout (see ResilienceOptions::fault_plan comment): target ANS,
-  // attacker ANS, resolver, then one address per client in spec order
-  // (Heavy, Medium, Light, Attacker).
+  // Address layout (SpecNodeAddress): target ANS, attacker ANS, resolver,
+  // then one address per client in spec order (Heavy, Medium, Light,
+  // Attacker).
   const uint32_t target_ans = 0x0a000001;
   const uint32_t attacker_addr = 0x0a000007;
 

@@ -11,10 +11,10 @@
 #include <string>
 #include <vector>
 
-#include "src/scenario/scenarios.h"
 #include "src/telemetry/metrics.h"
 #include "src/telemetry/telemetry.h"
 #include "src/telemetry/trace.h"
+#include "tests/example_specs.h"
 
 namespace dcc {
 namespace telemetry {
@@ -309,18 +309,16 @@ TEST(QueryTracerTest, SpanKindNamesCoverAllStages) {
 // --- End-to-end: scenario run populates metrics and a full trace -------------
 
 TEST(TelemetryEndToEndTest, ScenarioProducesMetricsAndCompleteTrace) {
+  // The Fig. 8a DCC resolver with one light benign WC client.
+  scenario::ScenarioSpec spec = testing_specs::LoadExampleSpec("fig8_wc.json");
+  spec.clients.resize(1);
+  spec.clients[0].label = "Benign";
+  spec.clients[0].qps = 40;
+  testing_specs::TrimToHorizon(&spec, Seconds(5));
   TelemetrySink sink;
-  ResilienceOptions options;
-  options.telemetry = &sink;
-  options.dcc_enabled = true;
-  options.horizon = Seconds(5);
-  ClientSpec benign;
-  benign.label = "Benign";
-  benign.qps = 40;
-  benign.stop = Seconds(5);
-  benign.pattern = QueryPattern::kWc;
-  options.clients = {benign};
-  RunResilienceScenario(options);
+  scenario::EngineHooks hooks;
+  hooks.telemetry = &sink;
+  testing_specs::RunSpec(spec, hooks);
 
   const MetricsSnapshot snap = sink.metrics.Snapshot();
   EXPECT_GT(snap.Sum("stub_requests_total"), 0.0);

@@ -20,9 +20,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -32,8 +30,12 @@
 #include "src/common/json.h"
 #include "src/sim/event_loop.h"
 #include "src/telemetry/profiler.h"
+#include "tools/cli.h"
 
 namespace {
+
+using dcc::cli::ReadFile;
+using dcc::cli::WriteFile;
 
 struct RunnerOptions {
   bool quick = false;
@@ -83,10 +85,9 @@ void PrintUsage(FILE* stream) {
 bool ParseArgs(int argc, char** argv, RunnerOptions* options) {
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
-    auto value = [&](const char* flag) -> const char* {
+    auto value = [&]() -> const char* {
       if (i + 1 >= argc) {
-        std::fprintf(stderr, "dcc_bench: %s needs a value\n", flag);
-        return nullptr;
+        dcc::cli::UsageError(argv[i], "needs a value");
       }
       return argv[++i];
     };
@@ -101,29 +102,17 @@ bool ParseArgs(int argc, char** argv, RunnerOptions* options) {
     } else if (arg == "--write-baseline") {
       options->write_baseline = true;
     } else if (arg == "--filter") {
-      const char* v = value("--filter");
-      if (v == nullptr) return false;
-      options->filter = v;
+      options->filter = value();
     } else if (arg == "--out") {
-      const char* v = value("--out");
-      if (v == nullptr) return false;
-      options->out = v;
+      options->out = value();
     } else if (arg == "--baseline") {
-      const char* v = value("--baseline");
-      if (v == nullptr) return false;
-      options->baseline = v;
+      options->baseline = value();
     } else if (arg == "--profile-out") {
-      const char* v = value("--profile-out");
-      if (v == nullptr) return false;
-      options->profile_out = v;
+      options->profile_out = value();
     } else if (arg == "--wall-slack") {
-      const char* v = value("--wall-slack");
-      if (v == nullptr) return false;
-      options->wall_slack = std::atof(v);
+      options->wall_slack = dcc::cli::ParseDouble("--wall-slack", value());
     } else if (arg == "--min-eps") {
-      const char* v = value("--min-eps");
-      if (v == nullptr) return false;
-      options->min_eps_scale = std::atof(v);
+      options->min_eps_scale = dcc::cli::ParseDouble("--min-eps", value());
     } else if (arg == "--help" || arg == "-h") {
       PrintUsage(stdout);
       std::exit(0);
@@ -160,26 +149,6 @@ class StdoutSilencer {
  private:
   int saved_fd_ = -1;
 };
-
-bool WriteFile(const std::string& path, const std::string& content) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    return false;
-  }
-  out << content;
-  return static_cast<bool>(out);
-}
-
-bool ReadFile(const std::string& path, std::string* content) {
-  std::ifstream in(path);
-  if (!in) {
-    return false;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  *content = buffer.str();
-  return true;
-}
 
 }  // namespace
 

@@ -19,45 +19,18 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <iostream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "src/common/json.h"
+#include "tools/cli.h"
 
 namespace {
 
+using dcc::cli::FlagValue;
 using dcc::json::Value;
-
-const char* FlagValue(int argc, char** argv, const char* flag) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) {
-      return argv[i + 1];
-    }
-  }
-  return nullptr;
-}
-
-bool ReadInput(const std::string& path, std::string* out) {
-  if (path == "-") {
-    std::ostringstream buffer;
-    buffer << std::cin.rdbuf();
-    *out = buffer.str();
-    return true;
-  }
-  std::ifstream in(path);
-  if (!in) {
-    return false;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  *out = buffer.str();
-  return true;
-}
 
 // One selected (label, profile) pair; label is empty for a bare profile.
 struct Selected {
@@ -330,11 +303,10 @@ int main(int argc, char** argv) {
   const std::string command = argv[1];
   const std::string path = argv[2];
   const char* bench_filter = FlagValue(argc, argv, "--bench");
-  const char* limit_text = FlagValue(argc, argv, "--limit");
-  const int limit = limit_text != nullptr ? std::atoi(limit_text) : 20;
+  const int limit = static_cast<int>(dcc::cli::FlagU64(argc, argv, "--limit", 20));
 
   std::string text;
-  if (!ReadInput(path, &text)) {
+  if (!dcc::cli::ReadFile(path, &text)) {
     std::fprintf(stderr, "dcc_prof: cannot read %s\n", path.c_str());
     return 2;
   }

@@ -8,9 +8,10 @@
 //   dcc_search score  --spec FILE [--objective O]
 //   dcc_search replay --corpus DIR [--check] [--objective O]
 //
-// `search` evaluates the four legacy §5.1 attack scenarios (WC/NX/CQ/FF) as
-// seeds and baselines, explores mutations of them, and prints the ranked
-// worst cases with a field-level diff against the seed each one grew from.
+// `search` evaluates the four §5.1 attack scenarios
+// (examples/scenarios/fig8_{wc,nx,cq,ff}.json) as seeds and baselines,
+// explores mutations of them, and prints the ranked worst cases with a
+// field-level diff against the seed each one grew from.
 // With --out, the best candidate is minimized (greedy revert-toward-parent)
 // and written as a provenance-stamped spec the `replay` subcommand — and CI —
 // can re-run and check byte-for-byte.
@@ -25,38 +26,16 @@
 #include "src/search/mutation.h"
 #include "src/search/objective.h"
 #include "src/search/search.h"
+#include "tools/cli.h"
 
 namespace {
 
 using namespace dcc;
 
-const char* FlagValue(int argc, char** argv, const char* name) {
-  for (int i = 2; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) {
-      return argv[i + 1];
-    }
-  }
-  return nullptr;
-}
-
-bool HasFlag(int argc, char** argv, const char* name) {
-  for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) {
-      return true;
-    }
-  }
-  return false;
-}
-
-double FlagDouble(int argc, char** argv, const char* name, double fallback) {
-  const char* value = FlagValue(argc, argv, name);
-  return value != nullptr ? std::atof(value) : fallback;
-}
-
-uint64_t FlagU64(int argc, char** argv, const char* name, uint64_t fallback) {
-  const char* value = FlagValue(argc, argv, name);
-  return value != nullptr ? std::strtoull(value, nullptr, 10) : fallback;
-}
+using cli::FlagDouble;
+using cli::FlagU64;
+using cli::FlagValue;
+using cli::HasFlag;
 
 search::Objective ParseObjectiveArg(int argc, char** argv) {
   const char* text = FlagValue(argc, argv, "--objective");
@@ -273,8 +252,9 @@ void PrintUsage(std::FILE* stream) {
       "usage: dcc_search COMMAND [options]\n"
       "\n"
       "commands:\n"
-      "  search   explore mutations of the four legacy attack scenarios\n"
-      "           (WC/NX/CQ/FF Table 2 mixes vs a DCC-enabled resolver)\n"
+      "  search   explore mutations of the four Fig. 8 attack scenarios\n"
+      "           (examples/scenarios/fig8_{wc,nx,cq,ff}.json: Table 2 mixes\n"
+      "           vs a DCC-enabled resolver)\n"
       "           and rank the worst cases found\n"
       "  score    run one scenario spec and print its objective breakdown\n"
       "  replay   re-run every *.json under a corpus directory; --check\n"

@@ -1,27 +1,18 @@
-// dcc_sim — command-line front-end for the experiment scenarios.
+// dcc_sim — command-line front-end for declarative scenario specs.
 //
 // Run `dcc_sim --help` for the full flag reference (PrintUsage below is the
 // authoritative list); short form:
 //
-//   dcc_sim resilience [--pattern wc|nx|ff] [--attacker-qps N]
-//                      [--channel-qps N] [--vanilla] [--horizon SECONDS]
-//                      [--fault-plan FILE]
-//   dcc_sim validation [--setup a|b|c|d] [--attacker-qps N]
-//                      [--channel-qps N] [--egresses N]
-//   dcc_sim signaling  [--pattern nx|ff] [--attacker-qps N] [--no-signals]
-//   dcc_sim chaos      [--dcc] [--client-qps N] [--horizon SECONDS]
-//                      [--auths N] [--seed N] [--fault-plan FILE]
-//   dcc_sim probe      [--irl N] [--nx-irl N] [--erl N]
-//
-// Every scenario command also takes --log-level, --metrics-out, --trace-out,
-// --trace-format, --sample-interval and --series-out (see PrintUsage).
+//   dcc_sim run      --spec FILE [--horizon SECONDS] [--seed N]
+//                    [--fault-plan FILE] [--dump-effective] [output flags]
+//   dcc_sim validate --spec FILE
+//   dcc_sim probe    [--irl N] [--nx-irl N] [--erl N]
 //
 // Examples:
-//   dcc_sim resilience --pattern ff --attacker-qps 50
-//   dcc_sim resilience --pattern nx --metrics-out m.prom --trace-out t.jsonl
-//   dcc_sim resilience --series-out series.csv --sample-interval 0.5
-//   dcc_sim validation --setup d --egresses 16 --attacker-qps 25
-//   dcc_sim signaling --pattern nx --no-signals
+//   dcc_sim run --spec examples/scenarios/fig8_ff.json
+//   dcc_sim run --spec examples/scenarios/fig8_nx.json --metrics-out m.prom
+//   dcc_sim run --spec examples/scenarios/chaos.json --seed 3
+//       --fault-plan examples/fault_plans/blackout.plan
 
 #include <cstdio>
 #include <cstdlib>
@@ -29,21 +20,26 @@
 #include <memory>
 #include <string>
 
-#include "src/scenario/outcome_json.h"
-#include "src/scenario/scenarios.h"
 #include "src/common/logging.h"
 #include "src/fault/fault_plan.h"
 #include "src/measure/rate_limit_probe.h"
+#include "src/scenario/engine.h"
+#include "src/scenario/outcome_json.h"
+#include "src/scenario/spec.h"
 #include "src/telemetry/audit.h"
 #include "src/telemetry/chrome_trace.h"
 #include "src/telemetry/profiler.h"
 #include "src/telemetry/sampler.h"
 #include "src/telemetry/telemetry.h"
 #include "src/telemetry/timeseries_export.h"
+#include "tools/cli.h"
 
 namespace {
 
 using namespace dcc;
+using cli::FlagDouble;
+using cli::FlagValue;
+using cli::HasFlag;
 
 // Scenario narration goes here; stays stdout unless a data dump claims
 // stdout via `--trace-out -`, in which case narration moves to stderr so
@@ -51,48 +47,6 @@ using namespace dcc;
 std::FILE* g_note = stdout;
 
 #define NOTE(...) std::fprintf(g_note, __VA_ARGS__)
-
-// Minimal flag parsing: --key value / --flag.
-const char* FlagValue(int argc, char** argv, const char* name) {
-  for (int i = 2; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) {
-      return argv[i + 1];
-    }
-  }
-  return nullptr;
-}
-
-bool HasFlag(int argc, char** argv, const char* name) {
-  for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) {
-      return true;
-    }
-  }
-  return false;
-}
-
-double FlagDouble(int argc, char** argv, const char* name, double fallback) {
-  const char* value = FlagValue(argc, argv, name);
-  return value != nullptr ? std::atof(value) : fallback;
-}
-
-QueryPattern ParsePattern(const char* text, QueryPattern fallback) {
-  if (text == nullptr) {
-    return fallback;
-  }
-  const std::string pattern = text;
-  if (pattern == "wc") {
-    return QueryPattern::kWc;
-  }
-  if (pattern == "nx") {
-    return QueryPattern::kNx;
-  }
-  if (pattern == "ff") {
-    return QueryPattern::kFf;
-  }
-  std::fprintf(stderr, "unknown pattern '%s' (wc|nx|ff)\n", text);
-  std::exit(2);
-}
 
 void ApplyLogLevel(int argc, char** argv) {
   const char* text = FlagValue(argc, argv, "--log-level");
@@ -171,16 +125,17 @@ int DumpSeries(int argc, char** argv, const telemetry::TimeSeriesSampler* sample
   return 0;
 }
 
+// Writes a dump to `path` ('-' = stdout); reports and returns false when the
+// file cannot be written.
 bool WriteFile(const char* path, const std::string& contents) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
+  if (!cli::WriteFile(path, contents)) {
     std::fprintf(stderr, "cannot open %s for writing\n", path);
     return false;
   }
-  std::fwrite(contents.data(), 1, contents.size(), f);
-  std::fclose(f);
   return true;
 }
+
+bool IsStdout(const char* path) { return std::strcmp(path, "-") == 0; }
 
 bool EndsWith(const std::string& text, const std::string& suffix) {
   return text.size() >= suffix.size() &&
@@ -197,8 +152,10 @@ int DumpTelemetry(int argc, char** argv, const telemetry::TelemetrySink* sink) {
     if (!WriteFile(path, out)) {
       return 1;
     }
-    NOTE("metrics: %zu instruments -> %s\n", sink->metrics.InstrumentCount(),
-                path);
+    if (!IsStdout(path)) {
+      NOTE("metrics: %zu instruments -> %s\n", sink->metrics.InstrumentCount(),
+           path);
+    }
   }
   if (const char* path = FlagValue(argc, argv, "--trace-out"); path != nullptr) {
     const char* format = FlagValue(argc, argv, "--trace-format");
@@ -211,46 +168,29 @@ int DumpTelemetry(int argc, char** argv, const telemetry::TelemetrySink* sink) {
       std::fprintf(stderr, "unknown trace format '%s' (jsonl|chrome)\n", format);
       return 2;
     }
-    if (std::strcmp(path, "-") == 0) {
-      std::fwrite(out.data(), 1, out.size(), stdout);
-    } else {
-      if (!WriteFile(path, out)) {
-        return 1;
-      }
+    if (!WriteFile(path, out)) {
+      return 1;
+    }
+    if (!IsStdout(path)) {
       NOTE("trace: %zu span events (%zu complete traces) -> %s\n",
-                  sink->trace.size(), sink->trace.CompleteTraceIds().size(),
-                  path);
+           sink->trace.size(), sink->trace.CompleteTraceIds().size(), path);
     }
   }
   return 0;
 }
 
-// Writes the materialized form of `spec` to `path` ('-' for stdout) — the
-// --dump-spec / --dump-effective implementation. Materializing first bakes
-// the derived fields (client seeds and stops, jitter seed, FF instance
-// counts) into the JSON, so the dump is a complete reproduction recipe.
-int DumpSpec(scenario::ScenarioSpec spec, const char* path) {
+// --dump-effective: prints the materialized form of `spec` (client seeds and
+// stops, jitter seed, FF instance counts baked in), a complete reproduction
+// recipe.
+int DumpEffective(scenario::ScenarioSpec spec) {
   std::string error;
   if (!scenario::ValidateScenarioSpec(&spec, &error)) {
     std::fprintf(stderr, "spec does not validate: %s\n", error.c_str());
     return 2;
   }
   const std::string out = scenario::WriteScenarioSpec(spec);
-  if (std::strcmp(path, "-") == 0) {
-    std::fwrite(out.data(), 1, out.size(), stdout);
-    return 0;
-  }
-  if (!WriteFile(path, out)) {
-    return 1;
-  }
-  NOTE("spec: scenario '%s' -> %s\n", spec.name.c_str(), path);
+  std::fwrite(out.data(), 1, out.size(), stdout);
   return 0;
-}
-
-// Dispatches --dump-spec for the legacy scenario commands: when present, the
-// compiled spec is written instead of running the simulation.
-const char* DumpSpecPath(int argc, char** argv) {
-  return FlagValue(argc, argv, "--dump-spec");
 }
 
 int RunSpec(int argc, char** argv) {
@@ -266,16 +206,18 @@ int RunSpec(int argc, char** argv) {
     return 2;
   }
   // Overrides. --seed replaces the run seed; fields the spec pins explicitly
-  // (e.g. materialized per-client seeds) keep their pinned values.
-  if (const char* text = FlagValue(argc, argv, "--horizon"); text != nullptr) {
-    spec.horizon = SecondsF(std::atof(text));
+  // (e.g. the Fig. 4 and Fig. 9 client seeds) keep their pinned values.
+  if (FlagValue(argc, argv, "--horizon") != nullptr) {
+    const double horizon = FlagDouble(argc, argv, "--horizon", 0);
+    if (horizon <= 0) {
+      cli::UsageError("--horizon", "must be > 0 seconds");
+    }
+    spec.horizon = SecondsF(horizon);
   }
-  if (const char* text = FlagValue(argc, argv, "--seed"); text != nullptr) {
-    spec.seed = std::strtoull(text, nullptr, 10);
-  }
+  spec.seed = cli::FlagU64(argc, argv, "--seed", spec.seed);
   LoadFaultPlanArg(argc, argv, &spec.faults.plan);
   if (HasFlag(argc, argv, "--dump-effective")) {
-    return DumpSpec(spec, "-");
+    return DumpEffective(spec);
   }
 
   auto sink = MakeSink(argc, argv);
@@ -302,23 +244,19 @@ int RunSpec(int argc, char** argv) {
   if (profile_out != nullptr) {
     prof::Disable();
     const std::string profile = prof::WriteProfileJson(prof::Snapshot());
-    if (std::strcmp(profile_out, "-") == 0) {
-      std::fwrite(profile.data(), 1, profile.size(), stdout);
-    } else {
-      if (!WriteFile(profile_out, profile)) {
-        return 1;
-      }
+    if (!WriteFile(profile_out, profile)) {
+      return 1;
+    }
+    if (!IsStdout(profile_out)) {
       NOTE("profile: hot-path sites -> %s\n", profile_out);
     }
   }
   if (audit != nullptr) {
     const std::string lines = audit->ExportJsonLines();
-    if (std::strcmp(audit_out, "-") == 0) {
-      std::fwrite(lines.data(), 1, lines.size(), stdout);
-    } else {
-      if (!WriteFile(audit_out, lines)) {
-        return 1;
-      }
+    if (!WriteFile(audit_out, lines)) {
+      return 1;
+    }
+    if (!IsStdout(audit_out)) {
       NOTE("audit: %llu decisions recorded (%llu evicted) -> %s\n",
            static_cast<unsigned long long>(audit->total_recorded()),
            static_cast<unsigned long long>(audit->dropped()), audit_out);
@@ -386,12 +324,10 @@ int RunSpec(int argc, char** argv) {
        static_cast<unsigned long long>(outcome.events_executed));
   if (const char* out = FlagValue(argc, argv, "--summary-out"); out != nullptr) {
     const std::string summary = scenario::WriteScenarioOutcome(outcome);
-    if (std::strcmp(out, "-") == 0) {
-      std::fwrite(summary.data(), 1, summary.size(), stdout);
-    } else {
-      if (!WriteFile(out, summary)) {
-        return 1;
-      }
+    if (!WriteFile(out, summary)) {
+      return 1;
+    }
+    if (!IsStdout(out)) {
       NOTE("summary: full outcome -> %s\n", out);
     }
   }
@@ -431,178 +367,6 @@ int ValidateSpec(int argc, char** argv) {
   return 0;
 }
 
-void PrintClients(const ScenarioResult& result) {
-  NOTE("%-10s %10s %10s %12s\n", "client", "sent", "answered", "ratio");
-  for (const auto& client : result.clients) {
-    NOTE("%-10s %10llu %10llu %12.2f\n", client.label.c_str(),
-                static_cast<unsigned long long>(client.sent),
-                static_cast<unsigned long long>(client.succeeded),
-                client.success_ratio);
-  }
-}
-
-int RunResilience(int argc, char** argv) {
-  ResilienceOptions options;
-  auto sink = MakeSink(argc, argv);
-  options.telemetry = sink.get();
-  auto sampler = MakeSampler(argc, argv);
-  options.sampler = sampler.get();
-  options.dcc_enabled = !HasFlag(argc, argv, "--vanilla");
-  options.channel_qps = FlagDouble(argc, argv, "--channel-qps", 1000);
-  const QueryPattern pattern =
-      ParsePattern(FlagValue(argc, argv, "--pattern"), QueryPattern::kWc);
-  const double default_qps = pattern == QueryPattern::kFf ? 50 : 1100;
-  options.clients =
-      Table2Clients(pattern, FlagDouble(argc, argv, "--attacker-qps", default_qps));
-  options.horizon = SecondsF(FlagDouble(argc, argv, "--horizon", 60));
-  for (auto& client : options.clients) {
-    client.stop = std::min(client.stop, options.horizon);
-  }
-  LoadFaultPlanArg(argc, argv, &options.fault_plan);
-  if (const char* path = DumpSpecPath(argc, argv); path != nullptr) {
-    return DumpSpec(CompileResilienceSpec(options), path);
-  }
-  NOTE("resilience: %s resolver, channel %.0f QPS, horizon %s\n",
-              options.dcc_enabled ? "DCC-enabled" : "vanilla", options.channel_qps,
-              FormatDuration(options.horizon).c_str());
-  const ScenarioResult result = RunResilienceScenario(options);
-  PrintClients(result);
-  if (options.dcc_enabled) {
-    NOTE("dcc: convictions=%llu policed=%llu servfails=%llu signals=%llu\n",
-                static_cast<unsigned long long>(result.dcc_convictions),
-                static_cast<unsigned long long>(result.dcc_policed_drops),
-                static_cast<unsigned long long>(result.dcc_servfails),
-                static_cast<unsigned long long>(result.dcc_signals_attached));
-  }
-  if (const int rc = DumpSeries(argc, argv, sampler.get()); rc != 0) {
-    return rc;
-  }
-  return DumpTelemetry(argc, argv, sink.get());
-}
-
-int RunValidation(int argc, char** argv) {
-  ValidationOptions options;
-  auto sink = MakeSink(argc, argv);
-  options.telemetry = sink.get();
-  auto sampler = MakeSampler(argc, argv);
-  options.sampler = sampler.get();
-  const char* setup = FlagValue(argc, argv, "--setup");
-  const char setup_id = setup != nullptr ? setup[0] : 'a';
-  switch (setup_id) {
-    case 'a':
-      options.setup = ValidationSetup::kRedundantAuth;
-      break;
-    case 'b':
-      options.setup = ValidationSetup::kRedundantResolver;
-      break;
-    case 'c':
-      options.setup = ValidationSetup::kForwarder;
-      break;
-    case 'd':
-      options.setup = ValidationSetup::kLargeResolver;
-      break;
-    default:
-      std::fprintf(stderr, "unknown setup '%s' (a|b|c|d)\n", setup);
-      return 2;
-  }
-  options.attacker_qps = FlagDouble(argc, argv, "--attacker-qps",
-                                    options.setup == ValidationSetup::kForwarder
-                                        ? 100
-                                        : 5);
-  options.channel_qps = FlagDouble(argc, argv, "--channel-qps", 100);
-  options.egress_count =
-      static_cast<int>(FlagDouble(argc, argv, "--egresses", 4));
-  if (const char* path = DumpSpecPath(argc, argv); path != nullptr) {
-    return DumpSpec(CompileValidationSpec(options), path);
-  }
-  NOTE("validation setup (%c): attacker %.0f QPS, channel %.0f QPS\n",
-              setup_id, options.attacker_qps, options.channel_qps);
-  const ValidationResult result = RunValidationScenario(options);
-  NOTE("benign success ratio:   %.2f\n", result.benign_success_ratio);
-  NOTE("attacker success ratio: %.2f\n", result.attacker_success_ratio);
-  NOTE("victim ANS peak load:   %.0f QPS\n", result.ans_peak_qps);
-  if (const int rc = DumpSeries(argc, argv, sampler.get()); rc != 0) {
-    return rc;
-  }
-  return DumpTelemetry(argc, argv, sink.get());
-}
-
-int RunSignaling(int argc, char** argv) {
-  SignalingOptions options;
-  auto sink = MakeSink(argc, argv);
-  options.telemetry = sink.get();
-  auto sampler = MakeSampler(argc, argv);
-  options.sampler = sampler.get();
-  options.signaling_enabled = !HasFlag(argc, argv, "--no-signals");
-  options.attacker_pattern =
-      ParsePattern(FlagValue(argc, argv, "--pattern"), QueryPattern::kNx);
-  options.attacker_qps =
-      FlagDouble(argc, argv, "--attacker-qps",
-                 options.attacker_pattern == QueryPattern::kFf ? 20 : 200);
-  if (const char* path = DumpSpecPath(argc, argv); path != nullptr) {
-    return DumpSpec(CompileSignalingSpec(options), path);
-  }
-  NOTE("signaling %s, attacker %.0f QPS\n",
-              options.signaling_enabled ? "ON" : "OFF", options.attacker_qps);
-  const ScenarioResult result = RunSignalingScenario(options);
-  PrintClients(result);
-  NOTE("dcc: convictions=%llu policed=%llu signals=%llu\n",
-              static_cast<unsigned long long>(result.dcc_convictions),
-              static_cast<unsigned long long>(result.dcc_policed_drops),
-              static_cast<unsigned long long>(result.dcc_signals_attached));
-  if (const int rc = DumpSeries(argc, argv, sampler.get()); rc != 0) {
-    return rc;
-  }
-  return DumpTelemetry(argc, argv, sink.get());
-}
-
-int RunChaos(int argc, char** argv) {
-  ChaosOptions options;
-  auto sink = MakeSink(argc, argv);
-  options.telemetry = sink.get();
-  auto sampler = MakeSampler(argc, argv);
-  options.sampler = sampler.get();
-  options.dcc_enabled = HasFlag(argc, argv, "--dcc");
-  options.client_qps = FlagDouble(argc, argv, "--client-qps", options.client_qps);
-  options.horizon = SecondsF(FlagDouble(argc, argv, "--horizon", 40));
-  options.auth_count =
-      static_cast<int>(FlagDouble(argc, argv, "--auths", options.auth_count));
-  options.seed = static_cast<uint64_t>(FlagDouble(argc, argv, "--seed", 1));
-  LoadFaultPlanArg(argc, argv, &options.fault_plan);
-  if (const char* path = DumpSpecPath(argc, argv); path != nullptr) {
-    return DumpSpec(CompileChaosSpec(options), path);
-  }
-  NOTE("chaos: %s resolver, %d auths, client %.0f QPS, horizon %s, %s\n",
-              options.dcc_enabled ? "DCC-enabled" : "vanilla", options.auth_count,
-              options.client_qps, FormatDuration(options.horizon).c_str(),
-              options.fault_plan.empty() ? "default all-auth blackout"
-                                         : "user fault plan");
-  const ChaosResult result = RunChaosScenario(options);
-  NOTE("client: sent=%llu answered=%llu ratio=%.2f\n",
-              static_cast<unsigned long long>(result.client.sent),
-              static_cast<unsigned long long>(result.client.succeeded),
-              result.client.success_ratio);
-  NOTE("faults: activations=%llu upstream_timeouts=%llu holddowns=%llu "
-              "stale_served=%llu\n",
-              static_cast<unsigned long long>(result.fault_activations),
-              static_cast<unsigned long long>(result.upstream_timeouts),
-              static_cast<unsigned long long>(result.holddowns),
-              static_cast<unsigned long long>(result.stale_served));
-  NOTE("%4s %14s %10s %12s\n", "sec", "upstream-qps", "stale-qps",
-              "client-qps");
-  for (size_t s = 0; s < result.upstream_send_qps.size(); ++s) {
-    NOTE("%4zu %14.0f %10.0f %12.1f\n", s, result.upstream_send_qps[s],
-                result.stale_qps[s],
-                s < result.client.effective_qps.size()
-                    ? result.client.effective_qps[s]
-                    : 0.0);
-  }
-  if (const int rc = DumpSeries(argc, argv, sampler.get()); rc != 0) {
-    return rc;
-  }
-  return DumpTelemetry(argc, argv, sink.get());
-}
-
 int RunProbe(int argc, char** argv) {
   ResolverProfile profile;
   profile.name = "cli";
@@ -639,24 +403,21 @@ void PrintUsage(std::FILE* stream) {
       "               examples/scenarios/ and DESIGN.md for the schema)\n"
       "  validate     lint + materialize a scenario spec and print its\n"
       "               effective form without running it\n"
-      "  resilience   Table 2 / Fig. 8 attack-resilience run: attacker +\n"
-      "               benign client mix against one resolver\n"
-      "  validation   Fig. 4 congestion-validation topologies (setups a-d)\n"
-      "  signaling    Fig. 9 resolution-path signaling chain\n"
-      "               (stub -> forwarder -> resolver -> ANS)\n"
-      "  chaos        graceful-degradation run: a fault plan (default: all\n"
-      "               authoritatives black out from 10 s to 25 s) against a\n"
-      "               serve-stale resolver; see examples/fault_plans/\n"
       "  probe        measure a synthetic resolver's rate limits with the\n"
       "               Appendix A methodology and report the estimates\n"
+      "\n"
+      "The paper's setups are specs in examples/scenarios/: fig4_{a,b,c,d},\n"
+      "fig8_{wc,nx,cq,ff}, fig9_{nx,ff} (Fig. 4/8/9), chaos and chaos_dcc\n"
+      "(all authoritatives black out from 10 s to 25 s).\n"
       "\n"
       "run options:\n"
       "  --spec FILE          scenario spec to execute ('-' for stdin);\n"
       "                       required\n"
-      "  --horizon SECONDS    override the spec's run horizon\n"
+      "  --horizon SECONDS    override the spec's run horizon (client stops\n"
+      "                       the spec sets explicitly are kept)\n"
       "  --seed N             override the run seed (fields the spec pins\n"
-      "                       explicitly, e.g. per-client seeds in a\n"
-      "                       materialized dump, keep their pinned values)\n"
+      "                       explicitly, e.g. per-client seeds, keep their\n"
+      "                       pinned values)\n"
       "  --fault-plan FILE    replace the spec's fault plan\n"
       "  --dump-effective     print the materialized spec (derived fields\n"
       "                       baked in) to stdout instead of running\n"
@@ -682,45 +443,12 @@ void PrintUsage(std::FILE* stream) {
       "                       required. Exit 0 prints the materialized spec\n"
       "                       on stdout; exit 2 prints the diagnostic\n"
       "\n"
-      "resilience options:\n"
-      "  --pattern wc|nx|ff   attack query pattern (default wc)\n"
-      "  --attacker-qps N     attacker rate (default 1100; 50 for ff)\n"
-      "  --channel-qps N      victim channel capacity (default 1000)\n"
-      "  --vanilla            disable DCC (default: DCC enabled)\n"
-      "  --horizon SECONDS    run length (default 60)\n"
-      "  --fault-plan FILE    inject a fault timeline (default: none)\n"
-      "\n"
-      "validation options:\n"
-      "  --setup a|b|c|d      topology: a=redundant auth, b=redundant\n"
-      "                       resolver, c=forwarder, d=large resolver\n"
-      "                       (default a)\n"
-      "  --attacker-qps N     per-attacker rate (default 5; 100 for setup c)\n"
-      "  --channel-qps N      victim channel capacity (default 100)\n"
-      "  --egresses N         egress IPs for setup d (default 4)\n"
-      "\n"
-      "signaling options:\n"
-      "  --pattern nx|ff      attack pattern (default nx)\n"
-      "  --attacker-qps N     attacker rate (default 200; 20 for ff)\n"
-      "  --no-signals         disable congestion signals (default: on)\n"
-      "\n"
-      "chaos options:\n"
-      "  --dcc                enable DCC (default: vanilla resolver)\n"
-      "  --client-qps N       benign client rate (default 40)\n"
-      "  --horizon SECONDS    run length (default 40)\n"
-      "  --auths N            authoritative server count (default 2)\n"
-      "  --seed N             workload RNG seed (default 1)\n"
-      "  --fault-plan FILE    fault timeline (default: built-in blackout)\n"
-      "\n"
       "probe options:\n"
       "  --irl N              true NOERROR ingress limit, QPS (default 300)\n"
       "  --nx-irl N           true NXDOMAIN ingress limit (default: --irl)\n"
       "  --erl N              true egress limit, QPS (default 0 = none)\n"
       "\n"
-      "options for every scenario command (all but probe):\n"
-      "  --dump-spec FILE     compile the command line into a declarative\n"
-      "                       scenario spec, write it to FILE ('-' for\n"
-      "                       stdout) and exit without running; the dump\n"
-      "                       replays the run via `dcc_sim run --spec`\n"
+      "output options for run:\n"
       "  --log-level debug|info|warn|error\n"
       "                       logging threshold (default warn); log lines are\n"
       "                       prefixed with the simulated clock\n"
@@ -739,13 +467,13 @@ void PrintUsage(std::FILE* stream) {
       "                       --series-out (default 1.0)\n"
       "\n"
       "examples:\n"
-      "  dcc_sim resilience --pattern ff --attacker-qps 50\n"
-      "  dcc_sim resilience --series-out series.csv --sample-interval 0.5\n"
-      "  dcc_sim resilience --pattern ff --trace-out - --trace-format chrome\n"
-      "  dcc_sim validation --setup d --egresses 16 --attacker-qps 25\n"
-      "  dcc_sim chaos --dcc --fault-plan examples/fault_plans/flap.plan\n"
-      "  dcc_sim run --spec examples/scenarios/resilience.json\n"
-      "  dcc_sim resilience --pattern ff --dump-spec ff.json\n");
+      "  dcc_sim run --spec examples/scenarios/fig8_ff.json\n"
+      "  dcc_sim run --spec examples/scenarios/fig8_wc.json --series-out series.csv\n"
+      "  dcc_sim run --spec examples/scenarios/fig8_ff.json --trace-out - \\\n"
+      "      --trace-format chrome\n"
+      "  dcc_sim run --spec examples/scenarios/chaos_dcc.json \\\n"
+      "      --fault-plan examples/fault_plans/blackout.plan\n"
+      "  dcc_sim validate --spec examples/scenarios/fig4_d.json\n");
 }
 
 }  // namespace
@@ -766,21 +494,12 @@ int main(int argc, char** argv) {
     return 0;
   }
   const std::string command = argv[1];
-  if (const char* trace_out = FlagValue(argc, argv, "--trace-out");
-      trace_out != nullptr && std::strcmp(trace_out, "-") == 0) {
-    g_note = stderr;
-  }
-  if (const char* summary_out = FlagValue(argc, argv, "--summary-out");
-      summary_out != nullptr && std::strcmp(summary_out, "-") == 0) {
-    g_note = stderr;
-  }
-  if (const char* profile_out = FlagValue(argc, argv, "--profile-out");
-      profile_out != nullptr && std::strcmp(profile_out, "-") == 0) {
-    g_note = stderr;
-  }
-  if (const char* audit_out = FlagValue(argc, argv, "--audit-out");
-      audit_out != nullptr && std::strcmp(audit_out, "-") == 0) {
-    g_note = stderr;
+  for (const char* dump : {"--metrics-out", "--trace-out", "--summary-out",
+                           "--profile-out", "--audit-out"}) {
+    if (const char* path = FlagValue(argc, argv, dump);
+        path != nullptr && IsStdout(path)) {
+      g_note = stderr;
+    }
   }
   ApplyLogLevel(argc, argv);
   if (command == "run") {
@@ -788,18 +507,6 @@ int main(int argc, char** argv) {
   }
   if (command == "validate") {
     return ValidateSpec(argc, argv);
-  }
-  if (command == "resilience") {
-    return RunResilience(argc, argv);
-  }
-  if (command == "validation") {
-    return RunValidation(argc, argv);
-  }
-  if (command == "signaling") {
-    return RunSignaling(argc, argv);
-  }
-  if (command == "chaos") {
-    return RunChaos(argc, argv);
   }
   if (command == "probe") {
     return RunProbe(argc, argv);

@@ -28,37 +28,12 @@
 #include "src/telemetry/chrome_trace.h"
 #include "src/telemetry/span_tree.h"
 #include "src/telemetry/trace.h"
+#include "tools/cli.h"
 
 namespace {
 
 using namespace dcc;
-
-const char* FlagValue(int argc, char** argv, const char* name) {
-  for (int i = 3; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) {
-      return argv[i + 1];
-    }
-  }
-  return nullptr;
-}
-
-// Reads the whole file (or stdin for "-") into `out`.
-bool ReadAll(const char* path, std::string* out) {
-  std::FILE* f = std::strcmp(path, "-") == 0 ? stdin : std::fopen(path, "r");
-  if (f == nullptr) {
-    std::fprintf(stderr, "dcc_trace: cannot open %s\n", path);
-    return false;
-  }
-  char buf[1 << 16];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    out->append(buf, n);
-  }
-  if (f != stdin) {
-    std::fclose(f);
-  }
-  return true;
-}
+using cli::FlagValue;
 
 // Parses one JSONL line back into a SpanEvent. Lines with an unknown span
 // kind or malformed JSON are skipped (counted by the caller); missing causal
@@ -102,8 +77,9 @@ bool ParseEventLine(const std::string& line, telemetry::SpanEvent* out,
 std::vector<telemetry::SpanEvent> LoadEvents(const char* path, bool* ok) {
   std::vector<telemetry::SpanEvent> events;
   std::string text;
-  *ok = ReadAll(path, &text);
+  *ok = cli::ReadFile(path, &text);
   if (!*ok) {
+    std::fprintf(stderr, "dcc_trace: cannot open %s\n", path);
     return events;
   }
   size_t line_no = 0;
@@ -184,9 +160,7 @@ int RunSummary(const std::vector<telemetry::SpanTree>& trees) {
 
 int RunTop(int argc, char** argv,
            const std::vector<telemetry::SpanTree>& trees) {
-  const char* top_text = FlagValue(argc, argv, "--top");
-  const size_t top_n =
-      top_text != nullptr ? static_cast<size_t>(std::atoi(top_text)) : 10;
+  const size_t top_n = cli::FlagU64(argc, argv, "--top", 10);
   const telemetry::AmplificationReport report = telemetry::Attribute(trees);
   std::fputs(telemetry::RenderTopAmplifiers(report, top_n).c_str(), stdout);
   return 0;
@@ -255,13 +229,10 @@ int RunChrome(int argc, char** argv,
     std::fputs(out.c_str(), stdout);
     return 0;
   }
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
+  if (!cli::WriteFile(path, out)) {
     std::fprintf(stderr, "dcc_trace: cannot open %s for writing\n", path);
     return 1;
   }
-  std::fwrite(out.data(), 1, out.size(), f);
-  std::fclose(f);
   std::fprintf(stderr, "dcc_trace: %zu trace(s) -> %s\n", trees.size(), path);
   return 0;
 }

@@ -39,40 +39,16 @@
 #include "src/telemetry/audit.h"
 #include "src/telemetry/span_tree.h"
 #include "src/telemetry/trace.h"
+#include "tools/cli.h"
 
 namespace {
 
 using namespace dcc;
+using cli::FlagValue;
 
 // DNS SERVFAIL rcode as recorded in kResolverResponse span details; spelled
 // numerically so the tool keeps zero simulator dependencies.
 constexpr int32_t kServFailRcode = 2;
-
-const char* FlagValue(int argc, char** argv, const char* name) {
-  for (int i = 3; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) {
-      return argv[i + 1];
-    }
-  }
-  return nullptr;
-}
-
-bool ReadAll(const char* path, std::string* out) {
-  std::FILE* f = std::strcmp(path, "-") == 0 ? stdin : std::fopen(path, "r");
-  if (f == nullptr) {
-    std::fprintf(stderr, "dcc_why: cannot open %s\n", path);
-    return false;
-  }
-  char buf[1 << 16];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    out->append(buf, n);
-  }
-  if (f != stdin) {
-    std::fclose(f);
-  }
-  return true;
-}
 
 // Audit record as loaded back from JSONL — the qname regains std::string
 // form and the cause keeps its dotted name so `check` can report unknown
@@ -144,8 +120,9 @@ std::vector<LoadedRecord> LoadRecords(const char* path, LoadStats* stats,
                                       bool* ok) {
   std::vector<LoadedRecord> records;
   std::string text;
-  *ok = ReadAll(path, &text);
+  *ok = cli::ReadFile(path, &text);
   if (!*ok) {
+    std::fprintf(stderr, "dcc_why: cannot open %s\n", path);
     return records;
   }
   size_t pos = 0;
@@ -198,7 +175,8 @@ std::vector<telemetry::SpanEvent> LoadTraceFile(int argc, char** argv,
     return events;
   }
   std::string text;
-  if (!ReadAll(path, &text)) {
+  if (!cli::ReadFile(path, &text)) {
+    std::fprintf(stderr, "dcc_why: cannot open %s\n", path);
     *ok = false;
     return events;
   }
@@ -318,9 +296,7 @@ int RunCauses(const std::vector<LoadedRecord>& records) {
 
 int RunClients(int argc, char** argv,
                const std::vector<LoadedRecord>& records) {
-  const char* top_text = FlagValue(argc, argv, "--top");
-  const size_t top_n =
-      top_text != nullptr ? static_cast<size_t>(std::atoi(top_text)) : 20;
+  const size_t top_n = cli::FlagU64(argc, argv, "--top", 20);
   struct ClientAgg {
     size_t count = 0;
     std::map<std::string, size_t> causes;
@@ -606,7 +582,7 @@ int RunCoverage(int argc, char** argv,
   std::printf("  with a client-level cause only: %zu\n", covered_client);
   std::printf("coverage: %.4f\n", ratio);
   const char* min_text = FlagValue(argc, argv, "--min");
-  if (min_text != nullptr && ratio < std::atof(min_text)) {
+  if (min_text != nullptr && ratio < cli::ParseDouble("--min", min_text)) {
     std::fprintf(stderr, "dcc_why: coverage %.4f below --min %s\n", ratio,
                  min_text);
     return 1;
