@@ -5,8 +5,8 @@
 namespace dcc {
 
 // One pool per thread (simulators are single-threaded; dcc_search workers
-// each own one). Released blocks keep their byte capacity, so steady-state
-// traffic stops allocating entirely. Function-local so the pool outlives
+// each own one). Released blocks keep their byte capacity for the next
+// copy-on-write clone or Mutable() fill. Function-local so the pool outlives
 // every WireBytes constructed after first use on the thread.
 SlabPool<WireBytes::Block>& WireBytes::Pool() {
   thread_local SlabPool<Block> pool(/*slab_size=*/256);
@@ -16,7 +16,7 @@ SlabPool<WireBytes::Block>& WireBytes::Pool() {
 WireBytes::Block* WireBytes::AcquireBlock() { return Pool().Acquire(); }
 
 void WireBytes::ReleaseBlock(Block* block) {
-  block->bytes.clear();  // Keep capacity for the next Acquire.
+  block->bytes.clear();  // Keep capacity for the block's next user.
   Pool().Release(block);
 }
 
@@ -29,14 +29,6 @@ WireBytes::WireBytes(std::vector<uint8_t> bytes) {
   block_ = AcquireBlock();
   block_->bytes = std::move(bytes);
   block_->refs = 1;
-}
-
-WireBytes WireBytes::Acquire() {
-  WireBytes out;
-  out.block_ = AcquireBlock();
-  out.block_->bytes.clear();
-  out.block_->refs = 1;
-  return out;
 }
 
 std::vector<uint8_t>& WireBytes::Mutable() {

@@ -3,10 +3,9 @@
 // A datagram's bytes used to be a std::vector<uint8_t> copied or reallocated
 // at every seam: encode into a fresh vector, move into the network lambda,
 // retransmissions re-encoding the identical query. WireBytes makes the
-// common case free: the buffer is allocated once (from a thread-local
-// SlabPool, so control blocks and — via Acquire() — byte capacity are
-// recycled), shared by reference count through the network, and never copied
-// unless someone actually writes to it.
+// common case free: the buffer is allocated once (its control block from a
+// thread-local SlabPool), shared by reference count through the network, and
+// never copied unless someone actually writes to it.
 //
 // Copy-on-write: the fault layer may corrupt or truncate a datagram in
 // flight. Mutable() returns the underlying vector for writing, first cloning
@@ -42,11 +41,6 @@ class WireBytes {
   WireBytes(std::vector<uint8_t> bytes);  // NOLINT(google-explicit-constructor)
   WireBytes(std::initializer_list<uint8_t> bytes)
       : WireBytes(std::vector<uint8_t>(bytes)) {}
-
-  // A uniquely-owned empty buffer whose storage is recycled from the pool —
-  // fill through Mutable(). Encoding into this reuses the capacity of
-  // previously released buffers instead of growing a fresh vector.
-  static WireBytes Acquire();
 
   WireBytes(const WireBytes& other) : block_(other.block_) {
     if (block_ != nullptr) {

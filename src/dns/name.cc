@@ -13,18 +13,6 @@ char ToLowerAscii(char c) {
   return (c >= 'A' && c <= 'Z') ? static_cast<char>(c - 'A' + 'a') : c;
 }
 
-bool EqualsIgnoreCase(const std::string& a, const std::string& b) {
-  if (a.size() != b.size()) {
-    return false;
-  }
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (ToLowerAscii(a[i]) != ToLowerAscii(b[i])) {
-      return false;
-    }
-  }
-  return true;
-}
-
 // <0, 0, >0 comparison of labels, case-insensitive.
 int CompareIgnoreCase(const std::string& a, const std::string& b) {
   const size_t n = std::min(a.size(), b.size());
@@ -42,6 +30,18 @@ int CompareIgnoreCase(const std::string& a, const std::string& b) {
 }
 
 }  // namespace
+
+bool LabelEqualsIgnoreCase(const std::string& a, const std::string& b) {
+  if (a.size() != b.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (ToLowerAscii(a[i]) != ToLowerAscii(b[i])) {
+      return false;
+    }
+  }
+  return true;
+}
 
 std::optional<Name> Name::Parse(std::string_view text) {
   if (text == "." || text.empty()) {
@@ -138,7 +138,7 @@ bool Name::IsSubdomainOf(const Name& ancestor) const {
   }
   const size_t offset = labels_.size() - ancestor.labels_.size();
   for (size_t i = 0; i < ancestor.labels_.size(); ++i) {
-    if (!EqualsIgnoreCase(labels_[offset + i], ancestor.labels_[i])) {
+    if (!LabelEqualsIgnoreCase(labels_[offset + i], ancestor.labels_[i])) {
       return false;
     }
   }
@@ -157,7 +157,7 @@ bool operator==(const Name& a, const Name& b) {
     return false;
   }
   for (size_t i = 0; i < a.labels_.size(); ++i) {
-    if (!EqualsIgnoreCase(a.labels_[i], b.labels_[i])) {
+    if (!LabelEqualsIgnoreCase(a.labels_[i], b.labels_[i])) {
       return false;
     }
   }

@@ -69,6 +69,9 @@ class Name {
   std::vector<std::string> labels_;
 };
 
+// Case-insensitive (ASCII) label equality, the comparison Name uses.
+bool LabelEqualsIgnoreCase(const std::string& a, const std::string& b);
+
 struct NameHash {
   size_t operator()(const Name& n) const { return n.Hash(); }
 };

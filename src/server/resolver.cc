@@ -270,15 +270,8 @@ void RecursiveResolver::StoreNsec(const Message& response, Time now) {
 }
 
 void RecursiveResolver::HandleDatagram(const Datagram& dgram) {
-  DCC_PROF_SCOPE("resolver.handle");
-  auto decoded = DecodeMessage(dgram.payload);
-  if (!decoded.has_value()) {
-    return;
-  }
-  if (decoded->IsQuery() && dgram.dst.port == kDnsPort) {
-    HandleClientRequest(dgram, std::move(*decoded));
-  } else if (decoded->IsResponse()) {
-    HandleUpstreamResponse(dgram, std::move(*decoded));
+  if (auto decoded = DecodeMessage(dgram.payload); decoded.has_value()) {
+    HandleMessage(dgram, std::move(*decoded));
   }
 }
 
@@ -452,7 +445,7 @@ void RecursiveResolver::HandleClientRequest(const Datagram& dgram, Message query
     // possible, SERVFAIL otherwise.
     const uint64_t root = it->second.root_task;
     FailChildrenOf(root);
-    tasks_.erase(root);
+    EraseTask(root);
     ObserveAmplification(it->second);
     if (!TryServeStale(it->second)) {
       if (audit_ != nullptr) {
@@ -758,7 +751,7 @@ void RecursiveResolver::SendQuery(uint64_t task_id) {
   Task& t = tasks_.at(task_id);
   auto rit = requests_.find(t.request_id);
   if (rit == requests_.end()) {
-    tasks_.erase(task_id);
+    EraseTask(task_id);
     return;
   }
   ClientRequest& request = rit->second;
@@ -818,7 +811,9 @@ void RecursiveResolver::SendQuery(uint64_t task_id) {
   const RecordType stype =
       sname.LabelCount() == t.qname.LabelCount() ? t.qtype : RecordType::kNs;
 
+  assert(!OwnsLiveQuery(t.query_port, task_id));
   const uint16_t port = AllocatePort();
+  t.query_port = port;
   const uint16_t qid = static_cast<uint16_t>(rng_.Next());
   OutstandingQuery& oq = outstanding_[port];
   oq.task_id = task_id;
@@ -1032,13 +1027,14 @@ void RecursiveResolver::HandleUpstreamResponse(const Datagram& dgram, Message re
   if (it == outstanding_.end()) {
     return;
   }
-  OutstandingQuery oq = it->second;
   // Anti-spoofing validation: id, server address and question must match.
-  if (response.header.id != oq.id || dgram.src.addr != oq.server ||
-      response.question.empty() || !(response.Q().qname == oq.qname) ||
-      response.Q().qtype != oq.qtype) {
+  if (const OutstandingQuery& sent = it->second;
+      response.header.id != sent.id || dgram.src.addr != sent.server ||
+      response.question.empty() || !(response.Q().qname == sent.qname) ||
+      response.Q().qtype != sent.qtype) {
     return;
   }
+  const OutstandingQuery oq = std::move(it->second);
   outstanding_.erase(dgram.dst.port);
 
   // Health sample for the answering server. For retransmitted queries the
@@ -1188,19 +1184,59 @@ void RecursiveResolver::HandleUpstreamResponse(const Datagram& dgram, Message re
 // Completion and teardown
 // ---------------------------------------------------------------------------
 
+// Teardown cost is proportional to the torn-down subtree: instead of
+// sweeping all of outstanding_ for queries whose task is gone, erased tasks
+// list their in-flight query and the sweep visits only that list. The list
+// also holds queries orphaned earlier by paths that do not sweep (a deadline
+// erasing its root task), so exactly the queries the full sweep would find
+// are erased, at the same moments.
 void RecursiveResolver::FailChildrenOf(uint64_t task_id) {
+  if (!tasks_.contains(task_id)) {
+    return;
+  }
+  EraseDescendants(task_id);
+  SweepOrphans();
+}
+
+void RecursiveResolver::EraseDescendants(uint64_t task_id) {
   auto it = tasks_.find(task_id);
   if (it == tasks_.end()) {
     return;
   }
-  const std::vector<uint64_t> children = it->second.children;
+  // Every caller erases `task_id` next, so its child list can be taken.
+  const std::vector<uint64_t> children = std::move(it->second.children);
   for (uint64_t child : children) {
-    FailChildrenOf(child);
-    tasks_.erase(child);
+    EraseDescendants(child);
+    EraseTask(child);
   }
-  outstanding_.EraseIf([this](uint16_t, const OutstandingQuery& oq) {
-    return !tasks_.contains(oq.task_id);
-  });
+}
+
+bool RecursiveResolver::OwnsLiveQuery(uint16_t port, uint64_t task_id) const {
+  auto it = outstanding_.find(port);
+  return it != outstanding_.end() && it->second.task_id == task_id;
+}
+
+void RecursiveResolver::EraseTask(uint64_t task_id) {
+  auto it = tasks_.find(task_id);
+  if (it == tasks_.end()) {
+    return;
+  }
+  // The list stays short: every teardown empties it, and between teardowns
+  // only a request deadline adds to it (its root task's query), right after
+  // its own teardown.
+  if (OwnsLiveQuery(it->second.query_port, task_id)) {
+    orphans_.emplace_back(it->second.query_port, task_id);
+  }
+  tasks_.erase(task_id);
+}
+
+void RecursiveResolver::SweepOrphans() {
+  for (const auto& [port, task_id] : orphans_) {
+    if (OwnsLiveQuery(port, task_id)) {
+      outstanding_.erase(port);
+    }
+  }
+  orphans_.clear();
 }
 
 void RecursiveResolver::CompleteTask(uint64_t task_id, TaskStatus status,
@@ -1214,7 +1250,7 @@ void RecursiveResolver::CompleteTask(uint64_t task_id, TaskStatus status,
     it = tasks_.find(task_id);  // The map may rehash during teardown.
   }
   Task task = std::move(it->second);
-  tasks_.erase(task_id);
+  EraseTask(task_id);
 
   if (task.parent_task != 0) {
     auto pit = tasks_.find(task.parent_task);
@@ -1289,6 +1325,7 @@ void RecursiveResolver::CrashReset() {
   requests_.clear();
   tasks_.clear();
   outstanding_.clear();
+  orphans_.clear();
   cache_ = DnsCache(config_.cache_max_entries, config_.serve_stale ? config_.max_stale : 0);
   nsec_cache_.clear();
   ingress_rrl_state_.clear();

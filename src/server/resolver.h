@@ -191,6 +191,10 @@ class RecursiveResolver : public DatagramHandler, public CrashResettable {
     int pending_children = 0;
     std::vector<uint64_t> children;
     bool waiting_children = false;
+    // Local port of the task's latest upstream query. A task has at most one
+    // query in flight; the port is live only while outstanding_ maps it back
+    // to this task (OwnsLiveQuery).
+    uint16_t query_port = 0;
   };
 
   struct OutstandingQuery {
@@ -239,7 +243,17 @@ class RecursiveResolver : public DatagramHandler, public CrashResettable {
   void TryNextServer(uint64_t task_id);
   void SpawnNsChildren(uint64_t task_id);
   void CompleteTask(uint64_t task_id, TaskStatus status, const RrSet& records);
+  // Erases every descendant of `task_id` (not the task itself), then sweeps
+  // the orphaned queries. A no-op when `task_id` is gone.
   void FailChildrenOf(uint64_t task_id);
+  void EraseDescendants(uint64_t task_id);
+  // Erases a task. If its query is still in flight, the outstanding entry
+  // stays (a late answer still feeds the upstream tracker) and is listed in
+  // orphans_ until the next SweepOrphans.
+  void EraseTask(uint64_t task_id);
+  // Erases the listed orphan queries still owned by their (erased) task.
+  void SweepOrphans();
+  bool OwnsLiveQuery(uint16_t port, uint64_t task_id) const;
   // Finds the deepest zone cut for `qname` known from hints and cache;
   // fills task.zone_cut / servers / unresolved_ns. Returns false when not
   // even a hint covers the name.
@@ -284,6 +298,9 @@ class RecursiveResolver : public DatagramHandler, public CrashResettable {
   FlatMap<uint64_t, ClientRequest> requests_;
   FlatMap<uint64_t, Task> tasks_;
   FlatMap<uint16_t, OutstandingQuery> outstanding_;  // By local port.
+  // (port, task id) of queries whose task was erased while they were in
+  // flight; entries no longer owned by that task are skipped by the sweep.
+  std::vector<std::pair<uint16_t, uint64_t>> orphans_;
   struct ClientRrl {
     TokenBucket noerror;
     TokenBucket nxdomain;

@@ -81,15 +81,14 @@ TEST(WireBytes, MutableOnEmptyCreatesBuffer) {
   EXPECT_EQ(wire, (std::vector<uint8_t>{5, 6}));
 }
 
-TEST(WireBytes, AcquireReusesReleasedBlocks) {
-  // Warm the pool, then measure: each acquire-release cycle after the first
-  // must be served from the free list, not a fresh allocation.
+TEST(WireBytes, ReleasedBlocksAreRecycled) {
+  // Warm the pool, then measure: each adopt-release cycle after the first
+  // must take its control block from the free list, not a fresh allocation.
   { WireBytes warm = std::vector<uint8_t>(64, 0xab); (void)warm; }
   prof::Reset();
   prof::Enable();
   for (int i = 0; i < 10; ++i) {
-    WireBytes wire = WireBytes::Acquire();
-    wire.Mutable().assign(64, static_cast<uint8_t>(i));
+    WireBytes wire = std::vector<uint8_t>(64, static_cast<uint8_t>(i));
     EXPECT_EQ(wire.size(), 64u);
   }
   prof::Disable();
