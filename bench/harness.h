@@ -48,9 +48,10 @@ struct BenchMetrics {
   uint64_t sim_events = 0;   // Event-loop handlers executed; deterministic.
   double events_per_sec = 0; // sim_events / wall seconds; meaningless (and
                              // rendered as JSON null) when sim_events is 0.
-  int64_t peak_rss_delta_kb = 0;  // Peak RSS growth attributable to this
-                                  // bench (watermark reset before it runs),
-                                  // not the process-cumulative peak.
+  int64_t peak_rss_delta_kb = 0;  // Peak RSS growth of the process the
+                                  // bench ran in, over its RSS at bench
+                                  // start; dcc_bench gives every bench of a
+                                  // multi-bench run its own process.
   // Hand-maintained events/sec floor carried in the baseline (0 = none).
   // Unlike the measured metrics this is a policy knob: --check fails when
   // the current run's events_per_sec drops below it, making throughput wins

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
+#include <cstring>
 #include <string>
 
 #include "src/telemetry/profiler.h"
@@ -11,7 +13,6 @@ namespace {
 
 constexpr uint16_t kCompressionMask = 0xc000;
 constexpr size_t kMaxCompressionJumps = 64;
-constexpr size_t kMaxLabelLength = 63;
 // Compression pointers carry 14 bits of offset.
 constexpr size_t kMaxPointerTarget = 0x3fff;
 
@@ -19,17 +20,17 @@ constexpr size_t kMaxPointerTarget = 0x3fff;
 // Encoding
 // ---------------------------------------------------------------------------
 
-// A name suffix already in the output: labels [first, end) of `*name`,
+// A name suffix already in the output: the tail of a name's wire() form,
 // written at `offset`. The names are the message's own, alive for the
 // duration of the encode.
 struct EmittedSuffix {
-  const Name* name;
-  size_t first;
+  std::string_view wire;
   uint16_t offset;
 };
 
 // Encoding allocates the output once and nothing per name: the compression
-// table is per-thread scratch storage, reused across messages.
+// table is per-thread scratch storage, reused across messages. Fields are
+// stored into the pre-sized output, which is trimmed to what was written.
 class Writer {
  public:
   // `size_bound` >= the encoded size. The capacity is rounded up to a power
@@ -39,13 +40,18 @@ class Writer {
   // peak RSS grew by up to 11 MB).
   explicit Writer(size_t size_bound) : suffixes_(SuffixScratch()) {
     buf_.reserve(std::bit_ceil(size_bound));
+    buf_.resize(size_bound);
     suffixes_.clear();
   }
 
-  void U8(uint8_t v) { buf_.push_back(v); }
+  void U8(uint8_t v) {
+    assert(size_ < buf_.size());
+    buf_[size_++] = v;
+  }
   void U16(uint16_t v) {
-    buf_.push_back(static_cast<uint8_t>(v >> 8));
-    buf_.push_back(static_cast<uint8_t>(v));
+    assert(size_ + 2 <= buf_.size());
+    PatchU16(size_, v);
+    size_ += 2;
   }
   void U32(uint32_t v) {
     U16(static_cast<uint16_t>(v >> 16));
@@ -53,49 +59,52 @@ class Writer {
   }
   template <class Range>
   void Bytes(const Range& b) {
-    buf_.insert(buf_.end(), b.begin(), b.end());
+    assert(size_ + b.size() <= buf_.size());
+    if (b.empty()) {
+      return;  // An empty vector's data() may be null, which memcpy forbids.
+    }
+    std::memcpy(buf_.data() + size_, b.data(), b.size());
+    size_ += b.size();
   }
   void PatchU16(size_t pos, uint16_t v) {
     buf_[pos] = static_cast<uint8_t>(v >> 8);
     buf_[pos + 1] = static_cast<uint8_t>(v);
   }
-  size_t Size() const { return buf_.size(); }
-  std::vector<uint8_t> Take() { return std::move(buf_); }
+  size_t Size() const { return size_; }
+  std::vector<uint8_t> Take() {
+    buf_.resize(size_);
+    return std::move(buf_);
+  }
 
   // Writes `name`, replacing its longest suffix already in the output with
   // a compression pointer to the earliest copy. Suffixes are recorded only
-  // while their offset fits in a pointer.
+  // while their offset fits in a pointer. Label bytes are copied straight
+  // from the name's wire form.
   void WriteName(const Name& name) {
-    const auto& labels = name.labels();
-    for (size_t i = 0; i < labels.size(); ++i) {
-      if (const EmittedSuffix* match = Find(name, i); match != nullptr) {
+    const std::string_view wire = name.wire();
+    for (size_t at = 0; at < wire.size();) {
+      const std::string_view suffix = wire.substr(at);
+      if (const EmittedSuffix* match = Find(suffix); match != nullptr) {
         U16(static_cast<uint16_t>(kCompressionMask | match->offset));
         return;
       }
       if (Size() < kMaxPointerTarget) {
-        suffixes_.push_back({&name, i, static_cast<uint16_t>(Size())});
+        suffixes_.push_back({suffix, static_cast<uint16_t>(Size())});
       }
-      U8(static_cast<uint8_t>(labels[i].size()));
-      Bytes(labels[i]);
+      const size_t label_end = at + 1 + static_cast<uint8_t>(wire[at]);
+      Bytes(wire.substr(at, label_end - at));
+      at = label_end;
     }
     U8(0);  // Root label.
   }
 
  private:
-  // The first recorded suffix equal (case-insensitively) to labels
-  // [from, end) of `name`, or nullptr.
-  const EmittedSuffix* Find(const Name& name, size_t from) const {
-    const size_t count = name.LabelCount() - from;
+  // The first recorded suffix equal (case-insensitively) to `suffix`, or
+  // nullptr. Equal wire forms are equal label sequences (see
+  // LabelEqualsIgnoreCase).
+  const EmittedSuffix* Find(std::string_view suffix) const {
     for (const EmittedSuffix& s : suffixes_) {
-      if (s.name->LabelCount() - s.first != count) {
-        continue;
-      }
-      size_t k = 0;
-      while (k < count &&
-             LabelEqualsIgnoreCase(s.name->Label(s.first + k), name.Label(from + k))) {
-        ++k;
-      }
-      if (k == count) {
+      if (LabelEqualsIgnoreCase(s.wire, suffix)) {
         return &s;
       }
     }
@@ -108,6 +117,7 @@ class Writer {
   }
 
   std::vector<uint8_t> buf_;
+  size_t size_ = 0;
   std::vector<EmittedSuffix>& suffixes_;
 };
 
@@ -276,38 +286,42 @@ class Reader {
   }
   size_t pos() const { return pos_; }
 
-  // Reads a possibly-compressed name starting at the current position. The
-  // first walk validates and counts the labels, so the label vector is
-  // sized once; the second copies them.
+  // Reads a possibly-compressed name starting at the current position: one
+  // walk validates it and gathers its label bytes, then the Name is built
+  // once from them.
   bool ReadName(Name& out) {
-    size_t count = 0;
+    char bytes[Name::kMaxWireLength];
+    size_t size = 0;
     size_t next = 0;
-    if (!WalkName(next, [&count](size_t, uint8_t) { ++count; })) {
+    if (!WalkName(next, bytes, size)) {
       return false;
     }
-    std::vector<std::string> labels;
-    if (count > 0) {  // The root name needs no storage.
-      // Power-of-two capacity, as for the encoder's output (see Writer).
-      labels.reserve(std::bit_ceil(count));
+    std::optional<Name> name = Name::FromWire({bytes, size});
+    if (!name.has_value()) {
+      return false;
     }
-    WalkName(next, [&](size_t at, uint8_t len) {
-      labels.emplace_back(reinterpret_cast<const char*>(&wire_[at]), len);
-    });
     pos_ = next;
-    out = Name::FromLabels(std::move(labels));
+    out = std::move(*name);
     return true;
   }
 
  private:
-  // Follows the name at the current position, calling `on_label(offset,
-  // length)` for each label in order. On success sets `next` to the
-  // position after the name; returns false on malformed input.
-  template <class OnLabel>
-  bool WalkName(size_t& next, OnLabel on_label) const {
+  // Follows the name at the current position, appending its labels' wire
+  // bytes (length octets included, root excluded) to `bytes`, `size` of them
+  // so far. Each run of labels between compression pointers is copied in one
+  // piece. On success sets `next` to the position after the name; returns
+  // false on malformed input, including a name longer than 255 octets.
+  bool WalkName(size_t& next, char* bytes, size_t& size) const {
     size_t pos = pos_;
+    size_t run = pos;    // First label not yet copied to `bytes`.
+    size_t length = 1;   // Wire length so far, the root octet included.
     size_t jumps = 0;
     bool jumped = false;
     size_t after_first_pointer = 0;
+    auto copy_run = [&] {
+      std::memcpy(bytes + size, &wire_[run], pos - run);
+      size += pos - run;
+    };
     while (true) {
       if (pos >= wire_.size()) {
         return false;
@@ -326,20 +340,24 @@ class Reader {
         if (target >= pos) {
           return false;  // Forward/self pointers are invalid.
         }
+        copy_run();
         pos = target;
+        run = target;
         continue;
       }
       if ((len & 0xc0) != 0) {
         return false;  // Reserved label types.
       }
       if (len == 0) {
+        copy_run();
         pos += 1;
         break;
       }
-      if (len > kMaxLabelLength || pos + 1 + len > wire_.size()) {
+      length += 1 + static_cast<size_t>(len);
+      if (len > Name::kMaxLabelLength || pos + 1 + len > wire_.size() ||
+          length > Name::kMaxWireLength) {
         return false;
       }
-      on_label(pos + 1, len);
       pos += 1 + static_cast<size_t>(len);
     }
     next = jumped ? after_first_pointer : pos;
@@ -350,7 +368,10 @@ class Reader {
   size_t pos_ = 0;
 };
 
-bool ReadRecord(Reader& r, Message& msg, bool& saw_opt) {
+// Reads one record and appends it to `section`; the OPT pseudo-record goes
+// to msg.edns instead.
+bool ReadRecord(Reader& r, Message& msg, std::vector<ResourceRecord>& section,
+                bool& saw_opt) {
   Name owner;
   if (!r.ReadName(owner)) {
     return false;
@@ -401,7 +422,7 @@ bool ReadRecord(Reader& r, Message& msg, bool& saw_opt) {
     return true;
   }
 
-  ResourceRecord rr;
+  ResourceRecord& rr = section.emplace_back();
   rr.name = std::move(owner);
   rr.type = type;
   rr.ttl = ttl;
@@ -428,25 +449,22 @@ bool ReadRecord(Reader& r, Message& msg, bool& saw_opt) {
     case RecordType::kNs:
     case RecordType::kCname:
     case RecordType::kNsec: {
-      Name target;
-      if (!r.ReadName(target) || r.pos() != rdata_end) {
+      if (!r.ReadName(rr.rdata.emplace<Name>()) || r.pos() != rdata_end) {
         return false;
       }
-      rr.rdata = std::move(target);
       break;
     }
     case RecordType::kSoa: {
-      SoaData s;
+      SoaData& s = rr.rdata.emplace<SoaData>();
       if (!r.ReadName(s.mname) || !r.ReadName(s.rname) || !r.U32(s.serial) ||
           !r.U32(s.refresh) || !r.U32(s.retry) || !r.U32(s.expire) ||
           !r.U32(s.minimum) || r.pos() != rdata_end) {
         return false;
       }
-      rr.rdata = std::move(s);
       break;
     }
     case RecordType::kTxt: {
-      TxtData t;
+      TxtData& t = rr.rdata.emplace<TxtData>();
       size_t remaining = rdlen;
       while (remaining > 0) {
         uint8_t slen = 0;
@@ -464,7 +482,6 @@ bool ReadRecord(Reader& r, Message& msg, bool& saw_opt) {
         remaining -= slen;
         t.strings.emplace_back(raw.begin(), raw.end());
       }
-      rr.rdata = std::move(t);
       break;
     }
     case RecordType::kOpt:
@@ -478,11 +495,7 @@ bool ReadRecord(Reader& r, Message& msg, bool& saw_opt) {
       break;
     }
   }
-  if (r.pos() != rdata_end) {
-    return false;
-  }
-  msg.additional.push_back(std::move(rr));
-  return true;
+  return r.pos() == rdata_end;
 }
 
 }  // namespace
@@ -561,33 +574,22 @@ std::optional<Message> DecodeMessage(std::span<const uint8_t> wire) {
   msg.header.rcode = static_cast<Rcode>(flags & 0x0f);
 
   for (uint16_t i = 0; i < qdcount; ++i) {
-    Question q;
+    Question& q = msg.question.emplace_back();
     uint16_t qtype = 0;
     uint16_t qclass = 0;
     if (!r.ReadName(q.qname) || !r.U16(qtype) || !r.U16(qclass)) {
       return std::nullopt;
     }
     q.qtype = static_cast<RecordType>(qtype);
-    msg.question.push_back(std::move(q));
   }
 
-  // ReadRecord appends to msg.additional; move records to the right section
-  // after each group.
   bool saw_opt = false;
   auto read_section = [&](uint16_t count,
                           std::vector<ResourceRecord>& section) -> bool {
     for (uint16_t i = 0; i < count; ++i) {
-      const size_t before = msg.additional.size();
-      if (!ReadRecord(r, msg, saw_opt)) {
+      if (!ReadRecord(r, msg, section, saw_opt)) {
         return false;
       }
-      if (msg.additional.size() > before) {
-        if (&section != &msg.additional) {
-          section.push_back(std::move(msg.additional.back()));
-          msg.additional.pop_back();
-        }
-      }
-      // If no record was appended, the entry was the OPT pseudo-RR.
     }
     return true;
   };

@@ -75,9 +75,9 @@ size_t DnsCache::MemoryFootprint() const {
   size_t bytes = 0;
   for (const auto& [key, entry] : entries_) {
     bytes += sizeof(Key) + sizeof(CacheEntry) + 2 * sizeof(void*);
-    bytes += key.name.WireLength();
+    bytes += key.name.HeapBytes();
     for (const auto& rr : entry.records) {
-      bytes += sizeof(ResourceRecord) + rr.name.WireLength();
+      bytes += sizeof(ResourceRecord) + rr.name.HeapBytes();
     }
   }
   return bytes;

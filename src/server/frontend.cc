@@ -22,8 +22,11 @@ uint64_t HashName(const Name& name) {
   // FNV-1a over the lowercased presentation form (Name equality is
   // case-insensitive, so the hash must be too).
   uint64_t h = 0xcbf29ce484222325ULL;
-  for (const std::string& label : name.labels()) {
-    for (char c : label) {
+  const std::string_view wire = name.wire();
+  for (size_t at = 0; at < wire.size();) {
+    const size_t end = at + 1 + static_cast<uint8_t>(wire[at]);
+    for (++at; at < end; ++at) {
+      const char c = wire[at];
       h ^= static_cast<uint8_t>(c >= 'A' && c <= 'Z' ? c + 32 : c);
       h *= 0x100000001b3ULL;
     }

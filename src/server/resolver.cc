@@ -1342,8 +1342,8 @@ size_t RecursiveResolver::MemoryFootprint() const {
   bytes += ingress_rrl_state_.size() * (sizeof(HostAddress) + sizeof(ClientRrl) + 32);
   bytes += egress_rl_state_.size() * (sizeof(HostAddress) + sizeof(TokenBucket) + 32);
   for (const auto& [owner, interval] : nsec_cache_) {
-    bytes += owner.WireLength() + interval.next.WireLength() + sizeof(NsecInterval) +
-             3 * sizeof(void*);
+    bytes += sizeof(Name) + sizeof(NsecInterval) + 3 * sizeof(void*) + owner.HeapBytes() +
+             interval.next.HeapBytes() + interval.zone_apex.HeapBytes();
   }
   return bytes;
 }

@@ -7,13 +7,18 @@ namespace dcc {
 Zone::Zone(Name apex, SoaData soa, uint32_t default_ttl)
     : apex_(std::move(apex)), soa_(std::move(soa)), default_ttl_(default_ttl) {
   nodes_[apex_][RecordType::kSoa] = {MakeSoa(apex_, default_ttl_, soa_)};
+  names_.insert(apex_);
 }
 
 bool Zone::Add(ResourceRecord rr) {
   if (!rr.name.IsSubdomainOf(apex_)) {
     return false;
   }
-  nodes_[rr.name][rr.type].push_back(std::move(rr));
+  auto [node, inserted] = nodes_.try_emplace(rr.name);
+  if (inserted) {
+    names_.insert(rr.name);
+  }
+  node->second[rr.type].push_back(std::move(rr));
   return true;
 }
 
@@ -40,9 +45,9 @@ const Zone::TypeMap* Zone::FindNode(const Name& name) const {
 
 bool Zone::HasDescendants(const Name& name) const {
   // Names sort suffix-first, so strict descendants of `name` immediately
-  // follow it in the ordered node map.
-  auto it = nodes_.upper_bound(name);
-  return it != nodes_.end() && it->first.IsSubdomainOf(name);
+  // follow it in the ordered name set.
+  auto it = names_.upper_bound(name);
+  return it != names_.end() && it->IsSubdomainOf(name);
 }
 
 std::optional<Name> Zone::FindDelegation(const Name& qname) const {
@@ -169,12 +174,9 @@ LookupResult Zone::Lookup(const Name& qname, RecordType qtype) const {
     // The denial interval is bounded by the nearest existing nodes in the
     // zone's canonical (suffix-first) order; `next` wraps to the apex at the
     // end of the zone (RFC 4034 §4.1.1).
-    auto successor = nodes_.upper_bound(qname);
-    const Name next = successor != nodes_.end() ? successor->first : apex_;
-    Name owner = apex_;
-    if (successor != nodes_.begin()) {
-      owner = std::prev(successor)->first;
-    }
+    auto successor = names_.upper_bound(qname);
+    const Name& next = successor != names_.end() ? *successor : apex_;
+    const Name& owner = successor != names_.begin() ? *std::prev(successor) : apex_;
     negative.nsec = MakeNsec(owner, std::min(default_ttl_, soa_.minimum), next);
   }
   return negative;

@@ -10,10 +10,11 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <optional>
+#include <set>
 #include <vector>
 
+#include "src/common/flat_map.h"
 #include "src/dns/name.h"
 #include "src/dns/rr.h"
 
@@ -72,11 +73,6 @@ class Zone {
   ResourceRecord SoaRecord() const;
 
  private:
-  struct NodeKey {
-    Name name;
-    bool operator<(const NodeKey& other) const { return name < other.name; }
-  };
-
   using TypeMap = std::map<RecordType, RrSet>;
 
   // Finds the node map for `name` if it exists (exact match only).
@@ -96,7 +92,11 @@ class Zone {
   SoaData soa_;
   uint32_t default_ttl_;
   bool nsec_enabled_ = false;
-  std::map<Name, TypeMap> nodes_;
+  // Exact-match lookups go to the hash table; the ordered owner-name set
+  // serves only HasDescendants and the NSEC neighbours. The two hold
+  // separate copies of each owner name.
+  FlatMap<Name, TypeMap, NameHash> nodes_;
+  std::set<Name> names_;
 };
 
 }  // namespace dcc

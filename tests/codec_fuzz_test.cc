@@ -25,7 +25,7 @@ Name RandomName(Rng& rng, int max_labels = 5) {
   for (int i = 0; i < count; ++i) {
     labels.push_back(rng.NextLabel(1 + static_cast<int>(rng.NextBelow(12))));
   }
-  return Name::FromLabels(std::move(labels));
+  return *Name::FromLabels(labels);
 }
 
 ResourceRecord RandomRecord(Rng& rng) {
@@ -275,7 +275,7 @@ Name SharedSuffixName(Rng& rng) {
     }
     labels.push_back(std::move(label));
   }
-  return Name::FromLabels(std::move(labels));
+  return *Name::FromLabels(labels);
 }
 
 TEST(CodecFuzzTest, EncoderMatchesReferenceOnRandomMessages) {
@@ -364,8 +364,8 @@ TEST(CodecFuzzTest, LabelsContainingDotsAreNotConflated) {
   // label "b.c" and the labels "b", "c" shared a key and the second name was
   // written as a pointer to the first, decoding to the wrong name. Labels
   // are compared as labels now; only the round trip is checked here.
-  Message msg = MakeQuery(13, Name::FromLabels({"a", "b.c"}), RecordType::kA);
-  msg.question.push_back(Question{Name::FromLabels({"x", "b", "c"}), RecordType::kA});
+  Message msg = MakeQuery(13, *Name::FromLabels({"a", "b.c"}), RecordType::kA);
+  msg.question.push_back(Question{*Name::FromLabels({"x", "b", "c"}), RecordType::kA});
   const auto decoded = DecodeMessage(EncodeMessage(msg));
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(*decoded, msg);

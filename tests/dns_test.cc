@@ -72,10 +72,27 @@ TEST(NameTest, ConcatJoinsAndBoundsChecks) {
   const auto joined = Name::Concat(left, right);
   ASSERT_TRUE(joined.has_value());
   EXPECT_EQ(joined->ToString(), "a.b.c.d");
-  // Concatenation beyond 255 wire octets fails.
-  std::vector<std::string> many(20, std::string(12, 'x'));
-  const Name big = Name::FromLabels(many);
+  // Concatenation beyond 255 wire octets fails: each operand is a valid
+  // 131-octet name, the result would be 261.
+  const Name big = *Name::FromLabels(std::vector<std::string>(10, std::string(12, 'x')));
+  EXPECT_EQ(big.WireLength(), 131u);
   EXPECT_FALSE(Name::Concat(big, big).has_value());
+  // 20 labels of 12 octets (261 on the wire) are not a name at all.
+  EXPECT_FALSE(Name::FromLabels(std::vector<std::string>(20, std::string(12, 'x'))).has_value());
+}
+
+TEST(NameTest, FromLabelsValidates) {
+  EXPECT_EQ(Name::FromLabels({"www", "Example", "com"})->ToString(), "www.Example.com");
+  EXPECT_TRUE(Name::FromLabels({})->IsRoot());
+  EXPECT_FALSE(Name::FromLabels({"a", "", "b"}).has_value());
+  EXPECT_FALSE(Name::FromLabels({std::string(64, 'x')}).has_value());
+  EXPECT_TRUE(Name::FromLabels({std::string(63, 'x')}).has_value());
+  // 3 x 63-octet labels plus one of 61 octets: 3 * 64 + 62 + 1 = 255.
+  std::vector<std::string> labels(3, std::string(63, 'x'));
+  labels.push_back(std::string(61, 'y'));
+  EXPECT_EQ(Name::FromLabels(labels)->WireLength(), 255u);
+  labels.back().push_back('y');
+  EXPECT_FALSE(Name::FromLabels(labels).has_value());
 }
 
 TEST(NameTest, SuffixKeepsRightmostLabels) {
@@ -204,6 +221,36 @@ TEST(CodecTest, RejectsCompressionLoops) {
       0, 1, 0, 1,                          // Type A, class IN.
   };
   EXPECT_FALSE(DecodeMessage(wire).has_value());
+}
+
+TEST(CodecTest, RejectsNamesLongerThan255Octets) {
+  // Question k is a 63-octet label plus a pointer to question k-1's name, so
+  // the names grow 65, 129, 193, 257, 321 octets: pointer chasing alone
+  // would build names no presentation-format parse could.
+  const auto build = [](int questions) {
+    std::vector<uint8_t> wire = {0, 1, 0, 0, 0, static_cast<uint8_t>(questions),
+                                 0, 0, 0, 0, 0, 0};
+    size_t previous = 0;
+    for (int k = 0; k < questions; ++k) {
+      const size_t start = wire.size();
+      wire.push_back(63);
+      wire.insert(wire.end(), 63, static_cast<uint8_t>('a' + k));
+      if (k == 0) {
+        wire.push_back(0);
+      } else {
+        wire.push_back(static_cast<uint8_t>(0xc0 | (previous >> 8)));
+        wire.push_back(static_cast<uint8_t>(previous & 0xff));
+      }
+      wire.insert(wire.end(), {0, 1, 0, 1});  // Type A, class IN.
+      previous = start;
+    }
+    return wire;
+  };
+  const auto three = DecodeMessage(build(3));
+  ASSERT_TRUE(three.has_value());
+  EXPECT_EQ(three->question[2].qname.WireLength(), 193u);
+  EXPECT_FALSE(DecodeMessage(build(4)).has_value());
+  EXPECT_FALSE(DecodeMessage(build(5)).has_value());
 }
 
 TEST(CodecTest, RejectsForwardPointers) {

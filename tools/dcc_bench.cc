@@ -1,8 +1,11 @@
 // Unified bench runner and regression gate.
 //
-// Runs every scenario bench (bench/bench_*.cc) in-process, measuring
-// wall-clock time, executed simulation events (deterministic — any drift is
-// a behavior change) and peak RSS, and writes a BENCH_dcc.json report. With
+// Runs every scenario bench (bench/bench_*.cc), measuring wall-clock time,
+// executed simulation events (deterministic — any drift is a behavior
+// change) and peak RSS, and writes a BENCH_dcc.json report. A run that
+// selects one bench runs it in-process; a run of several re-executes
+// `dcc_bench --filter <bench>` once per bench, so each peak RSS comes from a
+// fresh process instead of the heap the earlier benches left behind. With
 // --check, the report is compared against a committed baseline
 // (bench/baseline.json by default) with per-metric tolerances; any
 // regression exits non-zero, which is what CI gates on.
@@ -13,13 +16,16 @@
 //   dcc_bench --quick --write-baseline  refresh bench/baseline.json
 
 #include <fcntl.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -150,6 +156,139 @@ class StdoutSilencer {
   int saved_fd_ = -1;
 };
 
+// Runs `bench` in this process. With `profile_rows`, the hot-path profiler
+// is on for the bench and its profile is appended there.
+dcc::bench::BenchReport RunInProcess(const dcc::bench::BenchInfo& bench,
+                                     const RunnerOptions& options,
+                                     dcc::json::Value* profile_rows) {
+  std::fprintf(stderr, "[dcc_bench] %s ...", bench.name);
+  std::fflush(stderr);
+
+  // Reset the kernel's peak-RSS watermark so the bench's own growth is
+  // measurable; ru_maxrss alone is process-cumulative. When the reset is
+  // unsupported the delta degrades to peak-so-far minus RSS at bench start.
+  dcc::bench::ResetPeakRss();
+  const int64_t rss_before = dcc::bench::CurrentRssKb();
+  if (profile_rows != nullptr) {
+    dcc::prof::Reset();
+    dcc::prof::Enable();
+  }
+  const uint64_t events_before = dcc::EventLoop::TotalEventsExecuted();
+  const auto wall_start = std::chrono::steady_clock::now();
+  int exit_code = 0;
+  {
+    // Scope the silencer so stdout is restored even on early return.
+    std::unique_ptr<StdoutSilencer> silencer;
+    if (!options.verbose) {
+      silencer = std::make_unique<StdoutSilencer>();
+    }
+    dcc::bench::BenchOptions bench_options;
+    bench_options.quick = options.quick;
+    exit_code = bench.fn(bench_options);
+  }
+  const auto wall_end = std::chrono::steady_clock::now();
+
+  dcc::bench::BenchReport entry;
+  entry.name = bench.name;
+  entry.metrics.wall_ms =
+      std::chrono::duration<double, std::milli>(wall_end - wall_start).count();
+  entry.metrics.sim_events = dcc::EventLoop::TotalEventsExecuted() - events_before;
+  entry.metrics.events_per_sec =
+      entry.metrics.wall_ms > 0 && entry.metrics.sim_events > 0
+          ? static_cast<double>(entry.metrics.sim_events) /
+                (entry.metrics.wall_ms / 1000.0)
+          : 0;
+  entry.metrics.peak_rss_delta_kb =
+      std::max<int64_t>(0, dcc::bench::PeakRssKb() - rss_before);
+  entry.metrics.exit_code = exit_code;
+
+  if (profile_rows != nullptr) {
+    dcc::prof::Disable();
+    dcc::json::Value row = dcc::json::Value::MakeObject();
+    row.Set("name", dcc::json::Value::OfString(bench.name));
+    row.Set("wall_ms", dcc::json::Value::OfNumber(entry.metrics.wall_ms));
+    row.Set("profile", dcc::prof::ProfileJsonValue(dcc::prof::Snapshot()));
+    profile_rows->PushBack(std::move(row));
+  }
+
+  std::fprintf(stderr, " %.0f ms, %llu sim events (%.2fM events/s), rss +%lld KB%s\n",
+               entry.metrics.wall_ms,
+               static_cast<unsigned long long>(entry.metrics.sim_events),
+               entry.metrics.events_per_sec / 1e6,
+               static_cast<long long>(entry.metrics.peak_rss_delta_kb),
+               exit_code == 0 ? "" : " [FAILED]");
+  return entry;
+}
+
+// Runs `bench` in a fresh `dcc_bench --filter <bench>` process and reads its
+// report (and, with `profile_rows`, its profile) back from temporary files.
+// The child prints the bench's progress line itself. A child that cannot
+// run or report yields a failed entry.
+dcc::bench::BenchReport RunInChild(const dcc::bench::BenchInfo& bench,
+                                   const RunnerOptions& options,
+                                   dcc::json::Value* profile_rows) {
+  const std::string stem = (std::filesystem::temp_directory_path() /
+                            ("dcc_bench." + std::to_string(getpid()) + "." + bench.name))
+                               .string();
+  const std::string report_path = stem + ".json";
+  const std::string profile_path = stem + ".profile.json";
+  std::vector<std::string> args = {"dcc_bench", "--filter", bench.name, "--out",
+                                   report_path};
+  if (options.quick) {
+    args.push_back("--quick");
+  }
+  if (options.verbose) {
+    args.push_back("--verbose");
+  }
+  if (profile_rows != nullptr) {
+    args.push_back("--profile-out");
+    args.push_back(profile_path);
+  }
+  std::vector<char*> argv;
+  for (std::string& arg : args) {
+    argv.push_back(arg.data());
+  }
+  argv.push_back(nullptr);
+
+  std::fflush(stdout);
+  std::fflush(stderr);
+  const pid_t child = fork();
+  if (child == 0) {
+    execv("/proc/self/exe", argv.data());
+    std::fprintf(stderr, "dcc_bench: cannot re-exec for %s: %s\n", bench.name,
+                 std::strerror(errno));
+    _exit(127);
+  }
+  if (child > 0) {
+    waitpid(child, nullptr, 0);
+  }
+
+  dcc::bench::BenchReport entry;
+  entry.name = bench.name;
+  std::string text;
+  dcc::bench::SuiteReport child_report;
+  if (ReadFile(report_path, &text) && dcc::bench::ParseReportJson(text, &child_report) &&
+      child_report.benches.size() == 1 && child_report.benches[0].name == bench.name) {
+    entry = child_report.benches[0];
+  } else {
+    std::fprintf(stderr, "[dcc_bench] %s: child process produced no report\n", bench.name);
+    entry.metrics.exit_code = 1;
+  }
+  dcc::json::Value profile;
+  if (profile_rows != nullptr && ReadFile(profile_path, &text) &&
+      dcc::json::Parse(text, &profile)) {
+    if (const dcc::json::Value* rows = profile.Find("benches");
+        rows != nullptr && rows->is_array()) {
+      for (const dcc::json::Value& row : rows->AsArray()) {
+        profile_rows->PushBack(row);
+      }
+    }
+  }
+  std::remove(report_path.c_str());
+  std::remove(profile_path.c_str());
+  return entry;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -164,79 +303,35 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  dcc::bench::BenchOptions bench_options;
-  bench_options.quick = options.quick;
-
   dcc::bench::SuiteReport report;
   report.quick = options.quick;
   const bool profiling = !options.profile_out.empty();
   dcc::json::Value profile_benches = dcc::json::Value::MakeArray();
-  bool any_failed = false;
+  // A filter equal to a bench's name selects that bench alone, which is how
+  // a child started by RunInChild runs exactly one.
+  std::vector<const dcc::bench::BenchInfo*> selected;
   for (const dcc::bench::BenchInfo& bench : dcc::bench::AllBenches()) {
-    if (!options.filter.empty() &&
-        std::string(bench.name).find(options.filter) == std::string::npos) {
-      continue;
+    if (options.filter == bench.name) {
+      selected = {&bench};
+      break;
     }
-    std::fprintf(stderr, "[dcc_bench] %s ...", bench.name);
-    std::fflush(stderr);
-
-    // Reset the kernel's peak-RSS watermark so the bench's own growth is
-    // measurable; ru_maxrss alone is process-cumulative and only ever grows
-    // across the suite. When the reset is unsupported the delta degrades to
-    // peak-so-far minus RSS at bench start (still per-bench-ish, just an
-    // upper bound for the first bench that touches the most memory).
-    dcc::bench::ResetPeakRss();
-    const int64_t rss_before = dcc::bench::CurrentRssKb();
-    if (profiling) {
-      dcc::prof::Reset();
-      dcc::prof::Enable();
+    if (options.filter.empty() ||
+        std::string(bench.name).find(options.filter) != std::string::npos) {
+      selected.push_back(&bench);
     }
-    const uint64_t events_before = dcc::EventLoop::TotalEventsExecuted();
-    const auto wall_start = std::chrono::steady_clock::now();
-    int exit_code = 0;
-    {
-      // Scope the silencer so stdout is restored even on early return.
-      std::unique_ptr<StdoutSilencer> silencer;
-      if (!options.verbose) {
-        silencer = std::make_unique<StdoutSilencer>();
-      }
-      exit_code = bench.fn(bench_options);
-    }
-    const auto wall_end = std::chrono::steady_clock::now();
-
-    dcc::bench::BenchReport entry;
-    entry.name = bench.name;
-    entry.metrics.wall_ms =
-        std::chrono::duration<double, std::milli>(wall_end - wall_start).count();
-    entry.metrics.sim_events =
-        dcc::EventLoop::TotalEventsExecuted() - events_before;
-    entry.metrics.events_per_sec =
-        entry.metrics.wall_ms > 0 && entry.metrics.sim_events > 0
-            ? static_cast<double>(entry.metrics.sim_events) /
-                  (entry.metrics.wall_ms / 1000.0)
-            : 0;
-    entry.metrics.peak_rss_delta_kb =
-        std::max<int64_t>(0, dcc::bench::PeakRssKb() - rss_before);
-    entry.metrics.exit_code = exit_code;
-    report.benches.push_back(entry);
-    any_failed = any_failed || exit_code != 0;
-
-    if (profiling) {
-      dcc::prof::Disable();
-      dcc::json::Value row = dcc::json::Value::MakeObject();
-      row.Set("name", dcc::json::Value::OfString(bench.name));
-      row.Set("wall_ms", dcc::json::Value::OfNumber(entry.metrics.wall_ms));
-      row.Set("profile", dcc::prof::ProfileJsonValue(dcc::prof::Snapshot()));
-      profile_benches.PushBack(std::move(row));
-    }
-
-    std::fprintf(stderr,
-                 " %.0f ms, %llu sim events (%.2fM events/s), rss +%lld KB%s\n",
-                 entry.metrics.wall_ms,
-                 static_cast<unsigned long long>(entry.metrics.sim_events),
-                 entry.metrics.events_per_sec / 1e6,
-                 static_cast<long long>(entry.metrics.peak_rss_delta_kb),
-                 exit_code == 0 ? "" : " [FAILED]");
+  }
+  // One bench runs here; several run one per child process, so each bench's
+  // peak RSS is measured in a fresh heap, not in whatever layout the
+  // benches before it left behind.
+  const bool in_process = selected.size() == 1;
+  bool any_failed = false;
+  dcc::json::Value* profile_rows = profiling ? &profile_benches : nullptr;
+  for (const dcc::bench::BenchInfo* bench : selected) {
+    dcc::bench::BenchReport entry = in_process
+                                        ? RunInProcess(*bench, options, profile_rows)
+                                        : RunInChild(*bench, options, profile_rows);
+    any_failed = any_failed || entry.metrics.exit_code != 0;
+    report.benches.push_back(std::move(entry));
   }
 
   if (report.benches.empty()) {
