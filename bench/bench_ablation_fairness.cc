@@ -43,7 +43,7 @@ std::vector<double> RunMopi(const Case& test_case) {
   // Each arrival instant is one event-loop tick: drain whatever the channel
   // released since the previous tick, then enqueue this tick's arrivals.
   // Driving the workload through the loop makes the run visible to the
-  // bench harness's sim_events counter (and exercises the timing wheel).
+  // bench harness's sim_events counter.
   EventLoop loop;
   Time now = 0;
   for (const auto& [t, sources] : arrivals) {

@@ -3,9 +3,9 @@
 // A datagram's bytes used to be a std::vector<uint8_t> copied or reallocated
 // at every seam: encode into a fresh vector, move into the network lambda,
 // retransmissions re-encoding the identical query. WireBytes makes the
-// common case free: the buffer is allocated once (its control block from a
-// thread-local SlabPool), shared by reference count through the network, and
-// never copied unless someone actually writes to it.
+// common case free: the buffer is allocated once, shared by reference count
+// through the network, and never copied unless someone actually writes to
+// it.
 //
 // Copy-on-write: the fault layer may corrupt or truncate a datagram in
 // flight. Mutable() returns the underlying vector for writing, first cloning
@@ -13,8 +13,8 @@
 // handed to the network repeatedly and a corruption fault on one copy can
 // never damage the others.
 //
-// Determinism: WireBytes never consults clocks or RNGs; refcounting and
-// pooling are invisible to simulation order. Not thread-safe — buffers must
+// Determinism: WireBytes never consults clocks or RNGs; refcounting is
+// invisible to simulation order. Not thread-safe — buffers must
 // stay on the thread that created them (one simulator per thread, matching
 // the profiler and metrics registries).
 
@@ -29,15 +29,12 @@
 
 namespace dcc {
 
-template <class T>
-class SlabPool;
-
 class WireBytes {
  public:
   WireBytes() = default;
 
   // Adopts `bytes` (implicit: existing `Send(..., EncodeMessage(m))` call
-  // sites compile unchanged). The vector is moved into a pooled block.
+  // sites compile unchanged). The vector is moved into a fresh block.
   WireBytes(std::vector<uint8_t> bytes);  // NOLINT(google-explicit-constructor)
   WireBytes(std::initializer_list<uint8_t> bytes)
       : WireBytes(std::vector<uint8_t>(bytes)) {}
@@ -106,15 +103,11 @@ class WireBytes {
     uint32_t refs = 0;
   };
 
-  // Both paths address the same thread-local pool.
-  static SlabPool<Block>& Pool();
-  static Block* AcquireBlock();
-  static void ReleaseBlock(Block* block);
   static const std::vector<uint8_t>& EmptyBytes();
 
   void Unref() {
     if (block_ != nullptr && --block_->refs == 0) {
-      ReleaseBlock(block_);
+      delete block_;
     }
     block_ = nullptr;
   }

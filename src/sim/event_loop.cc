@@ -1,7 +1,6 @@
 #include "src/sim/event_loop.h"
 
 #include <algorithm>
-#include <bit>
 #include <memory>
 #include <utility>
 
@@ -25,14 +24,8 @@ thread_local const EventLoop* g_log_clock_owner = nullptr;
 // Per-thread executed-event total (each simulation runs on one thread).
 thread_local uint64_t g_total_events_executed = 0;
 
-// First set bit of `bits` at index >= from, or -1.
-int ScanWord(uint64_t bits, int from) {
-  if (from >= 64) {
-    return -1;
-  }
-  bits &= ~uint64_t{0} << from;
-  return bits != 0 ? std::countr_zero(bits) : -1;
-}
+// Children per heap node. A 4-ary heap is half as deep as a binary one.
+constexpr size_t kArity = 4;
 
 }  // namespace
 
@@ -145,210 +138,99 @@ CancelToken EventLoop::SchedulePeriodic(Duration period, const char* category,
 
 void EventLoop::Schedule(Time t, const char* category, Handler fn,
                          std::shared_ptr<bool> cancel) {
-  Insert(Event{std::max(t, now_), next_seq_++, std::move(fn), category, now_,
-               std::move(cancel)});
-  ++size_;
-  max_pending_ = std::max(max_pending_, size_);
-  prof::RecordQueueDepth(size_);
-}
-
-void EventLoop::Insert(Event e) {
-  const uint64_t w = static_cast<uint64_t>(e.when);
-  const uint64_t c = static_cast<uint64_t>(cursor_);
-  if ((w >> kL1Shift) == (c >> kL1Shift)) {
-    const int slot = static_cast<int>(w & (kL0Slots - 1));
-    l0_[slot].push_back(std::move(e));
-    l0_bits_[slot >> 6] |= uint64_t{1} << (slot & 63);
-  } else if ((w >> kL2Shift) == (c >> kL2Shift)) {
-    const int slot = static_cast<int>((w >> kL1Shift) & (kLevelSlots - 1));
-    l1_[slot].push_back(std::move(e));
-    l1_bits_ |= uint64_t{1} << slot;
-  } else if ((w >> kL3Shift) == (c >> kL3Shift)) {
-    const int slot = static_cast<int>((w >> kL2Shift) & (kLevelSlots - 1));
-    l2_[slot].push_back(std::move(e));
-    l2_bits_ |= uint64_t{1} << slot;
-  } else if ((w >> kSpanShift) == (c >> kSpanShift)) {
-    const int slot = static_cast<int>((w >> kL3Shift) & (kLevelSlots - 1));
-    l3_[slot].push_back(std::move(e));
-    l3_bits_ |= uint64_t{1} << slot;
-  } else {
-    prof::CountWheelOverflow();
-    overflow_.push(std::move(e));
+  if (free_slots_.empty()) {
+    free_slots_.push_back(static_cast<uint32_t>(slots_.size()));
+    slots_.emplace_back();
   }
-}
-
-void EventLoop::CascadeInto(std::vector<Event>& bucket) {
-  prof::CountWheelCascade(bucket.size());
-  scratch_.clear();
-  scratch_.swap(bucket);
-  for (Event& e : scratch_) {
-    Insert(std::move(e));
+  const uint32_t slot = free_slots_.back();
+  free_slots_.pop_back();
+  slots_[slot] = Slot{std::move(fn), category, now_, std::move(cancel)};
+  // Sift the new key up from the end, moving parents down into the hole.
+  const Key key{std::max(t, now_), next_seq_++, slot};
+  size_t i = heap_.size();
+  heap_.push_back(key);
+  while (i > 0) {
+    const size_t parent = (i - 1) / kArity;
+    if (!(key < heap_[parent])) {
+      break;
+    }
+    heap_[i] = heap_[parent];
+    i = parent;
   }
-  scratch_.clear();
+  heap_[i] = key;
+  max_pending_ = std::max(max_pending_, heap_.size());
+  prof::RecordQueueDepth(heap_.size());
 }
 
-EventLoop::Peek EventLoop::FindNext(Time limit, Time* t_out) {
+void EventLoop::PopTop() {
+  // Sift the last key down from the root, moving the least child up.
+  const Key last = heap_.back();
+  heap_.pop_back();
+  const size_t n = heap_.size();
+  if (n == 0) {
+    return;
+  }
+  size_t i = 0;
   for (;;) {
-    const uint64_t c = static_cast<uint64_t>(cursor_);
-    // Level 0: exact timestamps within the current 256 us frame.
-    {
-      const int from = static_cast<int>(c & (kL0Slots - 1));
-      for (int word = from >> 6; word < kL0Slots / 64; ++word) {
-        uint64_t bits = l0_bits_[word];
-        if (word == from >> 6) {
-          bits &= ~uint64_t{0} << (from & 63);
-        }
-        if (bits != 0) {
-          const int slot = (word << 6) + std::countr_zero(bits);
-          const Time t = static_cast<Time>((c & ~uint64_t{kL0Slots - 1}) |
-                                           static_cast<uint64_t>(slot));
-          if (t > limit) {
-            return Peek::kBeyond;
-          }
-          *t_out = t;
-          return Peek::kFound;
-        }
+    const size_t first = i * kArity + 1;
+    if (first >= n) {
+      break;
+    }
+    const size_t end = std::min(first + kArity, n);
+    size_t least = first;
+    for (size_t c = first + 1; c < end; ++c) {
+      if (heap_[c] < heap_[least]) {
+        least = c;
       }
     }
-    // Level 1: next 256 us frame with events, within the current 2^14 frame.
-    {
-      const int slot = ScanWord(l1_bits_, static_cast<int>((c >> kL1Shift) &
-                                                           (kLevelSlots - 1)));
-      if (slot >= 0) {
-        const Time start = static_cast<Time>(
-            (c & ~((uint64_t{1} << kL2Shift) - 1)) |
-            (static_cast<uint64_t>(slot) << kL1Shift));
-        if (start > limit) {
-          return Peek::kBeyond;
-        }
-        cursor_ = start;
-        l1_bits_ &= ~(uint64_t{1} << slot);
-        CascadeInto(l1_[slot]);
-        continue;
-      }
+    if (!(heap_[least] < last)) {
+      break;
     }
-    // Level 2.
-    {
-      const int slot = ScanWord(l2_bits_, static_cast<int>((c >> kL2Shift) &
-                                                           (kLevelSlots - 1)));
-      if (slot >= 0) {
-        const Time start = static_cast<Time>(
-            (c & ~((uint64_t{1} << kL3Shift) - 1)) |
-            (static_cast<uint64_t>(slot) << kL2Shift));
-        if (start > limit) {
-          return Peek::kBeyond;
-        }
-        cursor_ = start;
-        l2_bits_ &= ~(uint64_t{1} << slot);
-        CascadeInto(l2_[slot]);
-        continue;
-      }
-    }
-    // Level 3.
-    {
-      const int slot = ScanWord(l3_bits_, static_cast<int>((c >> kL3Shift) &
-                                                           (kLevelSlots - 1)));
-      if (slot >= 0) {
-        const Time start = static_cast<Time>(
-            (c & ~((uint64_t{1} << kSpanShift) - 1)) |
-            (static_cast<uint64_t>(slot) << kL3Shift));
-        if (start > limit) {
-          return Peek::kBeyond;
-        }
-        cursor_ = start;
-        l3_bits_ &= ~(uint64_t{1} << slot);
-        CascadeInto(l3_[slot]);
-        continue;
-      }
-    }
-    // Overflow: events beyond the wheel span. The top is the global minimum
-    // (the wheel is empty here), so promote its whole 2^26 us frame and
-    // rescan.
-    if (!overflow_.empty()) {
-      const Time top = overflow_.top().when;
-      if (top > limit) {
-        return Peek::kBeyond;
-      }
-      const uint64_t frame = static_cast<uint64_t>(top) >> kSpanShift;
-      cursor_ = static_cast<Time>(frame << kSpanShift);
-      while (!overflow_.empty() &&
-             (static_cast<uint64_t>(overflow_.top().when) >> kSpanShift) ==
-                 frame) {
-        Event e = std::move(const_cast<Event&>(overflow_.top()));
-        overflow_.pop();
-        Insert(std::move(e));
-      }
-      continue;
-    }
-    return Peek::kEmpty;
+    heap_[i] = heap_[least];
+    i = least;
   }
+  heap_[i] = last;
 }
 
 size_t EventLoop::Run(Time until) {
   stopped_ = false;
   size_t executed = 0;
   DCC_PROF_SCOPE("sim.run");
-  while (!stopped_) {
-    Time t = 0;
-    const Peek peek = FindNext(until, &t);
-    if (peek == Peek::kEmpty) {
-      break;
-    }
-    if (peek == Peek::kBeyond) {
+  while (!stopped_ && !heap_.empty()) {
+    const Key top = heap_.front();
+    if (top.when > until) {
       now_ = until;
       return executed;
     }
-    cursor_ = t;
-    const int slot = static_cast<int>(static_cast<uint64_t>(t) &
-                                      (kL0Slots - 1));
-    std::vector<Event>& bucket = l0_[slot];
-    // A level-0 slot holds exactly one timestamp, so seq order is total
-    // order. Direct appends arrive seq-sorted; only cascaded events can be
-    // out of place, and one sort at drain restores the exact old
-    // priority-queue order. Handlers appending same-time events during the
-    // drain get larger seqs, which keeps the vector sorted.
-    std::sort(bucket.begin(), bucket.end(),
-              [](const Event& a, const Event& b) { return a.seq < b.seq; });
-    prof::RecordWheelBucket(bucket.size());
-    size_t index = 0;
-    bool aborted = false;
-    for (; index < bucket.size(); ++index) {
-      if (stopped_) {
-        aborted = true;
-        break;
-      }
-      Event& event = bucket[index];
-      if (event.cancelled != nullptr && *event.cancelled) {
-        --size_;
-        ++cancelled_skipped_;
-        continue;
-      }
-      Handler fn = std::move(event.fn);
-      const char* category = event.category;
-      const uint64_t lag_us = static_cast<uint64_t>(t - event.enqueued_at);
-      now_ = t;
-      --size_;
-      {
-        // Profiling only reads the host clock and thread-local counters, so
-        // the executed schedule is identical with it on or off.
-        prof::EventScope scope(category, lag_us);
-        fn();
-      }
-      ++executed;
-      ++g_total_events_executed;
-      if (events_executed_ != nullptr) {
-        events_executed_->Inc();
-      }
+    PopTop();
+    // Take everything out of the slot and recycle it before the handler
+    // runs: the handler may schedule, which can reuse or reallocate slots_.
+    Slot& slot = slots_[top.slot];
+    Handler fn = std::move(slot.fn);
+    const char* category = slot.category;
+    const Time enqueued_at = slot.enqueued_at;
+    const bool cancelled = slot.cancelled != nullptr && *slot.cancelled;
+    slot.cancelled.reset();
+    free_slots_.push_back(top.slot);
+    if (cancelled) {
+      ++cancelled_skipped_;
+      continue;
     }
-    if (aborted) {
-      // Keep the unexecuted tail for a later Run(); the slot bit stays set.
-      bucket.erase(bucket.begin(), bucket.begin() + index);
-    } else {
-      bucket.clear();
-      l0_bits_[slot >> 6] &= ~(uint64_t{1} << (slot & 63));
+    now_ = top.when;
+    {
+      // Profiling only reads the host clock and thread-local counters, so
+      // the executed schedule is identical with it on or off.
+      prof::EventScope scope(category,
+                             static_cast<uint64_t>(top.when - enqueued_at));
+      fn();
+    }
+    ++executed;
+    ++g_total_events_executed;
+    if (events_executed_ != nullptr) {
+      events_executed_->Inc();
     }
   }
-  if (size_ == 0 && until != kTimeInfinity) {
+  if (heap_.empty() && until != kTimeInfinity) {
     now_ = std::max(now_, until);
   }
   return executed;

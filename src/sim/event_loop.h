@@ -1,20 +1,16 @@
 // Discrete-event loop with a virtual microsecond clock.
 //
-// All experiments run on virtual time: scheduling an event is O(1) amortized
-// and running 60 simulated seconds takes only as long as the handlers
+// All experiments run on virtual time: scheduling an event is O(log n) and
+// running 60 simulated seconds takes only as long as the handlers
 // themselves. Events at equal timestamps run in scheduling order (FIFO),
 // which keeps the simulation deterministic.
 //
-// The pending set is a hierarchical timing wheel (htsim/kernel-timer style)
-// instead of a binary heap: level 0 holds one slot per microsecond of the
-// current 256 us frame, and three coarser 64-slot levels extend coverage to
-// ~67 simulated seconds, with a spill heap beyond that. Slots are indexed by
-// absolute time bits, so an event is pushed at most once per level on its
-// way down (O(1) amortized), and per-level bitmaps let the loop jump
-// directly to the next non-empty slot instead of ticking through empty
-// microseconds. A level-0 slot holds exactly one timestamp, so sorting the
-// slot by monotone sequence number at drain time reproduces the old
-// priority-queue (when, seq) order event-for-event.
+// The pending set is a 4-ary min-heap of small (when, seq, slot) keys over a
+// vector of event slots that holds the handlers; slots are recycled through
+// a free list. seq is assigned in schedule order, so (when, seq) is a total
+// order: the one a plain priority queue (or htsim's ordered event list)
+// gives. Only the 24-byte keys move while sifting; a handler is written
+// once when scheduled and moved out once when run.
 //
 // Every schedule call accepts an optional *category* — a string literal
 // naming the kind of work ("net.deliver", "stub.launch", "resolver.timeout").
@@ -26,10 +22,11 @@
 // event-for-event identical.
 //
 // Cancellation: the Cancelable schedule variants and SchedulePeriodic return
-// a CancelToken. Cancelling marks the pending event(s) dead; the loop skips
-// dead events at drain time without counting them as executed, so a
-// cancelled retransmit timer or a crashed node's periodic probe costs
-// nothing and never shows up in the profile.
+// a CancelToken. Cancelling marks the pending event(s) dead (a tombstone);
+// the loop skips dead events when their time drains without counting them
+// as executed or advancing the clock, so a cancelled retransmit timer or a
+// crashed node's periodic probe costs nothing and never shows up in the
+// profile.
 
 #ifndef SRC_SIM_EVENT_LOOP_H_
 #define SRC_SIM_EVENT_LOOP_H_
@@ -37,7 +34,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <vector>
 
 #include "src/common/time.h"
@@ -133,73 +129,43 @@ class EventLoop {
 
   // Live (uncancelled executions pending) plus cancelled-but-not-yet-reaped
   // events; cancelled events leave this count when their timestamp drains.
-  size_t pending() const { return size_; }
+  size_t pending() const { return heap_.size(); }
 
   // Highest queue depth observed since construction. Always tracked (two
-  // instructions per schedule) — the profiler report includes it, and the
-  // timing wheel's occupancy stats complement it.
+  // instructions per schedule); the profiler report includes it.
   size_t max_pending() const { return max_pending_; }
 
   // Events skipped at drain time because their token was cancelled first.
   uint64_t cancelled_skipped() const { return cancelled_skipped_; }
 
  private:
-  struct Event {
+  // Heap entry: ordering key plus the index of the event's slot.
+  struct Key {
     Time when;
     uint64_t seq;
-    Handler fn;
-    const char* category;  // Never null; label only, never ordering.
-    Time enqueued_at;      // Virtual enqueue time, for schedule-to-run lag.
-    std::shared_ptr<bool> cancelled;  // Null for non-cancellable events.
-    bool operator>(const Event& other) const {
-      return when != other.when ? when > other.when : seq > other.seq;
+    uint32_t slot;
+    // seq is unique, so no two keys tie.
+    bool operator<(const Key& other) const {
+      return when != other.when ? when < other.when : seq < other.seq;
     }
   };
-
-  // Wheel geometry: absolute-time bit slices. Level 0 resolves single
-  // microseconds of the current 256 us frame; levels 1-3 cover 64 frames
-  // each of the next coarser granularity (2^14, 2^20, 2^26 us). Events more
-  // than ~67 s out wait in the overflow heap until the cursor enters their
-  // level-3 frame.
-  static constexpr int kL0Bits = 8;
-  static constexpr int kL0Slots = 1 << kL0Bits;         // 256
-  static constexpr int kLevelBits = 6;
-  static constexpr int kLevelSlots = 1 << kLevelBits;   // 64
-  static constexpr int kL1Shift = kL0Bits;              // 8
-  static constexpr int kL2Shift = kL0Bits + kLevelBits; // 14
-  static constexpr int kL3Shift = kL2Shift + kLevelBits; // 20
-  static constexpr int kSpanShift = kL3Shift + kLevelBits; // 26
+  struct Slot {
+    Handler fn;
+    const char* category = nullptr;  // Set while in use; label only.
+    Time enqueued_at = 0;  // Virtual enqueue time, for schedule-to-run lag.
+    std::shared_ptr<bool> cancelled;  // Null for non-cancellable events.
+  };
 
   void Schedule(Time t, const char* category, Handler fn,
                 std::shared_ptr<bool> cancel);
-  void Insert(Event e);
-  void CascadeInto(std::vector<Event>& bucket);
+  void PopTop();
 
-  enum class Peek { kFound, kBeyond, kEmpty };
-  // Advances cursor_ (cascading coarser buckets down, never past `limit`)
-  // until the next pending timestamp is known. kFound: *t_out <= limit and
-  // level 0 holds that slot. kBeyond: the next event is after `limit`
-  // (cursor_ stays <= limit, so later schedules at <= limit stay findable).
-  Peek FindNext(Time limit, Time* t_out);
-
-  std::vector<Event> l0_[kL0Slots];
-  std::vector<Event> l1_[kLevelSlots];
-  std::vector<Event> l2_[kLevelSlots];
-  std::vector<Event> l3_[kLevelSlots];
-  uint64_t l0_bits_[kL0Slots / 64] = {};
-  uint64_t l1_bits_ = 0;
-  uint64_t l2_bits_ = 0;
-  uint64_t l3_bits_ = 0;
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> overflow_;
-  std::vector<Event> scratch_;  // Cascade staging; keeps its capacity.
+  std::vector<Key> heap_;         // 4-ary min-heap by (when, seq).
+  std::vector<Slot> slots_;       // Indexed by Key::slot.
+  std::vector<uint32_t> free_slots_;
 
   Time now_ = 0;
-  // Lower bound on every pending event's timestamp; the drain scan starts
-  // here. Invariant: cursor_ <= now() whenever control is outside Run(), so
-  // clamped schedules can never land behind the scan position.
-  Time cursor_ = 0;
   uint64_t next_seq_ = 0;
-  size_t size_ = 0;
   size_t max_pending_ = 0;
   uint64_t cancelled_skipped_ = 0;
   bool stopped_ = false;

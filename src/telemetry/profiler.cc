@@ -392,13 +392,7 @@ json::Value ProfileJsonValue(const ProfileReport& report) {
   count("decode_bytes", c.decode_bytes);
   count("payload_hops", c.payload_hops);
   count("payload_hop_bytes", c.payload_hop_bytes);
-  count("pool_hits", c.pool_hits);
-  count("pool_misses", c.pool_misses);
   count("encode_cache_hits", c.encode_cache_hits);
-  count("wheel_cascades", c.wheel_cascades);
-  count("wheel_cascade_events", c.wheel_cascade_events);
-  count("wheel_overflow", c.wheel_overflow);
-  count("wheel_bucket_max", c.wheel_bucket_max);
   root.Set("copies", std::move(copies));
 
   return root;

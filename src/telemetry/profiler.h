@@ -113,8 +113,7 @@ struct EventCategoryReport {
 };
 
 // Message / buffer churn counters fed by src/dns and src/sim/network, plus
-// the PR 10 substrate counters: arena pool hit/miss, cached-encoding reuse,
-// and timing-wheel occupancy.
+// cached-encoding reuse.
 struct CopyCounters {
   uint64_t msg_copies = 0;        // dcc::Message copy ctor/assign
   uint64_t msg_moves = 0;         // dcc::Message move ctor/assign
@@ -124,13 +123,12 @@ struct CopyCounters {
   uint64_t decode_bytes = 0;      // wire bytes parsed
   uint64_t payload_hops = 0;      // Network::Send datagrams accepted
   uint64_t payload_hop_bytes = 0; // payload bytes pushed through Send
-  uint64_t pool_hits = 0;         // arena acquisitions served from free list
-  uint64_t pool_misses = 0;       // arena acquisitions that allocated fresh
   uint64_t encode_cache_hits = 0; // sends reusing a cached wire encoding
-  uint64_t wheel_cascades = 0;    // timing-wheel bucket redistributions
-  uint64_t wheel_cascade_events = 0;  // events moved down a wheel level
-  uint64_t wheel_overflow = 0;    // events parked beyond the wheel span
-  uint64_t wheel_bucket_max = 0;  // largest level-0 slot drained at once
+  // Always 0: the buffer pool and the timing wheel that fed these are gone.
+  // They stay only until benchmark/dcc_benchmark.cc stops reading them.
+  uint64_t pool_hits = 0;
+  uint64_t pool_misses = 0;
+  uint64_t wheel_cascades = 0;
 };
 
 struct ProfileReport {
@@ -264,39 +262,9 @@ inline void CountPayloadHop(uint64_t bytes) {
     c.payload_hop_bytes += bytes;
   }
 }
-inline void CountPoolHit() {
-  if (TlsEnabled()) {
-    ++MutableCopyCounters().pool_hits;
-  }
-}
-inline void CountPoolMiss() {
-  if (TlsEnabled()) {
-    ++MutableCopyCounters().pool_misses;
-  }
-}
 inline void CountEncodeCacheHit() {
   if (TlsEnabled()) {
     ++MutableCopyCounters().encode_cache_hits;
-  }
-}
-inline void CountWheelCascade(uint64_t events) {
-  if (TlsEnabled()) {
-    CopyCounters& c = MutableCopyCounters();
-    ++c.wheel_cascades;
-    c.wheel_cascade_events += events;
-  }
-}
-inline void CountWheelOverflow() {
-  if (TlsEnabled()) {
-    ++MutableCopyCounters().wheel_overflow;
-  }
-}
-inline void RecordWheelBucket(uint64_t size) {
-  if (TlsEnabled()) {
-    CopyCounters& c = MutableCopyCounters();
-    if (size > c.wheel_bucket_max) {
-      c.wheel_bucket_max = size;
-    }
   }
 }
 

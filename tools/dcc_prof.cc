@@ -255,19 +255,6 @@ int CmdCopies(const Selected& selected) {
                 "bytes_encoded_per_hop",
                 copies->Number("encode_bytes") / hops);
   }
-  const double pool_total =
-      copies->Number("pool_hits") + copies->Number("pool_misses");
-  if (pool_total > 0) {
-    std::printf("%-20s %13.1f%%\n", "pool_hit_rate",
-                100.0 * copies->Number("pool_hits") / pool_total);
-  }
-  const double cascades = copies->Number("wheel_cascades");
-  if (cascades > 0) {
-    std::printf("%-20s %14.2f\n", "wheel_events_per_cascade",
-                copies->Number("wheel_cascade_events") / cascades);
-  }
-  std::printf("%-20s %14.0f\n", "wheel_slot_occupancy_max",
-              copies->Number("wheel_bucket_max"));
   return 0;
 }
 
@@ -281,8 +268,7 @@ void PrintUsage(std::FILE* stream) {
       "  folded   'a;b;c <self_us>' lines for flamegraph tooling\n"
       "  events   per-category event-loop stats (count, wall, lag, queue)\n"
       "  copies   message/buffer churn counters with derived ratios:\n"
-      "           copies and encodes per network hop, buffer-pool hit\n"
-      "           rate, encode-cache reuse, timing-wheel occupancy\n"
+      "           copies, encodes and bytes encoded per network hop\n"
       "\n"
       "PROFILE is the JSON written by `dcc_sim run --profile-out` or\n"
       "`dcc_bench --profile-out` ('-' reads stdin). For bench collections,\n"
