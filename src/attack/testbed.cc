@@ -2,137 +2,92 @@
 
 namespace dcc {
 
-void Testbed::AttachTelemetry(telemetry::TelemetrySink* sink) {
-  telemetry_ = sink;
-  if (sink == nullptr) {
-    return;
+namespace {
+
+std::optional<telemetry::Observer> MakeObserver(telemetry::TelemetrySink* sink,
+                                                telemetry::DecisionAuditLog* audit) {
+  if (sink == nullptr && audit == nullptr) {
+    return std::nullopt;
   }
-  loop_.AttachTelemetry(&sink->metrics);
-  network_.AttachTelemetry(&sink->metrics);
-  for (auto& auth : auths_) {
-    auth->AttachTelemetry(&sink->metrics);
-  }
-  for (auto& resolver : resolvers_) {
-    resolver->AttachTelemetry(&sink->metrics, &sink->trace);
-  }
-  for (auto& forwarder : forwarders_) {
-    forwarder->AttachTelemetry(&sink->metrics);
-  }
-  for (auto& frontend : frontends_) {
-    frontend->AttachTelemetry(&sink->metrics, &sink->trace);
-  }
-  for (auto& injector : fault_injectors_) {
-    injector->AttachTelemetry(&sink->metrics);
-  }
-  for (auto& stub : stubs_) {
-    stub->AttachTelemetry(&sink->metrics, &sink->trace);
-  }
-  for (auto& node : dcc_nodes_) {
-    node->AttachTelemetry(&sink->metrics, &sink->trace);
-  }
+  return std::optional<telemetry::Observer>(
+      std::in_place, sink != nullptr ? &sink->metrics : nullptr,
+      sink != nullptr ? &sink->trace : nullptr, audit);
 }
 
-void Testbed::AttachAudit(telemetry::DecisionAuditLog* audit) {
-  audit_ = audit;
-  if (audit == nullptr) {
-    return;
-  }
-  for (auto& resolver : resolvers_) {
-    resolver->AttachAudit(audit);
-  }
-  for (auto& forwarder : forwarders_) {
-    forwarder->AttachAudit(audit);
-  }
-  for (auto& frontend : frontends_) {
-    frontend->AttachAudit(audit);
-  }
-  for (auto& injector : fault_injectors_) {
-    injector->AttachAudit(audit);
-  }
-  for (auto& node : dcc_nodes_) {
-    node->AttachAudit(audit);
+}  // namespace
+
+Testbed::Testbed(telemetry::TelemetrySink* sink, telemetry::DecisionAuditLog* audit)
+    : observer_(MakeObserver(sink, audit)),
+      loop_(observer()),
+      network_(loop_, Milliseconds(1) / 2, observer()) {
+  loop_.InstallLogClock();
+}
+
+Testbed::~Testbed() {
+  if (observer_) {
+    observer_->Freeze();
   }
 }
 
 AuthoritativeServer& Testbed::AddAuthoritative(HostAddress addr,
                                                AuthoritativeConfig config) {
   auto host = std::make_unique<HostNode>(network_, addr);
-  auto server = std::make_unique<AuthoritativeServer>(*host, config);
+  auto server = std::make_unique<AuthoritativeServer>(*host, config, observer());
   host->SetHandler(server.get());
   hosts_.push_back(std::move(host));
   auths_.push_back(std::move(server));
-  if (telemetry_ != nullptr) {
-    auths_.back()->AttachTelemetry(&telemetry_->metrics);
-  }
   return *auths_.back();
 }
 
 RecursiveResolver& Testbed::AddResolver(HostAddress addr, ResolverConfig config) {
   auto host = std::make_unique<HostNode>(network_, addr);
-  auto server = std::make_unique<RecursiveResolver>(*host, config, /*seed=*/addr);
+  auto server = std::make_unique<RecursiveResolver>(*host, config, /*seed=*/addr,
+                                                    observer());
   host->SetHandler(server.get());
   hosts_.push_back(std::move(host));
   resolvers_.push_back(std::move(server));
   RegisterCrashResettable(addr, resolvers_.back().get());
-  if (telemetry_ != nullptr) {
-    resolvers_.back()->AttachTelemetry(&telemetry_->metrics, &telemetry_->trace);
-  }
-  if (audit_ != nullptr) {
-    resolvers_.back()->AttachAudit(audit_);
-  }
   return *resolvers_.back();
 }
 
 Forwarder& Testbed::AddForwarder(HostAddress addr, ForwarderConfig config) {
   auto host = std::make_unique<HostNode>(network_, addr);
-  auto server = std::make_unique<Forwarder>(*host, config, /*seed=*/addr);
+  auto server = std::make_unique<Forwarder>(*host, config, /*seed=*/addr, observer());
   host->SetHandler(server.get());
   hosts_.push_back(std::move(host));
   forwarders_.push_back(std::move(server));
   RegisterCrashResettable(addr, forwarders_.back().get());
-  if (telemetry_ != nullptr) {
-    forwarders_.back()->AttachTelemetry(&telemetry_->metrics);
-  }
-  if (audit_ != nullptr) {
-    forwarders_.back()->AttachAudit(audit_);
-  }
   return *forwarders_.back();
 }
 
 FleetFrontend& Testbed::AddFrontend(HostAddress addr, FrontendConfig config) {
   auto host = std::make_unique<HostNode>(network_, addr);
-  auto server = std::make_unique<FleetFrontend>(*host, config, /*seed=*/addr);
+  auto server = std::make_unique<FleetFrontend>(*host, config, /*seed=*/addr,
+                                                observer());
   host->SetHandler(server.get());
   hosts_.push_back(std::move(host));
   frontends_.push_back(std::move(server));
   RegisterCrashResettable(addr, frontends_.back().get());
-  if (telemetry_ != nullptr) {
-    frontends_.back()->AttachTelemetry(&telemetry_->metrics, &telemetry_->trace);
-  }
-  if (audit_ != nullptr) {
-    frontends_.back()->AttachAudit(audit_);
-  }
   return *frontends_.back();
 }
 
 StubClient& Testbed::AddStub(HostAddress addr, StubConfig config,
                              QuestionGenerator generator) {
   auto host = std::make_unique<HostNode>(network_, addr);
-  auto stub = std::make_unique<StubClient>(*host, config, std::move(generator));
+  auto stub = std::make_unique<StubClient>(*host, config, std::move(generator),
+                                           observer());
   host->SetHandler(stub.get());
   hosts_.push_back(std::move(host));
   stubs_.push_back(std::move(stub));
-  if (telemetry_ != nullptr) {
-    stubs_.back()->AttachTelemetry(&telemetry_->metrics, &telemetry_->trace);
-  }
   return *stubs_.back();
 }
 
 std::pair<DccNode&, RecursiveResolver&> Testbed::AddDccResolver(
     HostAddress addr, DccConfig dcc_config, ResolverConfig config) {
   config.attach_attribution = true;
-  auto shim = std::make_unique<DccNode>(network_, addr, dcc_config);
-  auto server = std::make_unique<RecursiveResolver>(*shim, config, /*seed=*/addr);
+  auto shim = std::make_unique<DccNode>(network_, addr, dcc_config, observer());
+  auto server = std::make_unique<RecursiveResolver>(*shim, config, /*seed=*/addr,
+                                                    observer());
   shim->SetServer(server.get());
   shim->Start();
   DccNode& shim_ref = *shim;
@@ -147,14 +102,6 @@ std::pair<DccNode&, RecursiveResolver&> Testbed::AddDccResolver(
   dcc_nodes_.push_back(std::move(shim));
   resolvers_.push_back(std::move(server));
   RegisterCrashResettable(addr, resolvers_.back().get());
-  if (telemetry_ != nullptr) {
-    shim_ref.AttachTelemetry(&telemetry_->metrics, &telemetry_->trace);
-    server_ref.AttachTelemetry(&telemetry_->metrics, &telemetry_->trace);
-  }
-  if (audit_ != nullptr) {
-    shim_ref.AttachAudit(audit_);
-    server_ref.AttachAudit(audit_);
-  }
   return {shim_ref, server_ref};
 }
 
@@ -162,8 +109,8 @@ std::pair<DccNode&, Forwarder&> Testbed::AddDccForwarder(HostAddress addr,
                                                          DccConfig dcc_config,
                                                          ForwarderConfig config) {
   config.attach_attribution = true;
-  auto shim = std::make_unique<DccNode>(network_, addr, dcc_config);
-  auto server = std::make_unique<Forwarder>(*shim, config, /*seed=*/addr);
+  auto shim = std::make_unique<DccNode>(network_, addr, dcc_config, observer());
+  auto server = std::make_unique<Forwarder>(*shim, config, /*seed=*/addr, observer());
   shim->SetServer(server.get());
   shim->Start();
   DccNode& shim_ref = *shim;
@@ -175,14 +122,6 @@ std::pair<DccNode&, Forwarder&> Testbed::AddDccForwarder(HostAddress addr,
   dcc_nodes_.push_back(std::move(shim));
   forwarders_.push_back(std::move(server));
   RegisterCrashResettable(addr, forwarders_.back().get());
-  if (telemetry_ != nullptr) {
-    shim_ref.AttachTelemetry(&telemetry_->metrics, &telemetry_->trace);
-    server_ref.AttachTelemetry(&telemetry_->metrics);
-  }
-  if (audit_ != nullptr) {
-    shim_ref.AttachAudit(audit_);
-    server_ref.AttachAudit(audit_);
-  }
   return {shim_ref, server_ref};
 }
 
@@ -197,16 +136,11 @@ void Testbed::RegisterCrashResettable(HostAddress addr, CrashResettable* server)
 }
 
 fault::FaultInjector& Testbed::InstallFaultPlan(fault::FaultPlan plan) {
-  auto injector = std::make_unique<fault::FaultInjector>(network_, std::move(plan));
+  auto injector =
+      std::make_unique<fault::FaultInjector>(network_, std::move(plan), observer());
   for (const auto& [addr, resettable] : crash_resettables_) {
     injector->SetCrashHandler(addr, [resettable]() { resettable->CrashReset(); },
                               [resettable]() { resettable->CrashRestart(); });
-  }
-  if (telemetry_ != nullptr) {
-    injector->AttachTelemetry(&telemetry_->metrics);
-  }
-  if (audit_ != nullptr) {
-    injector->AttachAudit(audit_);
   }
   injector->Arm();
   fault_injectors_.push_back(std::move(injector));

@@ -9,6 +9,7 @@
 #define SRC_ATTACK_TESTBED_H_
 
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -22,27 +23,24 @@
 #include "src/server/transport.h"
 #include "src/sim/event_loop.h"
 #include "src/sim/network.h"
+#include "src/telemetry/audit.h"
+#include "src/telemetry/observer.h"
 #include "src/telemetry/telemetry.h"
 
 namespace dcc {
 
 class Testbed {
  public:
-  Testbed() : network_(loop_) { loop_.InstallLogClock(); }
+  // Every component the testbed builds observes into `sink` and `audit`
+  // (either may be nullptr) through one telemetry::Observer. Metric sources
+  // read the components, so the testbed freezes the registry when it is
+  // destroyed; both sinks must outlive it.
+  explicit Testbed(telemetry::TelemetrySink* sink = nullptr,
+                   telemetry::DecisionAuditLog* audit = nullptr);
+  ~Testbed();
 
   EventLoop& loop() { return loop_; }
   Network& network() { return network_; }
-
-  // Wires the event loop, network and every host built so far (and any added
-  // later) into `sink`'s registry/tracer. nullptr detaches future builders
-  // but leaves already-attached components untouched. The sink must outlive
-  // the testbed unless MetricsRegistry::FreezeCallbacks() has been called.
-  void AttachTelemetry(telemetry::TelemetrySink* sink);
-
-  // Wires the decision-audit log into every drop/SERVFAIL decision point
-  // built so far and any added later (same lifetime contract as
-  // AttachTelemetry). nullptr detaches future builders only.
-  void AttachAudit(telemetry::DecisionAuditLog* audit);
 
   HostAddress NextAddress() { return next_address_++; }
 
@@ -70,7 +68,7 @@ class Testbed {
   // registered for every crash-capable server added so far, and servers
   // added afterwards are registered with the injector as they are built, so
   // install order relative to topology construction does not matter.
-  // Telemetry is attached when a sink is. The injector is owned by the
+  // The injector observes like every other component, is owned by the
   // testbed and starts executing immediately on Arm().
   fault::FaultInjector& InstallFaultPlan(fault::FaultPlan plan);
 
@@ -79,14 +77,17 @@ class Testbed {
   size_t RunFor(Duration duration) { return loop_.Run(loop_.now() + duration); }
 
  private:
+  // The handle given to every component; nullptr when nothing observes.
+  telemetry::Observer* observer() { return observer_ ? &*observer_ : nullptr; }
+
   // Adds `server` to the crash-reset map and registers it with every
   // already-installed fault injector.
   void RegisterCrashResettable(HostAddress addr, CrashResettable* server);
 
+  std::optional<telemetry::Observer> observer_;  // Built first: loop_ and
+                                                 // network_ register with it.
   EventLoop loop_;
   Network network_;
-  telemetry::TelemetrySink* telemetry_ = nullptr;
-  telemetry::DecisionAuditLog* audit_ = nullptr;
   HostAddress next_address_ = 0x0a000001;  // 10.0.0.1
 
   std::vector<std::unique_ptr<HostNode>> hosts_;

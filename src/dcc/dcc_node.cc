@@ -1,6 +1,8 @@
 #include "src/dcc/dcc_node.h"
 
 #include <algorithm>
+#include <iterator>
+#include <numeric>
 
 #include "src/common/logging.h"
 #include "src/dns/codec.h"
@@ -14,6 +16,10 @@ namespace {
 // spans (legacy 8-byte attributions, e.g. from the forwarder).
 uint32_t SpanOf(const Attribution& a) {
   return a.span_id != 0 ? a.span_id : telemetry::kClientSpanId;
+}
+
+uint64_t TraceIdOf(const Attribution& a) {
+  return telemetry::MakeTraceId(a.client_addr, a.client_port, a.request_id);
 }
 
 // Audit cause for a failed MOPI-FQ enqueue (kSuccess never reaches here).
@@ -39,13 +45,68 @@ bool IsMopiCause(telemetry::AuditCause cause) {
 
 }  // namespace
 
-DccNode::DccNode(Network& network, HostAddress addr, const DccConfig& config)
+DccNode::DccNode(Network& network, HostAddress addr, const DccConfig& config,
+                 telemetry::Observer* obs)
     : config_(config),
       scheduler_(config.scheduler),
       monitor_(config.anomaly),
       policer_(),
-      capacity_estimator_(config.capacity) {
+      capacity_estimator_(config.capacity),
+      obs_(obs) {
   network.RegisterNode(this, addr);
+  if (obs_ == nullptr) {
+    return;
+  }
+  for (int i = 0; i < 4; ++i) {
+    obs_->Count("dcc_scheduler_enqueue_total",
+                {{"outcome", EnqueueResultName(static_cast<EnqueueResult>(i))}},
+                "MOPI-FQ enqueue attempts by outcome", &enqueue_results_[i]);
+  }
+  obs_->Count("dcc_scheduler_evictions_total", {},
+              "Queued queries evicted by a later arrival", &evictions_);
+  obs_->Count("dcc_scheduler_dequeue_total", {},
+              "Queries released by the scheduler", &queries_sent_);
+  // SERVFAIL / policer-reject / alarm counters are bumped by the decisions
+  // themselves; declaring the causes exports them from zero.
+  obs_->DeclareCauses({telemetry::AuditCause::kPolicerRateExceeded,
+                       telemetry::AuditCause::kPolicerBlocked,
+                       telemetry::AuditCause::kMopiChannelCongested,
+                       telemetry::AuditCause::kMopiQueueFull,
+                       telemetry::AuditCause::kMopiClientOverspeed,
+                       telemetry::AuditCause::kMopiEvicted,
+                       telemetry::AuditCause::kAnomalyAlarm,
+                       telemetry::AuditCause::kAnomalyConvicted});
+  constexpr const char* kPolicyNames[] = {"rate_limit", "block", "upstream_signal"};
+  constexpr const char* kSignalNames[] = {"policing", "anomaly", "congestion"};
+  for (int i = 0; i < 3; ++i) {
+    obs_->Count("dcc_convictions_total", {{"policy", kPolicyNames[i]}},
+                "Client convictions by imposed policy", &convictions_[i]);
+    obs_->Count("dcc_signals_processed_total", {{"type", kSignalNames[i]}},
+                "Upstream DCC signals processed by type", &signals_processed_[i]);
+  }
+  obs_->Count("dcc_signals_attached_total", {},
+              "DCC signals attached to client responses", &signals_attached_);
+  obs_->Count("dcc_capacity_updates_total", {},
+              "AIMD channel-capacity re-estimations", &capacity_updates_);
+  obs_->Gauge("dcc_memory_bytes", {}, "Total DCC state bytes (Table 1 / Fig. 10)",
+              [this]() { return static_cast<double>(MemoryFootprint()); });
+  obs_->Gauge("dcc_pending_queries", {}, "In-flight attributed upstream queries",
+              [this]() { return static_cast<double>(pending_.size()); });
+  obs_->Gauge("dcc_queued_queries", {}, "Queries held by the MOPI-FQ scheduler",
+              [this]() { return static_cast<double>(queued_.size()); });
+  obs_->Gauge("dcc_per_client_state", {},
+              "Per-client monitor + signaling state entries",
+              [this]() { return static_cast<double>(PerClientStateCount()); });
+}
+
+uint64_t DccNode::signals_processed() const {
+  return std::accumulate(std::begin(signals_processed_),
+                         std::end(signals_processed_), uint64_t{0});
+}
+
+uint64_t DccNode::convictions() const {
+  return std::accumulate(std::begin(convictions_), std::end(convictions_),
+                         uint64_t{0});
 }
 
 void DccNode::SetChannelCapacity(HostAddress server, double qps) {
@@ -66,172 +127,27 @@ void DccNode::OnUpstreamHoldDown(HostAddress server, bool down, Time now) {
   const double before = capacity_estimator_.EstimateFor(server);
   const double qps = capacity_estimator_.NotifyOutage(server, now);
   scheduler_.SetChannelCapacity(server, qps);
-  if (capacity_update_counter_ != nullptr) {
-    capacity_update_counter_->Inc();
+  ++capacity_updates_;
+  if (obs_ != nullptr) {
+    DecideCapacityShrunk(server, qps, before, "outage");
+    observed_capacity_[server] = qps;
   }
-  if (audit_ != nullptr) {
-    telemetry::AuditRecord rec;
-    rec.at = now;
-    rec.cause = telemetry::AuditCause::kCapacityShrunk;
-    rec.actor = address();
-    rec.channel = server;
-    rec.observed = qps;
-    rec.limit = before;
-    telemetry::SetAuditQname(rec, "outage");
-    audit_->Record(rec);
-    audit_capacity_last_[server] = qps;
-  }
+}
+
+void DccNode::DecideCapacityShrunk(HostAddress channel, double after,
+                                   double before, std::string_view why) {
+  obs_->Decide({.cause = telemetry::AuditCause::kCapacityShrunk,
+                .at = now(),
+                .actor = address(),
+                .channel = channel,
+                .observed = after,
+                .limit = before,
+                .qname = why});
 }
 
 void DccNode::Start() {
   loop().SchedulePeriodic(config_.purge_interval, "dcc.maintenance",
                           [this]() { PeriodicMaintenance(); });
-}
-
-void DccNode::AttachTelemetry(telemetry::MetricsRegistry* registry,
-                              telemetry::QueryTracer* tracer) {
-  tracer_ = tracer;
-  if (registry == nullptr) {
-    for (auto& counter : enqueue_counters_) {
-      counter = nullptr;
-    }
-    eviction_counter_ = nullptr;
-    for (auto& counter : servfail_counters_) {
-      counter = nullptr;
-    }
-    for (auto& counter : policer_reject_counters_) {
-      counter = nullptr;
-    }
-    dequeue_counter_ = nullptr;
-    alarm_counter_ = nullptr;
-    conviction_nx_counter_ = nullptr;
-    conviction_other_counter_ = nullptr;
-    conviction_signal_counter_ = nullptr;
-    signal_attached_counter_ = nullptr;
-    signal_policing_counter_ = nullptr;
-    signal_anomaly_counter_ = nullptr;
-    signal_congestion_counter_ = nullptr;
-    capacity_update_counter_ = nullptr;
-    return;
-  }
-  const char* enqueue_help = "MOPI-FQ enqueue attempts by outcome";
-  for (int i = 0; i < 4; ++i) {
-    enqueue_counters_[i] = registry->GetCounter(
-        "dcc_scheduler_enqueue_total",
-        {{"outcome", EnqueueResultName(static_cast<EnqueueResult>(i))}}, enqueue_help);
-  }
-  eviction_counter_ = registry->GetCounter(
-      "dcc_scheduler_evictions_total", {}, "Queued queries evicted by a later arrival");
-  dequeue_counter_ = registry->GetCounter("dcc_scheduler_dequeue_total", {},
-                                          "Queries released by the scheduler");
-  // SERVFAIL / policer-reject counters carry a `reason` label drawn from the
-  // audit cause taxonomy, so Prometheus output and audit records share one
-  // vocabulary. Aggregate views use MetricsSnapshot::Sum.
-  const char* servfail_help = "SERVFAILs synthesized toward the resolver";
-  constexpr telemetry::AuditCause kServfailCauses[] = {
-      telemetry::AuditCause::kPolicerRateExceeded,
-      telemetry::AuditCause::kPolicerBlocked,
-      telemetry::AuditCause::kMopiChannelCongested,
-      telemetry::AuditCause::kMopiQueueFull,
-      telemetry::AuditCause::kMopiClientOverspeed,
-      telemetry::AuditCause::kMopiEvicted,
-  };
-  for (telemetry::AuditCause cause : kServfailCauses) {
-    servfail_counters_[static_cast<size_t>(cause)] = registry->GetCounter(
-        "dcc_servfails_synthesized_total",
-        {{"reason", telemetry::AuditCauseName(cause)}}, servfail_help);
-  }
-  const char* reject_help = "Queries rejected by pre-queue policing";
-  for (telemetry::AuditCause cause : {telemetry::AuditCause::kPolicerRateExceeded,
-                                      telemetry::AuditCause::kPolicerBlocked}) {
-    policer_reject_counters_[static_cast<size_t>(cause)] = registry->GetCounter(
-        "dcc_policer_rejects_total",
-        {{"reason", telemetry::AuditCauseName(cause)}}, reject_help);
-  }
-  alarm_counter_ = registry->GetCounter("dcc_anomaly_alarms_total", {},
-                                        "Anomaly-window alarm events");
-  const char* conviction_help = "Client convictions by imposed policy";
-  conviction_nx_counter_ = registry->GetCounter(
-      "dcc_convictions_total", {{"policy", "rate_limit"}}, conviction_help);
-  conviction_other_counter_ = registry->GetCounter(
-      "dcc_convictions_total", {{"policy", "block"}}, conviction_help);
-  conviction_signal_counter_ = registry->GetCounter(
-      "dcc_convictions_total", {{"policy", "upstream_signal"}}, conviction_help);
-  signal_attached_counter_ = registry->GetCounter(
-      "dcc_signals_attached_total", {}, "DCC signals attached to client responses");
-  const char* processed_help = "Upstream DCC signals processed by type";
-  signal_policing_counter_ = registry->GetCounter(
-      "dcc_signals_processed_total", {{"type", "policing"}}, processed_help);
-  signal_anomaly_counter_ = registry->GetCounter(
-      "dcc_signals_processed_total", {{"type", "anomaly"}}, processed_help);
-  signal_congestion_counter_ = registry->GetCounter(
-      "dcc_signals_processed_total", {{"type", "congestion"}}, processed_help);
-  capacity_update_counter_ = registry->GetCounter(
-      "dcc_capacity_updates_total", {}, "AIMD channel-capacity re-estimations");
-  registry->GetCallbackGauge(
-      "dcc_memory_bytes", [this]() { return static_cast<double>(MemoryFootprint()); },
-      {}, "Total DCC state bytes (Table 1 / Fig. 10)");
-  registry->GetCallbackGauge(
-      "dcc_pending_queries",
-      [this]() { return static_cast<double>(pending_.size()); }, {},
-      "In-flight attributed upstream queries");
-  registry->GetCallbackGauge(
-      "dcc_queued_queries", [this]() { return static_cast<double>(queued_.size()); },
-      {}, "Queries held by the MOPI-FQ scheduler");
-  registry->GetCallbackGauge(
-      "dcc_per_client_state",
-      [this]() { return static_cast<double>(PerClientStateCount()); }, {},
-      "Per-client monitor + signaling state entries");
-}
-
-void DccNode::AttachSampler(telemetry::TimeSeriesSampler* sampler) {
-  if (sampler == nullptr) {
-    return;
-  }
-  // Every series carries the node's address so several DCC nodes (e.g. the
-  // Fig. 9 forwarder + resolver pair) can share one sampler.
-  const std::string node = FormatAddress(address());
-  sampler->AddCollector([this, node](
-                            Time now,
-                            telemetry::TimeSeriesSampler::Writer& writer) {
-    const telemetry::Labels node_labels{{"node", node}};
-    const MopiFq::DebugState sched = scheduler_.GetDebugState(now);
-    writer.Gauge("dcc_scheduler_total_depth", node_labels,
-                 static_cast<double>(sched.total_depth));
-    for (const MopiFq::ChannelDebugState& ch : sched.channels) {
-      const telemetry::Labels labels{{"node", node},
-                                     {"channel", FormatAddress(ch.output)}};
-      writer.Gauge("dcc_channel_queue_depth", labels, ch.depth);
-      writer.Gauge("dcc_channel_credit_tokens", labels, ch.credit_tokens);
-      writer.Gauge("dcc_channel_capacity_qps", labels, ch.capacity_qps);
-    }
-    if (capacity_estimator_.enabled()) {
-      for (const CapacityEstimator::ChannelDebugState& ch :
-           capacity_estimator_.GetDebugState().channels) {
-        writer.Gauge("dcc_channel_estimated_qps",
-                     {{"node", node}, {"channel", FormatAddress(ch.output)}},
-                     ch.estimate_qps);
-      }
-    }
-    const PreQueuePolicer::DebugState policer = policer_.GetDebugState(now);
-    writer.Gauge("dcc_policer_active_policies", node_labels,
-                 static_cast<double>(policer.clients.size()));
-    writer.Rate("dcc_policer_dropped_qps", node_labels,
-                static_cast<double>(policer.total_dropped));
-    for (const AnomalyMonitor::ClientDebugState& c :
-         monitor_.GetDebugState(now).clients) {
-      const telemetry::Labels labels{{"node", node},
-                                     {"client", FormatAddress(c.client)}};
-      writer.Gauge("dcc_client_request_rate", labels, c.request_rate);
-      writer.Gauge("dcc_client_nx_ratio", labels, c.nx_ratio);
-      writer.Gauge("dcc_client_anomaly_alarms", labels, c.alarms);
-      writer.Gauge("dcc_client_suspicious", labels, c.suspicious ? 1 : 0);
-    }
-    writer.Rate("dcc_egress_qps", node_labels,
-                static_cast<double>(queries_sent_));
-    writer.Rate("dcc_servfail_qps", node_labels,
-                static_cast<double>(servfails_synthesized_));
-  });
 }
 
 DccNode::ClientSignalState& DccNode::SignalStateFor(SourceId client) {
@@ -280,13 +196,11 @@ void DccNode::HandleIncomingAnswer(const Datagram& dgram, Message msg) {
   if (it != pending_.end()) {
     if (it->second.has_attribution) {
       culprit = AggregateClient(it->second.attribution.client_addr);
-      if (tracer_ != nullptr) {
+      if (obs_ != nullptr) {
         const Attribution& a = it->second.attribution;
-        tracer_->Record(
-            telemetry::MakeTraceId(a.client_addr, a.client_port, a.request_id),
-            telemetry::SpanKind::kAuthResponse, now(), address(),
-            static_cast<int32_t>(msg.header.rcode), SpanOf(a),
-            a.parent_span_id, /*peer=*/dgram.src.addr);
+        obs_->Span(TraceIdOf(a), telemetry::SpanKind::kAuthResponse, now(),
+                   address(), static_cast<int32_t>(msg.header.rcode),
+                   SpanOf(a), a.parent_span_id, /*peer=*/dgram.src.addr);
       }
     }
     pending_.erase(it);
@@ -310,39 +224,29 @@ void DccNode::HandleIncomingAnswer(const Datagram& dgram, Message msg) {
 void DccNode::ProcessUpstreamSignals(const Message& answer, SourceId culprit) {
   // §3.3.4 processing priority: policing > anomaly > congestion.
   if (auto policing = GetPolicingSignal(answer); policing.has_value()) {
-    ++signals_processed_;
-    if (signal_policing_counter_ != nullptr) {
-      signal_policing_counter_->Inc();
-    }
+    ++signals_processed_[kPolicingSignal];
     // We are being policed upstream: warn the culprit's path and raise
     // monitoring sensitivity, since we failed to catch it ourselves.
     SignalStateFor(culprit).relay_policing = *policing;
     monitor_.SetSensitivity(0.5);
   }
   if (auto anomaly = GetAnomalySignal(answer); anomaly.has_value()) {
-    ++signals_processed_;
-    if (signal_anomaly_counter_ != nullptr) {
-      signal_anomaly_counter_->Inc();
-    }
+    ++signals_processed_[kAnomalySignal];
     if (anomaly->countdown <= config_.countdown_police_threshold) {
       // Impending policing from upstream: control the culprit now (§3.3.1).
       policer_.Impose(culprit, config_.signal_policy, /*rate_qps=*/0,
                       config_.signal_policy_duration, AnomalyReason::kUpstreamSignal,
                       now());
-      ++convictions_;
-      if (conviction_signal_counter_ != nullptr) {
-        conviction_signal_counter_->Inc();
-      }
-      if (audit_ != nullptr) {
-        telemetry::AuditRecord rec;
-        rec.at = now();
-        rec.cause = telemetry::AuditCause::kSignalConvicted;
-        rec.actor = address();
-        rec.client = culprit;
-        rec.observed = static_cast<double>(anomaly->countdown);
-        rec.limit = static_cast<double>(config_.countdown_police_threshold);
-        telemetry::SetAuditQname(rec, AnomalyReasonName(anomaly->reason));
-        audit_->Record(rec);
+      ++convictions_[kSignalPolicy];
+      if (obs_ != nullptr) {
+        obs_->Decide(
+            {.cause = telemetry::AuditCause::kSignalConvicted,
+             .at = now(),
+             .actor = address(),
+             .client = culprit,
+             .observed = static_cast<double>(anomaly->countdown),
+             .limit = static_cast<double>(config_.countdown_police_threshold),
+             .qname = AnomalyReasonName(anomaly->reason)});
       }
       PolicingSignal local;
       local.policy = config_.signal_policy;
@@ -360,10 +264,7 @@ void DccNode::ProcessUpstreamSignals(const Message& answer, SourceId culprit) {
     }
   }
   if (auto congestion = GetCongestionSignal(answer); congestion.has_value()) {
-    ++signals_processed_;
-    if (signal_congestion_counter_ != nullptr) {
-      signal_congestion_counter_->Inc();
-    }
+    ++signals_processed_[kCongestionSignal];
     SignalStateFor(culprit).relay_congestion = *congestion;
   }
 }
@@ -418,32 +319,6 @@ SourceId DccNode::AttributionSource(const Message& query, Attribution* attributi
   return address();
 }
 
-void DccNode::AuditDrop(telemetry::AuditCause cause, const QueuedQuery& queued,
-                        double observed, double limit) {
-  if (audit_ == nullptr) {
-    return;
-  }
-  telemetry::AuditRecord rec;
-  rec.at = now();
-  rec.cause = cause;
-  rec.actor = address();
-  rec.channel = queued.dst.addr;
-  if (queued.has_attribution) {
-    const Attribution& a = queued.attribution;
-    rec.client = a.client_addr;
-    rec.trace_id =
-        telemetry::MakeTraceId(a.client_addr, a.client_port, a.request_id);
-    rec.span_id = SpanOf(a);
-    rec.parent_span_id = a.parent_span_id;
-  }
-  rec.observed = observed;
-  rec.limit = limit;
-  if (!queued.query.question.empty()) {
-    telemetry::SetAuditQname(rec, queued.query.Q().qname.ToString());
-  }
-  audit_->Record(rec);
-}
-
 void DccNode::FailQuery(const QueuedQuery& queued, telemetry::AuditCause cause,
                         double observed, double limit) {
   // Synthesize SERVFAIL to the wrapped resolver so it fails fast instead of
@@ -459,18 +334,27 @@ void DccNode::FailQuery(const QueuedQuery& queued, telemetry::AuditCause cause,
   dgram.src = queued.dst;  // Appears to come from the intended upstream.
   dgram.dst = Endpoint{address(), queued.src_port};
   ++servfails_synthesized_;
-  if (servfail_counters_[static_cast<size_t>(cause)] != nullptr) {
-    servfail_counters_[static_cast<size_t>(cause)]->Inc();
+  if (obs_ != nullptr) {
+    const std::string qname = queued.query.QnameText();
+    telemetry::Decision decision{.cause = cause,
+                                 .at = now(),
+                                 .actor = address(),
+                                 .channel = queued.dst.addr,
+                                 .observed = observed,
+                                 .limit = limit,
+                                 .qname = qname};
+    if (queued.has_attribution) {
+      const Attribution& a = queued.attribution;
+      decision.client = a.client_addr;
+      decision.trace_id = TraceIdOf(a);
+      decision.span_id = SpanOf(a);
+      decision.parent_span_id = a.parent_span_id;
+      obs_->Span(decision.trace_id, telemetry::SpanKind::kAuthResponse, now(),
+                 address(), static_cast<int32_t>(Rcode::kServFail),
+                 decision.span_id, a.parent_span_id, /*peer=*/queued.dst.addr);
+    }
+    obs_->Decide(decision);
   }
-  if (tracer_ != nullptr && queued.has_attribution) {
-    const Attribution& a = queued.attribution;
-    tracer_->Record(
-        telemetry::MakeTraceId(a.client_addr, a.client_port, a.request_id),
-        telemetry::SpanKind::kAuthResponse, now(), address(),
-        static_cast<int32_t>(Rcode::kServFail), SpanOf(a), a.parent_span_id,
-        /*peer=*/queued.dst.addr);
-  }
-  AuditDrop(cause, queued, observed, limit);
   if (queued.has_attribution && IsMopiCause(cause)) {
     ClientSignalState& state = SignalStateFor(queued.attribution.client_addr);
     ++state.congestion_drops;
@@ -494,13 +378,10 @@ void DccNode::HandleOutgoingQuery(uint16_t src_port, Endpoint dst, Message msg) 
 
   // Pre-queue policing (§3.2.3).
   const bool policer_allowed = policer_.AllowQuery(source, now());
-  if (tracer_ != nullptr && has_attribution) {
-    tracer_->Record(telemetry::MakeTraceId(attribution.client_addr,
-                                           attribution.client_port,
-                                           attribution.request_id),
-                    telemetry::SpanKind::kPolicerVerdict, now(), address(),
-                    policer_allowed ? 1 : 0, SpanOf(attribution),
-                    attribution.parent_span_id, /*peer=*/dst.addr);
+  if (obs_ != nullptr && has_attribution) {
+    obs_->Span(TraceIdOf(attribution), telemetry::SpanKind::kPolicerVerdict,
+               now(), address(), policer_allowed ? 1 : 0, SpanOf(attribution),
+               attribution.parent_span_id, /*peer=*/dst.addr);
   }
   if (!policer_allowed) {
     // Blocked clients vs drained rate buckets are distinct causes; the
@@ -510,9 +391,6 @@ void DccNode::HandleOutgoingQuery(uint16_t src_port, Endpoint dst, Message msg) 
         policy != nullptr && policy->type == PolicyType::kBlock
             ? telemetry::AuditCause::kPolicerBlocked
             : telemetry::AuditCause::kPolicerRateExceeded;
-    if (policer_reject_counters_[static_cast<size_t>(cause)] != nullptr) {
-      policer_reject_counters_[static_cast<size_t>(cause)]->Inc();
-    }
     QueuedQuery rejected;
     rejected.query = std::move(msg);
     rejected.src_port = src_port;
@@ -545,22 +423,15 @@ void DccNode::HandleOutgoingQuery(uint16_t src_port, Endpoint dst, Message msg) 
   sched.arrival = now();
   sched.cookie = cookie;
   const EnqueueOutcome outcome = scheduler_.Enqueue(sched, now());
-  if (enqueue_counters_[static_cast<int>(outcome.result)] != nullptr) {
-    enqueue_counters_[static_cast<int>(outcome.result)]->Inc();
-  }
-  if (tracer_ != nullptr && has_attribution) {
-    tracer_->Record(telemetry::MakeTraceId(attribution.client_addr,
-                                           attribution.client_port,
-                                           attribution.request_id),
-                    telemetry::SpanKind::kSchedulerEnqueue, now(), address(),
-                    static_cast<int32_t>(outcome.result), SpanOf(attribution),
-                    attribution.parent_span_id, /*peer=*/dst.addr);
+  ++enqueue_results_[static_cast<int>(outcome.result)];
+  if (obs_ != nullptr && has_attribution) {
+    obs_->Span(TraceIdOf(attribution), telemetry::SpanKind::kSchedulerEnqueue,
+               now(), address(), static_cast<int32_t>(outcome.result),
+               SpanOf(attribution), attribution.parent_span_id,
+               /*peer=*/dst.addr);
   }
   if (outcome.evicted.has_value()) {
     ++evictions_;
-    if (eviction_counter_ != nullptr) {
-      eviction_counter_->Inc();
-    }
     auto evicted = queued_.extract(outcome.evicted->cookie);
     if (!evicted.empty()) {
       FailQuery(evicted.mapped(), telemetry::AuditCause::kMopiEvicted,
@@ -568,20 +439,9 @@ void DccNode::HandleOutgoingQuery(uint16_t src_port, Endpoint dst, Message msg) 
                 static_cast<double>(config_.scheduler.max_poq_depth));
     }
   }
-  switch (outcome.result) {
-    case EnqueueResult::kSuccess:
-      ++queries_scheduled_;
-      Drain();
-      return;
-    case EnqueueResult::kChannelCongested:
-      ++enqueue_congested_;
-      break;
-    case EnqueueResult::kQueueOverflow:
-      ++enqueue_overflow_;
-      break;
-    case EnqueueResult::kClientOverspeed:
-      ++enqueue_overspeed_;
-      break;
+  if (outcome.result == EnqueueResult::kSuccess) {
+    Drain();
+    return;
   }
   auto failed = queued_.extract(cookie);
   if (!failed.empty()) {
@@ -604,19 +464,15 @@ void DccNode::Drain() {
     info.has_attribution = queued.has_attribution;
     info.created = now();
     info.output = queued.dst.addr;
-    if (dequeue_counter_ != nullptr) {
-      dequeue_counter_->Inc();
-    }
-    if (tracer_ != nullptr && queued.has_attribution) {
+    if (obs_ != nullptr && queued.has_attribution) {
       const Attribution& a = queued.attribution;
-      const uint64_t trace_id =
-          telemetry::MakeTraceId(a.client_addr, a.client_port, a.request_id);
-      tracer_->Record(trace_id, telemetry::SpanKind::kSchedulerDequeue, now(),
-                      address(), static_cast<int32_t>(queued.dst.addr),
-                      SpanOf(a), a.parent_span_id, /*peer=*/queued.dst.addr);
-      tracer_->Record(trace_id, telemetry::SpanKind::kEgress, now(), address(),
-                      static_cast<int32_t>(queued.dst.addr), SpanOf(a),
-                      a.parent_span_id, /*peer=*/queued.dst.addr);
+      const uint64_t trace_id = TraceIdOf(a);
+      obs_->Span(trace_id, telemetry::SpanKind::kSchedulerDequeue, now(),
+                 address(), static_cast<int32_t>(queued.dst.addr), SpanOf(a),
+                 a.parent_span_id, /*peer=*/queued.dst.addr);
+      obs_->Span(trace_id, telemetry::SpanKind::kEgress, now(), address(),
+                 static_cast<int32_t>(queued.dst.addr), SpanOf(a),
+                 a.parent_span_id, /*peer=*/queued.dst.addr);
     }
     SendDatagram(queued.src_port, queued.dst, EncodeMessage(queued.query));
     ++queries_sent_;
@@ -668,9 +524,6 @@ void DccNode::AttachSignals(Message& response, SourceId client, uint16_t client_
     }
     state->relay_policing.reset();
     ++signals_attached_;
-    if (signal_attached_counter_ != nullptr) {
-      signal_attached_counter_->Inc();
-    }
   } else if (const ActivePolicy* policy = policer_.Get(client, t); policy != nullptr) {
     if (policer_.TakeDropCount(client) > 0 ||
         response.header.rcode == Rcode::kServFail) {
@@ -687,9 +540,6 @@ void DccNode::AttachSignals(Message& response, SourceId client, uint16_t client_
                                        "dcc: policed"}));
       }
       ++signals_attached_;
-      if (signal_attached_counter_ != nullptr) {
-        signal_attached_counter_->Inc();
-      }
     }
   }
 
@@ -722,9 +572,6 @@ void DccNode::AttachSignals(Message& response, SourceId client, uint16_t client_
     SetOption(response, EncodeAnomalySignal(*state->relay_anomaly));
     state->relay_anomaly.reset();
     ++signals_attached_;
-    if (signal_attached_counter_ != nullptr) {
-      signal_attached_counter_->Inc();
-    }
   } else if (monitor_.IsSuspicious(client, t) && response_is_anomalous) {
     AnomalySignal signal;
     signal.reason = local_reason;
@@ -736,9 +583,6 @@ void DccNode::AttachSignals(Message& response, SourceId client, uint16_t client_
     signal.countdown = static_cast<uint16_t>(monitor_.CountdownFor(client));
     SetOption(response, EncodeAnomalySignal(signal));
     ++signals_attached_;
-    if (signal_attached_counter_ != nullptr) {
-      signal_attached_counter_->Inc();
-    }
   }
 
   // Congestion signal: relayed preferred, else local scheduler drops
@@ -747,9 +591,6 @@ void DccNode::AttachSignals(Message& response, SourceId client, uint16_t client_
     SetOption(response, EncodeCongestionSignal(*state->relay_congestion));
     state->relay_congestion.reset();
     ++signals_attached_;
-    if (signal_attached_counter_ != nullptr) {
-      signal_attached_counter_->Inc();
-    }
   } else if (state != nullptr && state->congestion_drops > 0 &&
              response.header.rcode == Rcode::kServFail) {
     CongestionSignal signal;
@@ -765,9 +606,6 @@ void DccNode::AttachSignals(Message& response, SourceId client, uint16_t client_
     }
     state->congestion_drops = 0;
     ++signals_attached_;
-    if (signal_attached_counter_ != nullptr) {
-      signal_attached_counter_->Inc();
-    }
   }
 }
 
@@ -779,40 +617,31 @@ void DccNode::PeriodicMaintenance() {
   const Time t = now();
   // Window evaluation: convict clients that crossed the alarm threshold.
   for (const auto& event : monitor_.EvaluateWindows(t)) {
-    if (alarm_counter_ != nullptr) {
-      alarm_counter_->Inc();
-    }
-    if (audit_ != nullptr) {
-      telemetry::AuditRecord rec;
-      rec.at = t;
-      rec.cause = event.convicted ? telemetry::AuditCause::kAnomalyConvicted
-                                  : telemetry::AuditCause::kAnomalyAlarm;
-      rec.actor = address();
-      rec.client = event.client;
+    if (obs_ != nullptr) {
       // Alarms accumulated vs the conviction threshold; the event reports
       // the remaining countdown.
-      rec.observed = static_cast<double>(config_.anomaly.alarms_to_convict -
-                                         event.countdown);
-      rec.limit = static_cast<double>(config_.anomaly.alarms_to_convict);
-      telemetry::SetAuditQname(rec, AnomalyReasonName(event.reason));
-      audit_->Record(rec);
+      obs_->Decide({.cause = event.convicted
+                                 ? telemetry::AuditCause::kAnomalyConvicted
+                                 : telemetry::AuditCause::kAnomalyAlarm,
+                    .at = t,
+                    .actor = address(),
+                    .client = event.client,
+                    .observed = static_cast<double>(
+                        config_.anomaly.alarms_to_convict - event.countdown),
+                    .limit = static_cast<double>(config_.anomaly.alarms_to_convict),
+                    .qname = AnomalyReasonName(event.reason)});
     }
     if (!event.convicted) {
       continue;
     }
-    ++convictions_;
     if (event.reason == AnomalyReason::kNxDomainRatio) {
       policer_.Impose(event.client, PolicyType::kRateLimit, config_.nx_policy_qps,
                       config_.nx_policy_duration, event.reason, t);
-      if (conviction_nx_counter_ != nullptr) {
-        conviction_nx_counter_->Inc();
-      }
+      ++convictions_[kRateLimitPolicy];
     } else {
       policer_.Impose(event.client, PolicyType::kBlock, /*rate_qps=*/0,
                       config_.amp_policy_duration, event.reason, t);
-      if (conviction_other_counter_ != nullptr) {
-        conviction_other_counter_->Inc();
-      }
+      ++convictions_[kBlockPolicy];
     }
   }
   policer_.Purge(t);
@@ -821,24 +650,14 @@ void DccNode::PeriodicMaintenance() {
   if (capacity_estimator_.enabled()) {
     for (const auto& [output, qps] : capacity_estimator_.Tick(t)) {
       scheduler_.SetChannelCapacity(output, qps);
-      if (capacity_update_counter_ != nullptr) {
-        capacity_update_counter_->Inc();
-      }
-      if (audit_ != nullptr) {
+      ++capacity_updates_;
+      if (obs_ != nullptr) {
         // AIMD updates move both ways; only shrinkage is a decision worth
-        // explaining. Direction comes from audit-local bookkeeping so the
+        // explaining. Direction comes from observer-only bookkeeping so the
         // control loop stays untouched.
-        auto [last, inserted] = audit_capacity_last_.try_emplace(output, qps);
+        auto [last, inserted] = observed_capacity_.try_emplace(output, qps);
         if (!inserted && qps < last->second) {
-          telemetry::AuditRecord rec;
-          rec.at = t;
-          rec.cause = telemetry::AuditCause::kCapacityShrunk;
-          rec.actor = address();
-          rec.channel = output;
-          rec.observed = qps;
-          rec.limit = last->second;
-          telemetry::SetAuditQname(rec, "aimd_decrease");
-          audit_->Record(rec);
+          DecideCapacityShrunk(output, qps, last->second, "aimd_decrease");
         }
         last->second = qps;
       }

@@ -32,10 +32,7 @@
 #include "src/dcc/mopi_fq.h"
 #include "src/dcc/policer.h"
 #include "src/server/transport.h"
-#include "src/telemetry/audit.h"
-#include "src/telemetry/metrics.h"
-#include "src/telemetry/sampler.h"
-#include "src/telemetry/trace.h"
+#include "src/telemetry/observer.h"
 
 namespace dcc {
 
@@ -79,7 +76,14 @@ struct DccConfig {
 
 class DccNode : public Node, public Transport {
  public:
-  DccNode(Network& network, HostAddress addr, const DccConfig& config);
+  // With an observer, the node exports its enqueue/eviction/dequeue,
+  // conviction and signaling tallies and its state sizes as `dcc_*` metrics,
+  // stamps the policer-verdict through auth-response lifecycle spans, and
+  // decides every drop and conviction (policer verdicts, MOPI-FQ failures
+  // and evictions, anomaly alarms/convictions, signal-triggered policing,
+  // capacity shrinkage).
+  DccNode(Network& network, HostAddress addr, const DccConfig& config,
+          telemetry::Observer* obs = nullptr);
 
   // The wrapped server (not owned); must be set before traffic flows.
   void SetServer(DatagramHandler* server) { server_ = server; }
@@ -114,17 +118,21 @@ class DccNode : public Node, public Transport {
   HostAddress local_address() const override { return address(); }
 
   // --- statistics ------------------------------------------------------------
-  uint64_t queries_scheduled() const { return queries_scheduled_; }
+  uint64_t queries_scheduled() const { return EnqueueCount(EnqueueResult::kSuccess); }
   uint64_t queries_sent() const { return queries_sent_; }
-  uint64_t enqueue_congested() const { return enqueue_congested_; }
-  uint64_t enqueue_overflow() const { return enqueue_overflow_; }
-  uint64_t enqueue_overspeed() const { return enqueue_overspeed_; }
+  uint64_t enqueue_congested() const {
+    return EnqueueCount(EnqueueResult::kChannelCongested);
+  }
+  uint64_t enqueue_overflow() const { return EnqueueCount(EnqueueResult::kQueueOverflow); }
+  uint64_t enqueue_overspeed() const {
+    return EnqueueCount(EnqueueResult::kClientOverspeed);
+  }
   uint64_t evictions() const { return evictions_; }
   uint64_t policed_drops() const { return policer_.total_dropped(); }
   uint64_t servfails_synthesized() const { return servfails_synthesized_; }
   uint64_t signals_attached() const { return signals_attached_; }
-  uint64_t signals_processed() const { return signals_processed_; }
-  uint64_t convictions() const { return convictions_; }
+  uint64_t signals_processed() const;
+  uint64_t convictions() const;
 
   const MopiFq& scheduler() const { return scheduler_; }
   const AnomalyMonitor& monitor() const { return monitor_; }
@@ -138,25 +146,6 @@ class DccNode : public Node, public Transport {
   size_t PerClientStateCount() const;
   size_t PerServerStateCount() const { return scheduler_.ActiveOutputCount(); }
   size_t PerRequestStateCount() const { return pending_.size(); }
-
-  // Wires enqueue-outcome / policing / signaling / conviction counters,
-  // state-depth and MemoryFootprint()-backed gauges, and the policer-verdict
-  // through auth-response lifecycle spans into the sinks. Either argument may
-  // be nullptr; passing both nullptr detaches.
-  void AttachTelemetry(telemetry::MetricsRegistry* registry,
-                       telemetry::QueryTracer* tracer);
-
-  // Registers a collector on `sampler` that snapshots the introspection seam
-  // every tick: per-channel queue depth / credit balance / capacity (MOPI-FQ
-  // + AIMD estimate), per-client anomaly and policer state, and egress /
-  // SERVFAIL rates. The sampler must not outlive this node's last tick.
-  void AttachSampler(telemetry::TimeSeriesSampler* sampler);
-
-  // Routes every drop/conviction decision into `audit` (policer verdicts,
-  // MOPI-FQ failures and evictions, anomaly alarms/convictions,
-  // signal-triggered policing, capacity shrinkage). nullptr detaches; the
-  // disabled path is one pointer check per decision.
-  void AttachAudit(telemetry::DecisionAuditLog* audit) { audit_ = audit; }
 
  private:
   struct QueuedQuery {
@@ -185,6 +174,15 @@ class DccNode : public Node, public Transport {
     OutputId output = 0;
   };
 
+  // Indexes of the per-label tallies behind dcc_convictions_total{policy}
+  // and dcc_signals_processed_total{type}, in label-name order.
+  enum ConvictionPolicy { kRateLimitPolicy, kBlockPolicy, kSignalPolicy };
+  enum SignalType { kPolicingSignal, kAnomalySignal, kCongestionSignal };
+
+  uint64_t EnqueueCount(EnqueueResult result) const {
+    return enqueue_results_[static_cast<int>(result)];
+  }
+
   static uint64_t PendingKey(uint16_t port, uint16_t id) {
     return (static_cast<uint64_t>(port) << 16) | id;
   }
@@ -199,13 +197,14 @@ class DccNode : public Node, public Transport {
   SourceId AttributionSource(const Message& query, Attribution* attribution,
                              bool* has_attribution) const;
   SourceId AggregateClient(SourceId client) const;
-  // Synthesizes the SERVFAIL for `queued` and accounts the drop under
-  // `cause`; `observed`/`limit` snapshot the deciding state for the audit
-  // record (queue depth vs cap, policed rate vs bucket, ...).
+  // Synthesizes the SERVFAIL for `queued` and decides the drop under
+  // `cause`; `observed`/`limit` snapshot the deciding state (queue depth vs
+  // cap, policed rate vs bucket, ...).
   void FailQuery(const QueuedQuery& queued, telemetry::AuditCause cause,
                  double observed, double limit);
-  void AuditDrop(telemetry::AuditCause cause, const QueuedQuery& queued,
-                 double observed, double limit);
+  // Decides a channel-capacity shrink from `before` to `after` qps.
+  void DecideCapacityShrunk(HostAddress channel, double after, double before,
+                            std::string_view why);
   void Drain();
   void ScheduleDrainAt(Time t);
   void PeriodicMaintenance();
@@ -226,40 +225,21 @@ class DccNode : public Node, public Transport {
 
   Time drain_scheduled_for_ = kTimeInfinity;
 
-  uint64_t queries_scheduled_ = 0;
+  // Tallies; each is also the source of its metric (never reset).
+  uint64_t enqueue_results_[4] = {};  // By EnqueueResult ordinal.
   uint64_t queries_sent_ = 0;
-  uint64_t enqueue_congested_ = 0;
-  uint64_t enqueue_overflow_ = 0;
-  uint64_t enqueue_overspeed_ = 0;
   uint64_t evictions_ = 0;
   uint64_t servfails_synthesized_ = 0;
   uint64_t signals_attached_ = 0;
-  uint64_t signals_processed_ = 0;
-  uint64_t convictions_ = 0;
+  uint64_t signals_processed_[3] = {};  // By SignalType.
+  uint64_t convictions_[3] = {};        // By ConvictionPolicy.
+  uint64_t capacity_updates_ = 0;
 
-  // Telemetry (resolved once in AttachTelemetry; nullptr = disabled). The
-  // enqueue counters are indexed by the EnqueueResult ordinal, the
-  // SERVFAIL / policer-reject counters by the AuditCause ordinal of their
-  // `reason` label, so the hot path is a single array load + nullptr check.
-  telemetry::QueryTracer* tracer_ = nullptr;
-  telemetry::DecisionAuditLog* audit_ = nullptr;
-  // Last pushed capacity per channel; audit-only state for detecting AIMD
-  // shrinkage direction (never read by the control loop).
-  std::unordered_map<OutputId, double> audit_capacity_last_;
-  telemetry::Counter* enqueue_counters_[4] = {nullptr, nullptr, nullptr, nullptr};
-  telemetry::Counter* eviction_counter_ = nullptr;
-  telemetry::Counter* servfail_counters_[telemetry::kAuditCauseCount] = {};
-  telemetry::Counter* policer_reject_counters_[telemetry::kAuditCauseCount] = {};
-  telemetry::Counter* dequeue_counter_ = nullptr;
-  telemetry::Counter* alarm_counter_ = nullptr;
-  telemetry::Counter* conviction_nx_counter_ = nullptr;
-  telemetry::Counter* conviction_other_counter_ = nullptr;
-  telemetry::Counter* conviction_signal_counter_ = nullptr;
-  telemetry::Counter* signal_attached_counter_ = nullptr;
-  telemetry::Counter* signal_policing_counter_ = nullptr;
-  telemetry::Counter* signal_anomaly_counter_ = nullptr;
-  telemetry::Counter* signal_congestion_counter_ = nullptr;
-  telemetry::Counter* capacity_update_counter_ = nullptr;
+  telemetry::Observer* obs_;
+  // Last capacity seen per channel, kept only while observing: tells AIMD
+  // shrinkage from growth for the decision stream (never read by the
+  // control loop).
+  std::unordered_map<OutputId, double> observed_capacity_;
 };
 
 }  // namespace dcc

@@ -84,6 +84,10 @@ struct Message {
 
   // The sole question; most DNS traffic has exactly one.
   const Question& Q() const { return question.front(); }
+  // Presentation form of the question's name; empty without a question.
+  std::string QnameText() const {
+    return question.empty() ? std::string() : Q().qname.ToString();
+  }
 
   std::string ToString() const;
 

@@ -21,12 +21,27 @@ bool MatchLink(const FaultEvent& event, HostAddress src, HostAddress dst) {
 
 }  // namespace
 
-FaultInjector::FaultInjector(Network& network, FaultPlan plan)
+FaultInjector::FaultInjector(Network& network, FaultPlan plan,
+                             telemetry::Observer* obs)
     : network_(network),
       plan_(std::move(plan)),
       rng_(plan_.seed),
       active_(plan_.events.size(), false),
-      flap_down_(plan_.events.size(), false) {}
+      flap_down_(plan_.events.size(), false),
+      obs_(obs) {
+  if (obs_ == nullptr) {
+    return;
+  }
+  const char* help = "Datagrams affected by injected faults";
+  obs_->Count("fault_datagrams_total", {{"effect", "dropped"}}, help,
+              &datagrams_dropped_);
+  obs_->Count("fault_datagrams_total", {{"effect", "corrupted"}}, help,
+              &datagrams_corrupted_);
+  obs_->Count("fault_datagrams_total", {{"effect", "truncated"}}, help,
+              &datagrams_truncated_);
+  obs_->Count("fault_datagrams_total", {{"effect", "delayed"}}, help,
+              &datagrams_delayed_);
+}
 
 FaultInjector::~FaultInjector() {
   if (armed_) {
@@ -51,48 +66,26 @@ void FaultInjector::SetCrashHandler(HostAddress host, std::function<void()> on_c
   crash_handlers_[host] = {std::move(on_crash), std::move(on_restart)};
 }
 
-void FaultInjector::AttachTelemetry(telemetry::MetricsRegistry* registry) {
-  registry_ = registry;
-  if (registry == nullptr) {
-    dropped_counter_ = nullptr;
-    corrupted_counter_ = nullptr;
-    truncated_counter_ = nullptr;
-    delayed_counter_ = nullptr;
-    return;
-  }
-  const char* help = "Datagrams affected by injected faults";
-  dropped_counter_ =
-      registry->GetCounter("fault_datagrams_total", {{"effect", "dropped"}}, help);
-  corrupted_counter_ =
-      registry->GetCounter("fault_datagrams_total", {{"effect", "corrupted"}}, help);
-  truncated_counter_ =
-      registry->GetCounter("fault_datagrams_total", {{"effect", "truncated"}}, help);
-  delayed_counter_ =
-      registry->GetCounter("fault_datagrams_total", {{"effect", "delayed"}}, help);
-}
-
 void FaultInjector::Activate(size_t index) {
   if (active_[index]) return;
   active_[index] = true;
   ++activations_;
   const FaultEvent& event = plan_.events[index];
-  if (registry_ != nullptr) {
-    registry_
-        ->GetCounter("fault_events_total", {{"type", FaultTypeName(event.type)}},
-                     "Fault events by type (one per activation)")
-        ->Inc();
-  }
+  uint64_t& of_type = type_activations_[static_cast<int>(event.type)];
+  ++of_type;
   DCC_LOG_INFO("fault %s active t=[%.3fs, %.3fs)", FaultTypeName(event.type),
                ToSeconds(event.start), ToSeconds(event.end));
-  if (audit_ != nullptr) {
-    telemetry::AuditRecord rec;
-    rec.at = network_.loop().now();
-    rec.cause = telemetry::AuditCause::kFaultActivated;
-    rec.channel = event.a == kAnyHost ? 0 : event.a;
-    rec.observed = ToSeconds(event.start);
-    rec.limit = ToSeconds(event.end);
-    telemetry::SetAuditQname(rec, FaultTypeName(event.type));
-    audit_->Record(rec);
+  if (obs_ != nullptr) {
+    if (of_type == 1) {
+      obs_->Count("fault_events_total", {{"type", FaultTypeName(event.type)}},
+                  "Fault events by type (one per activation)", &of_type);
+    }
+    obs_->Decide({.cause = telemetry::AuditCause::kFaultActivated,
+                  .at = network_.loop().now(),
+                  .channel = event.a == kAnyHost ? 0 : event.a,
+                  .observed = ToSeconds(event.start),
+                  .limit = ToSeconds(event.end),
+                  .qname = FaultTypeName(event.type)});
   }
   switch (event.type) {
     case FaultType::kBlackout:
@@ -202,7 +195,6 @@ NetworkFaultHook::Verdict FaultInjector::OnDatagram(const Endpoint& src,
             bytes[pos] ^= static_cast<uint8_t>(1 + rng_.NextBelow(255));
           }
           ++datagrams_corrupted_;
-          if (corrupted_counter_ != nullptr) corrupted_counter_->Inc();
         }
         break;
       case FaultType::kTruncation:
@@ -211,7 +203,6 @@ NetworkFaultHook::Verdict FaultInjector::OnDatagram(const Endpoint& src,
           payload.Mutable().resize(
               1 + static_cast<size_t>(rng_.NextBelow(payload.size() - 1)));
           ++datagrams_truncated_;
-          if (truncated_counter_ != nullptr) truncated_counter_->Inc();
         }
         break;
       default:
@@ -220,9 +211,8 @@ NetworkFaultHook::Verdict FaultInjector::OnDatagram(const Endpoint& src,
   }
   if (verdict.drop) {
     ++datagrams_dropped_;
-    if (dropped_counter_ != nullptr) dropped_counter_->Inc();
-  } else if (verdict.extra_delay > 0 && delayed_counter_ != nullptr) {
-    delayed_counter_->Inc();
+  } else if (verdict.extra_delay > 0) {
+    ++datagrams_delayed_;
   }
   return verdict;
 }

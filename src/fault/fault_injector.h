@@ -20,15 +20,19 @@
 #include "src/common/rng.h"
 #include "src/fault/fault_plan.h"
 #include "src/sim/network.h"
-#include "src/telemetry/audit.h"
-#include "src/telemetry/metrics.h"
+#include "src/telemetry/observer.h"
 
 namespace dcc {
 namespace fault {
 
 class FaultInjector : public NetworkFaultHook {
  public:
-  FaultInjector(Network& network, FaultPlan plan);
+  // With an observer, per-effect datagram tallies export as
+  // fault_datagrams_total{effect=dropped|corrupted|truncated|delayed}, and
+  // every event activation is decided as `fault.activated` and counted in
+  // fault_events_total{type=...}.
+  FaultInjector(Network& network, FaultPlan plan,
+                telemetry::Observer* obs = nullptr);
   ~FaultInjector() override;
 
   FaultInjector(const FaultInjector&) = delete;
@@ -43,15 +47,6 @@ class FaultInjector : public NetworkFaultHook {
   // `on_restart` when the host comes back.
   void SetCrashHandler(HostAddress host, std::function<void()> on_crash,
                        std::function<void()> on_restart = nullptr);
-
-  // Wires fault_events_total{type=...} (one increment per event activation)
-  // and fault_datagrams_total{effect=dropped|corrupted|truncated|delayed}
-  // into `registry`. nullptr detaches.
-  void AttachTelemetry(telemetry::MetricsRegistry* registry);
-
-  // Records a `fault.activated` audit entry per event activation so drop
-  // forensics can correlate loss bursts with fault windows. nullptr detaches.
-  void AttachAudit(telemetry::DecisionAuditLog* audit) { audit_ = audit; }
 
   Verdict OnDatagram(const Endpoint& src, const Endpoint& dst,
                      WireBytes& payload) override;
@@ -81,13 +76,10 @@ class FaultInjector : public NetworkFaultHook {
   uint64_t datagrams_dropped_ = 0;
   uint64_t datagrams_corrupted_ = 0;
   uint64_t datagrams_truncated_ = 0;
+  uint64_t datagrams_delayed_ = 0;
+  uint64_t type_activations_[kFaultTypeCount] = {};
 
-  telemetry::MetricsRegistry* registry_ = nullptr;
-  telemetry::Counter* dropped_counter_ = nullptr;
-  telemetry::Counter* corrupted_counter_ = nullptr;
-  telemetry::Counter* truncated_counter_ = nullptr;
-  telemetry::Counter* delayed_counter_ = nullptr;
-  telemetry::DecisionAuditLog* audit_ = nullptr;
+  telemetry::Observer* obs_;
 };
 
 }  // namespace fault

@@ -49,6 +49,8 @@ enum class FaultType {
   kTruncation,  // Datagrams matching (a, b) are shortened with prob. p.
 };
 
+inline constexpr int kFaultTypeCount = 8;
+
 const char* FaultTypeName(FaultType type);
 
 // Wildcard endpoint in link-scoped events ("any host").

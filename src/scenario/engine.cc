@@ -48,6 +48,72 @@ void ProbeResolverSeries(telemetry::TimeSeriesSampler& sampler,
   });
 }
 
+// The DCC introspection seam, snapshotted every tick: per-channel queue
+// depth / credit balance / capacity (MOPI-FQ + AIMD estimate), per-client
+// anomaly and policer state, and egress / SERVFAIL rates. Every series
+// carries the node's address so several DCC nodes (e.g. the Fig. 9
+// forwarder + resolver pair) can share one sampler.
+void ProbeDcc(telemetry::TimeSeriesSampler& sampler, const DccNode& shim) {
+  const std::string node = FormatAddress(shim.address());
+  sampler.AddCollector([&shim, node](Time now,
+                                     telemetry::TimeSeriesSampler::Writer& writer) {
+    const telemetry::Labels node_labels{{"node", node}};
+    const MopiFq::DebugState sched = shim.scheduler().GetDebugState(now);
+    writer.Gauge("dcc_scheduler_total_depth", node_labels,
+                 static_cast<double>(sched.total_depth));
+    for (const MopiFq::ChannelDebugState& ch : sched.channels) {
+      const telemetry::Labels labels{{"node", node},
+                                     {"channel", FormatAddress(ch.output)}};
+      writer.Gauge("dcc_channel_queue_depth", labels, ch.depth);
+      writer.Gauge("dcc_channel_credit_tokens", labels, ch.credit_tokens);
+      writer.Gauge("dcc_channel_capacity_qps", labels, ch.capacity_qps);
+    }
+    if (shim.capacity_estimator().enabled()) {
+      for (const CapacityEstimator::ChannelDebugState& ch :
+           shim.capacity_estimator().GetDebugState().channels) {
+        writer.Gauge("dcc_channel_estimated_qps",
+                     {{"node", node}, {"channel", FormatAddress(ch.output)}},
+                     ch.estimate_qps);
+      }
+    }
+    const PreQueuePolicer::DebugState policer = shim.policer().GetDebugState(now);
+    writer.Gauge("dcc_policer_active_policies", node_labels,
+                 static_cast<double>(policer.clients.size()));
+    writer.Rate("dcc_policer_dropped_qps", node_labels,
+                static_cast<double>(policer.total_dropped));
+    for (const AnomalyMonitor::ClientDebugState& c :
+         shim.monitor().GetDebugState(now).clients) {
+      const telemetry::Labels labels{{"node", node},
+                                     {"client", FormatAddress(c.client)}};
+      writer.Gauge("dcc_client_request_rate", labels, c.request_rate);
+      writer.Gauge("dcc_client_nx_ratio", labels, c.nx_ratio);
+      writer.Gauge("dcc_client_anomaly_alarms", labels, c.alarms);
+      writer.Gauge("dcc_client_suspicious", labels, c.suspicious ? 1 : 0);
+    }
+    writer.Rate("dcc_egress_qps", node_labels,
+                static_cast<double>(shim.queries_sent()));
+    writer.Rate("dcc_servfail_qps", node_labels,
+                static_cast<double>(shim.servfails_synthesized()));
+  });
+}
+
+// Per-upstream SRTT, loss rate and hold-down state of `tracker` every tick
+// (labels: base + {upstream=<addr>}).
+void ProbeTracker(telemetry::TimeSeriesSampler& sampler,
+                  const UpstreamTracker& tracker, telemetry::Labels base_labels) {
+  sampler.AddCollector([&tracker, base_labels = std::move(base_labels)](
+                           Time now, telemetry::TimeSeriesSampler::Writer& writer) {
+    for (const UpstreamTracker::ServerDebugState& server :
+         tracker.GetDebugState(now).servers) {
+      telemetry::Labels labels = base_labels;
+      labels.emplace_back("upstream", FormatAddress(server.server));
+      writer.Gauge("upstream_srtt_ms", labels, ToMilliseconds(server.srtt));
+      writer.Gauge("upstream_loss_rate", labels, server.loss_rate);
+      writer.Gauge("upstream_held_down", labels, server.held_down ? 1 : 0);
+    }
+  });
+}
+
 // Ticks `sampler` on its own interval until `until`. Must run after every
 // probe is registered so counter bases are taken at t=0.
 void StartSampling(Testbed& bed, telemetry::TimeSeriesSampler& sampler,
@@ -136,14 +202,7 @@ bool RunScenarioSpec(const ScenarioSpec& input, const EngineHooks& hooks,
   }
   *outcome = ScenarioOutcome();
 
-  Testbed bed;
-  bed.AttachTelemetry(hooks.telemetry);
-  if (hooks.audit != nullptr) {
-    bed.AttachAudit(hooks.audit);
-    if (hooks.telemetry != nullptr) {
-      hooks.audit->AttachMetrics(&hooks.telemetry->metrics);
-    }
-  }
+  Testbed bed(hooks.telemetry, hooks.audit);
   if (spec.network.jitter > 0) {
     bed.network().SetDelayJitter(spec.network.jitter, spec.network.jitter_seed);
   }
@@ -334,8 +393,8 @@ bool RunScenarioSpec(const ScenarioSpec& input, const EngineHooks& hooks,
     for (const std::string& node : spec.measure.resolver_series) {
       ProbeResolverSeries(*hooks.sampler, *resolvers.at(node), series_labels(node));
     }
-    for (DccNode* shim : shims) {
-      shim->AttachSampler(hooks.sampler);
+    for (const DccNode* shim : shims) {
+      ProbeDcc(*hooks.sampler, *shim);
     }
     for (const std::string& node : spec.measure.trackers) {
       const telemetry::Labels labels =
@@ -343,12 +402,12 @@ bool RunScenarioSpec(const ScenarioSpec& input, const EngineHooks& hooks,
               ? telemetry::Labels{}
               : telemetry::Labels{{"node", node}};
       if (auto resolver_it = resolvers.find(node); resolver_it != resolvers.end()) {
-        resolver_it->second->upstream_tracker().AttachSampler(hooks.sampler, labels);
+        ProbeTracker(*hooks.sampler, resolver_it->second->upstream_tracker(), labels);
       } else if (auto frontend_it = frontends.find(node);
                  frontend_it != frontends.end()) {
-        frontend_it->second->tracker().AttachSampler(hooks.sampler, labels);
+        ProbeTracker(*hooks.sampler, frontend_it->second->tracker(), labels);
       } else {
-        forwarders.at(node)->upstream_tracker().AttachSampler(hooks.sampler, labels);
+        ProbeTracker(*hooks.sampler, forwarders.at(node)->upstream_tracker(), labels);
       }
     }
     StartSampling(bed, *hooks.sampler, spec.horizon + Seconds(2));
@@ -468,9 +527,6 @@ bool RunScenarioSpec(const ScenarioSpec& input, const EngineHooks& hooks,
           telemetry::AuditCauseName(static_cast<telemetry::AuditCause>(i)),
           histogram[i]);
     }
-  }
-  if (hooks.telemetry != nullptr) {
-    hooks.telemetry->metrics.FreezeCallbacks();
   }
   return true;
 }

@@ -104,16 +104,17 @@ struct ScenarioOutcome {
   size_t events_executed = 0;
 };
 
-// Optional observability hooks. None is owned: the telemetry sink has its
-// callback gauges frozen before the engine returns, and the sampler is
-// ticked on its own interval for the whole run with the full introspection
-// seam attached.
+// Optional observability hooks. None is owned. The telemetry sink and the
+// audit log are observed through the testbed's one telemetry::Observer
+// (src/telemetry/observer.h), and the sink's registry is frozen before the
+// engine returns; the sampler is ticked on its own interval for the whole
+// run with the full introspection seam attached.
 struct EngineHooks {
   telemetry::TelemetrySink* telemetry = nullptr;
   telemetry::TimeSeriesSampler* sampler = nullptr;
-  // When set, every drop/SERVFAIL decision point in the built topology
-  // records into this log (see src/telemetry/audit.h). Recording never
-  // perturbs the simulation: outcomes are byte-identical with or without it.
+  // When set, every drop/SERVFAIL decision in the built topology records
+  // into this log (see src/telemetry/audit.h). Recording never perturbs the
+  // simulation: outcomes are byte-identical with or without it.
   telemetry::DecisionAuditLog* audit = nullptr;
 };
 

@@ -9,30 +9,26 @@
 
 namespace dcc {
 
-AuthoritativeServer::AuthoritativeServer(Transport& transport, AuthoritativeConfig config)
-    : transport_(transport), config_(config) {}
-
-void AuthoritativeServer::AddZone(Zone zone) { zones_.push_back(std::move(zone)); }
-
-void AuthoritativeServer::AttachTelemetry(telemetry::MetricsRegistry* registry) {
-  if (registry == nullptr) {
-    queries_counter_ = nullptr;
-    responses_counter_ = nullptr;
-    rate_limited_counter_ = nullptr;
+AuthoritativeServer::AuthoritativeServer(Transport& transport,
+                                         AuthoritativeConfig config,
+                                         telemetry::Observer* obs)
+    : transport_(transport), config_(config) {
+  if (obs == nullptr) {
     return;
   }
   const telemetry::Labels server{{"server", FormatAddress(transport_.local_address())}};
-  queries_counter_ = registry->GetCounter("auth_queries_total", server,
-                                          "Queries received by the authoritative");
-  responses_counter_ = registry->GetCounter("auth_responses_total", server,
-                                            "Responses sent by the authoritative");
-  rate_limited_counter_ = registry->GetCounter(
-      "auth_rate_limited_total", server, "Responses suppressed or rewritten by RRL");
-  registry->GetCallbackGauge(
-      "auth_rrl_tracked_clients",
-      [this]() { return static_cast<double>(rrl_state_.size()); }, server,
-      "Client addresses with live RRL token buckets");
+  obs->Count("auth_queries_total", server,
+             "Queries received by the authoritative", &queries_received_);
+  obs->Count("auth_responses_total", server,
+             "Responses sent by the authoritative", &responses_sent_);
+  obs->Count("auth_rate_limited_total", server,
+             "Responses suppressed or rewritten by RRL", &rate_limited_);
+  obs->Gauge("auth_rrl_tracked_clients", server,
+             "Client addresses with live RRL token buckets",
+             [this]() { return static_cast<double>(rrl_state_.size()); });
 }
+
+void AuthoritativeServer::AddZone(Zone zone) { zones_.push_back(std::move(zone)); }
 
 const Zone* AuthoritativeServer::FindZone(const Name& qname) const {
   const Zone* best = nullptr;
@@ -86,9 +82,6 @@ void AuthoritativeServer::Respond(const Datagram& request_dgram, Message respons
     transport_.Send(local_port, reply_to, std::move(wire));
   }
   ++responses_sent_;
-  if (responses_counter_ != nullptr) {
-    responses_counter_->Inc();
-  }
 }
 
 void AuthoritativeServer::HandleDatagram(const Datagram& dgram) {
@@ -99,9 +92,6 @@ void AuthoritativeServer::HandleDatagram(const Datagram& dgram) {
   }
   Message& query = *decoded;
   ++queries_received_;
-  if (queries_counter_ != nullptr) {
-    queries_counter_->Inc();
-  }
 
   const Question& q = query.Q();
   const Zone* zone = FindZone(q.qname);
@@ -154,9 +144,6 @@ void AuthoritativeServer::HandleDatagram(const Datagram& dgram) {
 
   if (!PassesRrl(dgram.src.addr, response.header.rcode)) {
     ++rate_limited_;
-    if (rate_limited_counter_ != nullptr) {
-      rate_limited_counter_->Inc();
-    }
     switch (config_.rrl.action) {
       case RateLimitAction::kDrop:
         return;

@@ -16,7 +16,7 @@
 #include "src/common/token_bucket.h"
 #include "src/dns/message.h"
 #include "src/server/transport.h"
-#include "src/telemetry/metrics.h"
+#include "src/telemetry/observer.h"
 #include "src/zone/zone.h"
 
 namespace dcc {
@@ -51,7 +51,10 @@ struct AuthoritativeConfig {
 
 class AuthoritativeServer : public DatagramHandler {
  public:
-  AuthoritativeServer(Transport& transport, AuthoritativeConfig config);
+  // With an observer, the query/response/RRL tallies and the RRL-state
+  // depth export as `auth_*{server=<addr>}` metrics.
+  AuthoritativeServer(Transport& transport, AuthoritativeConfig config,
+                      telemetry::Observer* obs = nullptr);
 
   // Adds a zone this server is authoritative for.
   void AddZone(Zone zone);
@@ -64,10 +67,6 @@ class AuthoritativeServer : public DatagramHandler {
   uint64_t queries_received() const { return queries_received_; }
   uint64_t responses_sent() const { return responses_sent_; }
   uint64_t rate_limited() const { return rate_limited_; }
-
-  // Wires query/response/RRL-drop counters and an RRL-state-depth gauge into
-  // `registry`. nullptr detaches.
-  void AttachTelemetry(telemetry::MetricsRegistry* registry);
 
  private:
   const Zone* FindZone(const Name& qname) const;
@@ -86,11 +85,6 @@ class AuthoritativeServer : public DatagramHandler {
   uint64_t queries_received_ = 0;
   uint64_t responses_sent_ = 0;
   uint64_t rate_limited_ = 0;
-
-  // Telemetry (resolved once in AttachTelemetry; nullptr = disabled).
-  telemetry::Counter* queries_counter_ = nullptr;
-  telemetry::Counter* responses_counter_ = nullptr;
-  telemetry::Counter* rate_limited_counter_ = nullptr;
 };
 
 }  // namespace dcc

@@ -5,43 +5,33 @@
 #include "src/dns/codec.h"
 #include "src/dns/edns_options.h"
 #include "src/telemetry/profiler.h"
-#include "src/telemetry/trace.h"
 
 namespace dcc {
 
-Forwarder::Forwarder(Transport& transport, ForwarderConfig config, uint64_t seed)
+Forwarder::Forwarder(Transport& transport, ForwarderConfig config, uint64_t seed,
+                     telemetry::Observer* obs)
     : transport_(transport),
       config_(config),
       rng_(seed),
       cache_(config.cache_max_entries, config.serve_stale ? config.max_stale : 0),
-      tracker_(config.upstream, seed ^ 0x666f7277ULL) {}
-
-void Forwarder::AddUpstream(HostAddress resolver) { upstreams_.push_back(resolver); }
-
-void Forwarder::AttachTelemetry(telemetry::MetricsRegistry* registry) {
-  if (registry == nullptr) {
-    request_counter_ = nullptr;
-    stale_counter_ = nullptr;
-    tracker_.AttachTelemetry(nullptr, {});
+      tracker_(config.upstream, seed ^ 0x666f7277ULL, obs,
+               transport.local_address()),
+      obs_(obs) {
+  if (obs_ == nullptr) {
     return;
   }
   const telemetry::Labels host = {{"host", FormatAddress(transport_.local_address())}};
-  request_counter_ = registry->GetCounter("forwarder_requests_total", host,
-                                          "Client requests received by the forwarder");
-  stale_counter_ = registry->GetCounter(
-      "forwarder_stale_answers_total", host,
-      "Responses served from expired cache entries (RFC 8767 serve-stale)");
-  tracker_.AttachTelemetry(registry, host);
-  registry->GetCallbackGauge(
-      "forwarder_pending_requests",
-      [this]() { return static_cast<double>(pending_.size()); }, host,
-      "Relayed queries awaiting an upstream answer");
+  obs_->Count("forwarder_requests_total", host,
+              "Client requests received by the forwarder", &requests_received_);
+  obs_->Count("forwarder_stale_answers_total", host,
+              "Responses served from expired cache entries (RFC 8767 serve-stale)",
+              &stale_responses_);
+  obs_->Gauge("forwarder_pending_requests", host,
+              "Relayed queries awaiting an upstream answer",
+              [this]() { return static_cast<double>(pending_.size()); });
 }
 
-void Forwarder::AttachAudit(telemetry::DecisionAuditLog* audit) {
-  audit_ = audit;
-  tracker_.AttachAudit(audit, transport_.local_address());
-}
+void Forwarder::AddUpstream(HostAddress resolver) { upstreams_.push_back(resolver); }
 
 void Forwarder::CrashReset() {
   pending_.clear();
@@ -107,25 +97,18 @@ void Forwarder::HandleDatagram(const Datagram& dgram) {
 
   if (decoded->IsQuery() && dgram.dst.port == kDnsPort) {
     ++requests_received_;
-    if (request_counter_ != nullptr) {
-      request_counter_->Inc();
-    }
     if (decoded->question.empty() || upstreams_.empty()) {
-      if (audit_ != nullptr && upstreams_.empty()) {
-        telemetry::AuditRecord rec;
-        rec.at = transport_.now();
-        rec.cause = telemetry::AuditCause::kForwarderNoUpstreams;
-        rec.actor = transport_.local_address();
-        rec.client = dgram.src.addr;
-        rec.trace_id = telemetry::MakeTraceId(dgram.src.addr, dgram.src.port,
-                                              decoded->header.id);
-        rec.span_id = telemetry::kClientSpanId;
-        rec.observed = 0;  // Configured upstreams.
-        rec.limit = 1;
-        if (!decoded->question.empty()) {
-          telemetry::SetAuditQname(rec, decoded->Q().qname.ToString());
-        }
-        audit_->Record(rec);
+      if (obs_ != nullptr && upstreams_.empty()) {
+        obs_->Decide({.cause = telemetry::AuditCause::kForwarderNoUpstreams,
+                      .at = transport_.now(),
+                      .actor = transport_.local_address(),
+                      .client = dgram.src.addr,
+                      .trace_id = telemetry::MakeTraceId(
+                          dgram.src.addr, dgram.src.port, decoded->header.id),
+                      .span_id = telemetry::kClientSpanId,
+                      .observed = 0,  // Configured upstreams.
+                      .limit = 1,
+                      .qname = decoded->QnameText()});
       }
       Message response = MakeResponse(*decoded, Rcode::kServFail);
       transport_.Send(dgram.dst.port, dgram.src, EncodeMessage(response));
@@ -216,29 +199,24 @@ void Forwarder::FailPending(Pending done, telemetry::AuditCause cause,
         response.header.rcode = Rcode::kNxDomain;
       }
       ++stale_responses_;
-      if (stale_counter_ != nullptr) {
-        stale_counter_->Inc();
-      }
       RespondToClient(done, std::move(response));
       return;
     }
   }
-  if (audit_ != nullptr) {
-    telemetry::AuditRecord rec;
-    rec.at = transport_.now();
-    rec.cause = cause;
-    rec.actor = transport_.local_address();
-    rec.client = done.client.addr;
-    rec.channel = done.last_upstream == kInvalidAddress ? 0 : done.last_upstream;
-    rec.trace_id = telemetry::MakeTraceId(done.client.addr, done.client.port,
-                                          done.query.header.id);
-    rec.span_id = telemetry::kClientSpanId;
-    rec.observed = observed;
-    rec.limit = limit;
-    if (!done.query.question.empty()) {
-      telemetry::SetAuditQname(rec, done.query.Q().qname.ToString());
-    }
-    audit_->Record(rec);
+  if (obs_ != nullptr) {
+    obs_->Decide({.cause = cause,
+                  .at = transport_.now(),
+                  .actor = transport_.local_address(),
+                  .client = done.client.addr,
+                  .channel = done.last_upstream == kInvalidAddress
+                                 ? 0
+                                 : done.last_upstream,
+                  .trace_id = telemetry::MakeTraceId(
+                      done.client.addr, done.client.port, done.query.header.id),
+                  .span_id = telemetry::kClientSpanId,
+                  .observed = observed,
+                  .limit = limit,
+                  .qname = done.query.QnameText()});
   }
   RespondToClient(done, MakeResponse(done.query, Rcode::kServFail));
 }

@@ -15,8 +15,7 @@
 #include "src/server/cache.h"
 #include "src/server/transport.h"
 #include "src/server/upstream_tracker.h"
-#include "src/telemetry/audit.h"
-#include "src/telemetry/metrics.h"
+#include "src/telemetry/observer.h"
 
 namespace dcc {
 
@@ -45,7 +44,12 @@ struct ForwarderConfig {
 
 class Forwarder : public DatagramHandler, public CrashResettable {
  public:
-  Forwarder(Transport& transport, ForwarderConfig config, uint64_t seed = 1);
+  // With an observer, the request/stale tallies and the pending depth export
+  // as `forwarder_*{host=<addr>}` metrics, and the SERVFAILs it synthesizes
+  // (no live upstreams, attempts exhausted) are decided through it, as are
+  // its tracker's upstream hold-downs.
+  Forwarder(Transport& transport, ForwarderConfig config, uint64_t seed = 1,
+            telemetry::Observer* obs = nullptr);
 
   void AddUpstream(HostAddress resolver);
 
@@ -60,14 +64,6 @@ class Forwarder : public DatagramHandler, public CrashResettable {
   size_t MemoryFootprint() const;
 
   UpstreamTracker& upstream_tracker() { return tracker_; }
-
-  // Wires request/response counters and the per-upstream tracker metrics
-  // into `registry`. nullptr detaches.
-  void AttachTelemetry(telemetry::MetricsRegistry* registry);
-
-  // Records audit entries for SERVFAILs the forwarder synthesizes (no live
-  // upstreams, attempts exhausted) and upstream hold-downs. nullptr detaches.
-  void AttachAudit(telemetry::DecisionAuditLog* audit);
 
   // Simulated process crash: drops all relayed-in-flight queries and the
   // in-memory cache.
@@ -94,7 +90,7 @@ class Forwarder : public DatagramHandler, public CrashResettable {
   void RespondToClient(const Pending& pending, Message response);
   // Answers `pending` from a stale cache entry (TTL capped) or SERVFAIL.
   // `cause` and the observed/limit pair describe why the query is being
-  // failed; they are audited only when the SERVFAIL path is taken (a stale
+  // failed; they are decided only when the SERVFAIL path is taken (a stale
   // answer means the client was not actually dropped).
   void FailPending(Pending done, telemetry::AuditCause cause, double observed,
                    double limit);
@@ -119,9 +115,7 @@ class Forwarder : public DatagramHandler, public CrashResettable {
   uint64_t cache_hit_responses_ = 0;
   uint64_t stale_responses_ = 0;
 
-  telemetry::Counter* request_counter_ = nullptr;
-  telemetry::Counter* stale_counter_ = nullptr;
-  telemetry::DecisionAuditLog* audit_ = nullptr;
+  telemetry::Observer* obs_;
 };
 
 }  // namespace dcc

@@ -63,18 +63,51 @@ bool ParseSteeringPolicyName(const std::string& text, SteeringPolicy* out) {
 }
 
 FleetFrontend::FleetFrontend(Transport& transport, FrontendConfig config,
-                             uint64_t seed)
+                             uint64_t seed, telemetry::Observer* obs)
     : transport_(transport),
       config_(config),
       rng_(seed ^ 0x66726f6eULL),
-      tracker_(config.upstream, seed ^ 0x666c6565ULL),
+      tracker_(config.upstream, seed ^ 0x666c6565ULL, obs,
+               transport.local_address()),
       resteer_budget_(config.resteer_budget_qps, config.resteer_budget_burst,
-                      transport.now()) {}
+                      transport.now()),
+      obs_(obs) {
+  if (obs_ == nullptr) {
+    return;
+  }
+  const telemetry::Labels host = {
+      {"host", FormatAddress(transport_.local_address())}};
+  obs_->Count("frontend_requests_total", host,
+              "Client requests received by the fleet frontend",
+              &requests_received_);
+  obs_->Count("frontend_resteer_denied_total", host,
+              "Post-timeout retries refused by the re-steer budget (answered SERVFAIL)",
+              &resteer_denied_);
+  obs_->Count("frontend_rotations_total", host,
+              "Moving-target rotation epochs advanced", &rotations_);
+  obs_->Count("frontend_probes_total", host, "Active health-check probes sent",
+              &probes_sent_);
+  obs_->Count("frontend_probe_timeouts_total", host,
+              "Health-check probes that timed out", &probe_timeouts_);
+  obs_->Count("frontend_servfails_total", host,
+              "SERVFAIL responses sent to clients", &servfails_sent_);
+  failover_latency_ = obs_->Histogram(
+      "frontend_failover_latency_us", host,
+      "Client-observed latency of queries that needed at least one re-steer");
+}
 
 void FleetFrontend::AddMember(HostAddress member) {
   members_.push_back(member);
-  steered_.emplace(member, 0);
-  RegisterMemberTelemetry(member);
+  steered_.emplace(member, std::array<uint64_t, 2>{});
+  if (obs_ != nullptr) {
+    obs_->Gauge("resolver_healthy",
+                {{"host", FormatAddress(transport_.local_address())},
+                 {"resolver", FormatAddress(member)}},
+                "1 while the fleet member is not held down, 0 during hold-down",
+                [this, member]() {
+                  return IsMemberHealthy(member, transport_.now()) ? 1.0 : 0.0;
+                });
+  }
 }
 
 void FleetFrontend::Start() {
@@ -126,88 +159,24 @@ void FleetFrontend::CrashRestart() {
   }
 }
 
-void FleetFrontend::AttachTelemetry(telemetry::MetricsRegistry* registry,
-                                    telemetry::QueryTracer* tracer) {
-  registry_ = registry;
-  tracer_ = tracer;
-  steered_counters_.clear();
-  if (registry == nullptr) {
-    request_counter_ = nullptr;
-    resteer_denied_counter_ = nullptr;
-    rotation_counter_ = nullptr;
-    probe_counter_ = nullptr;
-    probe_timeout_counter_ = nullptr;
-    servfail_counter_ = nullptr;
-    failover_latency_ = nullptr;
-    tracker_.AttachTelemetry(nullptr, {});
+void FleetFrontend::CountSteer(HostAddress member, bool resteer) {
+  if (++steered_[member][resteer ? 1 : 0] != 1 || obs_ == nullptr) {
     return;
   }
-  const telemetry::Labels host = {
-      {"host", FormatAddress(transport_.local_address())}};
-  request_counter_ = registry->GetCounter(
-      "frontend_requests_total", host, "Client requests received by the fleet frontend");
-  resteer_denied_counter_ = registry->GetCounter(
-      "frontend_resteer_denied_total", host,
-      "Post-timeout retries refused by the re-steer budget (answered SERVFAIL)");
-  rotation_counter_ = registry->GetCounter(
-      "frontend_rotations_total", host, "Moving-target rotation epochs advanced");
-  probe_counter_ = registry->GetCounter(
-      "frontend_probes_total", host, "Active health-check probes sent");
-  probe_timeout_counter_ = registry->GetCounter(
-      "frontend_probe_timeouts_total", host, "Health-check probes that timed out");
-  servfail_counter_ = registry->GetCounter(
-      "frontend_servfails_total", host, "SERVFAIL responses sent to clients");
-  failover_latency_ = registry->GetHistogram(
-      "frontend_failover_latency_us", host,
-      "Client-observed latency of queries that needed at least one re-steer");
-  tracker_.AttachTelemetry(registry, host);
-  for (HostAddress member : members_) {
-    RegisterMemberTelemetry(member);
-  }
-}
-
-void FleetFrontend::RegisterMemberTelemetry(HostAddress member) {
-  if (registry_ == nullptr) {
-    return;
-  }
-  registry_->GetCallbackGauge(
-      "resolver_healthy",
-      [this, member]() {
-        return IsMemberHealthy(member, transport_.now()) ? 1.0 : 0.0;
-      },
-      {{"host", FormatAddress(transport_.local_address())},
-       {"resolver", FormatAddress(member)}},
-      "1 while the fleet member is not held down, 0 during hold-down");
-}
-
-telemetry::Counter* FleetFrontend::SteeredCounter(HostAddress member,
-                                                  bool resteer) {
-  if (registry_ == nullptr) {
-    return nullptr;
-  }
-  const uint64_t key = (static_cast<uint64_t>(member) << 1) | (resteer ? 1 : 0);
-  auto it = steered_counters_.find(key);
-  if (it != steered_counters_.end()) {
-    return it->second;
-  }
-  telemetry::Counter* counter = registry_->GetCounter(
-      "frontend_steered_total",
-      {{"host", FormatAddress(transport_.local_address())},
-       {"resolver", FormatAddress(member)},
-       {"reason", resteer ? "resteer" : "initial"}},
-      "Queries relayed to a fleet member, by steering reason");
-  steered_counters_.emplace(key, counter);
-  return counter;
-}
-
-void FleetFrontend::AttachAudit(telemetry::DecisionAuditLog* audit) {
-  audit_ = audit;
-  tracker_.AttachAudit(audit, transport_.local_address());
+  obs_->Count("frontend_steered_total",
+              {{"host", FormatAddress(transport_.local_address())},
+               {"resolver", FormatAddress(member)},
+               {"reason", resteer ? "resteer" : "initial"}},
+              "Queries relayed to a fleet member, by steering reason",
+              [this, member, resteer]() {
+                return static_cast<double>(
+                    steered_.find(member)->second[resteer ? 1 : 0]);
+              });
 }
 
 uint64_t FleetFrontend::SteeredCount(HostAddress member) const {
   auto it = steered_.find(member);
-  return it == steered_.end() ? 0 : it->second;
+  return it == steered_.end() ? 0 : it->second[0] + it->second[1];
 }
 
 bool FleetFrontend::IsMemberHealthy(HostAddress member, Time now) const {
@@ -340,9 +309,6 @@ void FleetFrontend::RespondToClient(const Pending& pending, Message response) {
   response.question = pending.query.question;
   if (response.header.rcode == Rcode::kServFail) {
     ++servfails_sent_;
-    if (servfail_counter_ != nullptr) {
-      servfail_counter_->Inc();
-    }
   }
   auto wire = EncodeMessage(response);
   const Endpoint client = pending.client;
@@ -361,31 +327,24 @@ void FleetFrontend::RespondToClient(const Pending& pending, Message response) {
 
 void FleetFrontend::FailPending(Pending done, telemetry::AuditCause cause,
                                 double observed, double limit) {
-  if (tracer_ != nullptr) {
+  if (obs_ != nullptr) {
+    const uint64_t trace_id = telemetry::MakeTraceId(
+        done.client.addr, done.client.port, done.query.header.id);
     // Synthesized failures must still show up in trace trees as a response
     // decision at this node, not as a vanished query.
-    tracer_->Record(telemetry::MakeTraceId(done.client.addr, done.client.port,
-                                           done.query.header.id),
-                    telemetry::SpanKind::kResolverResponse, transport_.now(),
-                    transport_.local_address(),
-                    static_cast<int32_t>(Rcode::kServFail));
-  }
-  if (audit_ != nullptr) {
-    telemetry::AuditRecord rec;
-    rec.at = transport_.now();
-    rec.cause = cause;
-    rec.actor = transport_.local_address();
-    rec.client = done.client.addr;
-    rec.channel = done.member == kInvalidAddress ? 0 : done.member;
-    rec.trace_id = telemetry::MakeTraceId(done.client.addr, done.client.port,
-                                          done.query.header.id);
-    rec.span_id = telemetry::kClientSpanId;
-    rec.observed = observed;
-    rec.limit = limit;
-    if (!done.query.question.empty()) {
-      telemetry::SetAuditQname(rec, done.query.Q().qname.ToString());
-    }
-    audit_->Record(rec);
+    obs_->Span(trace_id, telemetry::SpanKind::kResolverResponse,
+               transport_.now(), transport_.local_address(),
+               static_cast<int32_t>(Rcode::kServFail));
+    obs_->Decide({.cause = cause,
+                  .at = transport_.now(),
+                  .actor = transport_.local_address(),
+                  .client = done.client.addr,
+                  .channel = done.member == kInvalidAddress ? 0 : done.member,
+                  .trace_id = trace_id,
+                  .span_id = telemetry::kClientSpanId,
+                  .observed = observed,
+                  .limit = limit,
+                  .qname = done.query.QnameText()});
   }
   RespondToClient(done, MakeResponse(done.query, Rcode::kServFail));
 }
@@ -399,37 +358,25 @@ void FleetFrontend::HandleDatagram(const Datagram& dgram) {
 
   if (decoded->IsQuery() && dgram.dst.port == kDnsPort) {
     ++requests_received_;
-    if (request_counter_ != nullptr) {
-      request_counter_->Inc();
-    }
     if (decoded->question.empty() || members_.empty()) {
       Message response = MakeResponse(*decoded, Rcode::kServFail);
       ++servfails_sent_;
-      if (servfail_counter_ != nullptr) {
-        servfail_counter_->Inc();
-      }
-      if (tracer_ != nullptr) {
-        tracer_->Record(telemetry::MakeTraceId(dgram.src.addr, dgram.src.port,
-                                               decoded->header.id),
-                        telemetry::SpanKind::kResolverResponse,
-                        transport_.now(), transport_.local_address(),
-                        static_cast<int32_t>(Rcode::kServFail));
-      }
-      if (audit_ != nullptr) {
-        telemetry::AuditRecord rec;
-        rec.at = transport_.now();
-        rec.cause = telemetry::AuditCause::kFrontendNoMembers;
-        rec.actor = transport_.local_address();
-        rec.client = dgram.src.addr;
-        rec.trace_id = telemetry::MakeTraceId(dgram.src.addr, dgram.src.port,
-                                              decoded->header.id);
-        rec.span_id = telemetry::kClientSpanId;
-        rec.observed = static_cast<double>(members_.size());
-        rec.limit = 1;  // Relaying needs at least one member and a question.
-        if (!decoded->question.empty()) {
-          telemetry::SetAuditQname(rec, decoded->Q().qname.ToString());
-        }
-        audit_->Record(rec);
+      if (obs_ != nullptr) {
+        const uint64_t trace_id = telemetry::MakeTraceId(
+            dgram.src.addr, dgram.src.port, decoded->header.id);
+        obs_->Span(trace_id, telemetry::SpanKind::kResolverResponse,
+                   transport_.now(), transport_.local_address(),
+                   static_cast<int32_t>(Rcode::kServFail));
+        // Relaying needs at least one member and a question.
+        obs_->Decide({.cause = telemetry::AuditCause::kFrontendNoMembers,
+                      .at = transport_.now(),
+                      .actor = transport_.local_address(),
+                      .client = dgram.src.addr,
+                      .trace_id = trace_id,
+                      .span_id = telemetry::kClientSpanId,
+                      .observed = static_cast<double>(members_.size()),
+                      .limit = 1,
+                      .qname = decoded->QnameText()});
       }
       transport_.Send(dgram.dst.port, dgram.src, EncodeMessage(response));
       ++responses_sent_;
@@ -473,9 +420,9 @@ void FleetFrontend::HandleDatagram(const Datagram& dgram) {
       tracker_.OnResponse(pending.member, transport_.now() - pending.sent_at,
                           transport_.now());
     }
-    if (pending.attempt > 1 && failover_latency_ != nullptr) {
-      failover_latency_->Observe(
-          static_cast<double>(transport_.now() - pending.first_sent_at));
+    if (pending.attempt > 1 && obs_ != nullptr) {
+      obs_->Observe(failover_latency_,
+                    static_cast<double>(transport_.now() - pending.first_sent_at));
     }
     Message response = std::move(*decoded);
     Pending done = std::move(pending);
@@ -505,9 +452,6 @@ void FleetFrontend::RelayQuery(uint16_t port, bool is_resteer) {
     // member outage can throw onto the survivors (failover thundering herd).
     if (!resteer_budget_.TryConsume(now)) {
       ++resteer_denied_;
-      if (resteer_denied_counter_ != nullptr) {
-        resteer_denied_counter_->Inc();
-      }
       Pending done = std::move(pending);
       pending_.erase(port);
       FailPending(std::move(done), telemetry::AuditCause::kFrontendBudgetDenied,
@@ -525,11 +469,7 @@ void FleetFrontend::RelayQuery(uint16_t port, bool is_resteer) {
     pending.first_sent_at = now;
   }
   const int attempt = pending.attempt++;
-  ++steered_[member];
-  if (telemetry::Counter* counter = SteeredCounter(member, is_resteer);
-      counter != nullptr) {
-    counter->Inc();
-  }
+  CountSteer(member, is_resteer);
 
   if (pending.wire.empty()) {
     Message query = pending.query;
@@ -587,9 +527,6 @@ void FleetFrontend::SendProbe(size_t member_index) {
   Message query = MakeQuery(id, *parsed, RecordType::kA);
   transport_.Send(port, Endpoint{member, kDnsPort}, EncodeMessage(query));
   ++probes_sent_;
-  if (probe_counter_ != nullptr) {
-    probe_counter_->Inc();
-  }
   const uint64_t generation = probe.generation;
   const Duration timeout = std::max<Duration>(
       tracker_.RetransmitTimeout(member, config_.probe_timeout), kMillisecond);
@@ -606,18 +543,12 @@ void FleetFrontend::OnProbeTimeout(uint16_t port, uint64_t generation) {
   const HostAddress member = it->second.member;
   probe_pending_.erase(port);
   ++probe_timeouts_;
-  if (probe_timeout_counter_ != nullptr) {
-    probe_timeout_counter_->Inc();
-  }
   tracker_.OnTimeout(member, transport_.now());
 }
 
 void FleetFrontend::OnRotationTick() {
   ++epoch_;
   ++rotations_;
-  if (rotation_counter_ != nullptr) {
-    rotation_counter_->Inc();
-  }
   rotation_timer_ = transport_.loop().ScheduleCancelableAfter(
       config_.rotation_period, "frontend.rotate",
       [this]() { OnRotationTick(); });

@@ -26,6 +26,7 @@
 #ifndef SRC_SERVER_FRONTEND_H_
 #define SRC_SERVER_FRONTEND_H_
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -36,9 +37,7 @@
 #include "src/dns/message.h"
 #include "src/server/transport.h"
 #include "src/server/upstream_tracker.h"
-#include "src/telemetry/audit.h"
-#include "src/telemetry/metrics.h"
-#include "src/telemetry/trace.h"
+#include "src/telemetry/observer.h"
 
 namespace dcc {
 
@@ -92,7 +91,14 @@ struct FrontendConfig {
 
 class FleetFrontend : public DatagramHandler, public CrashResettable {
  public:
-  FleetFrontend(Transport& transport, FrontendConfig config, uint64_t seed = 1);
+  // With an observer, the request/steering/probe tallies export as
+  // `frontend_*{host=<addr>}` metrics (plus a per-member `resolver_healthy`
+  // gauge and the failover-latency histogram), frontend-synthesized SERVFAILs
+  // stamp a resolver_response span so trace trees show them as failed rather
+  // than vanished, and fast-fail decisions (re-steer budget denial, attempts
+  // exhausted, no eligible member) and member hold-downs are decided.
+  FleetFrontend(Transport& transport, FrontendConfig config, uint64_t seed = 1,
+                telemetry::Observer* obs = nullptr);
 
   // Members are tried in insertion order for tie-breaks; addresses must be
   // unique. Add all members before Start().
@@ -131,18 +137,6 @@ class FleetFrontend : public DatagramHandler, public CrashResettable {
 
   const std::vector<HostAddress>& members() const { return members_; }
   UpstreamTracker& tracker() { return tracker_; }
-
-  // Wires request/steering/probe counters, a per-member `resolver_healthy`
-  // gauge and the failover-latency histogram into `registry`, and (when
-  // `tracer` is non-null) stamps a resolver_response span on frontend-
-  // synthesized SERVFAILs so trace trees show them as failed rather than
-  // vanished. nullptr detaches. Safe to call before or after AddMember().
-  void AttachTelemetry(telemetry::MetricsRegistry* registry,
-                       telemetry::QueryTracer* tracer = nullptr);
-
-  // Routes fast-fail decisions (re-steer budget denial, attempts exhausted,
-  // no eligible member) and member hold-downs into `audit`. nullptr detaches.
-  void AttachAudit(telemetry::DecisionAuditLog* audit);
 
   // Point-in-time view for the introspection seam.
   struct DebugState {
@@ -199,8 +193,9 @@ class FleetFrontend : public DatagramHandler, public CrashResettable {
   Duration AttemptTimeout(HostAddress member, int attempt);
   uint16_t AllocatePort();
 
-  telemetry::Counter* SteeredCounter(HostAddress member, bool resteer);
-  void RegisterMemberTelemetry(HostAddress member);
+  // Counts a relay to `member`; the first of each steering reason registers
+  // that reason's `frontend_steered_total` counter.
+  void CountSteer(HostAddress member, bool resteer);
 
   Transport& transport_;
   FrontendConfig config_;
@@ -208,7 +203,8 @@ class FleetFrontend : public DatagramHandler, public CrashResettable {
   UpstreamTracker tracker_;
   TokenBucket resteer_budget_;
   std::vector<HostAddress> members_;
-  FlatMap<HostAddress, uint64_t> steered_;
+  // Relays per member, by steering reason: [0] initial, [1] re-steer.
+  FlatMap<HostAddress, std::array<uint64_t, 2>> steered_;
   FlatMap<uint16_t, Pending> pending_;
   FlatMap<uint16_t, PendingProbe> probe_pending_;
   // Cancellation handles for the periodic work: a crash cancels these so a
@@ -232,18 +228,8 @@ class FleetFrontend : public DatagramHandler, public CrashResettable {
   uint64_t probe_timeouts_ = 0;
   uint64_t servfails_sent_ = 0;
 
-  telemetry::MetricsRegistry* registry_ = nullptr;
-  telemetry::QueryTracer* tracer_ = nullptr;
-  telemetry::DecisionAuditLog* audit_ = nullptr;
-  telemetry::Counter* request_counter_ = nullptr;
-  telemetry::Counter* resteer_denied_counter_ = nullptr;
-  telemetry::Counter* rotation_counter_ = nullptr;
-  telemetry::Counter* probe_counter_ = nullptr;
-  telemetry::Counter* probe_timeout_counter_ = nullptr;
-  telemetry::Counter* servfail_counter_ = nullptr;
-  telemetry::HistogramMetric* failover_latency_ = nullptr;
-  // Lazily-created per-member frontend_steered_total{resolver,reason}.
-  FlatMap<uint64_t, telemetry::Counter*> steered_counters_;
+  telemetry::Observer* obs_;
+  telemetry::Observer::InstrumentId failover_latency_ = 0;
 };
 
 }  // namespace dcc

@@ -34,29 +34,15 @@ uint32_t NegativeTtlFrom(const Message& response, uint32_t fallback = 60) {
 }  // namespace
 
 RecursiveResolver::RecursiveResolver(Transport& transport, ResolverConfig config,
-                                     uint64_t seed)
+                                     uint64_t seed, telemetry::Observer* obs)
     : transport_(transport),
       config_(config),
       rng_(seed),
       cache_(config.cache_max_entries, config.serve_stale ? config.max_stale : 0),
-      tracker_(config.upstream, seed ^ 0x7570747261636bULL) {}
-
-void RecursiveResolver::AttachTelemetry(telemetry::MetricsRegistry* registry,
-                                        telemetry::QueryTracer* tracer) {
-  tracer_ = tracer;
-  if (registry == nullptr) {
-    cache_hit_counter_ = nullptr;
-    cache_miss_counter_ = nullptr;
-    ingress_rl_counter_ = nullptr;
-    egress_rl_counter_ = nullptr;
-    retry_counter_ = nullptr;
-    upstream_query_counter_ = nullptr;
-    stale_counter_ = nullptr;
-    for (auto& counter : subquery_cause_counters_) {
-      counter = nullptr;
-    }
-    amplification_hist_ = nullptr;
-    tracker_.AttachTelemetry(nullptr, {});
+      tracker_(config.upstream, seed ^ 0x7570747261636bULL, obs,
+               transport.local_address()),
+      obs_(obs) {
+  if (obs_ == nullptr) {
     return;
   }
   const telemetry::Labels host = {{"host", FormatAddress(transport_.local_address())}};
@@ -65,60 +51,49 @@ void RecursiveResolver::AttachTelemetry(telemetry::MetricsRegistry* registry,
     labels.emplace_back(key, value);
     return labels;
   };
-  cache_hit_counter_ = registry->GetCounter(
-      "resolver_cache_lookups_total", labeled("outcome", "hit"),
-      "Client requests answered from / missing the cache");
-  cache_miss_counter_ = registry->GetCounter("resolver_cache_lookups_total",
-                                             labeled("outcome", "miss"));
-  ingress_rl_counter_ = registry->GetCounter(
-      "resolver_rate_limited_total", labeled("side", "ingress"),
-      "Responses suppressed by ingress RRL / queries dropped by egress RL");
-  egress_rl_counter_ = registry->GetCounter("resolver_rate_limited_total",
-                                            labeled("side", "egress"));
-  retry_counter_ = registry->GetCounter(
-      "resolver_upstream_retries_total", host,
-      "Upstream query retransmissions after timeout");
-  upstream_query_counter_ = registry->GetCounter(
-      "resolver_upstream_queries_total", host, "Queries sent to upstream servers");
-  stale_counter_ = registry->GetCounter(
-      "resolver_stale_answers_total", host,
-      "Responses served from expired cache entries (RFC 8767 serve-stale)");
+  const char* lookups_help = "Client requests answered from / missing the cache";
+  obs_->Count("resolver_cache_lookups_total", labeled("outcome", "hit"),
+              lookups_help, &cache_hit_responses_);
+  obs_->Count("resolver_cache_lookups_total", labeled("outcome", "miss"),
+              lookups_help, &cache_misses_);
+  const char* rate_limited_help =
+      "Responses suppressed by ingress RRL / queries dropped by egress RL";
+  obs_->Count("resolver_rate_limited_total", labeled("side", "ingress"),
+              rate_limited_help, &ingress_rate_limited_);
+  obs_->Count("resolver_rate_limited_total", labeled("side", "egress"),
+              rate_limited_help, &egress_rate_limited_);
+  obs_->Count("resolver_upstream_retries_total", host,
+              "Upstream query retransmissions after timeout", &upstream_retries_);
+  obs_->Count("resolver_upstream_queries_total", host,
+              "Queries sent to upstream servers", &queries_sent_);
+  obs_->Count("resolver_stale_answers_total", host,
+              "Responses served from expired cache entries (RFC 8767 serve-stale)",
+              &stale_responses_);
   // Cause-attributed sub-query counts (the kClient ordinal is skipped: the
   // root client query is by definition not a sub-query).
   for (int i = 1; i < telemetry::kSubQueryCauseCount; ++i) {
     const auto cause = static_cast<telemetry::SubQueryCause>(i);
-    subquery_cause_counters_[i] = registry->GetCounter(
-        "resolver_subqueries_total",
-        labeled("cause", telemetry::SubQueryCauseName(cause)),
-        "Upstream sub-queries by cause (initial fetch, QMIN descent, "
-        "glue-less NS fetch, CNAME chase, retransmission)");
+    obs_->Count("resolver_subqueries_total",
+                labeled("cause", telemetry::SubQueryCauseName(cause)),
+                "Upstream sub-queries by cause (initial fetch, QMIN descent, "
+                "glue-less NS fetch, CNAME chase, retransmission)",
+                &subqueries_[i]);
   }
-  amplification_hist_ = registry->GetHistogram(
+  amplification_hist_ = obs_->Histogram(
       "amplification_factor", host,
       "Upstream queries spent per recursive client request",
       /*min_value=*/1.0, /*growth=*/1.3, /*max_buckets=*/64);
-  tracker_.AttachTelemetry(registry, host);
-  registry->GetCallbackGauge(
-      "resolver_pending_requests",
-      [this]() { return static_cast<double>(requests_.size()); }, host,
-      "Client requests currently in resolution (pending-table depth)");
-  registry->GetCallbackGauge(
-      "resolver_outstanding_queries",
-      [this]() { return static_cast<double>(outstanding_.size()); }, host,
-      "Upstream queries awaiting an answer");
-  registry->GetCallbackGauge(
-      "resolver_cache_entries",
-      [this]() { return static_cast<double>(cache_.size()); }, host,
-      "Entries resident in the resolver cache");
-  registry->GetCallbackGauge(
-      "resolver_memory_bytes",
-      [this]() { return static_cast<double>(MemoryFootprint()); }, host,
-      "RecursiveResolver::MemoryFootprint()");
-}
-
-void RecursiveResolver::AttachAudit(telemetry::DecisionAuditLog* audit) {
-  audit_ = audit;
-  tracker_.AttachAudit(audit, transport_.local_address());
+  obs_->Gauge("resolver_pending_requests", host,
+              "Client requests currently in resolution (pending-table depth)",
+              [this]() { return static_cast<double>(requests_.size()); });
+  obs_->Gauge("resolver_outstanding_queries", host,
+              "Upstream queries awaiting an answer",
+              [this]() { return static_cast<double>(outstanding_.size()); });
+  obs_->Gauge("resolver_cache_entries", host,
+              "Entries resident in the resolver cache",
+              [this]() { return static_cast<double>(cache_.size()); });
+  obs_->Gauge("resolver_memory_bytes", host, "RecursiveResolver::MemoryFootprint()",
+              [this]() { return static_cast<double>(MemoryFootprint()); });
 }
 
 void RecursiveResolver::AddAuthorityHint(const Name& apex, HostAddress server) {
@@ -154,36 +129,33 @@ uint64_t RecursiveResolver::TraceIdFor(const ClientRequest& request) {
 void RecursiveResolver::RecordSubQuerySend(const ClientRequest& request,
                                            const OutstandingQuery& oq) {
   const int cause = static_cast<int>(oq.cause);
-  if (cause > 0 && cause < telemetry::kSubQueryCauseCount &&
-      subquery_cause_counters_[cause] != nullptr) {
-    subquery_cause_counters_[cause]->Inc();
-  }
-  if (tracer_ != nullptr) {
-    tracer_->Record(TraceIdFor(request), telemetry::SpanKind::kSubQuerySend,
-                    transport_.now(), transport_.local_address(),
-                    /*detail=*/cause, oq.span_id, oq.parent_span_id, oq.server);
+  ++subqueries_[cause];
+  if (obs_ != nullptr) {
+    obs_->Span(TraceIdFor(request), telemetry::SpanKind::kSubQuerySend,
+               transport_.now(), transport_.local_address(),
+               /*detail=*/cause, oq.span_id, oq.parent_span_id, oq.server);
   }
 }
 
 void RecursiveResolver::RecordSubQueryDone(uint64_t request_id,
                                            const OutstandingQuery& oq,
                                            bool answered) {
-  if (tracer_ == nullptr) {
+  if (obs_ == nullptr) {
     return;
   }
   auto rit = requests_.find(request_id);
   if (rit == requests_.end()) {
     return;
   }
-  tracer_->Record(TraceIdFor(rit->second), telemetry::SpanKind::kSubQueryDone,
-                  transport_.now(), transport_.local_address(),
-                  /*detail=*/answered ? 1 : 0, oq.span_id, oq.parent_span_id,
-                  oq.server);
+  obs_->Span(TraceIdFor(rit->second), telemetry::SpanKind::kSubQueryDone,
+             transport_.now(), transport_.local_address(),
+             /*detail=*/answered ? 1 : 0, oq.span_id, oq.parent_span_id,
+             oq.server);
 }
 
 void RecursiveResolver::ObserveAmplification(const ClientRequest& request) {
-  if (amplification_hist_ != nullptr) {
-    amplification_hist_->Observe(static_cast<double>(request.fetches));
+  if (obs_ != nullptr) {
+    obs_->Observe(amplification_hist_, static_cast<double>(request.fetches));
   }
 }
 
@@ -380,9 +352,6 @@ bool RecursiveResolver::TryServeStale(ClientRequest& request) {
     return false;
   }
   ++stale_responses_;
-  if (stale_counter_ != nullptr) {
-    stale_counter_->Inc();
-  }
   RespondToClient(request, std::move(*stale));
   return true;
 }
@@ -398,11 +367,8 @@ void RecursiveResolver::HandleClientRequest(const Datagram& dgram, Message query
 
   if (auto cached = AnswerFromCache(query, now); cached.has_value()) {
     ++cache_hit_responses_;
-    if (cache_hit_counter_ != nullptr) {
-      cache_hit_counter_->Inc();
-    }
-    if (tracer_ != nullptr) {
-      tracer_->Record(
+    if (obs_ != nullptr) {
+      obs_->Span(
           telemetry::MakeTraceId(dgram.src.addr, dgram.src.port, query.header.id),
           telemetry::SpanKind::kResolverIngress, now,
           transport_.local_address(), /*detail=*/1);
@@ -415,11 +381,9 @@ void RecursiveResolver::HandleClientRequest(const Datagram& dgram, Message query
     return;
   }
 
-  if (cache_miss_counter_ != nullptr) {
-    cache_miss_counter_->Inc();
-  }
-  if (tracer_ != nullptr) {
-    tracer_->Record(
+  ++cache_misses_;
+  if (obs_ != nullptr) {
+    obs_->Span(
         telemetry::MakeTraceId(dgram.src.addr, dgram.src.port, query.header.id),
         telemetry::SpanKind::kResolverIngress, now, transport_.local_address(),
         /*detail=*/0);
@@ -448,20 +412,18 @@ void RecursiveResolver::HandleClientRequest(const Datagram& dgram, Message query
     EraseTask(root);
     ObserveAmplification(it->second);
     if (!TryServeStale(it->second)) {
-      if (audit_ != nullptr) {
-        ClientRequest& request = it->second;
-        telemetry::AuditRecord rec;
-        rec.at = transport_.now();
-        rec.cause = telemetry::AuditCause::kResolverDeadlineExceeded;
-        rec.actor = transport_.local_address();
-        rec.client = request.client.addr;
-        rec.trace_id = telemetry::MakeTraceId(
-            request.client.addr, request.client.port, request.query.header.id);
-        rec.span_id = telemetry::kClientSpanId;
-        rec.observed = static_cast<double>(config_.request_deadline);
-        rec.limit = static_cast<double>(config_.request_deadline);
-        telemetry::SetAuditQname(rec, request.query.Q().qname.ToString());
-        audit_->Record(rec);
+      if (obs_ != nullptr) {
+        const ClientRequest& expired = it->second;
+        obs_->Decide(
+            {.cause = telemetry::AuditCause::kResolverDeadlineExceeded,
+             .at = transport_.now(),
+             .actor = transport_.local_address(),
+             .client = expired.client.addr,
+             .trace_id = TraceIdFor(expired),
+             .span_id = telemetry::kClientSpanId,
+             .observed = static_cast<double>(config_.request_deadline),
+             .limit = static_cast<double>(config_.request_deadline),
+             .qname = expired.query.Q().qname.ToString()});
       }
       Message response = MakeResponse(it->second.query, Rcode::kServFail);
       RespondToClient(it->second, std::move(response));
@@ -475,25 +437,21 @@ void RecursiveResolver::HandleClientRequest(const Datagram& dgram, Message query
 void RecursiveResolver::RespondToClient(ClientRequest& request, Message response) {
   if (!PassesIngressRrl(request.client.addr, response.header.rcode)) {
     ++ingress_rate_limited_;
-    if (ingress_rl_counter_ != nullptr) {
-      ingress_rl_counter_->Inc();
-    }
-    if (audit_ != nullptr) {
-      telemetry::AuditRecord rec;
-      rec.at = transport_.now();
-      rec.cause = telemetry::AuditCause::kResolverIngressRrl;
-      rec.actor = transport_.local_address();
-      rec.client = request.client.addr;
-      rec.trace_id = telemetry::MakeTraceId(
-          request.client.addr, request.client.port, request.query.header.id);
-      rec.span_id = telemetry::kClientSpanId;
-      rec.limit = response.header.rcode == Rcode::kNxDomain &&
-                          config_.ingress_rrl.per_class
-                      ? config_.ingress_rrl.nxdomain_qps
-                      : config_.ingress_rrl.noerror_qps;
-      rec.observed = rec.limit;  // The per-client bucket ran dry.
-      telemetry::SetAuditQname(rec, request.query.Q().qname.ToString());
-      audit_->Record(rec);
+    if (obs_ != nullptr) {
+      // The per-client bucket ran dry: observed equals the deciding limit.
+      const double limit = response.header.rcode == Rcode::kNxDomain &&
+                                   config_.ingress_rrl.per_class
+                               ? config_.ingress_rrl.nxdomain_qps
+                               : config_.ingress_rrl.noerror_qps;
+      obs_->Decide({.cause = telemetry::AuditCause::kResolverIngressRrl,
+                    .at = transport_.now(),
+                    .actor = transport_.local_address(),
+                    .client = request.client.addr,
+                    .trace_id = TraceIdFor(request),
+                    .span_id = telemetry::kClientSpanId,
+                    .observed = limit,
+                    .limit = limit,
+                    .qname = request.query.Q().qname.ToString()});
     }
     switch (config_.ingress_rrl.action) {
       case RateLimitAction::kDrop:
@@ -510,12 +468,10 @@ void RecursiveResolver::RespondToClient(ClientRequest& request, Message response
   if (request.query.edns.has_value()) {
     response.EnsureEdns();
   }
-  if (tracer_ != nullptr) {
-    tracer_->Record(telemetry::MakeTraceId(request.client.addr, request.client.port,
-                                           request.query.header.id),
-                    telemetry::SpanKind::kResolverResponse, transport_.now(),
-                    transport_.local_address(),
-                    static_cast<int32_t>(response.header.rcode));
+  if (obs_ != nullptr) {
+    obs_->Span(TraceIdFor(request), telemetry::SpanKind::kResolverResponse,
+               transport_.now(), transport_.local_address(),
+               static_cast<int32_t>(response.header.rcode));
   }
   const Endpoint client = request.client;
   const uint16_t local_port = request.local_port;
@@ -865,31 +821,23 @@ void RecursiveResolver::SendQuery(uint64_t task_id) {
       transport_.SendMessage(port, Endpoint{server, kDnsPort}, std::move(query));
     }
     ++queries_sent_;
-    if (upstream_query_counter_ != nullptr) {
-      upstream_query_counter_->Inc();
-    }
   } else {
     // Dropped by our own egress rate limit; the timeout path handles it.
     // sent stays false so the drop is not misread as a server timeout.
     ++egress_rate_limited_;
-    if (egress_rl_counter_ != nullptr) {
-      egress_rl_counter_->Inc();
-    }
-    if (audit_ != nullptr) {
-      telemetry::AuditRecord rec;
-      rec.at = now;
-      rec.cause = telemetry::AuditCause::kResolverEgressRl;
-      rec.actor = transport_.local_address();
-      rec.client = request.client.addr;
-      rec.channel = server;
-      rec.trace_id = telemetry::MakeTraceId(
-          request.client.addr, request.client.port, request.query.header.id);
-      rec.span_id = oq.span_id;
-      rec.parent_span_id = oq.parent_span_id;
-      rec.observed = config_.egress_qps;  // The per-server bucket ran dry.
-      rec.limit = config_.egress_qps;
-      telemetry::SetAuditQname(rec, sname.ToString());
-      audit_->Record(rec);
+    if (obs_ != nullptr) {
+      // The per-server bucket ran dry.
+      obs_->Decide({.cause = telemetry::AuditCause::kResolverEgressRl,
+                    .at = now,
+                    .actor = transport_.local_address(),
+                    .client = request.client.addr,
+                    .channel = server,
+                    .trace_id = TraceIdFor(request),
+                    .span_id = oq.span_id,
+                    .parent_span_id = oq.parent_span_id,
+                    .observed = config_.egress_qps,
+                    .limit = config_.egress_qps,
+                    .qname = sname.ToString()});
     }
   }
 
@@ -936,9 +884,7 @@ void RecursiveResolver::OnQueryTimeout(uint16_t port, uint64_t generation) {
     ++oq.attempt;
     oq.sent_at = now;
     oq.sent = false;
-    if (retry_counter_ != nullptr) {
-      retry_counter_->Inc();
-    }
+    ++upstream_retries_;
     oq.generation = next_generation_++;
     // The retransmission opens a fresh span caused by the timed-out attempt,
     // so retry storms are visible as chains in the span tree.
@@ -978,14 +924,8 @@ void RecursiveResolver::OnQueryTimeout(uint16_t port, uint64_t generation) {
         }
       }
       ++queries_sent_;
-      if (upstream_query_counter_ != nullptr) {
-        upstream_query_counter_->Inc();
-      }
     } else {
       ++egress_rate_limited_;
-      if (egress_rl_counter_ != nullptr) {
-        egress_rl_counter_->Inc();
-      }
     }
     const uint64_t new_generation = oq.generation;
     transport_.loop().ScheduleAfter(AttemptTimeout(oq.server, oq.attempt),

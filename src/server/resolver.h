@@ -36,9 +36,7 @@
 #include "src/server/cache.h"
 #include "src/server/transport.h"
 #include "src/server/upstream_tracker.h"
-#include "src/telemetry/audit.h"
-#include "src/telemetry/metrics.h"
-#include "src/telemetry/trace.h"
+#include "src/telemetry/observer.h"
 
 namespace dcc {
 
@@ -97,7 +95,13 @@ struct ResolverConfig {
 
 class RecursiveResolver : public DatagramHandler, public CrashResettable {
  public:
-  RecursiveResolver(Transport& transport, ResolverConfig config, uint64_t seed = 1);
+  // With an observer, the resolver exports its cache/RRL/retry/sub-query
+  // tallies and state depths as `resolver_*{host=<addr>}` metrics, stamps
+  // query-lifecycle spans, feeds the `amplification_factor` histogram, and
+  // decides its drops (ingress RRL, egress rate limit, request deadline;
+  // upstream hold-downs through its tracker).
+  RecursiveResolver(Transport& transport, ResolverConfig config, uint64_t seed = 1,
+                    telemetry::Observer* obs = nullptr);
 
   // Registers a starting point for iteration: queries for names under `apex`
   // may be sent to `server` when nothing deeper is cached. Multiple servers
@@ -129,17 +133,6 @@ class RecursiveResolver : public DatagramHandler, public CrashResettable {
 
   // Periodic maintenance (expired cache entries, stale RRL state).
   void Purge();
-
-  // Wires cache/RRL/retry counters, state-depth gauges (incl. a
-  // MemoryFootprint-backed gauge) and query-lifecycle spans into the sinks.
-  // Either argument may be nullptr; passing both nullptr detaches.
-  void AttachTelemetry(telemetry::MetricsRegistry* registry,
-                       telemetry::QueryTracer* tracer);
-
-  // Routes this resolver's drop decisions (ingress RRL, egress rate limit,
-  // request-deadline SERVFAILs, upstream hold-downs) into `audit`. nullptr
-  // detaches.
-  void AttachAudit(telemetry::DecisionAuditLog* audit);
 
   const ResolverConfig& config() const { return config_; }
 
@@ -332,21 +325,14 @@ class RecursiveResolver : public DatagramHandler, public CrashResettable {
   uint64_t egress_rate_limited_ = 0;
   uint64_t nsec_synthesized_ = 0;
   uint64_t stale_responses_ = 0;
+  uint64_t cache_misses_ = 0;
+  uint64_t upstream_retries_ = 0;
+  // Upstream sub-queries by SubQueryCause ordinal (the kClient slot stays 0:
+  // the root query is not a sub-query).
+  uint64_t subqueries_[telemetry::kSubQueryCauseCount] = {};
 
-  // Telemetry (resolved once in AttachTelemetry; nullptr = disabled).
-  telemetry::QueryTracer* tracer_ = nullptr;
-  telemetry::DecisionAuditLog* audit_ = nullptr;
-  telemetry::Counter* cache_hit_counter_ = nullptr;
-  telemetry::Counter* cache_miss_counter_ = nullptr;
-  telemetry::Counter* ingress_rl_counter_ = nullptr;
-  telemetry::Counter* egress_rl_counter_ = nullptr;
-  telemetry::Counter* retry_counter_ = nullptr;
-  telemetry::Counter* upstream_query_counter_ = nullptr;
-  telemetry::Counter* stale_counter_ = nullptr;
-  // resolver_subqueries_total{cause=...}, indexed by SubQueryCause ordinal
-  // (the kClient slot stays nullptr: the root query is not a sub-query).
-  telemetry::Counter* subquery_cause_counters_[telemetry::kSubQueryCauseCount] = {};
-  telemetry::HistogramMetric* amplification_hist_ = nullptr;
+  telemetry::Observer* obs_;
+  telemetry::Observer::InstrumentId amplification_hist_ = 0;
 };
 
 }  // namespace dcc

@@ -10,40 +10,33 @@
 namespace dcc {
 
 StubClient::StubClient(Transport& transport, StubConfig config,
-                       QuestionGenerator generator)
+                       QuestionGenerator generator, telemetry::Observer* obs)
     : transport_(transport),
       config_(config),
       generator_(std::move(generator)),
-      latency_(/*min_value=*/1.0, /*growth=*/1.05) {}
-
-void StubClient::AddResolver(HostAddress resolver) { resolvers_.push_back(resolver); }
-
-void StubClient::AttachTelemetry(telemetry::MetricsRegistry* registry,
-                                 telemetry::QueryTracer* tracer) {
-  tracer_ = tracer;
-  if (registry == nullptr) {
-    requests_counter_ = nullptr;
-    success_counter_ = nullptr;
-    failure_counter_ = nullptr;
-    latency_histogram_ = nullptr;
+      latency_(/*min_value=*/1.0, /*growth=*/1.05),
+      obs_(obs) {
+  if (obs_ == nullptr) {
     return;
   }
   const telemetry::Labels client{{"client", FormatAddress(transport_.local_address())}};
-  requests_counter_ = registry->GetCounter("stub_requests_total", client,
-                                           "Query attempts sent by the stub");
+  obs_->Count("stub_requests_total", client, "Query attempts sent by the stub",
+              &requests_sent_);
+  const char* help = "Completed stub requests by outcome";
   telemetry::Labels ok = client;
   ok.emplace_back("outcome", "success");
+  obs_->Count("stub_responses_total", std::move(ok), help, &succeeded_);
   telemetry::Labels bad = client;
   bad.emplace_back("outcome", "failure");
-  const char* help = "Completed stub requests by outcome";
-  success_counter_ = registry->GetCounter("stub_responses_total", ok, help);
-  failure_counter_ = registry->GetCounter("stub_responses_total", bad, help);
-  latency_histogram_ = registry->GetHistogram(
+  obs_->Count("stub_responses_total", std::move(bad), help, &failed_);
+  latency_histogram_ = obs_->Histogram(
       "stub_latency_us", client, "End-to-end request latency of successful queries");
 }
 
+void StubClient::AddResolver(HostAddress resolver) { resolvers_.push_back(resolver); }
+
 double StubClient::SuccessRatio() const {
-  const uint64_t total = succeeded_ + failed_;
+  const uint64_t total = succeeded_ + failed();
   return total > 0 ? static_cast<double>(succeeded_) / static_cast<double>(total) : 0.0;
 }
 
@@ -86,7 +79,7 @@ void StubClient::LaunchRequest() {
   if (transport_.now() < paused_until_) {
     // Policed (DCC-aware): honor the advertised policy instead of burning
     // requests that would fail anyway.
-    ++failed_;
+    ++skipped_policed_;
     return;
   }
   const uint16_t port = AllocatePort();
@@ -118,16 +111,13 @@ void StubClient::SendAttempt(uint16_t port) {
   }
   transport_.Send(port, Endpoint{resolver, kDnsPort}, p.wire);
   ++requests_sent_;
-  if (requests_counter_ != nullptr) {
-    requests_counter_->Inc();
-  }
-  if (tracer_ != nullptr) {
-    tracer_->Record(telemetry::MakeTraceId(transport_.local_address(), port,
-                                           static_cast<uint16_t>(p.seq)),
-                    telemetry::SpanKind::kStubSend, transport_.now(),
-                    transport_.local_address(), static_cast<int32_t>(resolver),
-                    telemetry::kClientSpanId, /*parent_span_id=*/0,
-                    /*peer=*/resolver);
+  if (obs_ != nullptr) {
+    obs_->Span(telemetry::MakeTraceId(transport_.local_address(), port,
+                                      static_cast<uint16_t>(p.seq)),
+               telemetry::SpanKind::kStubSend, transport_.now(),
+               transport_.local_address(), static_cast<int32_t>(resolver),
+               telemetry::kClientSpanId, /*parent_span_id=*/0,
+               /*peer=*/resolver);
   }
 
   const uint64_t generation = p.generation;
@@ -147,17 +137,11 @@ void StubClient::Finish(uint16_t port, bool success, Time now) {
   if (success) {
     ++succeeded_;
     latency_.Add(static_cast<double>(now - p.sent_at));
-    if (success_counter_ != nullptr) {
-      success_counter_->Inc();
-    }
-    if (latency_histogram_ != nullptr) {
-      latency_histogram_->Observe(static_cast<double>(now - p.sent_at));
+    if (obs_ != nullptr) {
+      obs_->Observe(latency_histogram_, static_cast<double>(now - p.sent_at));
     }
   } else {
     ++failed_;
-    if (failure_counter_ != nullptr) {
-      failure_counter_->Inc();
-    }
   }
 }
 
@@ -203,13 +187,13 @@ void StubClient::HandleDatagram(const Datagram& dgram) {
   const Rcode rcode = decoded->header.rcode;
   // The paper counts NOERROR and NXDOMAIN as successful responses (Fig. 8).
   const bool success = rcode == Rcode::kNoError || rcode == Rcode::kNxDomain;
-  if (tracer_ != nullptr) {
-    tracer_->Record(telemetry::MakeTraceId(transport_.local_address(), dgram.dst.port,
-                                           static_cast<uint16_t>(p.seq)),
-                    telemetry::SpanKind::kClientReceive, now,
-                    transport_.local_address(), static_cast<int32_t>(rcode),
-                    telemetry::kClientSpanId, /*parent_span_id=*/0,
-                    /*peer=*/dgram.src.addr);
+  if (obs_ != nullptr) {
+    obs_->Span(telemetry::MakeTraceId(transport_.local_address(), dgram.dst.port,
+                                      static_cast<uint16_t>(p.seq)),
+               telemetry::SpanKind::kClientReceive, now,
+               transport_.local_address(), static_cast<int32_t>(rcode),
+               telemetry::kClientSpanId, /*parent_span_id=*/0,
+               /*peer=*/dgram.src.addr);
   }
   if (!success && p.attempts_left > 0) {
     --p.attempts_left;

@@ -19,8 +19,7 @@
 #include "src/common/stats.h"
 #include "src/dns/message.h"
 #include "src/server/transport.h"
-#include "src/telemetry/metrics.h"
-#include "src/telemetry/trace.h"
+#include "src/telemetry/observer.h"
 
 namespace dcc {
 
@@ -45,7 +44,11 @@ struct StubConfig {
 
 class StubClient : public DatagramHandler {
  public:
-  StubClient(Transport& transport, StubConfig config, QuestionGenerator generator);
+  // With an observer, per-client request/outcome tallies export as
+  // `stub_*{client=<addr>}` counters, successful latencies feed a histogram,
+  // and every attempt and response stamps a stub_send / client_receive span.
+  StubClient(Transport& transport, StubConfig config, QuestionGenerator generator,
+             telemetry::Observer* obs = nullptr);
 
   void AddResolver(HostAddress resolver);
 
@@ -61,19 +64,14 @@ class StubClient : public DatagramHandler {
   // --- results -------------------------------------------------------------
   uint64_t requests_sent() const { return requests_sent_; }
   uint64_t succeeded() const { return succeeded_; }
-  uint64_t failed() const { return failed_; }
+  // Requests that timed out or failed, plus those skipped while policed.
+  uint64_t failed() const { return failed_ + skipped_policed_; }
   double SuccessRatio() const;
   const Histogram& latency() const { return latency_; }
   uint64_t congestion_signals_seen() const { return congestion_signals_seen_; }
   uint64_t policing_signals_seen() const { return policing_signals_seen_; }
   uint64_t anomaly_signals_seen() const { return anomaly_signals_seen_; }
   uint64_t extended_errors_seen() const { return extended_errors_seen_; }
-
-  // Wires per-client request/outcome counters, an end-to-end latency
-  // histogram, and the stub_send / client_receive lifecycle spans into the
-  // sinks. Either argument may be nullptr; passing both nullptr detaches.
-  void AttachTelemetry(telemetry::MetricsRegistry* registry,
-                       telemetry::QueryTracer* tracer);
 
  private:
   struct Pending {
@@ -106,19 +104,16 @@ class StubClient : public DatagramHandler {
 
   uint64_t requests_sent_ = 0;
   uint64_t succeeded_ = 0;
-  uint64_t failed_ = 0;
+  uint64_t failed_ = 0;           // Requests that ended unsuccessfully.
+  uint64_t skipped_policed_ = 0;  // Requests not sent while policed.
   Histogram latency_;
   uint64_t congestion_signals_seen_ = 0;
   uint64_t policing_signals_seen_ = 0;
   uint64_t anomaly_signals_seen_ = 0;
   uint64_t extended_errors_seen_ = 0;
 
-  // Telemetry (resolved once in AttachTelemetry; nullptr = disabled).
-  telemetry::QueryTracer* tracer_ = nullptr;
-  telemetry::Counter* requests_counter_ = nullptr;
-  telemetry::Counter* success_counter_ = nullptr;
-  telemetry::Counter* failure_counter_ = nullptr;
-  telemetry::HistogramMetric* latency_histogram_ = nullptr;
+  telemetry::Observer* obs_;
+  telemetry::Observer::InstrumentId latency_histogram_ = 0;
 };
 
 }  // namespace dcc

@@ -6,24 +6,23 @@
 
 namespace dcc {
 
-UpstreamTracker::UpstreamTracker(UpstreamTrackerConfig config, uint64_t seed)
-    : config_(config), rng_(seed) {}
+UpstreamTracker::UpstreamTracker(UpstreamTrackerConfig config, uint64_t seed,
+                                 telemetry::Observer* obs, HostAddress actor)
+    : config_(config), rng_(seed), obs_(obs), actor_(actor) {
+  if (obs_ == nullptr) {
+    return;
+  }
+  const telemetry::Labels host{{"host", FormatAddress(actor_)}};
+  obs_->Count("upstream_timeouts_total", host, "Upstream query timeouts observed",
+              &timeouts_observed_);
+  obs_->Count("upstream_holddowns_total", host, "Dead-server hold-downs entered",
+              &holddowns_entered_);
+}
 
 UpstreamTracker::ServerState& UpstreamTracker::StateFor(HostAddress server, Time now) {
   ServerState& state = servers_[server];
   state.last_active = now;
   return state;
-}
-
-void UpstreamTracker::UpdateSrttGauge(HostAddress server, ServerState& state) {
-  if (registry_ == nullptr) return;
-  if (state.srtt_gauge == nullptr) {
-    telemetry::Labels labels = base_labels_;
-    labels.emplace_back("upstream", FormatAddress(server));
-    state.srtt_gauge = registry_->GetGauge("srtt_ms", std::move(labels),
-                                           "Smoothed RTT to the upstream server");
-  }
-  state.srtt_gauge->Set(ToMilliseconds(state.srtt));
 }
 
 void UpstreamTracker::OnResponse(HostAddress server, Duration rtt, Time now) {
@@ -48,12 +47,19 @@ void UpstreamTracker::OnResponse(HostAddress server, Duration rtt, Time now) {
     state.down_until = 0;
     if (holddown_listener_) holddown_listener_(server, false, now);
   }
-  UpdateSrttGauge(server, state);
+  if (obs_ != nullptr) {
+    if (!state.srtt_gauge.has_value()) {
+      state.srtt_gauge = obs_->SettableGauge(
+          "srtt_ms",
+          {{"host", FormatAddress(actor_)}, {"upstream", FormatAddress(server)}},
+          "Smoothed RTT to the upstream server");
+    }
+    obs_->Set(*state.srtt_gauge, ToMilliseconds(state.srtt));
+  }
 }
 
 void UpstreamTracker::OnTimeout(HostAddress server, Time now) {
   ++timeouts_observed_;
-  if (timeout_counter_ != nullptr) timeout_counter_->Inc();
   ServerState& state = StateFor(server, now);
   state.loss = state.loss * (1.0 - config_.loss_alpha) + config_.loss_alpha;
   ++state.consecutive_timeouts;
@@ -65,17 +71,14 @@ void UpstreamTracker::OnTimeout(HostAddress server, Time now) {
     state.holddown = std::min(state.holddown, config_.holddown_max);
     state.down_until = now + state.holddown;
     ++holddowns_entered_;
-    if (holddown_counter_ != nullptr) holddown_counter_->Inc();
-    if (audit_ != nullptr) {
-      telemetry::AuditRecord rec;
-      rec.at = now;
-      rec.cause = telemetry::AuditCause::kResolverUpstreamDead;
-      rec.actor = audit_actor_;
-      rec.channel = server;
-      rec.observed = static_cast<double>(state.consecutive_timeouts);
-      rec.limit = static_cast<double>(config_.holddown_after);
-      telemetry::SetAuditQname(rec, "holddown");
-      audit_->Record(rec);
+    if (obs_ != nullptr) {
+      obs_->Decide({.cause = telemetry::AuditCause::kResolverUpstreamDead,
+                    .at = now,
+                    .actor = actor_,
+                    .channel = server,
+                    .observed = static_cast<double>(state.consecutive_timeouts),
+                    .limit = static_cast<double>(config_.holddown_after),
+                    .qname = "holddown"});
     }
     if (holddown_listener_) holddown_listener_(server, true, now);
   }
@@ -136,30 +139,6 @@ void UpstreamTracker::SetHoldDownListener(
   holddown_listener_ = std::move(listener);
 }
 
-void UpstreamTracker::AttachAudit(telemetry::DecisionAuditLog* audit,
-                                  HostAddress actor) {
-  audit_ = audit;
-  audit_actor_ = actor;
-}
-
-void UpstreamTracker::AttachTelemetry(telemetry::MetricsRegistry* registry,
-                                      const telemetry::Labels& base_labels) {
-  registry_ = registry;
-  base_labels_ = base_labels;
-  for (auto& [server, state] : servers_) {
-    state.srtt_gauge = nullptr;  // Re-resolved lazily against the new registry.
-  }
-  if (registry == nullptr) {
-    timeout_counter_ = nullptr;
-    holddown_counter_ = nullptr;
-    return;
-  }
-  timeout_counter_ = registry->GetCounter("upstream_timeouts_total", base_labels_,
-                                          "Upstream query timeouts observed");
-  holddown_counter_ = registry->GetCounter("upstream_holddowns_total", base_labels_,
-                                           "Dead-server hold-downs entered");
-}
-
 size_t UpstreamTracker::MemoryFootprint() const {
   return servers_.size() * (sizeof(HostAddress) + sizeof(ServerState));
 }
@@ -167,24 +146,6 @@ size_t UpstreamTracker::MemoryFootprint() const {
 void UpstreamTracker::Purge(Time now, Duration idle) {
   servers_.EraseIf([now, idle](HostAddress, const ServerState& state) {
     return state.last_active + idle < now && state.down_until <= now;
-  });
-}
-
-void UpstreamTracker::AttachSampler(telemetry::TimeSeriesSampler* sampler,
-                                    telemetry::Labels base_labels) {
-  if (sampler == nullptr) {
-    return;
-  }
-  sampler->AddCollector([this, base_labels = std::move(base_labels)](
-                            Time now,
-                            telemetry::TimeSeriesSampler::Writer& writer) {
-    for (const ServerDebugState& server : GetDebugState(now).servers) {
-      telemetry::Labels labels = base_labels;
-      labels.emplace_back("upstream", FormatAddress(server.server));
-      writer.Gauge("upstream_srtt_ms", labels, ToMilliseconds(server.srtt));
-      writer.Gauge("upstream_loss_rate", labels, server.loss_rate);
-      writer.Gauge("upstream_held_down", labels, server.held_down ? 1 : 0);
-    }
   });
 }
 

@@ -19,15 +19,14 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "src/common/flat_map.h"
 #include "src/common/ids.h"
 #include "src/common/rng.h"
 #include "src/common/time.h"
-#include "src/telemetry/audit.h"
-#include "src/telemetry/metrics.h"
-#include "src/telemetry/sampler.h"
+#include "src/telemetry/observer.h"
 
 namespace dcc {
 
@@ -55,7 +54,13 @@ struct UpstreamTrackerConfig {
 
 class UpstreamTracker {
  public:
-  UpstreamTracker(UpstreamTrackerConfig config, uint64_t seed);
+  // With an observer, the timeout/hold-down tallies export as counters and
+  // each upstream's SRTT as an `srtt_ms` gauge (labels {host=<actor>}, plus
+  // {upstream=<addr>} on the gauge), and every hold-down is decided as
+  // `resolver.upstream_dead` with `actor` — the owning resolver, forwarder
+  // or fleet frontend — as the deciding host.
+  UpstreamTracker(UpstreamTrackerConfig config, uint64_t seed,
+                  telemetry::Observer* obs = nullptr, HostAddress actor = 0);
 
   // Feed: a response from `server` with round-trip time `rtt`, or a timeout.
   // A response clears any active hold-down (the server recovered).
@@ -79,22 +84,6 @@ class UpstreamTracker {
   // Single listener invoked on hold-down transitions: (server, down, now).
   // Used to feed outage signals into the DCC capacity estimator.
   void SetHoldDownListener(std::function<void(HostAddress, bool, Time)> listener);
-
-  // Wires timeout/hold-down counters and a lazily-created per-upstream
-  // srtt_ms gauge (labels: base + {upstream=<addr>}) into `registry`.
-  void AttachTelemetry(telemetry::MetricsRegistry* registry,
-                       const telemetry::Labels& base_labels);
-
-  // Records a `resolver.upstream_dead` audit record each time a server
-  // enters hold-down; `actor` is the owning node's address (resolver,
-  // forwarder or fleet frontend). nullptr detaches.
-  void AttachAudit(telemetry::DecisionAuditLog* audit, HostAddress actor);
-
-  // Registers a collector on `sampler` emitting per-upstream SRTT, loss rate
-  // and hold-down state every tick (labels: base + {upstream=<addr>}). The
-  // sampler must not outlive this tracker's last tick.
-  void AttachSampler(telemetry::TimeSeriesSampler* sampler,
-                     telemetry::Labels base_labels);
 
   uint64_t timeouts_observed() const { return timeouts_observed_; }
   uint64_t holddowns_entered() const { return holddowns_entered_; }
@@ -131,11 +120,11 @@ class UpstreamTracker {
     Time down_until = 0;
     Duration holddown = 0;  // Current hold-down window (grows geometrically).
     Time last_active = 0;
-    telemetry::Gauge* srtt_gauge = nullptr;
+    // This upstream's `srtt_ms` gauge, registered on its first sample.
+    std::optional<telemetry::Observer::InstrumentId> srtt_gauge;
   };
 
   ServerState& StateFor(HostAddress server, Time now);
-  void UpdateSrttGauge(HostAddress server, ServerState& state);
 
   UpstreamTrackerConfig config_;
   Rng rng_;
@@ -145,12 +134,8 @@ class UpstreamTracker {
   uint64_t timeouts_observed_ = 0;
   uint64_t holddowns_entered_ = 0;
 
-  telemetry::MetricsRegistry* registry_ = nullptr;
-  telemetry::Labels base_labels_;
-  telemetry::Counter* timeout_counter_ = nullptr;
-  telemetry::Counter* holddown_counter_ = nullptr;
-  telemetry::DecisionAuditLog* audit_ = nullptr;
-  HostAddress audit_actor_ = 0;
+  telemetry::Observer* obs_;
+  HostAddress actor_;
 };
 
 }  // namespace dcc

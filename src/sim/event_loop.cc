@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "src/common/logging.h"
+#include "src/telemetry/observer.h"
 #include "src/telemetry/profiler.h"
 
 namespace dcc {
@@ -31,7 +32,17 @@ constexpr size_t kArity = 4;
 
 uint64_t EventLoop::TotalEventsExecuted() { return g_total_events_executed; }
 
-EventLoop::EventLoop() = default;
+EventLoop::EventLoop(telemetry::Observer* obs) {
+  if (obs == nullptr) {
+    return;
+  }
+  obs->Count("sim_events_executed_total", {}, "Event-loop handlers executed",
+             &executed_);
+  obs->Gauge("sim_pending_events", {}, "Events currently scheduled in the loop",
+             [this]() { return static_cast<double>(pending()); });
+  obs->Gauge("sim_virtual_time_us", {}, "Current virtual clock in microseconds",
+             [this]() { return static_cast<double>(now_); });
+}
 
 EventLoop::~EventLoop() {
   if (g_log_clock_owner == this) {
@@ -43,21 +54,6 @@ EventLoop::~EventLoop() {
 void EventLoop::InstallLogClock() {
   g_log_clock_owner = this;
   SetLogClock([this]() { return static_cast<uint64_t>(now_); });
-}
-
-void EventLoop::AttachTelemetry(telemetry::MetricsRegistry* registry) {
-  if (registry == nullptr) {
-    events_executed_ = nullptr;
-    return;
-  }
-  events_executed_ = registry->GetCounter(
-      "sim_events_executed_total", {}, "Event-loop handlers executed");
-  registry->GetCallbackGauge(
-      "sim_pending_events", [this]() { return static_cast<double>(pending()); },
-      {}, "Events currently scheduled in the loop");
-  registry->GetCallbackGauge(
-      "sim_virtual_time_us", [this]() { return static_cast<double>(now_); }, {},
-      "Current virtual clock in microseconds");
 }
 
 void EventLoop::ScheduleAt(Time t, Handler fn) {
@@ -226,9 +222,7 @@ size_t EventLoop::Run(Time until) {
     }
     ++executed;
     ++g_total_events_executed;
-    if (events_executed_ != nullptr) {
-      events_executed_->Inc();
-    }
+    ++executed_;
   }
   if (heap_.empty() && until != kTimeInfinity) {
     now_ = std::max(now_, until);

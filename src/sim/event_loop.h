@@ -37,9 +37,12 @@
 #include <vector>
 
 #include "src/common/time.h"
-#include "src/telemetry/metrics.h"
 
 namespace dcc {
+
+namespace telemetry {
+class Observer;
+}  // namespace telemetry
 
 class EventLoop;
 
@@ -72,7 +75,10 @@ class EventLoop {
  public:
   using Handler = std::function<void()>;
 
-  EventLoop();
+  // With an observer, the loop registers its executed-event tally, its
+  // pending-queue depth and its virtual clock as metrics (read at snapshot
+  // time, so snapshot or freeze the registry before the loop dies).
+  explicit EventLoop(telemetry::Observer* obs = nullptr);
   ~EventLoop();
 
   Time now() const { return now_; }
@@ -81,12 +87,6 @@ class EventLoop {
   // line is prefixed with the simulated time (see SetLogClock). The clock is
   // deregistered automatically when this loop is destroyed.
   void InstallLogClock();
-
-  // Wires the loop's own metrics into `registry`: executed-event counter and
-  // a pending-queue depth gauge. Safe to call with nullptr to detach. The
-  // gauge callback samples this loop, so snapshot (or freeze) the registry
-  // before the loop dies.
-  void AttachTelemetry(telemetry::MetricsRegistry* registry);
 
   // Schedules `fn` at absolute time `t` (clamped to `now`). `category` must
   // be a string literal (or otherwise outlive the loop); it labels the event
@@ -168,8 +168,8 @@ class EventLoop {
   uint64_t next_seq_ = 0;
   size_t max_pending_ = 0;
   uint64_t cancelled_skipped_ = 0;
+  uint64_t executed_ = 0;  // Events this loop has run.
   bool stopped_ = false;
-  telemetry::Counter* events_executed_ = nullptr;
 };
 
 }  // namespace dcc

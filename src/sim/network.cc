@@ -24,8 +24,30 @@ void Node::SendDatagram(uint16_t src_port, Endpoint dst, WireBytes payload) {
 EventLoop& Node::loop() { return *loop_; }
 Time Node::now() const { return loop_->now(); }
 
-Network::Network(EventLoop& loop, Duration default_one_way_delay)
-    : loop_(loop), default_delay_(default_one_way_delay) {}
+Network::Network(EventLoop& loop, Duration default_one_way_delay,
+                 telemetry::Observer* obs)
+    : loop_(loop), default_delay_(default_one_way_delay), obs_(obs) {
+  if (obs_ == nullptr) {
+    return;
+  }
+  static constexpr const char* kFateNames[kFateCount] = {
+      "delivered",         "dropped_loss",  "dropped_host_down",
+      "dropped_link_down", "dropped_fault", "dropped_unknown_dst"};
+  for (int fate = 0; fate < kFateCount; ++fate) {
+    obs_->Count("net_datagrams_total", {{"outcome", kFateNames[fate]}},
+                "Datagrams by delivery outcome", &fates_[fate]);
+  }
+  delay_histogram_ = obs_->Histogram("net_delivery_delay_us", {},
+                                     "One-way delivery delay incl. jitter");
+}
+
+uint64_t Network::datagrams_dropped() const {
+  uint64_t dropped = 0;
+  for (int fate = kDroppedLoss; fate < kFateCount; ++fate) {
+    dropped += fates_[fate];
+  }
+  return dropped;
+}
 
 void Network::RegisterNode(Node* node, HostAddress addr) {
   node->network_ = this;
@@ -50,58 +72,41 @@ void Network::Send(Endpoint src, Endpoint dst, WireBytes payload) {
     return it != host_down_.end() && it->second;
   };
   if (down(src.addr) || down(dst.addr)) {
-    ++datagrams_dropped_;
-    if (dropped_host_down_counter_ != nullptr) {
-      dropped_host_down_counter_->Inc();
-    }
+    ++fates_[kDroppedHostDown];
     return;
   }
   if (IsLinkDown(src.addr, dst.addr)) {
-    ++datagrams_dropped_;
-    if (dropped_link_down_counter_ != nullptr) {
-      dropped_link_down_counter_->Inc();
-    }
+    ++fates_[kDroppedLinkDown];
     return;
   }
   Duration fault_delay = 0;
   if (fault_hook_ != nullptr) {
     NetworkFaultHook::Verdict verdict = fault_hook_->OnDatagram(src, dst, payload);
     if (verdict.drop) {
-      ++datagrams_dropped_;
-      if (dropped_fault_counter_ != nullptr) {
-        dropped_fault_counter_->Inc();
-      }
+      ++fates_[kDroppedFault];
       return;
     }
     fault_delay = verdict.extra_delay;
   }
   if (loss_probability_ > 0.0 && loss_rng_.NextBool(loss_probability_)) {
-    ++datagrams_dropped_;
-    if (dropped_loss_counter_ != nullptr) {
-      dropped_loss_counter_->Inc();
-    }
+    ++fates_[kDroppedLoss];
     return;
   }
   Duration delay = DelayFor(src.addr, dst.addr) + fault_delay;
   if (max_jitter_ > 0) {
     delay += static_cast<Duration>(jitter_rng_.NextBelow(static_cast<uint64_t>(max_jitter_)));
   }
-  if (delay_histogram_ != nullptr) {
-    delay_histogram_->Observe(static_cast<double>(delay));
+  if (obs_ != nullptr) {
+    obs_->Observe(delay_histogram_, static_cast<double>(delay));
   }
   loop_.ScheduleAfter(delay, "net.deliver", [this, src, dst, payload = std::move(payload)]() mutable {
     auto it = nodes_.find(dst.addr);
     if (it == nodes_.end()) {
-      ++datagrams_dropped_;
-      if (dropped_unknown_counter_ != nullptr) {
-        dropped_unknown_counter_->Inc();
-      }
+      ++fates_[kDroppedUnknownDst];
       DCC_LOG_DEBUG("datagram to unknown host %s dropped", FormatAddress(dst.addr).c_str());
       return;
     }
-    if (delivered_counter_ != nullptr) {
-      delivered_counter_->Inc();
-    }
+    ++fates_[kDelivered];
     Datagram dgram{src, dst, std::move(payload)};
     it->second->OnDatagram(dgram);
   });
@@ -146,34 +151,6 @@ void Network::SetLinkDown(HostAddress a, HostAddress b, bool down) {
 bool Network::IsLinkDown(HostAddress a, HostAddress b) const {
   auto it = link_down_.find(PairKey(a, b));
   return it != link_down_.end() && it->second;
-}
-
-void Network::AttachTelemetry(telemetry::MetricsRegistry* registry) {
-  if (registry == nullptr) {
-    delivered_counter_ = nullptr;
-    dropped_loss_counter_ = nullptr;
-    dropped_host_down_counter_ = nullptr;
-    dropped_link_down_counter_ = nullptr;
-    dropped_fault_counter_ = nullptr;
-    dropped_unknown_counter_ = nullptr;
-    delay_histogram_ = nullptr;
-    return;
-  }
-  const char* help = "Datagrams by delivery outcome";
-  delivered_counter_ =
-      registry->GetCounter("net_datagrams_total", {{"outcome", "delivered"}}, help);
-  dropped_loss_counter_ = registry->GetCounter("net_datagrams_total",
-                                               {{"outcome", "dropped_loss"}}, help);
-  dropped_host_down_counter_ = registry->GetCounter(
-      "net_datagrams_total", {{"outcome", "dropped_host_down"}}, help);
-  dropped_link_down_counter_ = registry->GetCounter(
-      "net_datagrams_total", {{"outcome", "dropped_link_down"}}, help);
-  dropped_fault_counter_ = registry->GetCounter(
-      "net_datagrams_total", {{"outcome", "dropped_fault"}}, help);
-  dropped_unknown_counter_ = registry->GetCounter(
-      "net_datagrams_total", {{"outcome", "dropped_unknown_dst"}}, help);
-  delay_histogram_ = registry->GetHistogram(
-      "net_delivery_delay_us", {}, "One-way delivery delay incl. jitter");
 }
 
 }  // namespace dcc

@@ -19,7 +19,7 @@
 #include "src/common/time.h"
 #include "src/common/wire_bytes.h"
 #include "src/sim/event_loop.h"
-#include "src/telemetry/metrics.h"
+#include "src/telemetry/observer.h"
 
 namespace dcc {
 
@@ -78,7 +78,13 @@ class Node {
 
 class Network {
  public:
-  explicit Network(EventLoop& loop, Duration default_one_way_delay = Milliseconds(1) / 2);
+  // With an observer, per-outcome datagram counts (delivered /
+  // dropped_loss / dropped_host_down / dropped_link_down / dropped_fault /
+  // dropped_unknown_dst) export as `net_datagrams_total` and delivery delays
+  // feed `net_delivery_delay_us`.
+  explicit Network(EventLoop& loop,
+                   Duration default_one_way_delay = Milliseconds(1) / 2,
+                   telemetry::Observer* obs = nullptr);
 
   // Registers `node` (not owned) at `addr`. Overwrites any prior binding.
   void RegisterNode(Node* node, HostAddress addr);
@@ -122,18 +128,23 @@ class Network {
   // loss/delay model.
   void SetFaultHook(NetworkFaultHook* hook) { fault_hook_ = hook; }
 
-  // Wires per-outcome datagram counters (delivered / dropped_loss /
-  // dropped_host_down / dropped_link_down / dropped_fault /
-  // dropped_unknown_dst) and a delivery-delay histogram into `registry`.
-  // nullptr detaches.
-  void AttachTelemetry(telemetry::MetricsRegistry* registry);
-
   EventLoop& loop() { return loop_; }
 
   uint64_t datagrams_sent() const { return datagrams_sent_; }
-  uint64_t datagrams_dropped() const { return datagrams_dropped_; }
+  uint64_t datagrams_dropped() const;
 
  private:
+  // What became of a sent datagram (the `outcome` label values).
+  enum Fate {
+    kDelivered,
+    kDroppedLoss,
+    kDroppedHostDown,
+    kDroppedLinkDown,
+    kDroppedFault,
+    kDroppedUnknownDst,
+    kFateCount,
+  };
+
   Duration DelayFor(HostAddress a, HostAddress b) const;
 
   EventLoop& loop_;
@@ -150,15 +161,10 @@ class Network {
   uint64_t jitter_seed_ = 43;
   Rng jitter_rng_{43};
   uint64_t datagrams_sent_ = 0;
-  uint64_t datagrams_dropped_ = 0;
+  uint64_t fates_[kFateCount] = {};
 
-  telemetry::Counter* delivered_counter_ = nullptr;
-  telemetry::Counter* dropped_loss_counter_ = nullptr;
-  telemetry::Counter* dropped_host_down_counter_ = nullptr;
-  telemetry::Counter* dropped_link_down_counter_ = nullptr;
-  telemetry::Counter* dropped_fault_counter_ = nullptr;
-  telemetry::Counter* dropped_unknown_counter_ = nullptr;
-  telemetry::HistogramMetric* delay_histogram_ = nullptr;
+  telemetry::Observer* obs_;
+  telemetry::Observer::InstrumentId delay_histogram_ = 0;
 };
 
 }  // namespace dcc

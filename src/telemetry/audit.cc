@@ -6,7 +6,6 @@
 #include <cstring>
 
 #include "src/common/ids.h"
-#include "src/telemetry/metrics.h"
 
 namespace dcc {
 namespace telemetry {
@@ -85,31 +84,11 @@ DecisionAuditLog::DecisionAuditLog(size_t capacity)
   ring_.reserve(capacity_);
 }
 
-void DecisionAuditLog::AttachMetrics(MetricsRegistry* registry) {
-  if (registry == nullptr) {
-    dropped_counter_ = nullptr;
-    return;
-  }
-  dropped_counter_ = registry->GetCounter(
-      "audit_records_dropped_total", {},
-      "Decision records evicted from the audit ring buffer");
-  // Replay evictions from before the attach so the counter matches
-  // `dropped()` regardless of wiring order.
-  dropped_counter_->Inc(dropped());
-  registry->GetCallbackGauge(
-      "audit_records_retained",
-      [this]() { return static_cast<double>(size()); }, {},
-      "Decision records currently held in the audit ring buffer");
-}
-
 void DecisionAuditLog::Record(const AuditRecord& record) {
   if (ring_.size() < capacity_) {
     ring_.push_back(record);
   } else {
     ring_[next_ % capacity_] = record;
-    if (dropped_counter_ != nullptr) {
-      dropped_counter_->Inc();
-    }
   }
   next_ = (next_ + 1) % capacity_;
   ++total_recorded_;

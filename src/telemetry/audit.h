@@ -16,12 +16,13 @@
 //     computed; it never touches virtual time, RNG streams, or scheduling,
 //     so scenario outcomes are byte-identical with auditing off/on/off
 //     (enforced by tests/audit_test.cc).
-//  2. Zero cost when off. Emission sites hold a cached
-//     `DecisionAuditLog*` that defaults to nullptr — the disabled path is
-//     one pointer load and a predictable branch.
+//  2. Zero cost when off. Decision sites emit through their component's
+//     telemetry::Observer (src/telemetry/observer.h), which writes the
+//     record; with observing off that handle is nullptr and the disabled
+//     path is one pointer load and a predictable branch.
 //  3. Bounded memory. Records are POD (fixed-width qname buffer, no
 //     allocation after construction); a long simulation keeps the most
-//     recent window and accounts evictions via
+//     recent window; the observer exports `dropped()` as
 //     `audit_records_dropped_total`.
 
 #ifndef SRC_TELEMETRY_AUDIT_H_
@@ -113,18 +114,11 @@ struct AuditRecord {
 // buffer verbatim.
 void SetAuditQname(AuditRecord& record, std::string_view name);
 
-class Counter;
-class MetricsRegistry;
-
 // Fixed-capacity ring of AuditRecords, oldest-evicted-first. Same shape as
 // QueryTracer so the two JSONL streams join on equal footing.
 class DecisionAuditLog {
  public:
   explicit DecisionAuditLog(size_t capacity = 1 << 16);
-
-  // Exports ring evictions as `audit_records_dropped_total` plus the
-  // retained count as a callback gauge. Pass nullptr to detach.
-  void AttachMetrics(MetricsRegistry* registry);
 
   void Record(const AuditRecord& record);
 
@@ -153,7 +147,6 @@ class DecisionAuditLog {
   std::vector<AuditRecord> ring_;
   size_t next_ = 0;  // Ring write cursor.
   uint64_t total_recorded_ = 0;
-  Counter* dropped_counter_ = nullptr;  // Not owned; see AttachMetrics.
 };
 
 }  // namespace telemetry

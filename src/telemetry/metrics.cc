@@ -69,7 +69,21 @@ std::string FormatNumber(double v) {
   return buf;
 }
 
+double SumSources(const std::vector<Source>& sources) {
+  double sum = 0;
+  for (const Source& source : sources) {
+    sum += source();
+  }
+  return sum;
+}
+
 }  // namespace
+
+uint64_t Counter::value() const {
+  return value_ + static_cast<uint64_t>(SumSources(sources_));
+}
+
+double Gauge::value() const { return value_ + SumSources(sources_); }
 
 const char* MetricTypeName(MetricType type) {
   switch (type) {
@@ -159,11 +173,18 @@ Gauge* MetricsRegistry::GetGauge(std::string_view name, Labels labels,
   return inst.gauge.get();
 }
 
-Gauge* MetricsRegistry::GetCallbackGauge(std::string_view name,
-                                         std::function<double()> fn,
+Counter* MetricsRegistry::GetCallbackCounter(std::string_view name, Source fn,
+                                             Labels labels,
+                                             std::string_view help) {
+  Counter* counter = GetCounter(name, std::move(labels), help);
+  counter->sources_.push_back(std::move(fn));
+  return counter;
+}
+
+Gauge* MetricsRegistry::GetCallbackGauge(std::string_view name, Source fn,
                                          Labels labels, std::string_view help) {
   Gauge* gauge = GetGauge(name, std::move(labels), help);
-  gauge->callback_ = std::move(fn);
+  gauge->sources_.push_back(std::move(fn));
   return gauge;
 }
 
@@ -190,9 +211,12 @@ HistogramMetric* MetricsRegistry::GetHistogram(std::string_view name,
 void MetricsRegistry::FreezeCallbacks() {
   for (auto& [name, family] : families_) {
     for (auto& [signature, inst] : family.instruments) {
-      if (inst.gauge && inst.gauge->callback_) {
-        inst.gauge->value_ = inst.gauge->callback_();
-        inst.gauge->callback_ = nullptr;
+      if (inst.counter) {
+        inst.counter->value_ = inst.counter->value();
+        inst.counter->sources_.clear();
+      } else if (inst.gauge) {
+        inst.gauge->value_ = inst.gauge->value();
+        inst.gauge->sources_.clear();
       }
     }
   }

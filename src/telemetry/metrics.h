@@ -6,11 +6,12 @@
 // type; each distinct label set within a family is its own instrument
 // (e.g. `dcc_scheduler_enqueue_total{outcome="FAIL_CHANNEL_CONGESTED"}`).
 //
-// Cost model: instrumented components resolve their instrument pointers
-// ONCE at attach time (map lookup + possible allocation) and then update
-// through the returned pointer, so the steady-state hot path is a branch on
-// a nullptr plus an integer increment — nothing is allocated when no
-// registry is attached, and no lookup happens per event.
+// Cost model: a component that already keeps a `uint64_t` tally of what it
+// did registers that tally ONCE as a callback source of the matching counter
+// (through its telemetry::Observer, src/telemetry/observer.h); the registry
+// reads it at snapshot time, so the hot path keeps its single increment and
+// does no registry work at all. Counters bumped by hand (decision counters)
+// are resolved once at build time and updated through the returned pointer.
 //
 // Snapshots are value copies: mutating the registry after `Snapshot()` does
 // not change an existing snapshot. Exporters (Prometheus text format and
@@ -42,30 +43,38 @@ enum class MetricType { kCounter, kGauge, kHistogram };
 
 const char* MetricTypeName(MetricType type);
 
+// A read of some other object's state that backs an instrument (e.g. a
+// component's `queries_sent_` tally or its `MemoryFootprint()`). An
+// instrument reports its own value plus the sum of its sources, so several
+// components registering under one name and label set are summed — the same
+// rule shared hand-bumped counters follow. `MetricsRegistry::FreezeCallbacks()`
+// folds the sources into the plain value so a snapshot survives the objects
+// they read.
+using Source = std::function<double()>;
+
 // Monotonically increasing event count.
 class Counter {
  public:
   void Inc(uint64_t n = 1) { value_ += n; }
-  uint64_t value() const { return value_; }
+  uint64_t value() const;
 
  private:
+  friend class MetricsRegistry;
   uint64_t value_ = 0;
+  std::vector<Source> sources_;
 };
 
-// Point-in-time value. A gauge may instead be backed by a callback (e.g.
-// wrapping an existing `MemoryFootprint()` hook), in which case reads sample
-// the callback; `MetricsRegistry::FreezeCallbacks()` converts callbacks into
-// their last sampled value so a snapshot survives the instrumented object.
+// Point-in-time value, set directly or backed by sources.
 class Gauge {
  public:
   void Set(double v) { value_ = v; }
   void Add(double delta) { value_ += delta; }
-  double value() const { return callback_ ? callback_() : value_; }
+  double value() const;
 
  private:
   friend class MetricsRegistry;
   double value_ = 0;
-  std::function<double()> callback_;
+  std::vector<Source> sources_;
 };
 
 // Mergeable exponential-bucket histogram (reuses src/common/stats.h).
@@ -122,13 +131,15 @@ class MetricsRegistry {
                                 double min_value = 1.0, double growth = 1.05,
                                 int max_buckets = 512);
 
-  // Registers a gauge whose reads sample `fn` — the bridge for existing
-  // introspection hooks like `MemoryFootprint()`.
-  Gauge* GetCallbackGauge(std::string_view name, std::function<double()> fn,
-                          Labels labels = {}, std::string_view help = "");
+  // Adds `fn` as one more source of the counter / gauge (see Source): the
+  // bridge for tallies and introspection hooks like `MemoryFootprint()`.
+  Counter* GetCallbackCounter(std::string_view name, Source fn,
+                              Labels labels = {}, std::string_view help = "");
+  Gauge* GetCallbackGauge(std::string_view name, Source fn, Labels labels = {},
+                          std::string_view help = "");
 
-  // Samples every callback gauge into a plain value and drops the callback.
-  // Scenario runners call this before the instrumented objects die, so the
+  // Folds every source into its instrument's plain value and drops it.
+  // Callers run this before the objects the sources read die, so the
   // registry stays exportable afterwards.
   void FreezeCallbacks();
 

@@ -1,7 +1,7 @@
 // Aggregate telemetry sink handed to scenario runners and the testbed: one
-// metrics registry plus one query tracer. Components take the two pieces
-// separately (MetricsRegistry* / QueryTracer*), so anything that only wants
-// metrics never touches tracing and vice versa.
+// metrics registry plus one query tracer. Components never see the sink:
+// the testbed builds one telemetry::Observer (src/telemetry/observer.h) over
+// it and the run's audit log, and hands every component that handle.
 
 #ifndef SRC_TELEMETRY_TELEMETRY_H_
 #define SRC_TELEMETRY_TELEMETRY_H_
@@ -14,11 +14,7 @@ namespace telemetry {
 
 struct TelemetrySink {
   explicit TelemetrySink(size_t trace_capacity = 1 << 16)
-      : trace(trace_capacity) {
-    // Ring-buffer evictions surface as `trace_spans_dropped_total` so a
-    // truncated trace window is visible in every metrics dump.
-    trace.AttachMetrics(&metrics);
-  }
+      : trace(trace_capacity) {}
 
   MetricsRegistry metrics;
   QueryTracer trace;

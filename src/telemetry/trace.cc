@@ -3,10 +3,11 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <cstdlib>
 #include <unordered_set>
 
 #include "src/common/ids.h"
-#include "src/telemetry/metrics.h"
+#include "src/common/json.h"
 
 namespace dcc {
 namespace telemetry {
@@ -74,22 +75,6 @@ QueryTracer::QueryTracer(size_t capacity)
   ring_.reserve(capacity_);
 }
 
-void QueryTracer::AttachMetrics(MetricsRegistry* registry) {
-  if (registry == nullptr) {
-    dropped_counter_ = nullptr;
-    return;
-  }
-  dropped_counter_ = registry->GetCounter(
-      "trace_spans_dropped_total", {},
-      "Span events evicted from the trace ring buffer");
-  // Replay evictions from before the attach so the counter matches
-  // `dropped()` regardless of wiring order.
-  dropped_counter_->Inc(dropped());
-  registry->GetCallbackGauge(
-      "trace_spans_retained", [this]() { return static_cast<double>(size()); },
-      {}, "Span events currently held in the trace ring buffer");
-}
-
 void QueryTracer::Record(uint64_t trace_id, SpanKind kind, Time at,
                          uint32_t actor, int32_t detail, uint32_t span_id,
                          uint32_t parent_span_id, uint32_t peer) {
@@ -100,9 +85,6 @@ void QueryTracer::Record(uint64_t trace_id, SpanKind kind, Time at,
   } else {
     last_evicted_at_ = std::max(last_evicted_at_, ring_[next_ % capacity_].at);
     ring_[next_ % capacity_] = event;
-    if (dropped_counter_ != nullptr) {
-      dropped_counter_->Inc();
-    }
   }
   next_ = (next_ + 1) % capacity_;
   ++total_recorded_;
@@ -187,6 +169,41 @@ std::string QueryTracer::ExportJsonLines() const {
     out += buf;
   }
   return out;
+}
+
+bool ParseSpanJsonLine(std::string_view line, SpanEvent* out,
+                       std::string* error) {
+  json::Value doc;
+  if (!json::Parse(line, &doc, error)) {
+    return false;
+  }
+  if (!doc.is_object()) {
+    *error = "not a JSON object";
+    return false;
+  }
+  const std::string id_hex = doc.String("trace_id");
+  if (id_hex.empty()) {
+    *error = "missing trace_id";
+    return false;
+  }
+  if (!SpanKindFromName(doc.String("span"), &out->kind)) {
+    *error = "unknown span kind '" + doc.String("span") + "'";
+    return false;
+  }
+  out->trace_id = std::strtoull(id_hex.c_str(), nullptr, 16);
+  out->at = static_cast<Time>(doc.Number("ts_us"));
+  out->detail = static_cast<int32_t>(doc.Number("detail"));
+  out->span_id = static_cast<uint32_t>(doc.Number("span_id", kClientSpanId));
+  out->parent_span_id = static_cast<uint32_t>(doc.Number("parent_span_id"));
+  HostAddress addr = kInvalidAddress;
+  if (ParseAddress(doc.String("actor"), &addr)) {
+    out->actor = addr;
+  }
+  addr = kInvalidAddress;
+  if (ParseAddress(doc.String("peer"), &addr)) {
+    out->peer = addr;
+  }
+  return true;
 }
 
 std::string QueryTracer::BreakdownReport(uint64_t trace_id) const {

@@ -90,18 +90,16 @@ constexpr uint64_t MakeTraceId(uint32_t client_addr, uint16_t client_port,
          (static_cast<uint64_t>(client_port) << 16) | dns_id;
 }
 
-class Counter;
-class MetricsRegistry;
+// Parses one line of QueryTracer::ExportJsonLines back into a SpanEvent.
+// False with a reason in `error` for malformed JSON, a missing trace id or
+// an unknown span kind; missing causal fields fall back to the
+// pre-span-tree defaults so old dumps still load.
+bool ParseSpanJsonLine(std::string_view line, SpanEvent* out,
+                       std::string* error);
 
 class QueryTracer {
  public:
   explicit QueryTracer(size_t capacity = 1 << 16);
-
-  // Exports ring-buffer evictions as `trace_spans_dropped_total` (plus the
-  // retained-span count as a callback gauge) so truncated traces are visible
-  // in metric dumps instead of silently looking complete. The counter
-  // pointer is cached; pass nullptr to detach.
-  void AttachMetrics(MetricsRegistry* registry);
 
   void Record(uint64_t trace_id, SpanKind kind, Time at, uint32_t actor = 0,
               int32_t detail = 0, uint32_t span_id = kClientSpanId,
@@ -132,7 +130,7 @@ class QueryTracer {
   // first eviction — indistinguishable from a lost head).
   bool PossiblyTruncated(uint64_t trace_id) const;
 
-  // One JSON object per span event:
+  // One JSON object per span event (ParseSpanJsonLine reads one back):
   //   {"trace_id":"...","ts_us":...,"span":"stub_send","actor":"10.0.0.7",
   //    "detail":...,"span_id":...,"parent_span_id":...,"peer":"10.0.3.1"}
   std::string ExportJsonLines() const;
@@ -148,7 +146,6 @@ class QueryTracer {
   size_t next_ = 0;          // Ring write cursor.
   uint64_t total_recorded_ = 0;
   Time last_evicted_at_ = 0;  // Timestamp of the newest overwritten event.
-  Counter* dropped_counter_ = nullptr;  // Not owned; see AttachMetrics.
 };
 
 }  // namespace telemetry

@@ -1,5 +1,5 @@
 // Tests for the decision-audit trail (src/telemetry/audit.h): the cause
-// taxonomy round-trip, ring-buffer eviction accounting with metric replay,
+// taxonomy round-trip, ring-buffer eviction accounting and its export,
 // the JSONL export schema, and — the tentpole guarantees — that auditing a
 // scenario never perturbs it (byte-identical outcomes off/on/off), that the
 // audit stream itself replays byte-identically under a fixed seed (fig8
@@ -21,6 +21,7 @@
 #include "src/scenario/outcome_json.h"
 #include "src/scenario/spec.h"
 #include "src/telemetry/audit.h"
+#include "src/telemetry/observer.h"
 #include "src/telemetry/telemetry.h"
 #include "src/telemetry/trace.h"
 #include "tests/example_specs.h"
@@ -97,24 +98,33 @@ TEST(AuditLogTest, RingEvictsOldestAndAccountsForDrops) {
   EXPECT_EQ(histogram[static_cast<size_t>(AuditCause::kMopiQueueFull)], 4u);
 }
 
-TEST(AuditLogTest, AttachMetricsReplaysPreAttachEvictions) {
+TEST(AuditLogTest, ObserverExportsRingEvictionsAsReads) {
   telemetry::MetricsRegistry registry;
   DecisionAuditLog log(/*capacity=*/2);
   for (int i = 0; i < 5; ++i) {
     log.Record(MakeRecord(AuditCause::kPolicerBlocked, /*at=*/i + 1));
   }
-  // Three evictions happened before any registry existed; the attach must
-  // replay them so `audit_records_dropped_total` == dropped() regardless of
-  // wiring order.
-  log.AttachMetrics(&registry);
+  // Three evictions happened before any observer existed; the exported
+  // counter reads dropped(), so it matches regardless of wiring order.
+  telemetry::Observer obs(&registry, /*trace=*/nullptr, &log);
   telemetry::MetricsSnapshot snapshot = registry.Snapshot();
   EXPECT_EQ(snapshot.Sum("audit_records_dropped_total"), 3.0);
   EXPECT_EQ(snapshot.Sum("audit_records_retained"), 2.0);
-  // Post-attach evictions count live.
-  log.Record(MakeRecord(AuditCause::kPolicerBlocked, /*at=*/6));
+  // A decision writes one record and bumps its cause's counters once.
+  obs.Decide({.cause = AuditCause::kPolicerBlocked, .at = 6, .qname = "x."});
   snapshot = registry.Snapshot();
   EXPECT_EQ(snapshot.Sum("audit_records_dropped_total"), 4.0);
   EXPECT_EQ(log.dropped(), 4u);
+  EXPECT_EQ(snapshot.Value("dcc_policer_rejects_total",
+                           {{"reason", "policer.blocked"}}),
+            1.0);
+  EXPECT_EQ(snapshot.Value("dcc_servfails_synthesized_total",
+                           {{"reason", "policer.blocked"}}),
+            1.0);
+  // Freezing pins the reads: later ring activity no longer shows.
+  obs.Freeze();
+  log.Record(MakeRecord(AuditCause::kPolicerBlocked, /*at=*/7));
+  EXPECT_EQ(registry.Snapshot().Sum("audit_records_dropped_total"), 4.0);
 }
 
 // --- JSONL export -----------------------------------------------------------
@@ -250,42 +260,60 @@ TEST(AuditDeterminismTest, FleetBlackoutAuditsFaultAndHolddownCauses) {
 // --- satellite: reason-labeled counters reconcile with the outcome ----------
 
 TEST(AuditMetricsTest, ReasonLabeledCountersSumToAggregateOutcome) {
-  const scenario::ScenarioSpec spec = CongestedSpec();
-  telemetry::TelemetrySink sink;
-  DecisionAuditLog log;
-  scenario::EngineHooks hooks;
-  hooks.telemetry = &sink;
-  hooks.audit = &log;
-  scenario::ScenarioOutcome outcome;
-  std::string error;
-  ASSERT_TRUE(scenario::RunScenarioSpec(spec, hooks, &outcome, &error))
-      << error;
-  ASSERT_GT(outcome.dcc_servfails, 0u);
+  // The congested Fig. 8a flood (every shim cause), and a fleet run whose
+  // member blackout exercises the fault / hold-down / frontend decisions.
+  for (const scenario::ScenarioSpec& spec :
+       {CongestedSpec(), LoadExampleSpec("fleet_blackout.json")}) {
+    SCOPED_TRACE(spec.name);
+    telemetry::TelemetrySink sink;
+    DecisionAuditLog log;
+    scenario::EngineHooks hooks;
+    hooks.telemetry = &sink;
+    hooks.audit = &log;
+    scenario::ScenarioOutcome outcome;
+    std::string error;
+    ASSERT_TRUE(scenario::RunScenarioSpec(spec, hooks, &outcome, &error))
+        << error;
 
-  const telemetry::MetricsSnapshot snapshot = sink.metrics.Snapshot();
-  // Every synthesized SERVFAIL increments exactly one reason-labeled
-  // counter, so the label sum must reconcile with the aggregate outcome.
-  EXPECT_EQ(snapshot.Sum("dcc_servfails_synthesized_total"),
-            static_cast<double>(outcome.dcc_servfails));
-  EXPECT_EQ(snapshot.Sum("dcc_policer_rejects_total"),
-            static_cast<double>(outcome.dcc_policed_drops));
-  // And every `reason` value is drawn from the shared audit taxonomy.
-  for (const telemetry::MetricSample& sample : snapshot.samples) {
-    if (sample.name != "dcc_servfails_synthesized_total" &&
-        sample.name != "dcc_policer_rejects_total") {
-      continue;
-    }
-    bool found_reason = false;
-    for (const auto& [key, value] : sample.labels) {
-      if (key != "reason") {
+    const telemetry::MetricsSnapshot snapshot = sink.metrics.Snapshot();
+    // Every synthesized SERVFAIL increments exactly one reason-labeled
+    // counter, so the label sum must reconcile with the aggregate outcome.
+    EXPECT_EQ(snapshot.Sum("dcc_servfails_synthesized_total"),
+              static_cast<double>(outcome.dcc_servfails));
+    EXPECT_EQ(snapshot.Sum("dcc_policer_rejects_total"),
+              static_cast<double>(outcome.dcc_policed_drops));
+    // A decision is emitted once and feeds both its audit record and its
+    // counters, so with nothing evicted from the ring every reason-labeled
+    // counter equals its cause's audit count.
+    ASSERT_EQ(log.dropped(), 0u);
+    const std::vector<uint64_t> histogram = log.CauseHistogram();
+    size_t reconciled = 0;
+    for (const telemetry::MetricSample& sample : snapshot.samples) {
+      if (sample.name != "dcc_servfails_synthesized_total" &&
+          sample.name != "dcc_policer_rejects_total") {
         continue;
       }
-      found_reason = true;
-      AuditCause parsed;
-      EXPECT_TRUE(telemetry::AuditCauseFromName(value, &parsed))
-          << sample.name << " reason=" << value;
+      bool found_reason = false;
+      for (const auto& [key, value] : sample.labels) {
+        if (key != "reason") {
+          continue;
+        }
+        found_reason = true;
+        // Every `reason` value is drawn from the shared audit taxonomy.
+        AuditCause parsed;
+        ASSERT_TRUE(telemetry::AuditCauseFromName(value, &parsed))
+            << sample.name << " reason=" << value;
+        EXPECT_EQ(sample.value,
+                  static_cast<double>(histogram[static_cast<size_t>(parsed)]))
+            << sample.name << " reason=" << value;
+        ++reconciled;
+      }
+      EXPECT_TRUE(found_reason) << sample.name << " sample missing reason label";
     }
-    EXPECT_TRUE(found_reason) << sample.name << " sample missing reason label";
+    if (spec.name == CongestedSpec().name) {
+      ASSERT_GT(outcome.dcc_servfails, 0u);
+      EXPECT_EQ(reconciled, 8u);  // Six SERVFAIL causes, two policer causes.
+    }
   }
 }
 

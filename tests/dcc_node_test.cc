@@ -287,7 +287,9 @@ TEST(DccNodeTest, EvictionSynthesizesServfailForVictim) {
 // Signaling") ---------------------------------------------------------------
 
 struct PathDeployment {
-  explicit PathDeployment(bool signaling) {
+  explicit PathDeployment(bool signaling,
+                          telemetry::TelemetrySink* sink = nullptr)
+      : bed(sink) {
     auth_addr = bed.NextAddress();
     resolver_addr = bed.NextAddress();
     forwarder_addr = bed.NextAddress();
@@ -370,6 +372,34 @@ TEST(DccSignalingTest, WithoutSignalingForwarderIsPunished) {
   EXPECT_GT(d.resolver_shim->policed_drops(), 0u);
   EXPECT_EQ(d.forwarder_shim->policed_drops(), 0u);
   EXPECT_LT(benign.SuccessRatio(), 0.8);
+}
+
+// Regression: the shim's unlabelled state gauges used to keep only the
+// last-registered node's callback, so a run with a DCC forwarder and a DCC
+// resolver exported the forwarder's state alone. Several sources of one
+// instrument now report their sum, like the shared dcc_*_total counters.
+TEST(DccSignalingTest, StateGaugesSumOverEveryShim) {
+  telemetry::TelemetrySink sink;
+  PathDeployment d(/*signaling=*/true, &sink);
+  StubClient& client = d.AddForwarderClient(Rate(200, 0, Seconds(3)),
+                                            MakeWcGenerator(TargetApex(), 5));
+  client.Start();
+  d.bed.RunFor(Seconds(2));
+  const telemetry::MetricsSnapshot snapshot = sink.metrics.Snapshot();
+  const DccNode& fwd = *d.forwarder_shim;
+  const DccNode& res = *d.resolver_shim;
+  ASSERT_GT(fwd.MemoryFootprint(), 0u);
+  ASSERT_GT(res.MemoryFootprint(), 0u);
+  EXPECT_EQ(snapshot.Value("dcc_memory_bytes", {}),
+            static_cast<double>(fwd.MemoryFootprint() + res.MemoryFootprint()));
+  EXPECT_EQ(snapshot.Value("dcc_per_client_state", {}),
+            static_cast<double>(fwd.PerClientStateCount() +
+                                res.PerClientStateCount()));
+  EXPECT_EQ(snapshot.Value("dcc_pending_queries", {}),
+            static_cast<double>(fwd.PerRequestStateCount() +
+                                res.PerRequestStateCount()));
+  EXPECT_EQ(snapshot.Value("dcc_scheduler_dequeue_total", {}),
+            static_cast<double>(fwd.queries_sent() + res.queries_sent()));
 }
 
 TEST(DccNodeTest, PolicedClientReceivesExtendedDnsError) {

@@ -359,8 +359,8 @@ TEST(FaultInjectorTest, CountsActivationsInTelemetry) {
   loss.probability = 1.0;
   loss.b = 2;
   plan.events.push_back(loss);
-  FaultInjector injector(h.net, plan);
-  injector.AttachTelemetry(&registry);
+  telemetry::Observer obs(&registry, nullptr, nullptr);
+  FaultInjector injector(h.net, plan, &obs);
   injector.Arm();
   h.SendPeriodically(Milliseconds(500), Seconds(3));
   h.loop.Run();

@@ -35,7 +35,9 @@ const Name& TargetApex() {
 // MakeTargetZone serves from the apex zone).
 struct FleetDeployment {
   explicit FleetDeployment(FrontendConfig config = DefaultConfig(),
-                           size_t member_count = 3) {
+                           size_t member_count = 3,
+                           telemetry::TelemetrySink* sink = nullptr)
+      : bed(sink) {
     auth_addr = bed.NextAddress();
     auth = &bed.AddAuthoritative(auth_addr);
     auth->AddZone(MakeTargetZone(TargetApex(), auth_addr));
@@ -271,8 +273,7 @@ TEST(FrontendFailureTest, AllMembersDownAnswersServfailAfterRetries) {
 TEST(FrontendTelemetryTest, CountersGaugesAndFailoverHistogramAreWired) {
   telemetry::TelemetrySink sink;
   FrontendConfig config = FleetDeployment::DefaultConfig();
-  FleetDeployment d(config);
-  d.bed.AttachTelemetry(&sink);
+  FleetDeployment d(config, /*member_count=*/3, &sink);
   d.AddSpreadClient(20, Seconds(20));
   d.bed.loop().ScheduleAt(Seconds(5), [&d] {
     d.bed.network().SetHostDown(d.member_addrs[0], true);

@@ -81,9 +81,8 @@ TEST(ResolverTimeoutTest, DeadlineTimerAfterAnswerIsNoOp) {
 }
 
 TEST(ResolverTimeoutTest, RetryExhaustionYieldsServfailAndRetryTelemetry) {
-  Testbed bed;
   telemetry::TelemetrySink sink;
-  bed.AttachTelemetry(&sink);
+  Testbed bed(&sink);
   const HostAddress auth_addr = bed.NextAddress();
   const HostAddress resolver_addr = bed.NextAddress();
   AuthoritativeServer& auth = bed.AddAuthoritative(auth_addr);

@@ -139,9 +139,19 @@ TEST(MetricsRegistryTest, CallbackGaugeSamplesLiveAndFreezes) {
   EXPECT_DOUBLE_EQ(registry.Snapshot().Value("mem_bytes", {}), 7.0);
   live = 9;
   EXPECT_DOUBLE_EQ(registry.Snapshot().Value("mem_bytes", {}), 9.0);
+  // A second source of the same instrument adds to it (two components
+  // registering one unlabelled gauge report their sum); counters too.
+  registry.GetCallbackGauge("mem_bytes", [] { return 1.0; });
+  uint64_t tally = 4;
+  registry.GetCallbackCounter("ops_total", [&tally] { return double(tally); });
+  registry.GetCallbackCounter("ops_total", [] { return 2.0; })->Inc(3);
+  EXPECT_DOUBLE_EQ(registry.Snapshot().Value("mem_bytes", {}), 10.0);
+  EXPECT_DOUBLE_EQ(registry.Snapshot().Value("ops_total", {}), 9.0);
   registry.FreezeCallbacks();
-  live = 11;  // After the freeze the callback is gone; value stays pinned.
-  EXPECT_DOUBLE_EQ(registry.Snapshot().Value("mem_bytes", {}), 9.0);
+  live = 11;  // After the freeze the sources are gone; values stay pinned.
+  tally = 40;
+  EXPECT_DOUBLE_EQ(registry.Snapshot().Value("mem_bytes", {}), 10.0);
+  EXPECT_DOUBLE_EQ(registry.Snapshot().Value("ops_total", {}), 9.0);
 }
 
 // --- QueryTracer -------------------------------------------------------------
@@ -307,6 +317,51 @@ TEST(QueryTracerTest, SpanKindNamesCoverAllStages) {
 }
 
 // --- End-to-end: scenario run populates metrics and a full trace -------------
+
+// Every span a run records survives ExportJsonLines -> ParseSpanJsonLine,
+// the one reader dcc_trace and dcc_why share.
+TEST(TelemetryEndToEndTest, RecordedTraceRoundTripsThroughJsonLines) {
+  scenario::ScenarioSpec spec = testing_specs::LoadExampleSpec("fig8_wc.json");
+  testing_specs::TrimToHorizon(&spec, Seconds(3));
+  TelemetrySink sink;
+  scenario::EngineHooks hooks;
+  hooks.telemetry = &sink;
+  testing_specs::RunSpec(spec, hooks);
+
+  const std::vector<SpanEvent> recorded = sink.trace.Events();
+  ASSERT_FALSE(recorded.empty());
+  const std::string text = sink.trace.ExportJsonLines();
+  std::vector<SpanEvent> parsed;
+  size_t pos = 0;
+  while (pos < text.size()) {
+    const size_t end = text.find('\n', pos);
+    SpanEvent event;
+    std::string error;
+    ASSERT_TRUE(ParseSpanJsonLine(text.substr(pos, end - pos), &event, &error))
+        << error;
+    parsed.push_back(event);
+    pos = end + 1;
+  }
+  ASSERT_EQ(parsed.size(), recorded.size());
+  for (size_t i = 0; i < parsed.size(); ++i) {
+    EXPECT_EQ(parsed[i].trace_id, recorded[i].trace_id) << i;
+    EXPECT_EQ(parsed[i].at, recorded[i].at) << i;
+    EXPECT_EQ(parsed[i].actor, recorded[i].actor) << i;
+    EXPECT_EQ(parsed[i].kind, recorded[i].kind) << i;
+    EXPECT_EQ(parsed[i].detail, recorded[i].detail) << i;
+    EXPECT_EQ(parsed[i].span_id, recorded[i].span_id) << i;
+    EXPECT_EQ(parsed[i].parent_span_id, recorded[i].parent_span_id) << i;
+    EXPECT_EQ(parsed[i].peer, recorded[i].peer) << i;
+  }
+
+  SpanEvent event;
+  std::string error;
+  EXPECT_FALSE(ParseSpanJsonLine("{\"trace_id\":\"1\",\"span\":\"nope\"}",
+                                 &event, &error));
+  EXPECT_NE(error.find("unknown span kind"), std::string::npos);
+  EXPECT_FALSE(ParseSpanJsonLine("{\"span\":\"stub_send\"}", &event, &error));
+  EXPECT_FALSE(ParseSpanJsonLine("not json", &event, &error));
+}
 
 TEST(TelemetryEndToEndTest, ScenarioProducesMetricsAndCompleteTrace) {
   // The Fig. 8a DCC resolver with one light benign WC client.

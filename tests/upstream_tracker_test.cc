@@ -171,15 +171,16 @@ TEST(UpstreamTrackerTest, TelemetryExportsSrttGaugeAndCounters) {
   telemetry::MetricsRegistry registry;
   UpstreamTrackerConfig config = TestConfig();
   config.holddown_after = 1;
-  UpstreamTracker tracker(config, 1);
-  tracker.AttachTelemetry(&registry, {{"host", "test"}});
+  telemetry::Observer obs(&registry, nullptr, nullptr);
+  UpstreamTracker tracker(config, 1, &obs, /*actor=*/0x0a000009);
   tracker.OnResponse(0x0a000001, Milliseconds(40), Seconds(1));
   tracker.OnTimeout(0x0a000002, Seconds(1));
   const auto snapshot = registry.Snapshot();
-  EXPECT_EQ(snapshot.Value("srtt_ms", {{"host", "test"}, {"upstream", "10.0.0.1"}}),
+  const telemetry::Labels host{{"host", "10.0.0.9"}};
+  EXPECT_EQ(snapshot.Value("srtt_ms", {{"host", "10.0.0.9"}, {"upstream", "10.0.0.1"}}),
             40.0);
-  EXPECT_EQ(snapshot.Value("upstream_timeouts_total", {{"host", "test"}}), 1.0);
-  EXPECT_EQ(snapshot.Value("upstream_holddowns_total", {{"host", "test"}}), 1.0);
+  EXPECT_EQ(snapshot.Value("upstream_timeouts_total", host), 1.0);
+  EXPECT_EQ(snapshot.Value("upstream_holddowns_total", host), 1.0);
 }
 
 }  // namespace

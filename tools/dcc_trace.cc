@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "src/common/ids.h"
-#include "src/common/json.h"
 #include "src/telemetry/chrome_trace.h"
 #include "src/telemetry/span_tree.h"
 #include "src/telemetry/trace.h"
@@ -34,45 +33,6 @@ namespace {
 
 using namespace dcc;
 using cli::FlagValue;
-
-// Parses one JSONL line back into a SpanEvent. Lines with an unknown span
-// kind or malformed JSON are skipped (counted by the caller); missing causal
-// fields fall back to the pre-span-tree defaults so old dumps still load.
-bool ParseEventLine(const std::string& line, telemetry::SpanEvent* out,
-                    std::string* error) {
-  json::Value doc;
-  if (!json::Parse(line, &doc, error)) {
-    return false;
-  }
-  if (!doc.is_object()) {
-    *error = "not a JSON object";
-    return false;
-  }
-  const std::string id_hex = doc.String("trace_id");
-  if (id_hex.empty()) {
-    *error = "missing trace_id";
-    return false;
-  }
-  out->trace_id = std::strtoull(id_hex.c_str(), nullptr, 16);
-  out->at = static_cast<Time>(doc.Number("ts_us"));
-  if (!telemetry::SpanKindFromName(doc.String("span"), &out->kind)) {
-    *error = "unknown span kind '" + doc.String("span") + "'";
-    return false;
-  }
-  out->detail = static_cast<int32_t>(doc.Number("detail"));
-  out->span_id = static_cast<uint32_t>(
-      doc.Number("span_id", telemetry::kClientSpanId));
-  out->parent_span_id = static_cast<uint32_t>(doc.Number("parent_span_id"));
-  HostAddress addr = kInvalidAddress;
-  if (ParseAddress(doc.String("actor"), &addr)) {
-    out->actor = addr;
-  }
-  addr = kInvalidAddress;
-  if (ParseAddress(doc.String("peer"), &addr)) {
-    out->peer = addr;
-  }
-  return true;
-}
 
 std::vector<telemetry::SpanEvent> LoadEvents(const char* path, bool* ok) {
   std::vector<telemetry::SpanEvent> events;
@@ -98,7 +58,7 @@ std::vector<telemetry::SpanEvent> LoadEvents(const char* path, bool* ok) {
     }
     telemetry::SpanEvent event;
     std::string error;
-    if (!ParseEventLine(line, &event, &error)) {
+    if (!telemetry::ParseSpanJsonLine(line, &event, &error)) {
       if (skipped == 0) {
         std::fprintf(stderr, "dcc_trace: %s:%zu: %s (skipping)\n", path,
                      line_no, error.c_str());

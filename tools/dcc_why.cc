@@ -191,32 +191,10 @@ std::vector<telemetry::SpanEvent> LoadTraceFile(int argc, char** argv,
     if (line.find_first_not_of(" \t\r") == std::string::npos) {
       continue;
     }
-    json::Value doc;
-    std::string error;
-    if (!json::Parse(line, &doc, &error) || !doc.is_object()) {
-      continue;
-    }
     telemetry::SpanEvent event;
-    const std::string id_hex = doc.String("trace_id");
-    if (id_hex.empty()) {
+    std::string error;
+    if (!telemetry::ParseSpanJsonLine(line, &event, &error)) {
       continue;
-    }
-    event.trace_id = std::strtoull(id_hex.c_str(), nullptr, 16);
-    event.at = static_cast<Time>(doc.Number("ts_us"));
-    if (!telemetry::SpanKindFromName(doc.String("span"), &event.kind)) {
-      continue;
-    }
-    event.detail = static_cast<int32_t>(doc.Number("detail"));
-    event.span_id = static_cast<uint32_t>(
-        doc.Number("span_id", telemetry::kClientSpanId));
-    event.parent_span_id = static_cast<uint32_t>(doc.Number("parent_span_id"));
-    HostAddress addr = kInvalidAddress;
-    if (ParseAddress(doc.String("actor"), &addr)) {
-      event.actor = addr;
-    }
-    addr = kInvalidAddress;
-    if (ParseAddress(doc.String("peer"), &addr)) {
-      event.peer = addr;
     }
     events.push_back(event);
   }
