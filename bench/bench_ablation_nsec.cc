@@ -42,9 +42,9 @@ Outcome Run(bool aggressive_nsec, bool dcc_enabled) {
   auth_config.rrl.nxdomain_qps = 100;
   auth_config.rrl.per_class = false;
   AuthoritativeServer& ans = bed.AddAuthoritative(ans_addr, auth_config);
-  Zone zone = MakeTargetZone(TargetApex(), ans_addr);
-  zone.EnableNsec();  // The zone is signed either way; caching is opt-in.
-  ans.AddZone(std::move(zone));
+  TargetZoneOptions zone_options;
+  zone_options.nsec = true;  // The zone is signed either way; caching is opt-in.
+  ans.AddZone(MakeTargetZone(TargetApex(), ans_addr, zone_options));
 
   const HostAddress resolver_addr = bed.NextAddress();
   ResolverConfig resolver_config;

@@ -50,9 +50,12 @@ int RunFig2RlMeasurement(const BenchOptions& options) {
   dcc::ProbeConfig config;
   config.step_duration = dcc::Seconds(2);
   std::vector<dcc::MeasuredLimits> measurements;
+  // Every resolver is probed against the same zones, built once.
+  dcc::ProbeZones zones;
   for (size_t i = 0; i < population.size(); ++i) {
     const auto& profile = population[i];
-    const dcc::MeasuredLimits limits = dcc::ProbeResolver(profile, config, 100 + i);
+    const dcc::MeasuredLimits limits =
+        dcc::ProbeResolver(profile, config, 100 + i, &zones);
     measurements.push_back(limits);
     auto fmt = [](double qps, bool uncertain) {
       static char buf[32];

@@ -24,6 +24,8 @@ Testbed::Testbed(telemetry::TelemetrySink* sink, telemetry::DecisionAuditLog* au
 }
 
 Testbed::~Testbed() {
+  static prof::Site kTeardownSite("scenario.testbed_teardown");
+  teardown_scope_.emplace(kTeardownSite);
   if (observer_) {
     observer_->Freeze();
   }

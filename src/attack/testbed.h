@@ -25,6 +25,7 @@
 #include "src/sim/network.h"
 #include "src/telemetry/audit.h"
 #include "src/telemetry/observer.h"
+#include "src/telemetry/profiler.h"
 #include "src/telemetry/telemetry.h"
 
 namespace dcc {
@@ -84,6 +85,9 @@ class Testbed {
   // already-installed fault injector.
   void RegisterCrashResettable(HostAddress addr, CrashResettable* server);
 
+  // Opened by the destructor; declared first so it closes only after every
+  // other member is gone, charging the whole teardown to one profiler site.
+  std::optional<prof::ScopedSite> teardown_scope_;
   std::optional<telemetry::Observer> observer_;  // Built first: loop_ and
                                                  // network_ register with it.
   EventLoop loop_;

@@ -1,10 +1,12 @@
 #include "src/measure/rate_limit_probe.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "src/attack/patterns.h"
 #include "src/attack/testbed.h"
 #include "src/common/rng.h"
+#include "src/telemetry/profiler.h"
 #include "src/telemetry/sampler.h"
 #include "src/zone/experiment_zones.h"
 
@@ -58,8 +60,14 @@ double StableQps(const std::vector<double>& per_second) {
 
 // One measurement step: a fresh deployment probed at `offered_qps` for
 // `duration` (Appendix A probes sequentially with fresh state between runs).
+// A fresh testbed hands out the same addresses in the same order, so every
+// step's servers match the addresses the shared zones name.
 ProbeRun RunStep(const ResolverProfile& profile, ProbePattern pattern,
-                 double offered_qps, Duration duration, uint64_t seed) {
+                 double offered_qps, Duration duration, uint64_t seed,
+                 ProbeZones& zones) {
+  static prof::Site kBuildSite("scenario.testbed_build");
+  std::optional<prof::ScopedSite> build_scope;
+  build_scope.emplace(kBuildSite);
   Testbed bed;
   const Name target = *Name::Parse(kTargetApex);
   const Name attacker_zone = *Name::Parse(kAttackerApex);
@@ -70,14 +78,7 @@ ProbeRun RunStep(const ResolverProfile& profile, ProbePattern pattern,
   const HostAddress probe_addr = bed.NextAddress();
 
   AuthoritativeServer& ans = bed.AddAuthoritative(target_ans);
-  TargetZoneOptions zone_options;
-  if (pattern == ProbePattern::kCq) {
-    zone_options.ttl = 1;  // Fast eviction keeps amplification measurable.
-    zone_options.cq_instances = 512;
-    zone_options.cq_chain_length = 8;
-    zone_options.cq_labels = 8;
-  }
-  ans.AddZone(MakeTargetZone(target, target_ans, zone_options));
+  ans.AddZone(zones.Target(pattern == ProbePattern::kCq, target_ans));
 
   // Per-second ANS rate series feeding the egress estimate.
   telemetry::TimeSeriesSampler sampler(kSecond);
@@ -90,11 +91,7 @@ ProbeRun RunStep(const ResolverProfile& profile, ProbePattern pattern,
       duration + Seconds(2));
 
   if (pattern == ProbePattern::kFf) {
-    AuthoritativeServer& atk = bed.AddAuthoritative(attacker_ans);
-    AttackerZoneOptions attack_options;
-    attack_options.ttl = 1;
-    attack_options.instances = 2000;
-    atk.AddZone(MakeAttackerZone(attacker_zone, target, attack_options));
+    bed.AddAuthoritative(attacker_ans).AddZone(zones.Attacker());
   }
 
   RecursiveResolver& resolver = bed.AddResolver(resolver_addr, ResolverConfigFor(profile));
@@ -129,6 +126,7 @@ ProbeRun RunStep(const ResolverProfile& profile, ProbePattern pattern,
   StubClient& probe = bed.AddStub(probe_addr, stub_config, std::move(generator));
   probe.AddResolver(resolver_addr);
   probe.Start();
+  build_scope.reset();
 
   bed.RunFor(duration + Seconds(2));
 
@@ -154,6 +152,33 @@ std::vector<double> Ladder(double cap) {
 }
 
 }  // namespace
+
+std::shared_ptr<const Zone> ProbeZones::Target(bool cq_chains, HostAddress self_addr) {
+  std::shared_ptr<const Zone>& zone = cq_chains ? target_cq_ : target_;
+  if (zone == nullptr) {
+    TargetZoneOptions options;
+    if (cq_chains) {
+      options.ttl = 1;  // Fast eviction keeps amplification measurable.
+      options.cq_instances = 512;
+      options.cq_chain_length = 8;
+      options.cq_labels = 8;
+    }
+    zone = std::make_shared<const Zone>(
+        MakeTargetZone(*Name::Parse(kTargetApex), self_addr, options));
+  }
+  return zone;
+}
+
+std::shared_ptr<const Zone> ProbeZones::Attacker() {
+  if (attacker_ == nullptr) {
+    AttackerZoneOptions options;
+    options.ttl = 1;
+    options.instances = 2000;
+    attacker_ = std::make_shared<const Zone>(MakeAttackerZone(
+        *Name::Parse(kAttackerApex), *Name::Parse(kTargetApex), options));
+  }
+  return attacker_;
+}
 
 const char* QpsBucketName(QpsBucket bucket) {
   switch (bucket) {
@@ -228,7 +253,11 @@ std::vector<ResolverProfile> MakeFig2Population(uint64_t seed) {
 }
 
 MeasuredLimits ProbeResolver(const ResolverProfile& profile, const ProbeConfig& config,
-                             uint64_t seed) {
+                             uint64_t seed, ProbeZones* zones) {
+  ProbeZones own_zones;
+  if (zones == nullptr) {
+    zones = &own_zones;
+  }
   MeasuredLimits limits;
 
   // --- ingress: WC and NX patterns (Appendix A.1) ---------------------------
@@ -236,7 +265,7 @@ MeasuredLimits ProbeResolver(const ResolverProfile& profile, const ProbeConfig& 
     uncertain = true;
     double last_achieved = 0;
     for (double rate : Ladder(config.ingress_cap_qps)) {
-      const ProbeRun run = RunStep(profile, pattern, rate, config.step_duration, seed);
+      const ProbeRun run = RunStep(profile, pattern, rate, config.step_duration, seed, *zones);
       last_achieved = run.achieved_client_qps;
       if (run.achieved_client_qps < config.tolerance * rate) {
         out = run.achieved_client_qps;
@@ -272,7 +301,7 @@ MeasuredLimits ProbeResolver(const ResolverProfile& profile, const ProbeConfig& 
       if (rate > request_cap) {
         break;
       }
-      const ProbeRun run = RunStep(profile, pattern, rate, step, seed);
+      const ProbeRun run = RunStep(profile, pattern, rate, step, seed, *zones);
       best = std::max(best, run.ans_stable_qps);
       // Plateau: doubling the request rate no longer raises egress QPS.
       if (prev > 0 && run.ans_stable_qps < prev * 1.15) {

@@ -9,10 +9,13 @@
 #ifndef SRC_MEASURE_RATE_LIMIT_PROBE_H_
 #define SRC_MEASURE_RATE_LIMIT_PROBE_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "src/common/ids.h"
 #include "src/common/time.h"
+#include "src/zone/zone.h"
 
 namespace dcc {
 
@@ -60,12 +63,35 @@ struct MeasuredLimits {
   bool erl_cq_uncertain = false;
   double erl_ff = 0;
   bool erl_ff_uncertain = false;
+
+  friend bool operator==(const MeasuredLimits&, const MeasuredLimits&) = default;
+};
+
+// The zones the probe's authoritative servers serve: the target zone, its
+// CQ-chain variant and the FF attacker zone. Each is built on first use and
+// then shared by every probing step handed this object. Zones are immutable
+// and every step still builds a fresh testbed (resolver cache, RRL buckets),
+// so sharing keeps Appendix A's fresh state between runs.
+class ProbeZones {
+ public:
+  // The target zone names its own server `self_addr`; every probing step
+  // puts that server at the same address.
+  std::shared_ptr<const Zone> Target(bool cq_chains, HostAddress self_addr);
+  std::shared_ptr<const Zone> Attacker();
+
+ private:
+  std::shared_ptr<const Zone> target_;
+  std::shared_ptr<const Zone> target_cq_;
+  std::shared_ptr<const Zone> attacker_;
 };
 
 // Runs the full four-pattern probing sequence against a fresh simulated
 // deployment of `profile` (resolver + our authoritative servers + probe).
+// Steps take their zones from `zones`, or from zones built for this call
+// when it is nullptr; a caller probing many resolvers passes one ProbeZones
+// to all of them.
 MeasuredLimits ProbeResolver(const ResolverProfile& profile, const ProbeConfig& config,
-                             uint64_t seed);
+                             uint64_t seed, ProbeZones* zones = nullptr);
 
 // Histogram over the population: counts[bucket] for each of the four
 // measurement series (IRL WC, IRL NX, ERL CQ, ERL FF) — the data behind

@@ -28,14 +28,16 @@ AuthoritativeServer::AuthoritativeServer(Transport& transport,
              [this]() { return static_cast<double>(rrl_state_.size()); });
 }
 
-void AuthoritativeServer::AddZone(Zone zone) { zones_.push_back(std::move(zone)); }
+void AuthoritativeServer::AddZone(std::shared_ptr<const Zone> zone) {
+  zones_.push_back(std::move(zone));
+}
 
 const Zone* AuthoritativeServer::FindZone(const Name& qname) const {
   const Zone* best = nullptr;
   for (const auto& zone : zones_) {
-    if (qname.IsSubdomainOf(zone.apex())) {
-      if (best == nullptr || zone.apex().LabelCount() > best->apex().LabelCount()) {
-        best = &zone;
+    if (qname.IsSubdomainOf(zone->apex())) {
+      if (best == nullptr || zone->apex().LabelCount() > best->apex().LabelCount()) {
+        best = zone.get();
       }
     }
   }
@@ -106,36 +108,36 @@ void AuthoritativeServer::HandleDatagram(const Datagram& dgram) {
     return;
   }
 
-  const LookupResult result = zone->Lookup(q.qname, q.qtype);
+  LookupResult result = zone->Lookup(q.qname, q.qtype);
   switch (result.status) {
     case LookupStatus::kSuccess:
       response.header.aa = true;
-      response.answers = result.records;
+      response.answers = std::move(result.records);
       break;
     case LookupStatus::kCname:
       response.header.aa = true;
-      response.answers = result.records;
+      response.answers = std::move(result.records);
       break;
     case LookupStatus::kNoData:
       response.header.aa = true;
       if (result.soa.has_value()) {
-        response.authority.push_back(*result.soa);
+        response.authority.push_back(std::move(*result.soa));
       }
       break;
     case LookupStatus::kNxDomain:
       response.header.aa = true;
       response.header.rcode = Rcode::kNxDomain;
       if (result.soa.has_value()) {
-        response.authority.push_back(*result.soa);
+        response.authority.push_back(std::move(*result.soa));
       }
       if (result.nsec.has_value()) {
-        response.authority.push_back(*result.nsec);
+        response.authority.push_back(std::move(*result.nsec));
       }
       break;
     case LookupStatus::kDelegation:
       response.header.aa = false;
-      response.authority = result.records;
-      response.additional = result.glue;
+      response.authority = std::move(result.records);
+      response.additional = std::move(result.glue);
       break;
     case LookupStatus::kNotInZone:
       response.header.rcode = Rcode::kRefused;

@@ -56,8 +56,11 @@ class AuthoritativeServer : public DatagramHandler {
   AuthoritativeServer(Transport& transport, AuthoritativeConfig config,
                       telemetry::Observer* obs = nullptr);
 
-  // Adds a zone this server is authoritative for.
-  void AddZone(Zone zone);
+  // Adds a zone this server is authoritative for. Zones are immutable, so
+  // servers (and runs) serving the same zone may share one; per-run state
+  // such as RRL buckets lives in the server, never in the zone.
+  void AddZone(std::shared_ptr<const Zone> zone);
+  void AddZone(Zone zone) { AddZone(std::make_shared<const Zone>(std::move(zone))); }
 
   void HandleDatagram(const Datagram& dgram) override;
 
@@ -75,7 +78,7 @@ class AuthoritativeServer : public DatagramHandler {
 
   Transport& transport_;
   AuthoritativeConfig config_;
-  std::vector<Zone> zones_;
+  std::vector<std::shared_ptr<const Zone>> zones_;
   struct ClientRrl {
     TokenBucket noerror;
     TokenBucket nxdomain;

@@ -34,6 +34,7 @@ struct TargetZoneOptions {
   int cq_instances = 0;
   int cq_chain_length = 16;
   int cq_labels = 15;
+  bool nsec = false;  // Build with NSEC denial (ZoneOptions::nsec).
 };
 
 // Builds the victim zone at `apex` with the given options. The zone also

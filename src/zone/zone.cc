@@ -1,68 +1,179 @@
 #include "src/zone/zone.h"
 
 #include <algorithm>
+#include <numeric>
 
 namespace dcc {
 
-Zone::Zone(Name apex, SoaData soa, uint32_t default_ttl)
-    : apex_(std::move(apex)), soa_(std::move(soa)), default_ttl_(default_ttl) {
-  nodes_[apex_][RecordType::kSoa] = {MakeSoa(apex_, default_ttl_, soa_)};
-  names_.insert(apex_);
-}
+Zone::Zone(Name apex, SoaData soa, std::vector<ResourceRecord> records,
+           ZoneOptions options)
+    : apex_(std::move(apex)), soa_(std::move(soa)), default_ttl_(options.default_ttl) {
+  const auto outside = std::remove_if(
+      records.begin(), records.end(),
+      [this](const ResourceRecord& rr) { return !rr.name.IsSubdomainOf(apex_); });
+  rejected_ = static_cast<size_t>(records.end() - outside);
+  records.erase(outside, records.end());
+  records.push_back(SoaRecord());
+  const auto n = static_cast<uint32_t>(records.size());
+  const uint32_t soa_index = n - 1;
 
-bool Zone::Add(ResourceRecord rr) {
-  if (!rr.name.IsSubdomainOf(apex_)) {
-    return false;
-  }
-  auto [node, inserted] = nodes_.try_emplace(rr.name);
-  if (inserted) {
-    names_.insert(rr.name);
-  }
-  node->second[rr.type].push_back(std::move(rr));
-  return true;
-}
-
-bool Zone::AddA(const Name& name, HostAddress addr) {
-  return Add(MakeA(name, default_ttl_, addr));
-}
-
-bool Zone::AddNs(const Name& name, const Name& nsdname) {
-  return Add(MakeNs(name, default_ttl_, nsdname));
-}
-
-bool Zone::AddCname(const Name& name, const Name& target) {
-  return Add(MakeCname(name, default_ttl_, target));
-}
-
-bool Zone::AddTxt(const Name& name, std::vector<std::string> strings) {
-  return Add(MakeTxt(name, default_ttl_, std::move(strings)));
-}
-
-const Zone::TypeMap* Zone::FindNode(const Name& name) const {
-  auto it = nodes_.find(name);
-  return it != nodes_.end() ? &it->second : nullptr;
-}
-
-bool Zone::HasDescendants(const Name& name) const {
-  // Names sort suffix-first, so strict descendants of `name` immediately
-  // follow it in the ordered name set.
-  auto it = names_.upper_bound(name);
-  return it != names_.end() && it->IsSubdomainOf(name);
-}
-
-std::optional<Name> Zone::FindDelegation(const Name& qname) const {
-  // Walk from just below the apex towards qname, returning the first
-  // (highest) delegation cut encountered. A cut at the apex itself is the
-  // zone's own NS RRset, not a delegation.
-  const size_t apex_count = apex_.LabelCount();
-  for (size_t count = apex_count + 1; count <= qname.LabelCount(); ++count) {
-    const Name candidate = qname.Suffix(count);
-    const TypeMap* node = FindNode(candidate);
-    if (node != nullptr && node->count(RecordType::kNs) > 0) {
-      return candidate;
+  // Pass 1: index every owner and its ancestors, numbering owners by first
+  // appearance. While building, an owner's `end` holds its number plus one
+  // (0 = not an owner yet).
+  std::vector<uint32_t> owner_of(n);
+  std::vector<uint32_t> group_size;
+  std::vector<uint32_t> first_record;
+  for (uint32_t i = 0; i < n; ++i) {
+    const Name& name = records[i].name;
+    if (i > 0 && name == records[i - 1].name) {
+      owner_of[i] = owner_of[i - 1];
+      ++group_size[owner_of[i]];
+      continue;
+    }
+    auto [it, inserted] = index_.try_emplace(name);
+    if (it->second.end == 0) {
+      it->second.end = static_cast<uint32_t>(group_size.size()) + 1;
+      group_size.push_back(0);
+      first_record.push_back(i);
+    }
+    owner_of[i] = it->second.end - 1;
+    ++group_size[owner_of[i]];
+    if (inserted) {
+      IndexAncestors(name);
     }
   }
-  return std::nullopt;
+  const auto owners = static_cast<uint32_t>(group_size.size());
+  // The apex is named as the zone was given it, whatever case the records use.
+  first_record[owner_of[soa_index]] = soa_index;
+
+  // Owner groups go in first-appearance order, or in canonical name order
+  // when NSEC needs the owners' neighbours.
+  std::vector<uint32_t> rank(owners);
+  std::iota(rank.begin(), rank.end(), 0);
+  if (options.nsec) {
+    std::vector<uint32_t> by_name(owners);
+    std::iota(by_name.begin(), by_name.end(), 0);
+    std::sort(by_name.begin(), by_name.end(), [&](uint32_t a, uint32_t b) {
+      return records[first_record[a]].name < records[first_record[b]].name;
+    });
+    for (uint32_t r = 0; r < owners; ++r) {
+      rank[by_name[r]] = r;
+    }
+  }
+  std::vector<uint32_t> start(owners + 1, 0);
+  for (uint32_t o = 0; o < owners; ++o) {
+    start[rank[o] + 1] = group_size[o];
+  }
+  std::partial_sum(start.begin(), start.end(), start.begin());
+
+  // Pass 2: a stable counting sort by owner, then by type inside each group;
+  // the zone SOA sorts ahead of any other SOA record at the apex.
+  std::vector<uint32_t> source(n);
+  std::vector<uint32_t> cursor(start.begin(), start.end() - 1);
+  for (uint32_t i = 0; i < n; ++i) {
+    source[cursor[rank[owner_of[i]]]++] = i;
+  }
+  const auto by_type = [&](uint32_t a, uint32_t b) {
+    const RecordType ta = records[a].type;
+    const RecordType tb = records[b].type;
+    return ta != tb ? ta < tb : (a == soa_index && b != soa_index);
+  };
+  for (uint32_t r = 0; r < owners; ++r) {
+    const auto first = source.begin() + start[r];
+    const auto last = source.begin() + start[r + 1];
+    if (!std::is_sorted(first, last, by_type)) {
+      std::stable_sort(first, last, by_type);
+    }
+  }
+
+  // NSEC names each owner by its first record, wherever the type sort put it.
+  if (options.nsec) {
+    ordered_owners_.resize(owners);
+    for (uint32_t o = 0; o < owners; ++o) {
+      const uint32_t r = rank[o];
+      ordered_owners_[r] = static_cast<uint32_t>(
+          std::find(source.begin() + start[r], source.begin() + start[r + 1], first_record[o]) -
+          source.begin());
+    }
+  }
+
+  // Apply the permutation in place, one cycle at a time, so no second copy
+  // of the record array exists.
+  for (uint32_t k = 0; k < n; ++k) {
+    if (source[k] == k) {
+      continue;
+    }
+    ResourceRecord held = std::move(records[k]);
+    uint32_t j = k;
+    while (source[j] != k) {
+      const uint32_t from = source[j];
+      records[j] = std::move(records[from]);
+      source[j] = j;
+      j = from;
+    }
+    records[j] = std::move(held);
+    source[j] = j;
+  }
+  records.shrink_to_fit();
+  records_ = std::move(records);
+
+  for (auto& [name, node] : index_) {
+    if (node.end != 0) {  // An owner: swap its number for its record range.
+      const uint32_t r = rank[node.end - 1];
+      node.begin = start[r];
+      node.end = start[r + 1];
+    }
+  }
+}
+
+void Zone::IndexAncestors(const Name& name) {
+  const size_t apex_count = apex_.LabelCount();
+  for (Name up = name; up.LabelCount() > apex_count;) {
+    up = up.Parent();
+    if (!index_.try_emplace(up).second) {
+      return;  // Indexed earlier, so its own ancestors are indexed already.
+    }
+  }
+}
+
+const Zone::Node* Zone::FindNode(const Name& name) const {
+  auto it = index_.find(name);
+  return it != index_.end() ? &it->second : nullptr;
+}
+
+std::pair<uint32_t, uint32_t> Zone::RrSetRange(const Node& node, RecordType type) const {
+  uint32_t begin = node.begin;
+  while (begin < node.end && records_[begin].type != type) {
+    ++begin;
+  }
+  uint32_t end = begin;
+  while (end < node.end && records_[end].type == type) {
+    ++end;
+  }
+  return {begin, end};
+}
+
+RrSet Zone::CopyRrSet(std::pair<uint32_t, uint32_t> range) const {
+  return RrSet(records_.begin() + range.first, records_.begin() + range.second);
+}
+
+const Zone::Node* Zone::FindDelegation(const Name& qname) const {
+  // Walk from just below the apex towards qname, returning the first
+  // (highest) delegation cut encountered. A cut at the apex itself is the
+  // zone's own NS RRset, not a delegation. The index holds every ancestor of
+  // every owner, so the walk ends at the first name it lacks.
+  const size_t apex_count = apex_.LabelCount();
+  for (size_t count = apex_count + 1; count <= qname.LabelCount(); ++count) {
+    const Node* node = FindNode(qname.Suffix(count));
+    if (node == nullptr) {
+      return nullptr;
+    }
+    const auto ns = RrSetRange(*node, RecordType::kNs);
+    if (ns.first != ns.second) {
+      return node;
+    }
+  }
+  return nullptr;
 }
 
 LookupResult Zone::MakeNegative(LookupStatus status) const {
@@ -80,86 +191,77 @@ LookupResult Zone::Lookup(const Name& qname, RecordType qtype) const {
   }
 
   // Delegations take precedence over everything below the cut.
-  if (const auto cut = FindDelegation(qname); cut.has_value()) {
+  if (const Node* cut = FindDelegation(qname); cut != nullptr) {
     // A query for the NS RRset exactly at the cut would be answered by the
     // child zone; the parent serves a referral either way.
     LookupResult result;
     result.status = LookupStatus::kDelegation;
-    const TypeMap* node = FindNode(*cut);
-    result.records = node->at(RecordType::kNs);
+    result.records = CopyRrSet(RrSetRange(*cut, RecordType::kNs));
     for (const auto& ns : result.records) {
-      const TypeMap* glue_node = FindNode(ns.target());
-      if (glue_node != nullptr) {
-        auto it = glue_node->find(RecordType::kA);
-        if (it != glue_node->end()) {
-          result.glue.insert(result.glue.end(), it->second.begin(), it->second.end());
-        }
+      if (const Node* glue_node = FindNode(ns.target()); glue_node != nullptr) {
+        const auto glue = RrSetRange(*glue_node, RecordType::kA);
+        result.glue.insert(result.glue.end(), records_.begin() + glue.first,
+                           records_.begin() + glue.second);
       }
     }
     return result;
   }
 
-  const TypeMap* node = FindNode(qname);
+  const Node* node = FindNode(qname);
   if (node != nullptr) {
-    if (auto it = node->find(qtype); it != node->end()) {
+    // An indexed name without records is an empty non-terminal: NODATA.
+    if (const auto rrs = RrSetRange(*node, qtype); rrs.first != rrs.second) {
       LookupResult result;
       result.status = LookupStatus::kSuccess;
-      result.records = it->second;
+      result.records = CopyRrSet(rrs);
       return result;
     }
     if (qtype != RecordType::kCname) {
-      if (auto it = node->find(RecordType::kCname); it != node->end()) {
+      if (const auto rrs = RrSetRange(*node, RecordType::kCname); rrs.first != rrs.second) {
         LookupResult result;
         result.status = LookupStatus::kCname;
-        result.records = it->second;
+        result.records = CopyRrSet(rrs);
         return result;
       }
     }
     return MakeNegative(LookupStatus::kNoData);
   }
 
-  // Empty non-terminal: the name has descendants but no RRsets => NODATA.
-  if (HasDescendants(qname)) {
-    return MakeNegative(LookupStatus::kNoData);
-  }
-
-  // Wildcard synthesis (RFC 4592): find the closest encloser, then look for
-  // the "*" child directly below it.
+  // Wildcard synthesis (RFC 4592): the closest encloser is the nearest
+  // indexed ancestor (an owner or an empty non-terminal); look for the "*"
+  // child directly below it.
   Name closest = qname;
   while (closest.LabelCount() > apex_.LabelCount()) {
     closest = closest.Parent();
-    if (FindNode(closest) != nullptr || HasDescendants(closest)) {
+    if (FindNode(closest) != nullptr) {
       break;
     }
   }
   const auto wildcard_name = closest.Prepend("*");
-  const TypeMap* wild = wildcard_name.has_value() ? FindNode(*wildcard_name) : nullptr;
+  const Node* wild = wildcard_name.has_value() ? FindNode(*wildcard_name) : nullptr;
   // The wildcard only matches names that are not covered by an existing
   // sibling subtree; `closest` is the closest encloser by construction, so a
   // match at "*.closest" is valid unless the next label towards qname exists.
   if (wild != nullptr) {
-    auto synthesize = [&](const RrSet& rrs) {
-      RrSet out;
-      out.reserve(rrs.size());
-      for (const auto& rr : rrs) {
-        ResourceRecord copy = rr;
-        copy.name = qname;
-        out.push_back(std::move(copy));
+    auto synthesize = [&](std::pair<uint32_t, uint32_t> range) {
+      RrSet out = CopyRrSet(range);
+      for (auto& rr : out) {
+        rr.name = qname;
       }
       return out;
     };
-    if (auto it = wild->find(qtype); it != wild->end()) {
+    if (const auto rrs = RrSetRange(*wild, qtype); rrs.first != rrs.second) {
       LookupResult result;
       result.status = LookupStatus::kSuccess;
-      result.records = synthesize(it->second);
+      result.records = synthesize(rrs);
       result.wildcard = true;
       return result;
     }
     if (qtype != RecordType::kCname) {
-      if (auto it = wild->find(RecordType::kCname); it != wild->end()) {
+      if (const auto rrs = RrSetRange(*wild, RecordType::kCname); rrs.first != rrs.second) {
         LookupResult result;
         result.status = LookupStatus::kCname;
-        result.records = synthesize(it->second);
+        result.records = synthesize(rrs);
         result.wildcard = true;
         return result;
       }
@@ -170,22 +272,30 @@ LookupResult Zone::Lookup(const Name& qname, RecordType qtype) const {
   }
 
   LookupResult negative = MakeNegative(LookupStatus::kNxDomain);
-  if (nsec_enabled_) {
-    // The denial interval is bounded by the nearest existing nodes in the
-    // zone's canonical (suffix-first) order; `next` wraps to the apex at the
-    // end of the zone (RFC 4034 §4.1.1).
-    auto successor = names_.upper_bound(qname);
-    const Name& next = successor != names_.end() ? *successor : apex_;
-    const Name& owner = successor != names_.begin() ? *std::prev(successor) : apex_;
+  if (nsec_enabled()) {
+    // The denial interval is bounded by the nearest owners in the zone's
+    // canonical (suffix-first) order; `next` wraps to the apex at the end of
+    // the zone (RFC 4034 §4.1.1).
+    const auto successor = std::upper_bound(
+        ordered_owners_.begin(), ordered_owners_.end(), qname,
+        [this](const Name& name, uint32_t begin) { return name < records_[begin].name; });
+    const Name& next =
+        successor != ordered_owners_.end() ? records_[*successor].name : apex_;
+    const Name& owner =
+        successor != ordered_owners_.begin() ? records_[*std::prev(successor)].name : apex_;
     negative.nsec = MakeNsec(owner, std::min(default_ttl_, soa_.minimum), next);
   }
   return negative;
 }
 
 size_t Zone::RrSetCount() const {
+  // Each owner's records are contiguous and grouped by type.
   size_t count = 0;
-  for (const auto& [name, types] : nodes_) {
-    count += types.size();
+  for (size_t i = 0; i < records_.size(); ++i) {
+    if (i == 0 || records_[i].type != records_[i - 1].type ||
+        records_[i].name != records_[i - 1].name) {
+      ++count;
+    }
   }
   return count;
 }

@@ -4,14 +4,17 @@
 // exact matches, delegation cuts (referrals with optional glue), CNAME
 // indirection, wildcard synthesis (RFC 4592), empty non-terminals (NODATA),
 // and NXDOMAIN with the zone SOA for negative caching (RFC 2308).
+//
+// A Zone is immutable: it is built in one pass from its complete record list
+// and never changes afterwards, so one built zone can be shared by every
+// server (and every run) that serves it.
 
 #ifndef SRC_ZONE_ZONE_H_
 #define SRC_ZONE_ZONE_H_
 
 #include <cstdint>
-#include <map>
 #include <optional>
-#include <set>
+#include <utility>
 #include <vector>
 
 #include "src/common/flat_map.h"
@@ -40,28 +43,35 @@ struct LookupResult {
   bool wildcard = false;  // Answer was synthesized from a wildcard.
 };
 
+struct ZoneOptions {
+  // TTL of the zone SOA record; also caps the negative-caching TTL.
+  uint32_t default_ttl = 600;
+  // NSEC generation: NXDOMAIN results carry an NSEC record whose (owner,
+  // next) interval covers the denied name (RFC 4034, minus the type bitmap),
+  // enabling RFC 8198 aggressive negative caching downstream.
+  bool nsec = false;
+};
+
 class Zone {
  public:
-  explicit Zone(Name apex, SoaData soa, uint32_t default_ttl = 600);
+  // Builds the zone from every record it holds. The zone SOA heads the
+  // apex's SOA RRset; inside each RRset the records keep their list order.
+  // Records not at or below the apex are dropped and counted in rejected().
+  // `records` becomes the zone's record array; a caller that knows its
+  // record count reserves one more (for the SOA) so the build never copies
+  // it.
+  Zone(Name apex, SoaData soa, std::vector<ResourceRecord> records,
+       ZoneOptions options = {});
 
   const Name& apex() const { return apex_; }
   uint32_t default_ttl() const { return default_ttl_; }
+  bool nsec_enabled() const { return !ordered_owners_.empty(); }
 
-  // Adds a record; `rr.name` must be at or below the apex (checked).
-  // Returns false (and ignores the record) otherwise.
-  bool Add(ResourceRecord rr);
+  // Records of the list given to the constructor that lay outside the apex.
+  size_t rejected() const { return rejected_; }
 
-  // Convenience helpers using the zone default TTL.
-  bool AddA(const Name& name, HostAddress addr);
-  bool AddNs(const Name& name, const Name& nsdname);
-  bool AddCname(const Name& name, const Name& target);
-  bool AddTxt(const Name& name, std::vector<std::string> strings);
-
-  // Enables NSEC generation: NXDOMAIN results carry an NSEC record whose
-  // (owner, next) interval covers the denied name (RFC 4034, minus the type
-  // bitmap), enabling RFC 8198 aggressive negative caching downstream.
-  void EnableNsec() { nsec_enabled_ = true; }
-  bool nsec_enabled() const { return nsec_enabled_; }
+  // Every record, the zone SOA included, grouped by owner and then by type.
+  const std::vector<ResourceRecord>& records() const { return records_; }
 
   // Performs an authoritative lookup per RFC 1034 §4.3.2.
   LookupResult Lookup(const Name& qname, RecordType qtype) const;
@@ -73,30 +83,41 @@ class Zone {
   ResourceRecord SoaRecord() const;
 
  private:
-  using TypeMap = std::map<RecordType, RrSet>;
+  // Index entry of one name: an owner's records are records_[begin, end),
+  // grouped by type. Every ancestor of an owner up to the apex is indexed
+  // too, so an entry with no records is an empty non-terminal, and a name
+  // missing from the index has no descendants either.
+  struct Node {
+    uint32_t begin = 0;
+    uint32_t end = 0;
+  };
 
-  // Finds the node map for `name` if it exists (exact match only).
-  const TypeMap* FindNode(const Name& name) const;
+  // The index entry for `name` (exact match), or nullptr.
+  const Node* FindNode(const Name& name) const;
 
-  // True if any stored name is a strict descendant of `name`
-  // (=> `name` is an empty non-terminal if it has no node itself).
-  bool HasDescendants(const Name& name) const;
+  // The RRset of `type` at `node`, as a records_ range (empty if none).
+  std::pair<uint32_t, uint32_t> RrSetRange(const Node& node, RecordType type) const;
+  RrSet CopyRrSet(std::pair<uint32_t, uint32_t> range) const;
 
-  // Looks for a delegation cut strictly between apex (exclusive) and
-  // `qname` (inclusive); returns the cut owner name if found.
-  std::optional<Name> FindDelegation(const Name& qname) const;
+  // The first (highest) delegation cut strictly below the apex and at or
+  // above `qname`, or nullptr.
+  const Node* FindDelegation(const Name& qname) const;
+
+  // Indexes the ancestors of the freshly indexed `name` up to the apex.
+  void IndexAncestors(const Name& name);
 
   LookupResult MakeNegative(LookupStatus status) const;
 
   Name apex_;
   SoaData soa_;
   uint32_t default_ttl_;
-  bool nsec_enabled_ = false;
-  // Exact-match lookups go to the hash table; the ordered owner-name set
-  // serves only HasDescendants and the NSEC neighbours. The two hold
-  // separate copies of each owner name.
-  FlatMap<Name, TypeMap, NameHash> nodes_;
-  std::set<Name> names_;
+  size_t rejected_ = 0;
+  std::vector<ResourceRecord> records_;  // Grouped by owner, then type.
+  FlatMap<Name, Node, NameHash> index_;
+  // With NSEC on: for each owner, in canonical (suffix-first) name order,
+  // the records_ offset of its first listed record, which names it. Empty
+  // otherwise.
+  std::vector<uint32_t> ordered_owners_;
 };
 
 }  // namespace dcc

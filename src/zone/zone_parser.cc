@@ -3,6 +3,7 @@
 #include <cctype>
 #include <charconv>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <vector>
 
@@ -232,16 +233,16 @@ ZoneParseResult ParseZoneText(std::string_view text, const Name& default_origin)
     soa = synthetic;
     soa_ttl = default_ttl;
   }
-  Zone zone(apex, *soa, soa_ttl);
-
+  std::vector<ResourceRecord> zone_records;
+  zone_records.reserve(records.size() + 1);  // Room for the zone SOA.
   for (const auto& record : records) {
-    bool ok = false;
+    std::optional<ResourceRecord> rr;
     switch (record.type) {
       case RecordType::kA:
       case RecordType::kAaaa: {
         HostAddress addr = 0;
         if (record.rdata.size() == 1 && ParseAddress(record.rdata[0], addr)) {
-          ok = zone.Add(ResourceRecord{record.owner, record.type, record.ttl, addr});
+          rr = ResourceRecord{record.owner, record.type, record.ttl, addr};
         }
         break;
       }
@@ -250,8 +251,7 @@ ZoneParseResult ParseZoneText(std::string_view text, const Name& default_origin)
         if (record.rdata.size() == 1) {
           const auto target = ResolveName(record.rdata[0], origin);
           if (target.has_value()) {
-            ok = zone.Add(
-                ResourceRecord{record.owner, record.type, record.ttl, *target});
+            rr = ResourceRecord{record.owner, record.type, record.ttl, *target};
           }
         }
         break;
@@ -265,15 +265,18 @@ ZoneParseResult ParseZoneText(std::string_view text, const Name& default_origin)
           }
           strings.push_back(std::move(token));
         }
-        ok = !strings.empty() &&
-             zone.Add(ResourceRecord{record.owner, record.type, record.ttl,
-                                     TxtData{std::move(strings)}});
+        if (!strings.empty()) {
+          rr = ResourceRecord{record.owner, record.type, record.ttl,
+                              TxtData{std::move(strings)}};
+        }
         break;
       }
       default:
         break;
     }
-    if (!ok) {
+    if (rr.has_value() && rr->name.IsSubdomainOf(apex)) {
+      zone_records.push_back(std::move(*rr));
+    } else {
       std::ostringstream message;
       message << "invalid rdata for " << record.owner.ToString()
               << " (or owner outside zone apex " << apex.ToString() << ")";
@@ -281,7 +284,8 @@ ZoneParseResult ParseZoneText(std::string_view text, const Name& default_origin)
     }
   }
 
-  result.zone = std::move(zone);
+  result.zone.emplace(apex, *soa, std::move(zone_records),
+                      ZoneOptions{.default_ttl = soa_ttl});
   return result;
 }
 

@@ -81,6 +81,28 @@ TEST(ProbeTest, UnlimitedResolverIsUncertain) {
   EXPECT_TRUE(limits.erl_ff_uncertain);
 }
 
+TEST(ProbeTest, SharedZonesGiveIdenticalLimits) {
+  // Probing several resolvers against one set of zones (as the Fig. 2 bench
+  // does) measures exactly what zones built for each resolver measure.
+  ResolverProfile limited;
+  limited.name = "T4";
+  limited.irl_noerror_qps = 300;
+  limited.irl_nxdomain_qps = 150;
+  limited.egress_qps = 250;
+  ResolverProfile unlimited;
+  unlimited.name = "T5";
+  unlimited.irl_noerror_qps = 60;
+  ProbeZones shared;
+  for (const ResolverProfile& profile : {limited, unlimited}) {
+    const MeasuredLimits fresh = ProbeResolver(profile, FastProbe(), 4);
+    EXPECT_EQ(ProbeResolver(profile, FastProbe(), 4, &shared), fresh) << profile.name;
+  }
+  // Each zone was built once and handed out again since.
+  EXPECT_EQ(shared.Attacker(), shared.Attacker());
+  EXPECT_EQ(shared.Target(/*cq_chains=*/true, 0x0a000001),
+            shared.Target(/*cq_chains=*/true, 0x0a000001));
+}
+
 TEST(HistogramTest, CountsPerSeries) {
   std::vector<MeasuredLimits> measurements(3);
   measurements[0].irl_wc = 50;

@@ -18,8 +18,7 @@ const Name& TargetApex() {
 }
 
 TEST(ZoneNsecTest, NxDomainCarriesCoveringInterval) {
-  Zone zone = MakeTargetZone(TargetApex(), 0x0a000001);
-  zone.EnableNsec();
+  const Zone zone = MakeTargetZone(TargetApex(), 0x0a000001, {.nsec = true});
   const Name missing = *Name::Parse("ghost.nx.target-domain");
   const auto result = zone.Lookup(missing, RecordType::kA);
   ASSERT_EQ(result.status, LookupStatus::kNxDomain);
@@ -41,8 +40,7 @@ TEST(ZoneNsecTest, DisabledByDefault) {
 }
 
 TEST(ZoneNsecTest, IntervalNeverCoversExistingNames) {
-  Zone zone = MakeTargetZone(TargetApex(), 0x0a000001);
-  zone.EnableNsec();
+  const Zone zone = MakeTargetZone(TargetApex(), 0x0a000001, {.nsec = true});
   const auto result =
       zone.Lookup(*Name::Parse("ghost.nx.target-domain"), RecordType::kA);
   ASSERT_TRUE(result.nsec.has_value());
@@ -73,9 +71,7 @@ struct NsecDeployment {
     ans_addr = bed.NextAddress();
     resolver_addr = bed.NextAddress();
     AuthoritativeServer& ans = bed.AddAuthoritative(ans_addr);
-    Zone zone = MakeTargetZone(TargetApex(), ans_addr);
-    zone.EnableNsec();
-    ans.AddZone(std::move(zone));
+    ans.AddZone(MakeTargetZone(TargetApex(), ans_addr, {.nsec = true}));
     auth = &ans;
     ResolverConfig config;
     config.aggressive_nsec = aggressive;

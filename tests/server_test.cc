@@ -19,6 +19,20 @@ const Name& TargetApex() {
   return apex;
 }
 
+// The default target zone with `extra` records added.
+Zone TargetZoneWith(HostAddress ans_addr, std::vector<ResourceRecord> extra) {
+  const Zone base = MakeTargetZone(TargetApex(), ans_addr);
+  std::vector<ResourceRecord> records;
+  for (const ResourceRecord& rr : base.records()) {
+    if (rr.type != RecordType::kSoa) {  // The rebuilt zone adds its own.
+      records.push_back(rr);
+    }
+  }
+  records.insert(records.end(), extra.begin(), extra.end());
+  return Zone(base.apex(), base.SoaRecord().soa(), std::move(records),
+              {.default_ttl = base.default_ttl()});
+}
+
 // Ticks `sampler` every second of virtual time for `horizon`.
 void StartSampling(Testbed& bed, telemetry::TimeSeriesSampler& sampler,
                    Time horizon) {
@@ -265,15 +279,14 @@ TEST(ResolverTest, FollowsDelegationWithGlue) {
   SoaData soa;
   soa.mname = *child_apex.Prepend("ns");
   soa.minimum = 300;
-  Zone child_zone(child_apex, soa, 600);
-  child_zone.AddA(*child_apex.Prepend("www"), 0x0a0000aa);
-  child_auth.AddZone(std::move(child_zone));
+  child_auth.AddZone(
+      Zone(child_apex, soa, {MakeA(*child_apex.Prepend("www"), 600, 0x0a0000aa)}));
   // Parent zone: delegation with glue. Rebuild target zone with extra RRs.
   // (The deployment's auth already has the target zone; add a second zone
   // overrides - instead add delegation records into a fresh target zone.)
-  Zone parent = MakeTargetZone(TargetApex(), d.auth_addr);
-  parent.AddNs(child_apex, *child_apex.Prepend("ns"));
-  parent.AddA(*child_apex.Prepend("ns"), child_ans);
+  Zone parent = TargetZoneWith(d.auth_addr,
+                               {MakeNs(child_apex, 600, *child_apex.Prepend("ns")),
+                                MakeA(*child_apex.Prepend("ns"), 600, child_ans)});
   d.auth->AddZone(std::move(parent));  // Deeper apex wins for lookups? Same apex:
   // FindZone picks by longest apex; two zones with equal apex — the first
   // registered (without delegation) would tie. Use the child-aware zone by
@@ -309,6 +322,96 @@ TEST(ResolverTest, FfPatternAmplifies) {
   // queries to the target server (message amplification, §2.3.2).
   EXPECT_GE(d.auth->queries_received(), 15u);
   EXPECT_GE(d.resolver->queries_sent(), 25u);
+}
+
+// An FF deployment whose two authoritatives serve the zones they are
+// given: the target zone must name its server at the testbed's first address.
+constexpr HostAddress kFirstAddress = 0x0a000001;
+
+struct FfDeployment {
+  struct Outcome {
+    uint64_t target_queries = 0;
+    uint64_t target_rate_limited = 0;
+    uint64_t attacker_queries = 0;
+    uint64_t resolver_queries = 0;
+    uint64_t succeeded = 0;
+    uint64_t failed = 0;
+    size_t events = 0;
+    friend bool operator==(const Outcome&, const Outcome&) = default;
+  };
+
+  FfDeployment(std::shared_ptr<const Zone> target, std::shared_ptr<const Zone> attacker) {
+    const HostAddress target_ans = bed.NextAddress();
+    EXPECT_EQ(target_ans, kFirstAddress);
+    const HostAddress attacker_ans = bed.NextAddress();
+    const HostAddress resolver_addr = bed.NextAddress();
+    AuthoritativeConfig rrl;  // Per-client RRL state lives in the server.
+    rrl.rrl.enabled = true;
+    rrl.rrl.noerror_qps = 200;
+    target_auth = &bed.AddAuthoritative(target_ans, rrl);
+    target_auth->AddZone(std::move(target));
+    attacker_auth = &bed.AddAuthoritative(attacker_ans);
+    attacker_auth->AddZone(attacker);
+    resolver = &bed.AddResolver(resolver_addr);
+    resolver->AddAuthorityHint(TargetApex(), target_ans);
+    resolver->AddAuthorityHint(attacker->apex(), attacker_ans);
+    StubConfig config;
+    config.qps = 20;
+    config.stop = Seconds(4);
+    config.timeout = Seconds(2);
+    stub = &bed.AddStub(bed.NextAddress(), config, MakeFfGenerator(attacker->apex(), 30));
+    stub->AddResolver(resolver_addr);
+    stub->Start();
+  }
+
+  Outcome Observed() const {
+    return {target_auth->queries_received(), target_auth->rate_limited(),
+            attacker_auth->queries_received(), resolver->queries_sent(),
+            stub->succeeded(), stub->failed(), events};
+  }
+
+  Testbed bed;
+  AuthoritativeServer* target_auth = nullptr;
+  AuthoritativeServer* attacker_auth = nullptr;
+  RecursiveResolver* resolver = nullptr;
+  StubClient* stub = nullptr;
+  size_t events = 0;
+};
+
+TEST(ZoneSharingTest, TestbedsSharingZonesMatchSeparateBuilds) {
+  const auto build_target = [] {
+    return std::make_shared<const Zone>(MakeTargetZone(TargetApex(), kFirstAddress));
+  };
+  const auto build_attacker = [] {
+    AttackerZoneOptions options;
+    options.instances = 30;
+    options.fanout_a = 4;
+    options.fanout_t = 4;
+    return std::make_shared<const Zone>(
+        MakeAttackerZone(*Name::Parse("attacker-com"), TargetApex(), options));
+  };
+  const auto run_chunk = [](FfDeployment& d) { d.events += d.bed.RunFor(Seconds(1)); };
+
+  // Two runs, each on zones of its own.
+  FfDeployment separate_a(build_target(), build_attacker());
+  FfDeployment separate_b(build_target(), build_attacker());
+  // Two runs alive at once, interleaved, sharing one build of each zone.
+  const auto target = build_target();
+  const auto attacker = build_attacker();
+  FfDeployment shared_a(target, attacker);
+  FfDeployment shared_b(target, attacker);
+  for (int second = 0; second < 8; ++second) {
+    run_chunk(separate_a);
+    run_chunk(separate_b);
+    run_chunk(shared_a);
+    run_chunk(shared_b);
+  }
+  const FfDeployment::Outcome expected = separate_a.Observed();
+  EXPECT_GT(expected.target_queries, 100u);
+  EXPECT_GT(expected.succeeded + expected.failed, 50u);
+  EXPECT_EQ(separate_b.Observed(), expected);
+  EXPECT_EQ(shared_a.Observed(), expected);
+  EXPECT_EQ(shared_b.Observed(), expected);
 }
 
 TEST(ResolverTest, FetchBudgetCapsAmplification) {
@@ -413,11 +516,9 @@ TEST(ResolverTest, EgressRlLimitsUpstreamQueries) {
 TEST(ResolverTest, CnameLoopTerminates) {
   Deployment d;
   // Inject a CNAME loop into the target zone via a second zone object.
-  Zone looped = MakeTargetZone(TargetApex(), d.auth_addr);
   const Name a = *Name::Parse("loop-a.target-domain");
   const Name b = *Name::Parse("loop-b.target-domain");
-  looped.AddCname(a, b);
-  looped.AddCname(b, a);
+  Zone looped = TargetZoneWith(d.auth_addr, {MakeCname(a, 600, b), MakeCname(b, 600, a)});
   d.auth->AddZone(std::move(looped));
   ResolverConfig config;  // (Defaults; loop bound = max_cname_chain.)
   (void)config;

@@ -11,24 +11,27 @@
 namespace dcc {
 namespace {
 
-Zone MakeTestZone() {
+// A small zone covering every lookup case, plus `extra` records.
+Zone MakeTestZone(std::vector<ResourceRecord> extra = {}) {
   const Name apex = *Name::Parse("example.com");
   SoaData soa;
   soa.mname = *apex.Prepend("ns1");
   soa.rname = *apex.Prepend("hostmaster");
   soa.minimum = 300;
-  Zone zone(apex, soa, /*default_ttl=*/600);
-  zone.AddNs(apex, *apex.Prepend("ns1"));
-  zone.AddA(*apex.Prepend("ns1"), 0x0a000001);
-  zone.AddA(*apex.Prepend("www"), 0x0a000002);
-  zone.AddCname(*apex.Prepend("alias"), *apex.Prepend("www"));
-  zone.AddTxt(*Name::Parse("deep.sub.example.com"), {"anchor"});
-  // Wildcard under "wild".
-  zone.AddA(*Name::Parse("*.wild.example.com"), 0x0a0000ff);
-  // Delegation: child.example.com -> ns.child.example.com (with glue).
-  zone.AddNs(*Name::Parse("child.example.com"), *Name::Parse("ns.child.example.com"));
-  zone.AddA(*Name::Parse("ns.child.example.com"), 0x0a000003);
-  return zone;
+  std::vector<ResourceRecord> records = {
+      MakeNs(apex, 600, *apex.Prepend("ns1")),
+      MakeA(*apex.Prepend("ns1"), 600, 0x0a000001),
+      MakeA(*apex.Prepend("www"), 600, 0x0a000002),
+      MakeCname(*apex.Prepend("alias"), 600, *apex.Prepend("www")),
+      MakeTxt(*Name::Parse("deep.sub.example.com"), 600, {"anchor"}),
+      // Wildcard under "wild".
+      MakeA(*Name::Parse("*.wild.example.com"), 600, 0x0a0000ff),
+      // Delegation: child.example.com -> ns.child.example.com (with glue).
+      MakeNs(*Name::Parse("child.example.com"), 600, *Name::Parse("ns.child.example.com")),
+      MakeA(*Name::Parse("ns.child.example.com"), 600, 0x0a000003),
+  };
+  records.insert(records.end(), extra.begin(), extra.end());
+  return Zone(apex, soa, std::move(records), {.default_ttl = 600});
 }
 
 TEST(ZoneTest, ExactMatch) {
@@ -90,8 +93,7 @@ TEST(ZoneTest, WildcardSynthesis) {
 }
 
 TEST(ZoneTest, WildcardDoesNotMatchExistingSibling) {
-  Zone zone = MakeTestZone();
-  zone.AddA(*Name::Parse("real.wild.example.com"), 0x0a000042);
+  const Zone zone = MakeTestZone({MakeA(*Name::Parse("real.wild.example.com"), 600, 0x0a000042)});
   const auto exact = zone.Lookup(*Name::Parse("real.wild.example.com"), RecordType::kA);
   EXPECT_EQ(exact.status, LookupStatus::kSuccess);
   EXPECT_FALSE(exact.wildcard);
@@ -130,19 +132,19 @@ TEST(ZoneTest, ApexNsIsAnswerNotReferral) {
 }
 
 TEST(ZoneTest, OutOfZoneRejected) {
-  Zone zone = MakeTestZone();
+  const Zone zone = MakeTestZone({MakeA(*Name::Parse("other.net"), 60, 1)});
   const auto result = zone.Lookup(*Name::Parse("other.net"), RecordType::kA);
   EXPECT_EQ(result.status, LookupStatus::kNotInZone);
-  EXPECT_FALSE(zone.Add(MakeA(*Name::Parse("other.net"), 60, 1)));
+  EXPECT_EQ(zone.rejected(), 1u);
+  EXPECT_EQ(zone.RrSetCount(), MakeTestZone().RrSetCount());
 }
 
 TEST(ZoneTest, RrSetCountCountsTypes) {
-  Zone zone = MakeTestZone();
-  const size_t before = zone.RrSetCount();
-  zone.AddA(*Name::Parse("www.example.com"), 0x0a000009);  // Same RRset.
-  EXPECT_EQ(zone.RrSetCount(), before);
-  zone.AddTxt(*Name::Parse("www.example.com"), {"new type"});
-  EXPECT_EQ(zone.RrSetCount(), before + 1);
+  const size_t before = MakeTestZone().RrSetCount();
+  const ResourceRecord same_rrset = MakeA(*Name::Parse("www.example.com"), 600, 0x0a000009);
+  EXPECT_EQ(MakeTestZone({same_rrset}).RrSetCount(), before);
+  const ResourceRecord new_type = MakeTxt(*Name::Parse("www.example.com"), 600, {"new type"});
+  EXPECT_EQ(MakeTestZone({same_rrset, new_type}).RrSetCount(), before + 1);
 }
 
 // --- experiment zones -------------------------------------------------------
@@ -244,20 +246,21 @@ TEST_P(ZonePropertyTest, LookupMatchesReferenceSemantics) {
   SoaData soa;
   soa.mname = *apex.Prepend("ns");
   soa.minimum = 60;
-  Zone zone(apex, soa, 300);
 
   // Random flat A records (no delegations/wildcards in this model).
   std::vector<Name> stored;
+  std::vector<ResourceRecord> records;
   for (int i = 0; i < 40; ++i) {
     Name name = apex;
     const int depth = 1 + static_cast<int>(rng.NextBelow(3));
     for (int d = 0; d < depth; ++d) {
       name = *name.Prepend(rng.NextLabel(1 + static_cast<int>(rng.NextBelow(4))));
     }
-    if (zone.Add(MakeA(name, 300, static_cast<HostAddress>(i + 1)))) {
-      stored.push_back(name);
-    }
+    records.push_back(MakeA(name, 300, static_cast<HostAddress>(i + 1)));
+    stored.push_back(name);
   }
+  const Zone zone(apex, soa, records, {.default_ttl = 300});
+  ASSERT_EQ(zone.rejected(), 0u);
 
   // Every stored name answers with exactly its records.
   for (const Name& name : stored) {
@@ -291,10 +294,10 @@ TEST_P(ZonePropertyTest, LookupMatchesReferenceSemantics) {
 
   // With NSEC enabled, every NXDOMAIN proof covers the denied name and
   // never an existing one.
-  zone.EnableNsec();
+  const Zone signed_zone(apex, soa, std::move(records), {.default_ttl = 300, .nsec = true});
   for (int i = 0; i < 30; ++i) {
     const Name ghost = *apex.Prepend("zz" + rng.NextLabel(10));
-    const auto result = zone.Lookup(ghost, RecordType::kA);
+    const auto result = signed_zone.Lookup(ghost, RecordType::kA);
     if (result.status != LookupStatus::kNxDomain) {
       continue;
     }
