@@ -71,7 +71,8 @@ void RunScenario(const char* title, const char* file) {
       // With DCC on, policing should push the attacker's realized fan-out
       // well below the vanilla number.
       const telemetry::AmplificationReport report =
-          telemetry::Attribute(telemetry::BuildSpanTrees(sink.trace));
+          telemetry::Attribute(telemetry::BuildSpanTrees(
+              sink.trace.Events(), sink.trace.ring_state()));
       if (!report.clients.empty()) {
         const telemetry::ClientAmplification& worst = report.clients.front();
         std::printf(

@@ -1,9 +1,9 @@
 // Minimal recursive-descent JSON parser and writer (RFC 8259 subset, no
 // external deps).
 //
-// Exists for the offline tooling side of telemetry (`tools/dcc_trace` parses
-// the tracer's JSONL dumps back into span events) and for the declarative
-// scenario specs (`src/scenario` parses, validates and re-emits
+// Exists for the offline tooling side of telemetry (`tools/dcc_why` parses
+// the audit and trace JSONL dumps and the profile JSON back) and for the
+// declarative scenario specs (`src/scenario` parses, validates and re-emits
 // ScenarioSpec documents). It is NOT a general-purpose library: numbers are
 // held as doubles, strings support the standard escapes ("\uXXXX" is decoded
 // as UTF-8 for the BMP and replaced with '?' outside it), and inputs nested

@@ -106,9 +106,5 @@ std::string ExportChromeTrace(const std::vector<SpanTree>& trees) {
   return out;
 }
 
-std::string ExportChromeTrace(const QueryTracer& tracer) {
-  return ExportChromeTrace(BuildSpanTrees(tracer));
-}
-
 }  // namespace telemetry
 }  // namespace dcc

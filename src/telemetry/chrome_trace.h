@@ -15,14 +15,11 @@
 #include <vector>
 
 #include "src/telemetry/span_tree.h"
-#include "src/telemetry/trace.h"
 
 namespace dcc {
 namespace telemetry {
 
 std::string ExportChromeTrace(const std::vector<SpanTree>& trees);
-// Convenience: build trees from the tracer's retained window and export.
-std::string ExportChromeTrace(const QueryTracer& tracer);
 
 }  // namespace telemetry
 }  // namespace dcc

@@ -36,7 +36,7 @@
 // Each site accumulates call count, total wall time (outermost entries
 // only, so recursion does not double-count) and self wall time (excluding
 // children). In addition the current site stack is interned into a path
-// tree, yielding exact (not sampled) folded stacks — `dcc_prof folded`
+// tree, yielding exact (not sampled) folded stacks — `dcc_why folded`
 // prints them in the `a;b;c <weight>` format every flamegraph tool eats.
 //
 // The event loop reports per-category execution stats (count, handler wall
@@ -153,12 +153,13 @@ void Reset();
 // enabled (the open enabled-interval is included).
 ProfileReport Snapshot();
 
-// Builds the dcc_prof JSON object for a report (see tools/dcc_prof).
+// Builds the profile JSON object for a report, tagged "tool": "dcc_prof" (the
+// schema's name; tools/dcc_why reads it).
 // Exposed as a json::Value so callers (dcc_bench) can embed per-bench
 // profiles inside a larger document.
 json::Value ProfileJsonValue(const ProfileReport& report);
 
-// Serializes a report into the dcc_prof JSON schema (see tools/dcc_prof).
+// Serializes a report into the dcc_prof JSON schema (see tools/dcc_why).
 std::string WriteProfileJson(const ProfileReport& report);
 
 // ---------------------------------------------------------------------------

@@ -119,7 +119,8 @@ bool RootComplete(const SpanTree& tree) {
 
 }  // namespace
 
-std::vector<SpanTree> BuildSpanTrees(const std::vector<SpanEvent>& events) {
+std::vector<SpanTree> BuildSpanTrees(const std::vector<SpanEvent>& events,
+                                     const RingState& ring) {
   // Bucket by trace, preserving the order traces first appear.
   std::unordered_map<uint64_t, size_t> index;
   std::vector<std::pair<uint64_t, std::vector<SpanEvent>>> buckets;
@@ -134,14 +135,7 @@ std::vector<SpanTree> BuildSpanTrees(const std::vector<SpanEvent>& events) {
   trees.reserve(buckets.size());
   for (auto& [trace_id, bucket] : buckets) {
     trees.push_back(BuildOne(trace_id, bucket));
-  }
-  return trees;
-}
-
-std::vector<SpanTree> BuildSpanTrees(const QueryTracer& tracer) {
-  std::vector<SpanTree> trees = BuildSpanTrees(tracer.Events());
-  for (SpanTree& tree : trees) {
-    tree.truncated = tracer.PossiblyTruncated(tree.trace_id);
+    trees.back().truncated = PossiblyTruncated(ring, &bucket.front());
   }
   return trees;
 }
@@ -326,6 +320,56 @@ std::string RenderTree(const SpanTree& tree) {
     out += "  (client span missing; showing earliest retained span)\n";
   }
   RenderNode(tree, start, "  ", /*last=*/true, out);
+  return out;
+}
+
+std::string RenderReport(const SpanTree& tree) {
+  // Re-flatten into timestamp order: tree nodes keep per-span order, the
+  // report wants the interleaved global timeline.
+  std::vector<SpanEvent> events;
+  for (const SpanNode& node : tree.nodes) {
+    events.insert(events.end(), node.events.begin(), node.events.end());
+  }
+  std::stable_sort(events.begin(), events.end(),
+                   [](const SpanEvent& a, const SpanEvent& b) {
+                     return a.at < b.at;
+                   });
+  const TraceStats stats = ComputeStats(tree);
+  std::string out;
+  char buf[256];
+  std::snprintf(buf, sizeof(buf), "trace %016" PRIx64 " client %s%s\n",
+                tree.trace_id, FormatAddress(tree.client).c_str(),
+                tree.truncated ? "  [TRUNCATED: head evicted from ring]" : "");
+  out += buf;
+  const Time start = events.empty() ? 0 : events.front().at;
+  Time prev = start;
+  for (const SpanEvent& event : events) {
+    std::snprintf(buf, sizeof(buf),
+                  "  +%8" PRId64 " us (d %6" PRId64
+                  ")  %-17s span=%-4u parent=%-4u actor=%-12s detail=%d\n",
+                  static_cast<int64_t>(event.at - start),
+                  static_cast<int64_t>(event.at - prev),
+                  SpanKindName(event.kind), event.span_id,
+                  event.parent_span_id, FormatAddress(event.actor).c_str(),
+                  event.detail);
+    out += buf;
+    prev = event.at;
+  }
+  std::snprintf(buf, sizeof(buf),
+                "  stats: %zu subqueries, %zu retries, depth %d, %s\n",
+                stats.subqueries, stats.retries, stats.max_depth,
+                stats.complete ? "complete" : "incomplete");
+  out += buf;
+  std::string path;
+  for (size_t i = 0; i < stats.critical_path.size(); ++i) {
+    if (i > 0) {
+      path += " -> ";
+    }
+    path += "span " + std::to_string(stats.critical_path[i]);
+  }
+  std::snprintf(buf, sizeof(buf), " (%" PRId64 " us)\n",
+                static_cast<int64_t>(stats.critical_path_latency));
+  out += "  critical path: " + (path.empty() ? "(none)" : path) + buf;
   return out;
 }
 

@@ -12,6 +12,8 @@
 //
 // Everything here is read-only over a snapshot of events: it is the analysis
 // half of the tracing pipeline (the recording half stays allocation-free).
+// The same code serves the live tracer (benches, tests) and `tools/dcc_why`
+// over a JSONL dump; both pass the ring state so truncation agrees.
 
 #ifndef SRC_TELEMETRY_SPAN_TREE_H_
 #define SRC_TELEMETRY_SPAN_TREE_H_
@@ -61,10 +63,10 @@ struct SpanTree {
 // one trace are expected in timestamp order (QueryTracer::Events() order).
 // A missing client span leaves `root` == kNoNode; spans with a missing
 // parent are flagged `orphaned` and attached under the root (or first span).
-std::vector<SpanTree> BuildSpanTrees(const std::vector<SpanEvent>& events);
-// Convenience overload: also marks per-trace truncation from the tracer's
-// ring-eviction state.
-std::vector<SpanTree> BuildSpanTrees(const QueryTracer& tracer);
+// `ring` marks each trace's truncation by the PossiblyTruncated rule: pass
+// QueryTracer::ring_state() live, or the dump's ring-state line offline.
+std::vector<SpanTree> BuildSpanTrees(const std::vector<SpanEvent>& events,
+                                     const RingState& ring = {});
 
 // ---- per-trace statistics --------------------------------------------------
 
@@ -121,8 +123,14 @@ AmplificationReport Attribute(const std::vector<SpanTree>& trees);
 
 // ---- rendering -------------------------------------------------------------
 
-// ASCII rendering of one span tree (dcc_trace `tree` subcommand).
+// ASCII rendering of one span tree (dcc_why `tree` on a trace dump).
 std::string RenderTree(const SpanTree& tree);
+
+// Stage-by-stage latency breakdown of one trace (dcc_why `report` and the
+// trace half of `why`): every retained event in timestamp order with its
+// offset from the trace start and delta from the previous stage, then the
+// critical path that determined the client-observed latency.
+std::string RenderReport(const SpanTree& tree);
 
 // The "top amplifiers" forensics table: per-client fan-out ranked worst
 // first, with cause mix — FF/CQ attack clients surface at the top.

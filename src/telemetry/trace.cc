@@ -120,12 +120,11 @@ std::vector<SpanEvent> QueryTracer::EventsFor(uint64_t trace_id) const {
   return out;
 }
 
-bool QueryTracer::PossiblyTruncated(uint64_t trace_id) const {
-  if (dropped() == 0) {
+bool PossiblyTruncated(const RingState& ring, const SpanEvent* first) {
+  if (ring.dropped == 0) {
     return false;
   }
-  const std::vector<SpanEvent> events = EventsFor(trace_id);
-  if (events.empty()) {
+  if (first == nullptr) {
     // Nothing retained: the trace is either entirely evicted or was never
     // recorded — indistinguishable once events have been dropped.
     return true;
@@ -134,8 +133,13 @@ bool QueryTracer::PossiblyTruncated(uint64_t trace_id) const {
   // retained window that starts mid-lifecycle cannot rule out a lost head,
   // while a window whose first event IS the stub send provably holds it.
   // The timestamp guard only matters for non-monotone recorders.
-  return events.front().kind != SpanKind::kStubSend ||
-         events.front().at < last_evicted_at_;
+  return first->kind != SpanKind::kStubSend || first->at < ring.last_evicted_at;
+}
+
+bool QueryTracer::PossiblyTruncated(uint64_t trace_id) const {
+  const std::vector<SpanEvent> events = EventsFor(trace_id);
+  return telemetry::PossiblyTruncated(ring_state(),
+                                      events.empty() ? nullptr : &events[0]);
 }
 
 std::vector<uint64_t> QueryTracer::CompleteTraceIds() const {
@@ -155,8 +159,12 @@ std::vector<uint64_t> QueryTracer::CompleteTraceIds() const {
 }
 
 std::string QueryTracer::ExportJsonLines() const {
-  std::string out;
   char buf[256];
+  std::snprintf(buf, sizeof(buf),
+                "{\"ring\":{\"dropped\":%" PRIu64 ",\"last_evicted_us\":%" PRId64
+                "}}\n",
+                dropped(), last_evicted_at_);
+  std::string out = buf;
   for (const SpanEvent& event : Events()) {
     std::snprintf(buf, sizeof(buf),
                   "{\"trace_id\":\"%016" PRIx64 "\",\"ts_us\":%" PRId64
@@ -169,6 +177,20 @@ std::string QueryTracer::ExportJsonLines() const {
     out += buf;
   }
   return out;
+}
+
+bool ParseRingStateLine(std::string_view line, RingState* out) {
+  json::Value doc;
+  if (!json::Parse(line, &doc) || !doc.is_object()) {
+    return false;
+  }
+  const json::Value* ring = doc.Find("ring");
+  if (ring == nullptr || !ring->is_object()) {
+    return false;
+  }
+  out->dropped = static_cast<uint64_t>(ring->Number("dropped"));
+  out->last_evicted_at = static_cast<Time>(ring->Number("last_evicted_us"));
+  return true;
 }
 
 bool ParseSpanJsonLine(std::string_view line, SpanEvent* out,
@@ -204,33 +226,6 @@ bool ParseSpanJsonLine(std::string_view line, SpanEvent* out,
     out->peer = addr;
   }
   return true;
-}
-
-std::string QueryTracer::BreakdownReport(uint64_t trace_id) const {
-  const std::vector<SpanEvent> events = EventsFor(trace_id);
-  if (events.empty()) {
-    return "";
-  }
-  std::string out;
-  char buf[192];
-  const bool truncated = PossiblyTruncated(trace_id);
-  std::snprintf(buf, sizeof(buf), "trace %016" PRIx64 " (%zu spans)%s\n",
-                trace_id, events.size(),
-                truncated ? "  [TRUNCATED: head evicted from ring]" : "");
-  out += buf;
-  const Time origin = events.front().at;
-  Time previous = origin;
-  for (const SpanEvent& event : events) {
-    std::snprintf(buf, sizeof(buf),
-                  "  +%8" PRId64 "us  (+%6" PRId64
-                  "us)  %-18s %s span=%u parent=%u detail=%d\n",
-                  event.at - origin, event.at - previous,
-                  SpanKindName(event.kind), FormatAddress(event.actor).c_str(),
-                  event.span_id, event.parent_span_id, event.detail);
-    out += buf;
-    previous = event.at;
-  }
-  return out;
 }
 
 }  // namespace telemetry

@@ -11,6 +11,8 @@
 // Storage is a fixed-capacity ring buffer of POD events: recording never
 // allocates, and a long simulation simply keeps the most recent window of
 // spans (the bounded-memory property the §5.2 overhead claims require).
+// ExportJsonLines writes that window, led by the ring's eviction state, for
+// the offline reader `tools/dcc_why` (summary/top/tree/report/chrome).
 
 #ifndef SRC_TELEMETRY_TRACE_H_
 #define SRC_TELEMETRY_TRACE_H_
@@ -44,7 +46,7 @@ inline constexpr int kSpanKindCount = 11;
 
 const char* SpanKindName(SpanKind kind);
 // Inverse of SpanKindName; false when `name` matches no kind. Used by the
-// offline dcc_trace CLI when re-reading JSONL dumps.
+// offline dcc_why reader when re-reading JSONL dumps.
 bool SpanKindFromName(std::string_view name, SpanKind* out);
 
 // Why the resolver issued a sub-query (carried as kSubQuerySend's detail and
@@ -90,12 +92,33 @@ constexpr uint64_t MakeTraceId(uint32_t client_addr, uint16_t client_port,
          (static_cast<uint64_t>(client_port) << 16) | dns_id;
 }
 
-// Parses one line of QueryTracer::ExportJsonLines back into a SpanEvent.
-// False with a reason in `error` for malformed JSON, a missing trace id or
-// an unknown span kind; missing causal fields fall back to the
+// Parses one span line of QueryTracer::ExportJsonLines back into a
+// SpanEvent. False with a reason in `error` for malformed JSON, a missing
+// trace id or an unknown span kind; missing causal fields fall back to the
 // pre-span-tree defaults so old dumps still load.
 bool ParseSpanJsonLine(std::string_view line, SpanEvent* out,
                        std::string* error);
+
+// What the tracer's ring had evicted when its window was read. A JSONL dump
+// opens with it, so offline readers flag truncation exactly as the live
+// tracer does.
+struct RingState {
+  uint64_t dropped = 0;       // Events overwritten so far.
+  Time last_evicted_at = 0;   // Timestamp of the newest overwritten event.
+};
+
+// Parses the leading ring-state line of ExportJsonLines; false for any other
+// line (a dump without one reads as a ring that never evicted).
+bool ParseRingStateLine(std::string_view line, RingState* out);
+
+// True when ring eviction may have swallowed the head of a trace whose
+// oldest retained event is `first` (nullptr: nothing retained): events were
+// dropped and the retained window does not provably open with the trace's
+// kStubSend. A trace with no retained events reports true once anything was
+// dropped. False means the retained head is provably present (note: a trace
+// recorded without stub instrumentation always reports true after the first
+// eviction — indistinguishable from a lost head).
+bool PossiblyTruncated(const RingState& ring, const SpanEvent* first);
 
 class QueryTracer {
  public:
@@ -120,25 +143,17 @@ class QueryTracer {
   // Events ever recorded, including overwritten ones.
   uint64_t total_recorded() const { return total_recorded_; }
   uint64_t dropped() const;
+  RingState ring_state() const { return {dropped(), last_evicted_at_}; }
 
-  // True when ring eviction may have swallowed the head of `trace_id`:
-  // events were dropped and the trace's retained window does not open with
-  // its kStubSend, so earlier spans cannot be ruled out. A trace with no
-  // retained events at all also reports true once anything was dropped.
-  // False means the retained head is provably present (note: a trace
-  // recorded without stub instrumentation always reports true after the
-  // first eviction — indistinguishable from a lost head).
+  // The free PossiblyTruncated rule applied to `trace_id`'s retained window.
   bool PossiblyTruncated(uint64_t trace_id) const;
 
-  // One JSON object per span event (ParseSpanJsonLine reads one back):
+  // The ring state line (ParseRingStateLine reads it back), then one JSON
+  // object per span event (ParseSpanJsonLine reads one back):
+  //   {"ring":{"dropped":0,"last_evicted_us":0}}
   //   {"trace_id":"...","ts_us":...,"span":"stub_send","actor":"10.0.0.7",
   //    "detail":...,"span_id":...,"parent_span_id":...,"peer":"10.0.3.1"}
   std::string ExportJsonLines() const;
-
-  // Human-readable per-stage latency breakdown of one trace: each retained
-  // span with its offset from the first span and the delta from the previous
-  // one. Returns an empty string for an unknown trace.
-  std::string BreakdownReport(uint64_t trace_id) const;
 
  private:
   size_t capacity_;

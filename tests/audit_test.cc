@@ -150,7 +150,7 @@ TEST(AuditLogTest, ExportJsonLinesEmitsSchemaFields) {
   EXPECT_NE(jsonl.find("\"cause\":\"mopi.channel_congested\""),
             std::string::npos)
       << jsonl;
-  // trace_id is 16-hex, matching the dcc_trace JSONL encoding so the two
+  // trace_id is 16-hex, matching the trace JSONL encoding so the two
   // streams join verbatim.
   EXPECT_NE(jsonl.find("\"trace_id\":\"0a00000600350042\""), std::string::npos)
       << jsonl;

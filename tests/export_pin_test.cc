@@ -32,11 +32,11 @@ struct Pin {
 
 constexpr Pin kPins[] = {
     {"fig8_wc.json", 0x02b9fef6e4b808d1, 0xab323eee21c96060,
-     0x1daaadcfe966b0b7, 0xbd4e1516353cfced, 0x108959d0ab292261},
+     0x318fcc7478fabd38, 0xbd4e1516353cfced, 0x108959d0ab292261},
     {"fleet_blackout.json", 0x9f18ceb1ce1fd010, 0x40807bfb740eec65,
-     0x0b7156016dac23ab, 0x623c8a3a11fc83a6, 0x4130230cf4b890a4},
+     0x9de49704d9d305cb, 0x623c8a3a11fc83a6, 0x4130230cf4b890a4},
     {"chain_ff_loss.json", 0x106277dfa6cc4409, 0x3761b801c168cb0a,
-     0x73c2bd1a452f607f, 0x451b508b4e0c38e3, 0x688d2d3f8746f19e},
+     0x17c3a87db034b75f, 0x451b508b4e0c38e3, 0x688d2d3f8746f19e},
 };
 
 uint64_t Fnv1a(std::string_view text) {

@@ -2,7 +2,7 @@
 // document shapes, string escapes, strict number grammar, error reporting
 // with byte offsets, the one-document rule, the recursion-depth guard, and
 // Write() round-trips (stable key order, escaping, integer vs double
-// formatting). The parser exists so dcc_trace can re-read JSONL trace dumps
+// formatting). The parser exists so dcc_why can re-read JSONL trace dumps
 // and so the scenario library can load ScenarioSpec documents; the writer
 // backs spec round-trip tests and `dcc_sim run --dump-effective`.
 

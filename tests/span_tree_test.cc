@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/json.h"
@@ -269,16 +270,70 @@ TEST(ChromeTraceTest, ExportParsesAsJsonWithExpectedShape) {
   EXPECT_EQ(instants, 4u); // One instant per recorded event.
 }
 
-TEST(ChromeTraceTest, TracerOverloadExportsRetainedWindow) {
-  QueryTracer tracer(64);
-  tracer.Record(kTrace, SpanKind::kStubSend, 0);
-  tracer.Record(kTrace, SpanKind::kClientReceive, 50, 0, 1);
-  const std::string out = ExportChromeTrace(tracer);
-  json::Value doc;
-  std::string error;
-  ASSERT_TRUE(json::Parse(out, &doc, &error)) << error;
-  ASSERT_NE(doc.Find("traceEvents"), nullptr);
-  EXPECT_FALSE(doc.Find("traceEvents")->AsArray().empty());
+// Reads a QueryTracer::ExportJsonLines dump back the way the offline reader
+// does: the leading ring-state line, then one span event per line.
+std::vector<SpanEvent> ReadDump(const std::string& text, RingState* ring) {
+  std::vector<SpanEvent> events;
+  size_t pos = 0;
+  bool first = true;
+  while (pos < text.size()) {
+    const size_t end = text.find('\n', pos);
+    const std::string line = text.substr(pos, end - pos);
+    pos = end + 1;
+    if (std::exchange(first, false) && ParseRingStateLine(line, ring)) {
+      continue;
+    }
+    SpanEvent event;
+    std::string error;
+    EXPECT_TRUE(ParseSpanJsonLine(line, &event, &error)) << error;
+    events.push_back(event);
+  }
+  return events;
+}
+
+// An evicting ring round-tripped through JSONL flags exactly the traces the
+// live tracer flags: trace 1 lost its stub send, trace 2 merely opens late in
+// the window yet provably holds its head, trace 3 never lost anything.
+TEST(SpanTreeTest, JsonLinesRoundTripKeepsTruncation) {
+  QueryTracer tracer(5);
+  tracer.Record(1, SpanKind::kStubSend, 10);
+  tracer.Record(1, SpanKind::kResolverIngress, 20);
+  tracer.Record(1, SpanKind::kClientReceive, 30, 0, 1);
+  tracer.Record(2, SpanKind::kStubSend, 40);
+  tracer.Record(2, SpanKind::kClientReceive, 50, 0, 1);
+  tracer.Record(3, SpanKind::kStubSend, 60);  // Evicts 1's stub send.
+  tracer.Record(3, SpanKind::kClientReceive, 70, 0, 1);  // And its ingress.
+  ASSERT_EQ(tracer.dropped(), 2u);
+
+  RingState ring;
+  const std::vector<SpanEvent> events = ReadDump(tracer.ExportJsonLines(), &ring);
+  EXPECT_EQ(ring.dropped, 2u);
+  EXPECT_EQ(ring.last_evicted_at, 20);
+  const std::vector<SpanTree> offline = BuildSpanTrees(events, ring);
+  const std::vector<SpanTree> live =
+      BuildSpanTrees(tracer.Events(), tracer.ring_state());
+  ASSERT_EQ(offline.size(), 3u);
+  ASSERT_EQ(live.size(), offline.size());
+  for (size_t i = 0; i < offline.size(); ++i) {
+    EXPECT_EQ(offline[i].trace_id, live[i].trace_id);
+    EXPECT_EQ(offline[i].truncated, live[i].truncated);
+    EXPECT_EQ(offline[i].truncated,
+              tracer.PossiblyTruncated(offline[i].trace_id));
+  }
+  EXPECT_TRUE(offline[0].truncated);
+  EXPECT_FALSE(offline[1].truncated);
+  EXPECT_FALSE(offline[2].truncated);
+  // The Chrome export is the same document either way.
+  EXPECT_EQ(ExportChromeTrace(offline), ExportChromeTrace(live));
+
+  // A dump without eviction flags nothing, even for a trace whose first
+  // retained event is not its stub send.
+  QueryTracer whole(8);
+  whole.Record(4, SpanKind::kResolverIngress, 5);
+  whole.Record(4, SpanKind::kClientReceive, 9, 0, 1);
+  const std::vector<SpanEvent> intact = ReadDump(whole.ExportJsonLines(), &ring);
+  EXPECT_EQ(ring.dropped, 0u);
+  EXPECT_FALSE(BuildSpanTrees(intact, ring).front().truncated);
 }
 
 // --- end-to-end FF forensics -------------------------------------------------
@@ -287,7 +342,7 @@ TEST(ChromeTraceTest, TracerOverloadExportsRetainedWindow) {
 // client mix, fanout_a = fanout_t = 7): on an uncongested vanilla run the
 // attribution engine must measure the attacker within 20% of fan-out^2 = 49
 // upstream queries per request and rank it above every benign client. The
-// same run is documented as the dcc_trace walkthrough in EXPERIMENTS.md.
+// same run is documented as the dcc_why trace walkthrough in EXPERIMENTS.md.
 TEST(SpanTreeForensicsTest, FfAttackerAmplificationNearFanoutSquared) {
   TelemetrySink sink;
   scenario::ScenarioSpec spec = testing_specs::LoadExampleSpec("fig8_ff.json");
@@ -307,7 +362,8 @@ TEST(SpanTreeForensicsTest, FfAttackerAmplificationNearFanoutSquared) {
   const uint32_t target_ans = 0x0a000001;
   const uint32_t attacker_addr = 0x0a000007;
 
-  const std::vector<SpanTree> trees = BuildSpanTrees(sink.trace);
+  const std::vector<SpanTree> trees =
+      BuildSpanTrees(sink.trace.Events(), sink.trace.ring_state());
   ASSERT_FALSE(trees.empty());
   const AmplificationReport report = Attribute(trees);
   ASSERT_GE(report.clients.size(), 2u);

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "src/telemetry/metrics.h"
+#include "src/telemetry/span_tree.h"
 #include "src/telemetry/telemetry.h"
 #include "src/telemetry/trace.h"
 #include "tests/example_specs.h"
@@ -230,6 +231,18 @@ TEST(QueryTracerTest, RingWrapKeepsInterleavedTracesInRecordOrder) {
   }
 }
 
+// The stage-by-stage report of `trace_id` as the tracer's window holds it;
+// empty when nothing of the trace is retained.
+std::string ReportOf(const QueryTracer& tracer, uint64_t trace_id) {
+  for (const SpanTree& tree :
+       BuildSpanTrees(tracer.Events(), tracer.ring_state())) {
+    if (tree.trace_id == trace_id) {
+      return RenderReport(tree);
+    }
+  }
+  return "";
+}
+
 TEST(QueryTracerTest, PossiblyTruncatedFlagsEvictedHead) {
   QueryTracer tracer(4);
   tracer.Record(1, SpanKind::kStubSend, 10);
@@ -268,10 +281,10 @@ TEST(QueryTracerTest, CompleteTraceIdsAndReportAcrossWrap) {
 
   // The breakdown of the beheaded trace says so instead of silently looking
   // like a receive-only lifecycle.
-  const std::string report = tracer.BreakdownReport(2);
+  const std::string report = ReportOf(tracer, 2);
   EXPECT_NE(report.find("[TRUNCATED"), std::string::npos);
-  EXPECT_EQ(tracer.BreakdownReport(3).find("[TRUNCATED"), std::string::npos);
-  EXPECT_TRUE(tracer.BreakdownReport(1).empty());
+  EXPECT_EQ(ReportOf(tracer, 3).find("[TRUNCATED"), std::string::npos);
+  EXPECT_TRUE(ReportOf(tracer, 1).empty());
 }
 
 TEST(QueryTracerTest, SpanKindNamesRoundTrip) {
@@ -291,23 +304,26 @@ TEST(QueryTracerTest, ExportJsonLinesRendersSpans) {
   tracer.Record(MakeTraceId(0x0a000001, 5353, 7), SpanKind::kStubSend, 123,
                 0x0a000001);
   const std::string text = tracer.ExportJsonLines();
+  // The ring state leads, so offline readers see what was evicted.
+  EXPECT_EQ(text.rfind("{\"ring\":{\"dropped\":0,\"last_evicted_us\":0}}\n", 0),
+            0u);
   EXPECT_NE(text.find("\"trace_id\":\"0a00000114e90007\""), std::string::npos);
   EXPECT_NE(text.find("\"ts_us\":123"), std::string::npos);
   EXPECT_NE(text.find("\"span\":\"stub_send\""), std::string::npos);
   EXPECT_NE(text.find("\"actor\":\"10.0.0.1\""), std::string::npos);
 }
 
-TEST(QueryTracerTest, BreakdownReportShowsOffsets) {
+TEST(QueryTracerTest, ReportShowsOffsets) {
   QueryTracer tracer(16);
   tracer.Record(9, SpanKind::kStubSend, 100);
   tracer.Record(9, SpanKind::kResolverIngress, 150);
   tracer.Record(9, SpanKind::kClientReceive, 400);
-  const std::string report = tracer.BreakdownReport(9);
-  EXPECT_NE(report.find("3 spans"), std::string::npos);
+  const std::string report = ReportOf(tracer, 9);
   EXPECT_NE(report.find("stub_send"), std::string::npos);
   EXPECT_NE(report.find("client_receive"), std::string::npos);
-  EXPECT_NE(report.find("+     300us"), std::string::npos);
-  EXPECT_TRUE(tracer.BreakdownReport(12345).empty());
+  EXPECT_NE(report.find("+     300 us (d    250)"), std::string::npos);
+  EXPECT_NE(report.find("critical path: span 1 (300 us)"), std::string::npos);
+  EXPECT_TRUE(ReportOf(tracer, 12345).empty());
 }
 
 TEST(QueryTracerTest, SpanKindNamesCoverAllStages) {
@@ -319,7 +335,7 @@ TEST(QueryTracerTest, SpanKindNamesCoverAllStages) {
 // --- End-to-end: scenario run populates metrics and a full trace -------------
 
 // Every span a run records survives ExportJsonLines -> ParseSpanJsonLine,
-// the one reader dcc_trace and dcc_why share.
+// the span reader of dcc_why; the ring-state line leads the dump.
 TEST(TelemetryEndToEndTest, RecordedTraceRoundTripsThroughJsonLines) {
   scenario::ScenarioSpec spec = testing_specs::LoadExampleSpec("fig8_wc.json");
   testing_specs::TrimToHorizon(&spec, Seconds(3));
@@ -331,8 +347,11 @@ TEST(TelemetryEndToEndTest, RecordedTraceRoundTripsThroughJsonLines) {
   const std::vector<SpanEvent> recorded = sink.trace.Events();
   ASSERT_FALSE(recorded.empty());
   const std::string text = sink.trace.ExportJsonLines();
+  size_t pos = text.find('\n') + 1;
+  RingState ring;
+  ASSERT_TRUE(ParseRingStateLine(text.substr(0, pos - 1), &ring));
+  EXPECT_EQ(ring.dropped, sink.trace.dropped());
   std::vector<SpanEvent> parsed;
-  size_t pos = 0;
   while (pos < text.size()) {
     const size_t end = text.find('\n', pos);
     SpanEvent event;
@@ -409,7 +428,7 @@ TEST(TelemetryEndToEndTest, ScenarioProducesMetricsAndCompleteTrace) {
         stages[static_cast<int>(SpanKind::kEgress)] &&
         stages[static_cast<int>(SpanKind::kAuthResponse)]) {
       found_full_path = true;
-      EXPECT_FALSE(sink.trace.BreakdownReport(id).empty());
+      EXPECT_FALSE(ReportOf(sink.trace, id).empty());
     }
   }
   EXPECT_TRUE(found_full_path);

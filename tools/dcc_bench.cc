@@ -83,7 +83,7 @@ void PrintUsage(FILE* stream) {
                "                      from the previous baseline)\n"
                "  --profile-out PATH  run with the hot-path profiler enabled and\n"
                "                      write per-bench profiles (dcc_bench_profile\n"
-               "                      JSON, readable by tools/dcc_prof) to PATH,\n"
+               "                      JSON, readable by tools/dcc_why) to PATH,\n"
                "                      or to stdout with '-'\n"
                "  --help              this text\n");
 }

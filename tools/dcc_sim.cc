@@ -27,7 +27,6 @@
 #include "src/scenario/outcome_json.h"
 #include "src/scenario/spec.h"
 #include "src/telemetry/audit.h"
-#include "src/telemetry/chrome_trace.h"
 #include "src/telemetry/profiler.h"
 #include "src/telemetry/sampler.h"
 #include "src/telemetry/telemetry.h"
@@ -158,17 +157,7 @@ int DumpTelemetry(int argc, char** argv, const telemetry::TelemetrySink* sink) {
     }
   }
   if (const char* path = FlagValue(argc, argv, "--trace-out"); path != nullptr) {
-    const char* format = FlagValue(argc, argv, "--trace-format");
-    std::string out;
-    if (format == nullptr || std::strcmp(format, "jsonl") == 0) {
-      out = sink->trace.ExportJsonLines();
-    } else if (std::strcmp(format, "chrome") == 0) {
-      out = telemetry::ExportChromeTrace(sink->trace);
-    } else {
-      std::fprintf(stderr, "unknown trace format '%s' (jsonl|chrome)\n", format);
-      return 2;
-    }
-    if (!WriteFile(path, out)) {
+    if (!WriteFile(path, sink->trace.ExportJsonLines())) {
       return 1;
     }
     if (!IsStdout(path)) {
@@ -427,7 +416,7 @@ void PrintUsage(std::FILE* stream) {
       "                       the events-executed fingerprint\n"
       "  --profile-out FILE   run with the hot-path profiler enabled and\n"
       "                       write the site/event/copy profile as JSON\n"
-      "                       ('-' for stdout; load with tools/dcc_prof).\n"
+      "                       ('-' for stdout; read with tools/dcc_why).\n"
       "                       Profiling never perturbs the simulation: the\n"
       "                       events-executed fingerprint and summary are\n"
       "                       byte-identical with or without it\n"
@@ -455,11 +444,9 @@ void PrintUsage(std::FILE* stream) {
       "  --metrics-out FILE   dump the metrics registry to FILE in Prometheus\n"
       "                       text format (.jsonl suffix: JSON lines)\n"
       "  --trace-out FILE     dump the query-lifecycle trace to FILE ('-' for\n"
-      "                       stdout); format per --trace-format\n"
-      "  --trace-format F     trace dump format: 'jsonl' (default; one span\n"
-      "                       event per line, the dcc_trace input format) or\n"
-      "                       'chrome' (trace-event JSON for chrome://tracing\n"
-      "                       / Perfetto, spans grouped into causal trees)\n"
+      "                       stdout) as JSON lines: the ring state, then one\n"
+      "                       span event per line. `dcc_why chrome` converts\n"
+      "                       it to trace-event JSON for Perfetto\n"
       "  --series-out FILE    sample per-channel time series over the run and\n"
       "                       write them to FILE — wide CSV by default, JSON\n"
       "                       lines for .json/.jsonl/.ndjson\n"
@@ -469,8 +456,7 @@ void PrintUsage(std::FILE* stream) {
       "examples:\n"
       "  dcc_sim run --spec examples/scenarios/fig8_ff.json\n"
       "  dcc_sim run --spec examples/scenarios/fig8_wc.json --series-out series.csv\n"
-      "  dcc_sim run --spec examples/scenarios/fig8_ff.json --trace-out - \\\n"
-      "      --trace-format chrome\n"
+      "  dcc_sim run --spec examples/scenarios/fig8_ff.json --trace-out t.jsonl\n"
       "  dcc_sim run --spec examples/scenarios/chaos_dcc.json \\\n"
       "      --fault-plan examples/fault_plans/blackout.plan\n"
       "  dcc_sim validate --spec examples/scenarios/fig4_d.json\n");
