@@ -62,9 +62,20 @@ bool ResetPeakRss() {
   return static_cast<bool>(clear_refs) && ProcStatusKb("VmHWM") >= 0;
 }
 
+std::string BuildToolchain() {
+#if defined(__clang__)
+  return std::string("clang ") + __clang_version__;
+#elif defined(__GNUC__)
+  return std::string("gcc ") + __VERSION__;
+#else
+  return "unknown";
+#endif
+}
+
 std::string RenderJson(const SuiteReport& report) {
   std::string out = "{\n  \"suite\": \"dcc_bench\",\n  \"quick\": ";
   out += report.quick ? "true" : "false";
+  out += ",\n  \"toolchain\": \"" + report.toolchain + "\"";
   out += ",\n  \"benches\": [\n";
   for (size_t i = 0; i < report.benches.size(); ++i) {
     const BenchReport& bench = report.benches[i];
@@ -88,14 +99,33 @@ std::string RenderJson(const SuiteReport& report) {
     } else {
       floor[0] = '\0';
     }
-    char buffer[512];
+    // Per-query allocation costs are derived (the parser ignores them), and
+    // null for benches that launch no client query.
+    char per_query[128];
+    if (m.client_queries > 0) {
+      const auto queries = static_cast<double>(m.client_queries);
+      std::snprintf(per_query, sizeof(per_query),
+                    "\"allocs_per_query\": %.2f, \"alloc_bytes_per_query\": %.1f",
+                    static_cast<double>(m.allocs) / queries,
+                    static_cast<double>(m.alloc_bytes) / queries);
+    } else {
+      std::snprintf(per_query, sizeof(per_query),
+                    "\"allocs_per_query\": null, \"alloc_bytes_per_query\": null");
+    }
+    char buffer[1024];
     std::snprintf(buffer, sizeof(buffer),
                   "    {\"name\": \"%s\", \"wall_ms\": %.3f, \"sim_events\": "
                   "%llu, \"events_per_sec\": %s, %s\"peak_rss_delta_kb\": %lld, "
+                  "\"event_heap_max\": %llu, \"client_queries\": %llu, "
+                  "\"allocs\": %llu, \"alloc_bytes\": %llu, %s, "
                   "\"exit_code\": %d}%s\n",
                   bench.name.c_str(), m.wall_ms,
                   static_cast<unsigned long long>(m.sim_events), rate, floor,
                   static_cast<long long>(m.peak_rss_delta_kb),
+                  static_cast<unsigned long long>(m.event_heap_max),
+                  static_cast<unsigned long long>(m.client_queries),
+                  static_cast<unsigned long long>(m.allocs),
+                  static_cast<unsigned long long>(m.alloc_bytes), per_query,
                   m.exit_code, i + 1 < report.benches.size() ? "," : "");
     out += buffer;
   }
@@ -165,6 +195,7 @@ bool ParseReportJson(const std::string& text, SuiteReport* out) {
     return false;
   }
   out->quick = false;
+  out->toolchain.clear();
   out->benches.clear();
   bool is_dcc_bench = false;
   std::string key;
@@ -207,6 +238,14 @@ bool ParseReportJson(const std::string& text, SuiteReport* out) {
             // still parse; CompareReports treats those rows via the same
             // slack + absolute floor.
             bench.metrics.peak_rss_delta_kb = std::atoll(value.c_str());
+          } else if (field == "event_heap_max") {
+            bench.metrics.event_heap_max = std::strtoull(value.c_str(), nullptr, 10);
+          } else if (field == "client_queries") {
+            bench.metrics.client_queries = std::strtoull(value.c_str(), nullptr, 10);
+          } else if (field == "allocs") {
+            bench.metrics.allocs = std::strtoull(value.c_str(), nullptr, 10);
+          } else if (field == "alloc_bytes") {
+            bench.metrics.alloc_bytes = std::strtoull(value.c_str(), nullptr, 10);
           } else if (field == "exit_code") {
             bench.metrics.exit_code = std::atoi(value.c_str());
           }
@@ -234,6 +273,8 @@ bool ParseReportJson(const std::string& text, SuiteReport* out) {
         out->quick = value == "true";
       } else if (key == "suite") {
         is_dcc_bench = value == "dcc_bench";
+      } else if (key == "toolchain") {
+        out->toolchain = value;
       }
     }
     if (!cursor.Eat(',')) {
@@ -261,6 +302,16 @@ std::vector<std::string> CompareReports(const SuiteReport& current,
                   baseline.quick ? "quick" : "full");
     violations.emplace_back(buffer);
     return violations;
+  }
+  // Allocation counts depend on the standard library, so only reports from
+  // one toolchain compare.
+  bool allocations_comparable = tolerances.allocations;
+  if (!tolerances.allocations) {
+    note("allocation check skipped: turned off for this run");
+  } else if (current.toolchain != baseline.toolchain) {
+    allocations_comparable = false;
+    note("allocation check skipped: baseline toolchain '" + baseline.toolchain +
+         "' differs from this build's '" + current.toolchain + "'");
   }
   auto find = [](const SuiteReport& report, const std::string& name) -> const BenchReport* {
     for (const BenchReport& bench : report.benches) {
@@ -321,6 +372,35 @@ std::vector<std::string> CompareReports(const SuiteReport& current,
                       "(min_eps %.0f x scale %.2f)",
                       base.name.c_str(), c.events_per_sec, floor,
                       b.min_events_per_sec, tolerances.min_eps_scale);
+        violations.emplace_back(buffer);
+      }
+    }
+    // The pending set's high-water mark is as deterministic as sim_events:
+    // any rise means the scheduler holds more work, not machine noise.
+    if (b.event_heap_max == 0) {
+      note(base.name + ": no event_heap_max in the baseline; heap check "
+                       "skipped");
+    } else if (c.event_heap_max > b.event_heap_max) {
+      std::snprintf(buffer, sizeof(buffer),
+                    "%s: event_heap_max %llu exceeds baseline %llu",
+                    base.name.c_str(),
+                    static_cast<unsigned long long>(c.event_heap_max),
+                    static_cast<unsigned long long>(b.event_heap_max));
+      violations.emplace_back(buffer);
+    }
+    if (allocations_comparable) {
+      if (b.allocs == 0) {
+        note(base.name + ": no allocation count in the baseline; allocation "
+                         "check skipped");
+      } else if (c.allocs > b.allocs || c.alloc_bytes > b.alloc_bytes) {
+        std::snprintf(buffer, sizeof(buffer),
+                      "%s: %llu allocations / %llu bytes exceed baseline "
+                      "%llu / %llu",
+                      base.name.c_str(),
+                      static_cast<unsigned long long>(c.allocs),
+                      static_cast<unsigned long long>(c.alloc_bytes),
+                      static_cast<unsigned long long>(b.allocs),
+                      static_cast<unsigned long long>(b.alloc_bytes));
         violations.emplace_back(buffer);
       }
     }

@@ -4,9 +4,10 @@
 // point (declared in bench/benches.h, listed in bench/bench_registry.cc).
 // The runner executes them in-process, measures wall-clock time, simulated
 // events (a deterministic, machine-independent work count from
-// EventLoop::TotalEventsExecuted) and peak RSS, renders BENCH_dcc.json, and
-// in --check mode compares the numbers against a committed baseline with
-// per-metric tolerances.
+// EventLoop::TotalEventsExecuted), the event heap's high-water mark, heap
+// allocations and peak RSS, renders BENCH_dcc.json, and in --check mode
+// compares the numbers against a committed baseline with per-metric
+// tolerances.
 
 #ifndef BENCH_HARNESS_H_
 #define BENCH_HARNESS_H_
@@ -52,6 +53,16 @@ struct BenchMetrics {
                                   // bench ran in, over its RSS at bench
                                   // start; dcc_bench gives every bench of a
                                   // multi-bench run its own process.
+  // Highest EventLoop::pending() of any loop the bench ran
+  // (EventLoop::ThreadMaxPending); deterministic, 0 = not measured.
+  uint64_t event_heap_max = 0;
+  // Client queries the bench's stubs launched (deltas of
+  // StubClient::TotalQueriesLaunched); deterministic.
+  uint64_t client_queries = 0;
+  // Global operator new calls and bytes while the bench ran. Deterministic
+  // for one toolchain (SuiteReport::toolchain); 0 = not measured.
+  uint64_t allocs = 0;
+  uint64_t alloc_bytes = 0;
   // Hand-maintained events/sec floor carried in the baseline (0 = none).
   // Unlike the measured metrics this is a policy knob: --check fails when
   // the current run's events_per_sec drops below it, making throughput wins
@@ -68,8 +79,15 @@ struct BenchReport {
 
 struct SuiteReport {
   bool quick = false;
+  // Compiler that built the reporting binary, e.g. "gcc 12.2.0". Allocation
+  // counts depend on the standard library, so they are only compared
+  // between reports with the same toolchain.
+  std::string toolchain;
   std::vector<BenchReport> benches;
 };
+
+// The toolchain string of this build, as SuiteReport::toolchain records it.
+std::string BuildToolchain();
 
 // Current peak RSS of this process in KiB. Prefers /proc/self/status VmHWM
 // (resettable via ResetPeakRss) and falls back to getrusage ru_maxrss
@@ -113,6 +131,11 @@ struct Tolerances {
   // the throughput check (CI can relax floors on slow runners with
   // --min-eps 0.5; 0 disables the check entirely).
   double min_eps_scale = 1.0;
+  // Compare allocation counts. event_heap_max and allocs/alloc_bytes fail
+  // on any rise over the baseline; allocations are skipped (with a note)
+  // when this is off, as for a profiled run whose profiler allocates, or
+  // when the two reports' toolchains differ.
+  bool allocations = true;
 };
 
 // Returns one human-readable line per violation (empty = pass). Benches

@@ -202,41 +202,51 @@ bool FleetFrontend::InActiveWindow(size_t index) const {
   return shifted < static_cast<size_t>(config_.rotation_active);
 }
 
-std::vector<size_t> FleetFrontend::EligibleMembers(Time now) const {
-  std::vector<size_t> active_live;
-  std::vector<size_t> any_live;
+FleetFrontend::Eligibility FleetFrontend::EligibleTier(Time now) const {
+  bool any_live = false;
   for (size_t i = 0; i < members_.size(); ++i) {
     if (!tracker_.IsHeldDown(members_[i], now)) {
-      any_live.push_back(i);
       if (InActiveWindow(i)) {
-        active_live.push_back(i);
+        return Eligibility::kActiveLive;
       }
+      any_live = true;
     }
   }
-  if (!active_live.empty()) {
-    return active_live;
+  return any_live ? Eligibility::kLive : Eligibility::kAll;
+}
+
+bool FleetFrontend::IsEligible(size_t index, Eligibility tier, Time now) const {
+  switch (tier) {
+    case Eligibility::kActiveLive:
+      return InActiveWindow(index) && !tracker_.IsHeldDown(members_[index], now);
+    case Eligibility::kLive:
+      return !tracker_.IsHeldDown(members_[index], now);
+    case Eligibility::kAll:
+      return true;
   }
-  if (!any_live.empty()) {
-    return any_live;
-  }
-  std::vector<size_t> all(members_.size());
-  for (size_t i = 0; i < all.size(); ++i) {
-    all[i] = i;
-  }
-  return all;
+  return true;
 }
 
 HostAddress FleetFrontend::PickMember(const Name& qname, Time now) {
-  const std::vector<size_t> eligible = EligibleMembers(now);
+  // Walks the eligible members in index order without collecting them: this
+  // runs on every relay.
+  const Eligibility tier = EligibleTier(now);
+  const size_t none = members_.size();
   switch (config_.steering) {
     case SteeringPolicy::kConsistentHash: {
       // Rendezvous hashing: highest hash(qname, member, epoch) wins, so only
       // keys owned by a removed/rotated-out member move. The epoch salt is
       // the moving-target defense: each rotation re-shuffles the mapping.
       uint64_t best_score = 0;
-      size_t best = eligible.front();
+      size_t best = none;
       const uint64_t name_hash = HashName(qname);
-      for (size_t index : eligible) {
+      for (size_t index = 0; index < members_.size(); ++index) {
+        if (!IsEligible(index, tier, now)) {
+          continue;
+        }
+        if (best == none) {
+          best = index;  // The first eligible member wins a zero score.
+        }
         const uint64_t score =
             Mix64(name_hash ^ Mix64(static_cast<uint64_t>(members_[index]) ^
                                     (epoch_ << 32)));
@@ -248,31 +258,38 @@ HostAddress FleetFrontend::PickMember(const Name& qname, Time now) {
       return members_[best];
     }
     case SteeringPolicy::kLeastLoaded: {
-      std::vector<uint64_t> outstanding(members_.size(), 0);
-      for (const auto& [port, pending] : pending_) {
-        for (size_t i = 0; i < members_.size(); ++i) {
-          if (members_[i] == pending.member) {
-            ++outstanding[i];
-            break;
-          }
-        }
-      }
-      size_t best = eligible.front();
+      size_t best = none;
       uint64_t best_load = std::numeric_limits<uint64_t>::max();
-      for (size_t index : eligible) {
-        if (outstanding[index] < best_load) {
-          best_load = outstanding[index];
+      for (size_t index = 0; index < members_.size(); ++index) {
+        if (!IsEligible(index, tier, now)) {
+          continue;
+        }
+        uint64_t load = 0;
+        for (const auto& [port, pending] : pending_) {
+          load += pending.member == members_[index] ? 1 : 0;
+        }
+        if (load < best_load) {
+          best_load = load;
           best = index;
         }
       }
       return members_[best];
     }
     case SteeringPolicy::kRoundRobin: {
-      const size_t index = eligible[next_member_++ % eligible.size()];
-      return members_[index];
+      size_t eligible = 0;
+      for (size_t index = 0; index < members_.size(); ++index) {
+        eligible += IsEligible(index, tier, now) ? 1 : 0;
+      }
+      size_t skip = next_member_++ % eligible;
+      for (size_t index = 0; index < members_.size(); ++index) {
+        if (IsEligible(index, tier, now) && skip-- == 0) {
+          return members_[index];
+        }
+      }
+      break;
     }
   }
-  return members_[eligible.front()];
+  return members_.front();
 }
 
 Duration FleetFrontend::AttemptTimeout(HostAddress member, int attempt) {

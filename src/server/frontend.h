@@ -173,7 +173,10 @@ class FleetFrontend : public DatagramHandler, public CrashResettable {
 
   // Members eligible for new traffic: active-window ∩ live, falling back to
   // any live member, then to the whole fleet (all-down: probe via traffic).
-  std::vector<size_t> EligibleMembers(Time now) const;
+  // EligibleTier picks the first of those sets that is non-empty.
+  enum class Eligibility { kActiveLive, kLive, kAll };
+  Eligibility EligibleTier(Time now) const;
+  bool IsEligible(size_t index, Eligibility tier, Time now) const;
   bool InActiveWindow(size_t index) const;
   HostAddress PickMember(const Name& qname, Time now);
 

@@ -8,6 +8,13 @@
 #include "src/telemetry/profiler.h"
 
 namespace dcc {
+namespace {
+
+thread_local uint64_t g_total_queries_launched = 0;
+
+}  // namespace
+
+uint64_t StubClient::TotalQueriesLaunched() { return g_total_queries_launched; }
 
 StubClient::StubClient(Transport& transport, StubConfig config,
                        QuestionGenerator generator, telemetry::Observer* obs)
@@ -60,22 +67,31 @@ void StubClient::Start() {
   const auto interval = static_cast<Duration>(static_cast<double>(kSecond) / config_.qps);
   const uint64_t count = static_cast<uint64_t>(
       ToSeconds(config_.stop - config_.start) * config_.qps);
-  for (uint64_t i = 0; i < count; ++i) {
-    const Time when = config_.start + static_cast<Duration>(i) * interval;
-    transport_.loop().ScheduleAt(when, "stub.launch", [this]() { LaunchRequest(); });
-  }
+  const Time start = config_.start;
+  transport_.loop().ScheduleSeries(
+      count,
+      [start, interval](uint64_t i) { return start + static_cast<Duration>(i) * interval; },
+      "stub.launch", [this](uint64_t) { LaunchRequest(); });
 }
 
 void StubClient::StartWithSchedule(const std::vector<Time>& times) {
   if (resolvers_.empty()) {
     return;
   }
-  for (Time when : times) {
-    transport_.loop().ScheduleAt(when, "stub.launch", [this]() { LaunchRequest(); });
-  }
+  // A series needs non-decreasing times, which trace replay does not
+  // promise. Sorting changes no event: every launch is the same call, and
+  // any of the series' sequence numbers orders the same way against every
+  // other event's.
+  std::vector<Time> sorted = times;
+  std::sort(sorted.begin(), sorted.end());
+  const uint64_t count = sorted.size();
+  transport_.loop().ScheduleSeries(
+      count, [sorted = std::move(sorted)](uint64_t i) { return sorted[i]; },
+      "stub.launch", [this](uint64_t) { LaunchRequest(); });
 }
 
 void StubClient::LaunchRequest() {
+  ++g_total_queries_launched;
   if (transport_.now() < paused_until_) {
     // Policed (DCC-aware): honor the advertised policy instead of burning
     // requests that would fail anyway.

@@ -52,7 +52,8 @@ class StubClient : public DatagramHandler {
 
   void AddResolver(HostAddress resolver);
 
-  // Schedules the paced sending between config.start and config.stop.
+  // Schedules the paced sending between config.start and config.stop, as
+  // one event-loop series: only the next launch is pending at any time.
   void Start();
 
   // Alternative to Start(): sends at the given explicit times (trace
@@ -60,6 +61,12 @@ class StubClient : public DatagramHandler {
   void StartWithSchedule(const std::vector<Time>& times);
 
   void HandleDatagram(const Datagram& dgram) override;
+
+  // Client queries launched by every StubClient on this thread (each
+  // simulation runs on one thread), whether sent or skipped while policed;
+  // retries are not new queries. The bench harness divides per-bench costs
+  // by deltas of it.
+  static uint64_t TotalQueriesLaunched();
 
   // --- results -------------------------------------------------------------
   uint64_t requests_sent() const { return requests_sent_; }

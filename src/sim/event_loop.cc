@@ -22,8 +22,10 @@ constexpr char kUncategorized[] = "event.uncategorized";
 // worker threads without sharing clock or counter state.
 thread_local const EventLoop* g_log_clock_owner = nullptr;
 
-// Per-thread executed-event total (each simulation runs on one thread).
+// Per-thread executed-event total and pending high-water mark (each
+// simulation runs on one thread).
 thread_local uint64_t g_total_events_executed = 0;
+thread_local size_t g_max_pending = 0;
 
 // Children per heap node. A 4-ary heap is half as deep as a binary one.
 constexpr size_t kArity = 4;
@@ -31,6 +33,19 @@ constexpr size_t kArity = 4;
 }  // namespace
 
 uint64_t EventLoop::TotalEventsExecuted() { return g_total_events_executed; }
+
+size_t EventLoop::ThreadMaxPending() { return g_max_pending; }
+
+void EventLoop::ResetThreadMaxPending() { g_max_pending = 0; }
+
+// One series' shared state, owned by whichever of its members is pending.
+struct EventLoop::Series {
+  uint64_t count;
+  uint64_t base_seq;
+  std::function<Time(uint64_t)> when;
+  const char* category;
+  std::function<void(uint64_t)> fn;
+};
 
 EventLoop::EventLoop(telemetry::Observer* obs) {
   if (obs == nullptr) {
@@ -132,17 +147,57 @@ CancelToken EventLoop::SchedulePeriodic(Duration period, const char* category,
   return CancelToken(std::move(flag));
 }
 
-void EventLoop::Schedule(Time t, const char* category, Handler fn,
+void EventLoop::ScheduleSeries(uint64_t count,
+                               std::function<Time(uint64_t)> when,
+                               const char* category,
+                               std::function<void(uint64_t)> fn) {
+  if (count == 0) {
+    return;
+  }
+  auto series = std::make_unique<Series>(
+      Series{count, next_seq_, std::move(when), category, std::move(fn)});
+  next_seq_ += count;
+  ArmSeries(std::move(series), 0);
+}
+
+void EventLoop::ArmSeries(std::unique_ptr<Series> series, uint64_t index) {
+  Series& s = *series;
+  // Member 0 is armed when the series is scheduled, and member i when
+  // member i-1 runs, so now is the series' start or member i-1's clamped
+  // time. `when` is non-decreasing, so clamping to now here gives each
+  // member the time it would have got if scheduled with the series.
+  Push(std::max(s.when(index), now_), s.base_seq + index, s.category,
+       [this, series = std::move(series), index]() mutable {
+         Series& self = *series;
+         if (index + 1 < self.count) {
+           ArmSeries(std::move(series), index + 1);
+         }
+         self.fn(index);
+       },
+       nullptr);
+}
+
+void EventLoop::Schedule(Time t, const char* category, Handler&& fn,
                          std::shared_ptr<bool> cancel) {
+  Push(std::max(t, now_), next_seq_++, category, std::move(fn),
+       std::move(cancel));
+}
+
+void EventLoop::Push(Time when, uint64_t seq, const char* category,
+                     Handler&& fn, std::shared_ptr<bool> cancel) {
   if (free_slots_.empty()) {
     free_slots_.push_back(static_cast<uint32_t>(slots_.size()));
     slots_.emplace_back();
   }
   const uint32_t slot = free_slots_.back();
   free_slots_.pop_back();
-  slots_[slot] = Slot{std::move(fn), category, now_, std::move(cancel)};
+  Slot& entry = slots_[slot];
+  entry.fn = std::move(fn);
+  entry.category = category;
+  entry.enqueued_at = now_;
+  entry.cancelled = std::move(cancel);
   // Sift the new key up from the end, moving parents down into the hole.
-  const Key key{std::max(t, now_), next_seq_++, slot};
+  const Key key{when, seq, slot};
   size_t i = heap_.size();
   heap_.push_back(key);
   while (i > 0) {
@@ -155,6 +210,7 @@ void EventLoop::Schedule(Time t, const char* category, Handler fn,
   }
   heap_[i] = key;
   max_pending_ = std::max(max_pending_, heap_.size());
+  g_max_pending = std::max(g_max_pending, heap_.size());
   prof::RecordQueueDepth(heap_.size());
 }
 

@@ -12,6 +12,12 @@
 // gives. Only the 24-byte keys move while sifting; a handler is written
 // once when scheduled and moved out once when run.
 //
+// The heap holds only live work. An open-loop client's launches form a
+// series (ScheduleSeries): the whole series takes its sequence numbers when
+// it is scheduled, but only its next member is in the heap, and each member
+// arms the one after it before running. The run is event-for-event the one
+// that scheduling every member up front gives (see ScheduleSeries).
+//
 // Every schedule call accepts an optional *category* — a string literal
 // naming the kind of work ("net.deliver", "stub.launch", "resolver.timeout").
 // Categories feed the hot-path profiler (src/telemetry/profiler.h): when
@@ -31,9 +37,13 @@
 #ifndef SRC_SIM_EVENT_LOOP_H_
 #define SRC_SIM_EVENT_LOOP_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <new>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/common/time.h"
@@ -73,7 +83,100 @@ class CancelToken {
 
 class EventLoop {
  public:
-  using Handler = std::function<void()>;
+  // The work an event runs: a move-only `void()` callable. Captures of up
+  // to kInlineBytes live inside the handler, so scheduling the common
+  // closures (a network delivery `[this, src, dst, payload]` is 32 bytes, a
+  // timeout `[this, port, generation]` 24) allocates nothing; larger or
+  // over-aligned ones, and ones that may throw when moved, are moved to
+  // the heap. Calling an empty (default-constructed or moved-from) handler
+  // is undefined.
+  class Handler {
+   public:
+    static constexpr size_t kInlineBytes = 48;
+
+    // Whether a callable of type F is stored inline.
+    template <typename F>
+    static constexpr bool kStoredInline =
+        sizeof(F) <= kInlineBytes && alignof(F) <= alignof(void*) &&
+        std::is_nothrow_move_constructible_v<F>;
+
+    Handler() = default;
+
+    template <typename F, typename D = std::decay_t<F>,
+              typename = std::enable_if_t<!std::is_same_v<D, Handler> &&
+                                          std::is_invocable_r_v<void, D&>>>
+    Handler(F&& fn) {  // NOLINT(google-explicit-constructor)
+      if constexpr (kStoredInline<D>) {
+        ::new (static_cast<void*>(storage_)) D(std::forward<F>(fn));
+        ops_ = &kInlineOps<D>;
+      } else {
+        ::new (static_cast<void*>(storage_)) D*(new D(std::forward<F>(fn)));
+        ops_ = &kHeapOps<D>;
+      }
+    }
+
+    Handler(Handler&& other) noexcept : ops_(other.ops_) {
+      if (ops_ != nullptr) {
+        ops_->relocate(other.storage_, storage_);
+        other.ops_ = nullptr;
+      }
+    }
+    Handler& operator=(Handler&& other) noexcept {
+      if (this != &other) {
+        Reset();
+        ops_ = other.ops_;
+        if (ops_ != nullptr) {
+          ops_->relocate(other.storage_, storage_);
+          other.ops_ = nullptr;
+        }
+      }
+      return *this;
+    }
+    ~Handler() { Reset(); }
+
+    void operator()() { ops_->invoke(storage_); }
+
+   private:
+    struct Ops {
+      void (*invoke)(void* storage);
+      // Move-constructs the callable at `to` and destroys the one at `from`.
+      void (*relocate)(void* from, void* to) noexcept;
+      void (*destroy)(void* storage) noexcept;
+    };
+
+    template <typename D>
+    static D& InlineAt(void* storage) {
+      return *std::launder(static_cast<D*>(storage));
+    }
+    template <typename D>
+    static D*& HeapAt(void* storage) {
+      return *std::launder(static_cast<D**>(storage));
+    }
+
+    template <typename D>
+    static constexpr Ops kInlineOps = {
+        [](void* storage) { InlineAt<D>(storage)(); },
+        [](void* from, void* to) noexcept {
+          ::new (to) D(std::move(InlineAt<D>(from)));
+          InlineAt<D>(from).~D();
+        },
+        [](void* storage) noexcept { InlineAt<D>(storage).~D(); }};
+    template <typename D>
+    static constexpr Ops kHeapOps = {
+        [](void* storage) { (*HeapAt<D>(storage))(); },
+        [](void* from, void* to) noexcept { ::new (to) D*(HeapAt<D>(from)); },
+        [](void* storage) noexcept { delete HeapAt<D>(storage); }};
+
+    void Reset() {
+      if (ops_ != nullptr) {
+        ops_->destroy(storage_);
+        ops_ = nullptr;
+      }
+    }
+
+    alignas(void*) unsigned char storage_[kInlineBytes];
+    const Ops* ops_ = nullptr;
+  };
 
   // With an observer, the loop registers its executed-event tally, its
   // pending-queue depth and its virtual clock as metrics (read at snapshot
@@ -115,6 +218,19 @@ class EventLoop {
   CancelToken SchedulePeriodic(Duration period, const char* category,
                                Handler fn, Time until = kTimeInfinity);
 
+  // Schedules `count` events: member i runs `fn(i)` at `when(i)` (clamped to
+  // now). `when` must be non-decreasing in i. The series takes `count`
+  // consecutive sequence numbers now, and member i keeps the i-th, but only
+  // one member is pending at a time: member i+1 enters the heap when member
+  // i runs, just before `fn(i)`. The heap always pops its least
+  // (when, seq) key and member i+1's key exceeds member i's, so every event
+  // — series members and all others, ties included — runs in exactly the
+  // order that scheduling all `count` members now would give, while the
+  // heap holds one entry per series instead of `count`. `fn` and `when` are
+  // stored once for the whole series.
+  void ScheduleSeries(uint64_t count, std::function<Time(uint64_t)> when,
+                      const char* category, std::function<void(uint64_t)> fn);
+
   // Runs until the queue is empty, `until` is passed, or Stop() is called.
   // Returns the number of events executed.
   size_t Run(Time until = kTimeInfinity);
@@ -125,13 +241,21 @@ class EventLoop {
   // regression signal.
   static uint64_t TotalEventsExecuted();
 
+  // Highest pending() any EventLoop on this thread reached since the last
+  // ResetThreadMaxPending() (or thread start). Like TotalEventsExecuted it
+  // is deterministic, and it lets the bench harness read the heap
+  // high-water mark of loops that benches build internally.
+  static size_t ThreadMaxPending();
+  static void ResetThreadMaxPending();
+
   void Stop() { stopped_ = true; }
 
-  // Live (uncancelled executions pending) plus cancelled-but-not-yet-reaped
-  // events; cancelled events leave this count when their timestamp drains.
+  // Events in the heap: live ones plus cancelled-but-not-yet-reaped ones
+  // (cancelled events leave this count when their timestamp drains). A
+  // series counts once, for its next member.
   size_t pending() const { return heap_.size(); }
 
-  // Highest queue depth observed since construction. Always tracked (two
+  // Highest pending() observed since construction. Always tracked (two
   // instructions per schedule); the profiler report includes it.
   size_t max_pending() const { return max_pending_; }
 
@@ -156,8 +280,14 @@ class EventLoop {
     std::shared_ptr<bool> cancelled;  // Null for non-cancellable events.
   };
 
-  void Schedule(Time t, const char* category, Handler fn,
+  struct Series;
+
+  void Schedule(Time t, const char* category, Handler&& fn,
                 std::shared_ptr<bool> cancel);
+  // Inserts an event with an explicit key; `when` must not be before now.
+  void Push(Time when, uint64_t seq, const char* category, Handler&& fn,
+            std::shared_ptr<bool> cancel);
+  void ArmSeries(std::unique_ptr<Series> series, uint64_t index);
   void PopTop();
 
   std::vector<Key> heap_;         // 4-ary min-heap by (when, seq).

@@ -11,11 +11,11 @@
 //     streams, or scheduling order, so `EventLoop::TotalEventsExecuted` and
 //     seeded replays are byte-identical with profiling on or off (enforced
 //     by tests/profiler_test.cc).
-//  2. Zero cost when off. Sites use the same cached-pointer pattern as the
-//     metrics registry: a site is registered once (function-local static),
-//     and a disabled scope is a thread-local load plus one predictable
-//     branch. Defining DCC_PROFILER_DISABLED at compile time removes even
-//     that and compiles every macro to nothing.
+//  2. Near-zero cost when off. Sites use the same cached-pointer pattern as
+//     the metrics registry: a site is registered once (function-local
+//     static), and a disabled scope is a thread-local load plus one
+//     predictable branch (EXPERIMENTS.md "Cost of a compiled-in profiler"
+//     could not tell it apart from compiling the scopes away).
 //  3. Single-writer state. All mutable profile state is thread_local, so
 //     parallel scenario evaluation (dcc_search workers) profiles each
 //     thread independently without locks on the hot path. Snapshot() reads
@@ -103,7 +103,9 @@ struct PathReport {
 // Per-event-loop-category execution stats (see EventLoop labeled
 // scheduling). Lag is virtual time (microseconds) between the moment an
 // event was enqueued and the moment it ran — deterministic, and a direct
-// read on scheduler queueing behavior.
+// read on scheduler queueing behavior. A series member (EventLoop::
+// ScheduleSeries, e.g. `stub.launch`) is enqueued when the member before it
+// runs, so its lag is the gap since the previous launch fired.
 struct EventCategoryReport {
   std::string category;
   uint64_t count = 0;
@@ -276,14 +278,6 @@ inline void CountEncodeCacheHit() {
 // Instrumentation macros
 // ---------------------------------------------------------------------------
 
-#if defined(DCC_PROFILER_DISABLED)
-
-#define DCC_PROF_SCOPE(name) \
-  do {                       \
-  } while (false)
-
-#else
-
 #define DCC_PROF_CONCAT_INNER(a, b) a##b
 #define DCC_PROF_CONCAT(a, b) DCC_PROF_CONCAT_INNER(a, b)
 
@@ -294,7 +288,5 @@ inline void CountEncodeCacheHit() {
   static ::dcc::prof::Site DCC_PROF_CONCAT(dcc_prof_site_, __LINE__){name}; \
   ::dcc::prof::ScopedSite DCC_PROF_CONCAT(dcc_prof_scope_, __LINE__)(    \
       DCC_PROF_CONCAT(dcc_prof_site_, __LINE__))
-
-#endif  // DCC_PROFILER_DISABLED
 
 #endif  // SRC_TELEMETRY_PROFILER_H_

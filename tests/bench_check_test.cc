@@ -20,6 +20,10 @@ BenchReport MakeBench(const std::string& name, double wall_ms,
   report.metrics.events_per_sec =
       wall_ms > 0 ? static_cast<double>(sim_events) / (wall_ms / 1000.0) : 0;
   report.metrics.peak_rss_delta_kb = rss_delta_kb;
+  report.metrics.event_heap_max = 1000 + sim_events % 997;
+  report.metrics.client_queries = sim_events / 10;
+  report.metrics.allocs = 3 * sim_events + 11;
+  report.metrics.alloc_bytes = 200 * sim_events + 4096;
   report.metrics.exit_code = exit_code;
   return report;
 }
@@ -27,6 +31,7 @@ BenchReport MakeBench(const std::string& name, double wall_ms,
 SuiteReport MakeSuite() {
   SuiteReport suite;
   suite.quick = true;
+  suite.toolchain = "gcc 12.2.0";
   suite.benches.push_back(MakeBench("fig8_resilience", 3800.0, 2268024, 58000));
   suite.benches.push_back(MakeBench("ablation_nsec", 131.5, 149124, 39000));
   return suite;
@@ -38,6 +43,7 @@ TEST(BenchReportTest, JsonRoundTrips) {
   SuiteReport parsed;
   ASSERT_TRUE(ParseReportJson(json, &parsed));
   EXPECT_EQ(parsed.quick, suite.quick);
+  EXPECT_EQ(parsed.toolchain, suite.toolchain);
   ASSERT_EQ(parsed.benches.size(), suite.benches.size());
   for (size_t i = 0; i < suite.benches.size(); ++i) {
     EXPECT_EQ(parsed.benches[i].name, suite.benches[i].name);
@@ -47,9 +53,41 @@ TEST(BenchReportTest, JsonRoundTrips) {
               suite.benches[i].metrics.sim_events);
     EXPECT_EQ(parsed.benches[i].metrics.peak_rss_delta_kb,
               suite.benches[i].metrics.peak_rss_delta_kb);
+    EXPECT_EQ(parsed.benches[i].metrics.event_heap_max,
+              suite.benches[i].metrics.event_heap_max);
+    EXPECT_EQ(parsed.benches[i].metrics.client_queries,
+              suite.benches[i].metrics.client_queries);
+    EXPECT_EQ(parsed.benches[i].metrics.allocs,
+              suite.benches[i].metrics.allocs);
+    EXPECT_EQ(parsed.benches[i].metrics.alloc_bytes,
+              suite.benches[i].metrics.alloc_bytes);
     EXPECT_EQ(parsed.benches[i].metrics.exit_code,
               suite.benches[i].metrics.exit_code);
   }
+}
+
+TEST(BenchReportTest, PerQueryAllocationsAreDerivedAndNullWithoutQueries) {
+  SuiteReport suite;
+  suite.quick = true;
+  BenchReport with = MakeBench("fleet", 80.0, 1000, 3000);
+  with.metrics.client_queries = 40;
+  with.metrics.allocs = 1000;
+  with.metrics.alloc_bytes = 50000;
+  suite.benches.push_back(with);
+  BenchReport without = MakeBench("fig10_overhead", 400.0, 1000, 3000);
+  without.metrics.client_queries = 0;
+  suite.benches.push_back(without);
+  const std::string json = RenderJson(suite);
+  EXPECT_NE(json.find("\"allocs_per_query\": 25.00, \"alloc_bytes_per_query\": 1250.0"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"allocs_per_query\": null, \"alloc_bytes_per_query\": null"),
+            std::string::npos)
+      << json;
+  SuiteReport parsed;
+  ASSERT_TRUE(ParseReportJson(json, &parsed));
+  EXPECT_EQ(parsed.benches[0].metrics.allocs, 1000u);
+  EXPECT_EQ(parsed.benches[1].metrics.client_queries, 0u);
 }
 
 TEST(BenchReportTest, ParseRejectsGarbage) {
@@ -205,6 +243,74 @@ TEST(BenchCheckTest, RssGrowthUnderAbsoluteFloorPasses) {
   // The same relative growth above the floor fails.
   current.benches[0].metrics.peak_rss_delta_kb = 2048 + 8192;
   EXPECT_FALSE(CompareReports(current, baseline, Tolerances{}).empty());
+}
+
+TEST(BenchCheckTest, EventHeapHighWaterMayNotRise) {
+  const SuiteReport baseline = MakeSuite();
+  SuiteReport current = MakeSuite();
+  current.benches[0].metrics.event_heap_max -= 100;  // Lower never fails.
+  EXPECT_TRUE(CompareReports(current, baseline, Tolerances{}).empty());
+  current.benches[0].metrics.event_heap_max =
+      baseline.benches[0].metrics.event_heap_max + 1;
+  const std::vector<std::string> violations =
+      CompareReports(current, baseline, Tolerances{});
+  ASSERT_EQ(violations.size(), 1u);
+  EXPECT_NE(violations[0].find("event_heap_max"), std::string::npos);
+  EXPECT_NE(violations[0].find("fig8_resilience"), std::string::npos);
+}
+
+TEST(BenchCheckTest, AllocationsMayNotRise) {
+  const SuiteReport baseline = MakeSuite();
+  SuiteReport fewer = MakeSuite();
+  fewer.benches[1].metrics.allocs -= 10;
+  fewer.benches[1].metrics.alloc_bytes -= 10;
+  EXPECT_TRUE(CompareReports(fewer, baseline, Tolerances{}).empty());
+  SuiteReport more_calls = MakeSuite();
+  more_calls.benches[1].metrics.allocs += 1;
+  SuiteReport more_bytes = MakeSuite();
+  more_bytes.benches[1].metrics.alloc_bytes += 1;
+  for (const SuiteReport& current : {more_calls, more_bytes}) {
+    const std::vector<std::string> violations =
+        CompareReports(current, baseline, Tolerances{});
+    ASSERT_EQ(violations.size(), 1u);
+    EXPECT_NE(violations[0].find("allocations"), std::string::npos);
+    EXPECT_NE(violations[0].find("ablation_nsec"), std::string::npos);
+  }
+}
+
+TEST(BenchCheckTest, AllocationsCompareOnlyWithinOneToolchainAndWhenAsked) {
+  const SuiteReport baseline = MakeSuite();
+  SuiteReport current = MakeSuite();
+  current.benches[0].metrics.allocs *= 2;
+  current.toolchain = "gcc 13.2.0";
+  std::vector<std::string> notes;
+  EXPECT_TRUE(CompareReports(current, baseline, Tolerances{}, &notes).empty());
+  ASSERT_EQ(notes.size(), 1u);
+  EXPECT_NE(notes[0].find("toolchain"), std::string::npos);
+
+  current.toolchain = baseline.toolchain;
+  EXPECT_FALSE(CompareReports(current, baseline, Tolerances{}).empty());
+  Tolerances profiled;
+  profiled.allocations = false;
+  notes.clear();
+  EXPECT_TRUE(CompareReports(current, baseline, profiled, &notes).empty());
+  ASSERT_EQ(notes.size(), 1u);
+  EXPECT_NE(notes[0].find("allocation check skipped"), std::string::npos);
+}
+
+TEST(BenchCheckTest, BaselineWithoutHeapOrAllocationsSkipsWithNotes) {
+  SuiteReport baseline = MakeSuite();
+  baseline.benches.pop_back();
+  baseline.benches[0].metrics.event_heap_max = 0;
+  baseline.benches[0].metrics.allocs = 0;
+  SuiteReport current = baseline;
+  current.benches[0].metrics.event_heap_max = 5000;
+  current.benches[0].metrics.allocs = 5000;
+  std::vector<std::string> notes;
+  EXPECT_TRUE(CompareReports(current, baseline, Tolerances{}, &notes).empty());
+  ASSERT_EQ(notes.size(), 2u);
+  EXPECT_NE(notes[0].find("event_heap_max"), std::string::npos);
+  EXPECT_NE(notes[1].find("allocation"), std::string::npos);
 }
 
 TEST(BenchCheckTest, WallSlackIsTunable) {

@@ -1,15 +1,23 @@
 // Event-loop scheduler suite: FIFO stability within a tick, far-future
 // events, cancellation tombstones, Stop() and Run(until) boundaries,
-// zero-delay self-reschedule, and a seeded randomized differential test
-// against an independent reference (when, seq) priority queue.
+// zero-delay self-reschedule, a seeded randomized differential test
+// against an independent reference (when, seq) priority queue, series
+// against pre-scheduled members, and the inline handler's storage and
+// ownership.
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <queue>
+#include <utility>
 #include <vector>
 
+#include "src/common/ids.h"
 #include "src/common/rng.h"
+#include "src/common/wire_bytes.h"
 #include "src/common/time.h"
 #include "src/sim/event_loop.h"
 
@@ -258,6 +266,7 @@ TEST(EventLoopTest, SeededDifferentialAgainstReferenceHeap) {
 }
 
 TEST(EventLoopTest, PendingAndWatermarkTracking) {
+  EventLoop::ResetThreadMaxPending();
   EventLoop loop;
   for (int i = 0; i < 10; ++i) {
     loop.ScheduleAfter(Microseconds(i), "el.depth", []() {});
@@ -266,6 +275,277 @@ TEST(EventLoopTest, PendingAndWatermarkTracking) {
   EXPECT_GE(loop.max_pending(), 10u);
   loop.Run();
   EXPECT_EQ(loop.pending(), 0u);
+  EXPECT_EQ(EventLoop::ThreadMaxPending(), 10u);
+  {
+    // The thread-wide mark covers every loop until it is reset.
+    EventLoop other;
+    other.ScheduleAfter(0, "el.depth", []() {});
+    EXPECT_EQ(EventLoop::ThreadMaxPending(), 10u);
+  }
+  EventLoop::ResetThreadMaxPending();
+  EXPECT_EQ(EventLoop::ThreadMaxPending(), 0u);
+}
+
+// --- series ---------------------------------------------------------------
+
+// One scripted, seeded run mixing two series with events from other
+// sources. The other events sit on a coarse 10 us grid, so many share a
+// timestamp with series members (and series members share timestamps with
+// each other); some are scheduled before a series and some after, and every
+// handler may spawn same-tick and grid-aligned children. The 300th handler
+// calls Stop(), the script runs the loop in Run(until) segments, and the
+// second series starts mid-run with its first members in the past, so they
+// clamp to now. With `pre_schedule`, each series member is scheduled on its
+// own up front: the loop's behaviour before series existed, and the
+// reference the series must match event for event.
+struct ScriptLog {
+  std::vector<std::pair<uint64_t, Time>> ran;  // (event id, run time)
+  size_t pending_at_start = 0;  // pending() once series A is scheduled.
+};
+
+constexpr uint64_t kSeriesA = 1000000;
+constexpr uint64_t kSeriesB = 2000000;
+
+ScriptLog RunSeriesScript(uint64_t seed, bool pre_schedule) {
+  EventLoop loop;
+  Rng rng(seed);
+  ScriptLog log;
+  uint64_t next_id = 0;
+  std::function<void(uint64_t)> body = [&](uint64_t id) {
+    log.ran.emplace_back(id, loop.now());
+    if (log.ran.size() == 300) {
+      loop.Stop();
+    }
+    if (log.ran.size() >= 2000) {
+      return;
+    }
+    const uint64_t children = rng.NextBelow(3);
+    for (uint64_t c = 0; c < children; ++c) {
+      const uint64_t child = ++next_id;
+      const Duration delay =
+          rng.NextBelow(2) == 0 ? 0 : Microseconds(10 * (1 + rng.NextBelow(8)));
+      loop.ScheduleAfter(delay, "el.other", [&body, child]() { body(child); });
+    }
+  };
+  auto others = [&](int n, Time from) {
+    for (int i = 0; i < n; ++i) {
+      const uint64_t id = ++next_id;
+      loop.ScheduleAt(from + Microseconds(10 * rng.NextBelow(20)), "el.other",
+                      [&body, id]() { body(id); });
+    }
+  };
+  auto series = [&](uint64_t tag, uint64_t count,
+                    std::function<Time(uint64_t)> when) {
+    std::function<void(uint64_t)> member = [&body, tag](uint64_t i) {
+      body(tag + i);
+    };
+    if (pre_schedule) {
+      for (uint64_t i = 0; i < count; ++i) {
+        loop.ScheduleAt(when(i), "el.series", [member, i]() { member(i); });
+      }
+    } else {
+      loop.ScheduleSeries(count, std::move(when), "el.series",
+                          std::move(member));
+    }
+  };
+
+  others(20, 0);
+  // Three members per 10 us tick, on the other events' grid.
+  series(kSeriesA, 40, [](uint64_t i) { return Microseconds(10 * (i / 3)); });
+  others(20, 0);
+  log.pending_at_start = loop.pending();
+  // Ends between two of series A's ticks (again if Stop() came first).
+  do {
+    loop.Run(Microseconds(55));
+  } while (loop.now() < Microseconds(55));
+  // Members 0..6 of series B lie before now (55 us) and clamp to it.
+  series(kSeriesB, 30, [](uint64_t i) { return Microseconds(20 + 5 * i); });
+  others(20, loop.now());
+  while (loop.pending() > 0) {
+    loop.Run(loop.now() + Microseconds(37));
+  }
+  return log;
+}
+
+TEST(EventLoopTest, SeriesRunsInPreScheduledOrder) {
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    const ScriptLog reference = RunSeriesScript(seed, /*pre_schedule=*/true);
+    const ScriptLog series = RunSeriesScript(seed, /*pre_schedule=*/false);
+    ASSERT_GT(reference.ran.size(), 300u) << "the script must reach Stop()";
+    ASSERT_EQ(series.ran.size(), reference.ran.size()) << "seed " << seed;
+    for (size_t i = 0; i < reference.ran.size(); ++i) {
+      ASSERT_EQ(series.ran[i], reference.ran[i])
+          << "execution diverged at event " << i << " (seed " << seed << ")";
+    }
+    // Every member ran once, at its time clamped to the start of its series.
+    size_t members = 0;
+    for (const auto& [id, at] : series.ran) {
+      if (id >= kSeriesB) {
+        ++members;
+        EXPECT_EQ(at, std::max(Microseconds(20 + 5 * (id - kSeriesB)),
+                               Microseconds(55)));
+      } else if (id >= kSeriesA) {
+        ++members;
+        EXPECT_EQ(at, Microseconds(10 * ((id - kSeriesA) / 3)));
+      }
+    }
+    EXPECT_EQ(members, 70u);
+    EXPECT_EQ(series.pending_at_start + 39, reference.pending_at_start)
+        << "a series keeps one member pending, not all 40";
+  }
+}
+
+TEST(EventLoopTest, SeriesKeepsOneMemberPending) {
+  EventLoop loop;
+  std::vector<uint64_t> ran;
+  loop.ScheduleSeries(
+      1000, [](uint64_t i) { return Milliseconds(static_cast<Duration>(i)); },
+      "el.series", [&](uint64_t i) {
+        ran.push_back(i);
+        EXPECT_EQ(loop.pending(), i + 1 < 1000 ? 1u : 0u)
+            << "the next member is armed before this one runs";
+      });
+  EXPECT_EQ(loop.pending(), 1u);
+  EXPECT_EQ(loop.Run(), 1000u);
+  EXPECT_EQ(loop.max_pending(), 1u);
+  ASSERT_EQ(ran.size(), 1000u);
+  for (uint64_t i = 0; i < ran.size(); ++i) {
+    EXPECT_EQ(ran[i], i);
+  }
+  EXPECT_EQ(loop.now(), Milliseconds(999));
+
+  loop.ScheduleSeries(0, [](uint64_t) { return Time{0}; }, "el.series",
+                      [](uint64_t) { FAIL() << "an empty series runs nothing"; });
+  EXPECT_EQ(loop.pending(), 0u);
+}
+
+TEST(EventLoopTest, SeriesTakesItsSequenceNumbersWhenScheduled) {
+  // An event scheduled after the series for the same timestamp as a later
+  // member still runs after that member, as it would had every member been
+  // scheduled up front.
+  EventLoop loop;
+  std::vector<int> order;
+  loop.ScheduleSeries(
+      3, [](uint64_t i) { return Microseconds(10 * static_cast<Duration>(i)); },
+      "el.series", [&](uint64_t i) { order.push_back(static_cast<int>(i)); });
+  loop.ScheduleAt(Microseconds(20), "el.after", [&]() { order.push_back(99); });
+  loop.Run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 99}));
+}
+
+// --- handler --------------------------------------------------------------
+
+TEST(EventLoopHandlerTest, HotCapturesAreStoredInline) {
+  // The network delivery closure's layout and the timeout closure's.
+  struct Owner {};
+  Owner* self = nullptr;
+  const Endpoint src{1, 2};
+  const Endpoint dst{3, 4};
+  WireBytes payload;
+  auto deliver = [self, src, dst, payload = std::move(payload)]() mutable {
+    (void)self;
+    (void)src;
+    (void)dst;
+    (void)payload;
+  };
+  const uint16_t port = 5;
+  const uint64_t generation = 6;
+  auto timeout = [self, port, generation]() {
+    (void)self;
+    (void)port;
+    (void)generation;
+  };
+  static_assert(EventLoop::Handler::kStoredInline<decltype(deliver)>);
+  static_assert(EventLoop::Handler::kStoredInline<decltype(timeout)>);
+  std::array<uint64_t, 7> big{};
+  auto spill = [big]() { (void)big; };
+  static_assert(!EventLoop::Handler::kStoredInline<decltype(spill)>,
+                "captures over 48 bytes go to the heap");
+}
+
+TEST(EventLoopHandlerTest, InlineAndHeapHandlersRunWithTheirCaptures) {
+  EventLoop loop;
+  std::vector<uint64_t> seen;
+  std::array<uint64_t, 4> small{1, 2, 3, 4};
+  std::array<uint64_t, 12> big{};
+  for (size_t i = 0; i < big.size(); ++i) {
+    big[i] = 100 + i;
+  }
+  auto inline_fn = [&seen, small]() {
+    seen.insert(seen.end(), small.begin(), small.end());
+  };
+  auto heap_fn = [&seen, big]() {
+    seen.insert(seen.end(), big.begin(), big.end());
+  };
+  static_assert(EventLoop::Handler::kStoredInline<decltype(inline_fn)>);
+  static_assert(!EventLoop::Handler::kStoredInline<decltype(heap_fn)>);
+  loop.ScheduleAt(Microseconds(2), "el.heap", heap_fn);
+  loop.ScheduleAt(Microseconds(1), "el.inline", inline_fn);
+  EXPECT_EQ(loop.Run(), 2u);
+  ASSERT_EQ(seen.size(), 16u);
+  EXPECT_EQ(seen[0], 1u);
+  EXPECT_EQ(seen[3], 4u);
+  EXPECT_EQ(seen[4], 100u);
+  EXPECT_EQ(seen[15], 111u);
+}
+
+TEST(EventLoopHandlerTest, MoveOnlyCapturesRun) {
+  EventLoop loop;
+  int small_value = 0;
+  int big_value = 0;
+  auto small = std::make_unique<int>(7);
+  loop.ScheduleAfter(Microseconds(1), "el.move",
+                     [p = std::move(small), &small_value]() {
+                       small_value = *p;
+                     });
+  auto big = std::make_unique<int>(9);
+  std::array<uint64_t, 8> padding{};
+  auto heap_fn = [p = std::move(big), padding, &big_value]() {
+    big_value = *p + static_cast<int>(padding[0]);
+  };
+  static_assert(!EventLoop::Handler::kStoredInline<decltype(heap_fn)>);
+  loop.ScheduleAfter(Microseconds(2), "el.move", std::move(heap_fn));
+  loop.Run();
+  EXPECT_EQ(small_value, 7);
+  EXPECT_EQ(big_value, 9);
+}
+
+TEST(EventLoopHandlerTest, MovesTransferAndReleaseTheCallable) {
+  auto token = std::make_shared<int>(0);
+  int runs = 0;
+  EventLoop::Handler a = [token, &runs]() { ++runs; };
+  EXPECT_EQ(token.use_count(), 2);
+  EventLoop::Handler b = std::move(a);
+  EXPECT_EQ(token.use_count(), 2) << "a move relocates, never copies";
+  b();
+  EXPECT_EQ(runs, 1);
+  std::array<uint64_t, 8> padding{};
+  EventLoop::Handler c = [token, padding]() { (void)padding; };
+  EXPECT_EQ(token.use_count(), 3);
+  b = std::move(c);  // Destroys b's callable, takes c's heap one.
+  EXPECT_EQ(token.use_count(), 2);
+  b = EventLoop::Handler();
+  EXPECT_EQ(token.use_count(), 1);
+  a = EventLoop::Handler();  // Assigning over a moved-from handler is fine.
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(EventLoopHandlerTest, UnrunHandlersAreDestroyedWithTheLoop) {
+  auto token = std::make_shared<int>(0);
+  {
+    EventLoop loop;
+    std::array<uint64_t, 8> padding{};
+    loop.ScheduleAt(Seconds(1), "el.inline", [token]() {});
+    loop.ScheduleAt(Seconds(2), "el.heap", [token, padding]() { (void)padding; });
+    loop.ScheduleCancelableAt(Seconds(3), "el.cancel", [token]() {}).Cancel();
+    loop.SchedulePeriodic(Seconds(1), "el.periodic", [token]() {});
+    loop.ScheduleSeries(
+        5, [](uint64_t i) { return Seconds(static_cast<Duration>(i + 1)); },
+        "el.series", [token](uint64_t) {});
+    EXPECT_EQ(loop.Run(Milliseconds(1500)), 3u);  // Inline, periodic, member 0.
+    EXPECT_GT(token.use_count(), 1);
+  }
+  EXPECT_EQ(token.use_count(), 1) << "pending handlers leaked their captures";
 }
 
 }  // namespace

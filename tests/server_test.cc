@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "src/attack/patterns.h"
 #include "src/attack/testbed.h"
 #include "src/dns/codec.h"
@@ -665,6 +669,102 @@ TEST(StubTest, TracksPerSecondSeries) {
   EXPECT_GT(stub.latency().count(), 0);
   // Latency ~ network RTT + processing (>= 1 ms in simulator microseconds).
   EXPECT_GT(stub.latency().mean(), 500.0);
+}
+
+// A transport that answers nothing and logs every query the stub sends:
+// its virtual send time and DNS id (the stub numbers requests in launch
+// order).
+class RecordingTransport : public Transport {
+ public:
+  explicit RecordingTransport(EventLoop& loop) : loop_(loop) {}
+
+  void Send(uint16_t, Endpoint, WireBytes payload) override {
+    const std::optional<Message> query = DecodeMessage(payload);
+    ASSERT_TRUE(query.has_value());
+    log.push_back("send " + std::to_string(loop_.now()) + " id " +
+                  std::to_string(query->header.id));
+  }
+  Time now() const override { return loop_.now(); }
+  EventLoop& loop() override { return loop_; }
+  HostAddress local_address() const override { return 0x0a000009; }
+
+  std::vector<std::string> log;
+
+ private:
+  EventLoop& loop_;
+};
+
+// Trace replay with unsorted and duplicate times, some already past when
+// replay starts, against other events at the same timestamps scheduled
+// before and after it. With `one_by_one`, every time is replayed as its own
+// one-launch schedule, which is exactly how launches were scheduled before
+// a replay became one series.
+std::vector<std::string> ReplayLog(bool one_by_one) {
+  EventLoop loop;
+  RecordingTransport transport(loop);
+  StubConfig config;
+  config.timeout = Seconds(30);  // No timeout fires inside the log.
+  StubClient stub(transport, config,
+                  [](uint64_t) { return Question{TargetApex(), RecordType::kA}; });
+  stub.AddResolver(0x0a000001);
+  loop.Run(Seconds(1));
+  auto probe = [&](const char* name, Time at) {
+    loop.ScheduleAt(at, "test.probe", [&transport, &loop, name]() {
+      transport.log.push_back(name);
+    });
+  };
+  probe("before@1s", Seconds(1));
+  probe("before@2s", Seconds(2));
+  const std::vector<Time> times = {Seconds(3), Milliseconds(500), Seconds(2),
+                                   Seconds(1), Seconds(2), Milliseconds(200)};
+  if (one_by_one) {
+    for (Time t : times) {
+      stub.StartWithSchedule({t});
+    }
+  } else {
+    stub.StartWithSchedule(times);
+  }
+  probe("after@1s", Seconds(1));
+  probe("after@2s", Seconds(2));
+  loop.Run(Seconds(10));
+  return transport.log;
+}
+
+TEST(StubTest, ReplayOfUnsortedTimesKeepsTheOneByOneOrder) {
+  const std::vector<std::string> series = ReplayLog(/*one_by_one=*/false);
+  EXPECT_EQ(series, ReplayLog(/*one_by_one=*/true));
+  // Past times clamp to the replay's start (1 s); launches at one time run
+  // after the events scheduled before the replay and before those after it.
+  const std::vector<std::string> expected = {
+      "before@1s",          "send 1000000 id 0", "send 1000000 id 1",
+      "send 1000000 id 2",  "after@1s",          "before@2s",
+      "send 2000000 id 3",  "send 2000000 id 4", "after@2s",
+      "send 3000000 id 5"};
+  EXPECT_EQ(series, expected);
+}
+
+TEST(StubTest, PacedStartKeepsOneLaunchPending) {
+  EventLoop loop;
+  RecordingTransport transport(loop);
+  StubConfig config;
+  config.start = Milliseconds(100);
+  config.stop = Seconds(2);
+  config.qps = 1000;
+  config.timeout = Milliseconds(10);  // Failures; nothing is resent.
+  StubClient stub(transport, config,
+                  [](uint64_t) { return Question{TargetApex(), RecordType::kA}; });
+  stub.AddResolver(0x0a000001);
+  stub.Start();
+  EXPECT_EQ(loop.pending(), 1u) << "1900 launches, one pending";
+  loop.Run(Seconds(2));
+  ASSERT_EQ(transport.log.size(), 1900u);
+  EXPECT_EQ(transport.log.front(), "send 100000 id 0");
+  EXPECT_EQ(transport.log[1], "send 101000 id 1");
+  EXPECT_EQ(transport.log.back(), "send 1999000 id 1899");
+  // Pending: the next launch plus the timeouts of the requests sent in the
+  // last 10 ms, not the 1900 launches of the whole run.
+  EXPECT_LE(loop.max_pending(), 12u);
+  EXPECT_EQ(stub.failed(), 1891u);  // Sent by 1.990 s: timed out by 2 s.
 }
 
 }  // namespace

@@ -2,13 +2,15 @@
 //
 // Runs every scenario bench (bench/bench_*.cc), measuring wall-clock time,
 // executed simulation events (deterministic — any drift is a behavior
-// change) and peak RSS, and writes a BENCH_dcc.json report. A run that
-// selects one bench runs it in-process; a run of several re-executes
-// `dcc_bench --filter <bench>` once per bench, so each peak RSS comes from a
-// fresh process instead of the heap the earlier benches left behind. With
-// --check, the report is compared against a committed baseline
-// (bench/baseline.json by default) with per-metric tolerances; any
-// regression exits non-zero, which is what CI gates on.
+// change), the event heap's high-water mark, heap allocations (this binary
+// replaces the global operator new to count them) and peak RSS, and writes
+// a BENCH_dcc.json report. A run that selects one bench runs it
+// in-process; a run of several re-executes `dcc_bench --filter <bench>`
+// once per bench, so each peak RSS comes from a fresh process instead of
+// the heap the earlier benches left behind. With --check, the report is
+// compared against a committed baseline (bench/baseline.json by default)
+// with per-metric tolerances; any regression exits non-zero, which is what
+// CI gates on.
 //
 //   dcc_bench                         run the full suite, write BENCH_dcc.json
 //   dcc_bench --quick --check         CI smoke: trimmed suite vs baseline
@@ -20,6 +22,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -27,6 +30,7 @@
 #include <cstring>
 #include <filesystem>
 #include <memory>
+#include <new>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -34,9 +38,41 @@
 #include "bench/benches.h"
 #include "bench/harness.h"
 #include "src/common/json.h"
+#include "src/server/stub.h"
 #include "src/sim/event_loop.h"
 #include "src/telemetry/profiler.h"
 #include "tools/cli.h"
+
+// --- allocation counter -----------------------------------------------------
+//
+// The global operator new is replaced in this binary only, so every C++ heap
+// allocation of every bench is counted: calls and requested bytes. The
+// simulation is deterministic, so for one toolchain the counts repeat
+// exactly and --check gates them like sim_events. The array, nothrow and
+// sized forms the library provides all forward to these two (aligned new,
+// which no bench uses, is not counted).
+
+namespace {
+
+std::atomic<uint64_t> g_alloc_calls{0};
+std::atomic<uint64_t> g_alloc_bytes{0};
+
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_alloc_calls.fetch_add(1, std::memory_order_relaxed);
+  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
+  if (void* block = std::malloc(size == 0 ? 1 : size)) {
+    return block;
+  }
+  throw std::bad_alloc();
+}
+
+// Out of line, so callers never see new's malloc paired with free (GCC's
+// -Wmismatched-new-delete would flag it).
+[[gnu::noinline]] void operator delete(void* block) noexcept { std::free(block); }
+
+void operator delete(void* block, std::size_t) noexcept { ::operator delete(block); }
 
 namespace {
 
@@ -68,7 +104,10 @@ void PrintUsage(FILE* stream) {
                "  --verbose           keep bench stdout (silenced by default)\n"
                "  --out PATH          report path (default BENCH_dcc.json)\n"
                "  --check             compare against the baseline; exit 1 on any\n"
-               "                      regression, exit 2 if the baseline is missing\n"
+               "                      regression, exit 2 if the baseline is missing;\n"
+               "                      sim_events may not drift, event_heap_max and\n"
+               "                      allocations (same toolchain, unprofiled runs)\n"
+               "                      may not rise\n"
                "  --baseline PATH     baseline path (default bench/baseline.json)\n"
                "  --wall-slack F      allowed wall-clock slowdown fraction for\n"
                "                      --check (default 0.15; raise on noisy or\n"
@@ -174,8 +213,12 @@ dcc::bench::BenchReport RunInProcess(const dcc::bench::BenchInfo& bench,
     dcc::prof::Enable();
   }
   const uint64_t events_before = dcc::EventLoop::TotalEventsExecuted();
+  const uint64_t queries_before = dcc::StubClient::TotalQueriesLaunched();
+  dcc::EventLoop::ResetThreadMaxPending();
   const auto wall_start = std::chrono::steady_clock::now();
   int exit_code = 0;
+  uint64_t allocs = 0;
+  uint64_t alloc_bytes = 0;
   {
     // Scope the silencer so stdout is restored even on early return.
     std::unique_ptr<StdoutSilencer> silencer;
@@ -184,7 +227,11 @@ dcc::bench::BenchReport RunInProcess(const dcc::bench::BenchInfo& bench,
     }
     dcc::bench::BenchOptions bench_options;
     bench_options.quick = options.quick;
+    const uint64_t calls_before = g_alloc_calls.load(std::memory_order_relaxed);
+    const uint64_t bytes_before = g_alloc_bytes.load(std::memory_order_relaxed);
     exit_code = bench.fn(bench_options);
+    allocs = g_alloc_calls.load(std::memory_order_relaxed) - calls_before;
+    alloc_bytes = g_alloc_bytes.load(std::memory_order_relaxed) - bytes_before;
   }
   const auto wall_end = std::chrono::steady_clock::now();
 
@@ -200,6 +247,11 @@ dcc::bench::BenchReport RunInProcess(const dcc::bench::BenchInfo& bench,
           : 0;
   entry.metrics.peak_rss_delta_kb =
       std::max<int64_t>(0, dcc::bench::PeakRssKb() - rss_before);
+  entry.metrics.event_heap_max = dcc::EventLoop::ThreadMaxPending();
+  entry.metrics.client_queries =
+      dcc::StubClient::TotalQueriesLaunched() - queries_before;
+  entry.metrics.allocs = allocs;
+  entry.metrics.alloc_bytes = alloc_bytes;
   entry.metrics.exit_code = exit_code;
 
   if (profile_rows != nullptr) {
@@ -211,11 +263,15 @@ dcc::bench::BenchReport RunInProcess(const dcc::bench::BenchInfo& bench,
     profile_rows->PushBack(std::move(row));
   }
 
-  std::fprintf(stderr, " %.0f ms, %llu sim events (%.2fM events/s), rss +%lld KB%s\n",
+  std::fprintf(stderr,
+               " %.0f ms, %llu sim events (%.2fM events/s), rss +%lld KB, "
+               "heap max %llu, %llu allocs%s\n",
                entry.metrics.wall_ms,
                static_cast<unsigned long long>(entry.metrics.sim_events),
                entry.metrics.events_per_sec / 1e6,
                static_cast<long long>(entry.metrics.peak_rss_delta_kb),
+               static_cast<unsigned long long>(entry.metrics.event_heap_max),
+               static_cast<unsigned long long>(entry.metrics.allocs),
                exit_code == 0 ? "" : " [FAILED]");
   return entry;
 }
@@ -305,6 +361,7 @@ int main(int argc, char** argv) {
 
   dcc::bench::SuiteReport report;
   report.quick = options.quick;
+  report.toolchain = dcc::bench::BuildToolchain();
   const bool profiling = !options.profile_out.empty();
   dcc::json::Value profile_benches = dcc::json::Value::MakeArray();
   // A filter equal to a bench's name selects that bench alone, which is how
@@ -424,6 +481,8 @@ int main(int argc, char** argv) {
     dcc::bench::Tolerances tolerances;
     tolerances.wall_slack = options.wall_slack;
     tolerances.min_eps_scale = options.min_eps_scale;
+    // The profiler allocates its own tables while a bench runs.
+    tolerances.allocations = !profiling;
     std::vector<std::string> notes;
     const std::vector<std::string> violations =
         dcc::bench::CompareReports(report, baseline, tolerances, &notes);
