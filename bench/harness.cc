@@ -2,13 +2,15 @@
 
 #include <sys/resource.h>
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
+
+#include "src/common/json.h"
 
 namespace dcc {
 namespace bench {
@@ -135,153 +137,53 @@ std::string RenderJson(const SuiteReport& report) {
 
 namespace {
 
-// Minimal parser for the exact shape RenderJson emits (plus whitespace
-// variations): top-level "quick" flag and a "benches" array of flat objects
-// with string "name" and numeric fields. Not a general JSON parser.
-struct Cursor {
-  const std::string& text;
-  size_t pos = 0;
-
-  void SkipWs() {
-    while (pos < text.size() && std::isspace(static_cast<unsigned char>(text[pos]))) {
-      ++pos;
-    }
-  }
-  bool Eat(char c) {
-    SkipWs();
-    if (pos < text.size() && text[pos] == c) {
-      ++pos;
-      return true;
-    }
-    return false;
-  }
-  bool ParseString(std::string* out) {
-    SkipWs();
-    if (pos >= text.size() || text[pos] != '"') {
-      return false;
-    }
-    ++pos;
-    out->clear();
-    while (pos < text.size() && text[pos] != '"') {
-      if (text[pos] == '\\' && pos + 1 < text.size()) {
-        ++pos;  // Our renderer never escapes, but tolerate \" and \\.
-      }
-      out->push_back(text[pos++]);
-    }
-    if (pos >= text.size()) {
-      return false;
-    }
-    ++pos;
-    return true;
-  }
-  bool ParseScalar(std::string* out) {
-    SkipWs();
-    out->clear();
-    while (pos < text.size() &&
-           (std::isalnum(static_cast<unsigned char>(text[pos])) ||
-            text[pos] == '.' || text[pos] == '-' || text[pos] == '+' ||
-            text[pos] == 'e' || text[pos] == 'E')) {
-      out->push_back(text[pos++]);
-    }
-    return !out->empty();
-  }
-};
+// An integer field of a bench row; 0 when absent or outside T.
+template <class T>
+T IntegerField(const json::Value& bench, const char* key) {
+  const double n = bench.Number(key);
+  return n >= static_cast<double>(std::numeric_limits<T>::min()) &&
+                 n < std::ldexp(1.0, std::numeric_limits<T>::digits)
+             ? static_cast<T>(n)
+             : T{};
+}
 
 }  // namespace
 
 bool ParseReportJson(const std::string& text, SuiteReport* out) {
-  Cursor cursor{text};
-  if (!cursor.Eat('{')) {
+  json::Value root;
+  if (!json::Parse(text, &root) || root.String("suite") != "dcc_bench") {
     return false;
   }
-  out->quick = false;
-  out->toolchain.clear();
+  const json::Value* quick = root.Find("quick");
+  out->quick = quick != nullptr && quick->AsBool();
+  out->toolchain = root.String("toolchain");
   out->benches.clear();
-  bool is_dcc_bench = false;
-  std::string key;
-  while (cursor.ParseString(&key)) {
-    if (!cursor.Eat(':')) {
-      return false;
-    }
-    if (key == "benches") {
-      if (!cursor.Eat('[')) {
-        return false;
-      }
-      cursor.SkipWs();
-      while (cursor.Eat('{')) {
-        BenchReport bench;
-        std::string field;
-        while (cursor.ParseString(&field)) {
-          if (!cursor.Eat(':')) {
-            return false;
-          }
-          std::string value;
-          if (field == "name") {
-            if (!cursor.ParseString(&bench.name)) {
-              return false;
-            }
-          } else if (!cursor.ParseScalar(&value)) {
-            return false;
-          } else if (field == "wall_ms") {
-            bench.metrics.wall_ms = std::atof(value.c_str());
-          } else if (field == "sim_events") {
-            bench.metrics.sim_events =
-                static_cast<uint64_t>(std::strtoull(value.c_str(), nullptr, 10));
-          } else if (field == "events_per_sec") {
-            // "null" parses as a scalar token; atof maps it to 0, which is
-            // exactly the sentinel the comparison logic expects.
-            bench.metrics.events_per_sec = std::atof(value.c_str());
-          } else if (field == "min_eps") {
-            bench.metrics.min_events_per_sec = std::atof(value.c_str());
-          } else if (field == "peak_rss_delta_kb" || field == "peak_rss_kb") {
-            // Accept the legacy process-cumulative key so old baselines
-            // still parse; CompareReports treats those rows via the same
-            // slack + absolute floor.
-            bench.metrics.peak_rss_delta_kb = std::atoll(value.c_str());
-          } else if (field == "event_heap_max") {
-            bench.metrics.event_heap_max = std::strtoull(value.c_str(), nullptr, 10);
-          } else if (field == "client_queries") {
-            bench.metrics.client_queries = std::strtoull(value.c_str(), nullptr, 10);
-          } else if (field == "allocs") {
-            bench.metrics.allocs = std::strtoull(value.c_str(), nullptr, 10);
-          } else if (field == "alloc_bytes") {
-            bench.metrics.alloc_bytes = std::strtoull(value.c_str(), nullptr, 10);
-          } else if (field == "exit_code") {
-            bench.metrics.exit_code = std::atoi(value.c_str());
-          }
-          if (!cursor.Eat(',')) {
-            break;
-          }
-        }
-        if (!cursor.Eat('}')) {
-          return false;
-        }
-        out->benches.push_back(std::move(bench));
-        if (!cursor.Eat(',')) {
-          break;
-        }
-      }
-      if (!cursor.Eat(']')) {
-        return false;
-      }
-    } else {
-      std::string value;
-      if (!cursor.ParseScalar(&value) && !cursor.ParseString(&value)) {
-        return false;
-      }
-      if (key == "quick") {
-        out->quick = value == "true";
-      } else if (key == "suite") {
-        is_dcc_bench = value == "dcc_bench";
-      } else if (key == "toolchain") {
-        out->toolchain = value;
-      }
-    }
-    if (!cursor.Eat(',')) {
-      break;
-    }
+  const json::Value* benches = root.Find("benches");
+  if (benches == nullptr) {
+    return true;
   }
-  return cursor.Eat('}') && is_dcc_bench;
+  if (!benches->is_array()) {
+    return false;
+  }
+  for (const json::Value& row : benches->AsArray()) {
+    BenchReport bench;
+    bench.name = row.String("name");
+    BenchMetrics& m = bench.metrics;
+    m.wall_ms = row.Number("wall_ms");
+    m.sim_events = IntegerField<uint64_t>(row, "sim_events");
+    // null (no simulated events) reads as 0, the sentinel CompareReports
+    // expects.
+    m.events_per_sec = row.Number("events_per_sec");
+    m.min_events_per_sec = row.Number("min_eps");
+    m.peak_rss_delta_kb = IntegerField<int64_t>(row, "peak_rss_delta_kb");
+    m.event_heap_max = IntegerField<uint64_t>(row, "event_heap_max");
+    m.client_queries = IntegerField<uint64_t>(row, "client_queries");
+    m.allocs = IntegerField<uint64_t>(row, "allocs");
+    m.alloc_bytes = IntegerField<uint64_t>(row, "alloc_bytes");
+    m.exit_code = IntegerField<int>(row, "exit_code");
+    out->benches.push_back(std::move(bench));
+  }
+  return true;
 }
 
 std::vector<std::string> CompareReports(const SuiteReport& current,
@@ -346,20 +248,15 @@ std::vector<std::string> CompareReports(const SuiteReport& current,
     if (b.sim_events == 0) {
       note(base.name + ": sim_events is 0 in the baseline (no event-loop "
                        "work); drift check skipped");
-    } else {
-      const double drift =
-          std::abs(static_cast<double>(c.sim_events) -
-                   static_cast<double>(b.sim_events)) /
-          static_cast<double>(b.sim_events);
-      if (drift > tolerances.sim_events_slack) {
-        std::snprintf(buffer, sizeof(buffer),
-                      "%s: sim_events %llu drifted %.2f%% from baseline %llu "
-                      "(behavior change, not machine noise)",
-                      base.name.c_str(),
-                      static_cast<unsigned long long>(c.sim_events), drift * 100,
-                      static_cast<unsigned long long>(b.sim_events));
-        violations.emplace_back(buffer);
-      }
+    } else if (c.sim_events != b.sim_events) {
+      std::snprintf(buffer, sizeof(buffer),
+                    "%s: sim_events %llu differs from baseline %llu by %+lld "
+                    "(behavior change, not machine noise)",
+                    base.name.c_str(),
+                    static_cast<unsigned long long>(c.sim_events),
+                    static_cast<unsigned long long>(b.sim_events),
+                    static_cast<long long>(c.sim_events - b.sim_events));
+      violations.emplace_back(buffer);
     }
     if (b.min_events_per_sec > 0 && tolerances.min_eps_scale > 0) {
       const double floor = b.min_events_per_sec * tolerances.min_eps_scale;

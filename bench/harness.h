@@ -104,7 +104,7 @@ int64_t CurrentRssKb();
 // per-bench deltas degrade to max(0, peak - rss_at_bench_start).
 bool ResetPeakRss();
 
-// BENCH_dcc.json rendering and (minimal, format-specific) parsing.
+// BENCH_dcc.json rendering and parsing.
 std::string RenderJson(const SuiteReport& report);
 bool ParseReportJson(const std::string& text, SuiteReport* out);
 
@@ -118,9 +118,6 @@ struct Tolerances {
   // millisecond-scale benches scheduler noise easily exceeds any relative
   // slack, and sim_events still gates their behavior.
   double wall_floor_ms = 250;
-  // Simulated-event drift allowed in either direction. The simulator is
-  // deterministic, so any drift means behavior changed, not the machine.
-  double sim_events_slack = 0.02;
   // Peak-RSS growth allowed as a fraction of the baseline.
   double rss_slack = 0.50;
   // An RSS regression must also exceed this many absolute KiB: per-bench
@@ -138,7 +135,9 @@ struct Tolerances {
   bool allocations = true;
 };
 
-// Returns one human-readable line per violation (empty = pass). Benches
+// Returns one human-readable line per violation (empty = pass). sim_events
+// must equal the baseline's exactly: the simulator is deterministic, so any
+// difference means behavior changed, not the machine. Benches
 // present in only one of the two reports are reported as violations, as is a
 // quick/full mode mismatch. When `notes` is non-null it receives one line
 // per comparison that was skipped rather than judged (e.g. a bench whose

@@ -1,6 +1,7 @@
 #include "src/fault/fault_plan.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -65,8 +66,11 @@ bool ParseDuration(const std::string& s, Duration* out) {
   }
   char* end = nullptr;
   double value = std::strtod(digits.c_str(), &end);
-  if (end == digits.c_str() || *end != '\0' || value < 0) return false;
-  *out = static_cast<Duration>(value * scale);
+  if (end == digits.c_str() || *end != '\0' || !(value >= 0)) return false;
+  // Non-finite values and microsecond counts past INT64_MAX do not fit.
+  const double us = value * scale;
+  if (!(us < 0x1p63)) return false;
+  *out = static_cast<Duration>(us);
   return true;
 }
 
@@ -110,7 +114,7 @@ bool ParseGroup(const std::string& s, std::vector<HostAddress>* out) {
 bool ParseDouble(const std::string& s, double* out) {
   char* end = nullptr;
   double value = std::strtod(s.c_str(), &end);
-  if (end == s.c_str() || *end != '\0') return false;
+  if (end == s.c_str() || *end != '\0' || !std::isfinite(value)) return false;
   *out = value;
   return true;
 }

@@ -3,44 +3,15 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <set>
+#include <limits>
+#include <tuple>
+#include <type_traits>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "src/dns/message.h"
 
 namespace dcc {
 namespace scenario {
-
-const char* QueryPatternName(QueryPattern pattern) {
-  switch (pattern) {
-    case QueryPattern::kWc: return "wc";
-    case QueryPattern::kNx: return "nx";
-    case QueryPattern::kCq: return "cq";
-    case QueryPattern::kFf: return "ff";
-    case QueryPattern::kNxThenWc: return "nx_then_wc";
-  }
-  return "wc";
-}
-
-bool ParseQueryPatternName(const std::string& text, QueryPattern* out) {
-  if (text == "wc") { *out = QueryPattern::kWc; return true; }
-  if (text == "nx") { *out = QueryPattern::kNx; return true; }
-  if (text == "cq") { *out = QueryPattern::kCq; return true; }
-  if (text == "ff") { *out = QueryPattern::kFf; return true; }
-  if (text == "nx_then_wc") { *out = QueryPattern::kNxThenWc; return true; }
-  return false;
-}
-
-HostAddress SpecNodeAddress(const ScenarioSpec& spec, size_t node_index) {
-  (void)spec;
-  return static_cast<HostAddress>(0x0a000001u + node_index);
-}
-
-HostAddress SpecClientAddress(const ScenarioSpec& spec, size_t client_index) {
-  return static_cast<HostAddress>(0x0a000001u + spec.nodes.size() + client_index);
-}
-
 namespace {
 
 // --- error plumbing ---------------------------------------------------------
@@ -66,844 +37,824 @@ std::string Idx(const std::string& path, size_t i) {
   return path + "[" + std::to_string(i) + "]";
 }
 
-// Typed accessors over one JSON object, reporting path-qualified errors and
-// rejecting unknown keys (so typos surface instead of silently applying
-// defaults).
-class ObjReader {
- public:
-  ObjReader(const json::Value& value, std::string path, Ctx& ctx)
-      : value_(value), path_(std::move(path)), ctx_(ctx) {
-    if (!value_.is_object()) {
-      ctx_.Fail(path_, "expected an object");
-    }
+// One JSON object being read: its value, its JSON path and the error sink.
+struct Input {
+  const json::Value& value;
+  std::string path;
+  Ctx& ctx;
+
+  // Fails at member `key`; the path is only built for the error.
+  void Fail(const char* key, const std::string& message) const {
+    ctx.Fail(Sub(path, key), message);
   }
-
-  bool ok() const { return ctx_.ok; }
-  const std::string& path() const { return path_; }
-
-  void AllowKeys(std::initializer_list<const char*> keys) {
-    if (!value_.is_object()) {
-      return;
-    }
-    for (const auto& [key, unused] : value_.AsObject()) {
-      (void)unused;
-      bool known = false;
-      for (const char* allowed : keys) {
-        if (key == allowed) {
-          known = true;
-          break;
-        }
-      }
-      if (!known) {
-        ctx_.Fail(Sub(path_, key), "unknown key");
-        return;
-      }
-    }
-  }
-
-  bool Has(const char* key) const { return value_.Find(key) != nullptr; }
-
-  double Num(const char* key, double fallback) {
-    const json::Value* v = value_.Find(key);
-    if (v == nullptr) {
-      return fallback;
-    }
-    if (!v->is_number()) {
-      ctx_.Fail(Sub(path_, key), "expected a number");
-      return fallback;
-    }
-    return v->AsNumber();
-  }
-
-  int Int(const char* key, int fallback) {
-    return static_cast<int>(Num(key, fallback));
-  }
-
-  uint64_t U64(const char* key, uint64_t fallback) {
-    const double n = Num(key, static_cast<double>(fallback));
-    if (n < 0) {
-      ctx_.Fail(Sub(path_, key), "expected a non-negative integer");
-      return fallback;
-    }
-    return static_cast<uint64_t>(n);
-  }
-
-  // Durations are numbers in (virtual) seconds.
-  Duration Secs(const char* key, Duration fallback) {
-    const json::Value* v = value_.Find(key);
-    if (v == nullptr) {
-      return fallback;
-    }
-    if (!v->is_number()) {
-      ctx_.Fail(Sub(path_, key), "expected a duration in seconds");
-      return fallback;
-    }
-    return static_cast<Duration>(std::llround(v->AsNumber() * 1e6));
-  }
-
-  bool Bool(const char* key, bool fallback) {
-    const json::Value* v = value_.Find(key);
-    if (v == nullptr) {
-      return fallback;
-    }
-    if (!v->is_bool()) {
-      ctx_.Fail(Sub(path_, key), "expected true or false");
-      return fallback;
-    }
-    return v->AsBool();
-  }
-
-  std::string Str(const char* key, const std::string& fallback) {
-    const json::Value* v = value_.Find(key);
-    if (v == nullptr) {
-      return fallback;
-    }
-    if (!v->is_string()) {
-      ctx_.Fail(Sub(path_, key), "expected a string");
-      return fallback;
-    }
-    return v->AsString();
-  }
-
-  // Returns the array value for `key`, or nullptr when absent.
-  const json::Value* Arr(const char* key) {
-    const json::Value* v = value_.Find(key);
-    if (v != nullptr && !v->is_array()) {
-      ctx_.Fail(Sub(path_, key), "expected an array");
-      return nullptr;
-    }
-    return v;
-  }
-
-  const json::Value* Obj(const char* key) {
-    const json::Value* v = value_.Find(key);
-    if (v != nullptr && !v->is_object()) {
-      ctx_.Fail(Sub(path_, key), "expected an object");
-      return nullptr;
-    }
-    return v;
-  }
-
-  std::vector<std::string> StrList(const char* key) {
-    std::vector<std::string> out;
-    const json::Value* arr = Arr(key);
-    if (arr == nullptr) {
-      return out;
-    }
-    for (size_t i = 0; i < arr->AsArray().size(); ++i) {
-      const json::Value& item = arr->AsArray()[i];
-      if (!item.is_string()) {
-        ctx_.Fail(Idx(Sub(path_, key), i), "expected a string");
-        return out;
-      }
-      out.push_back(item.AsString());
-    }
-    return out;
-  }
-
- private:
-  const json::Value& value_;
-  std::string path_;
-  Ctx& ctx_;
 };
 
-// --- JSON writer helpers ----------------------------------------------------
+bool ExpectObject(const Input& in) {
+  return in.value.is_object() || in.ctx.Fail(in.path, "expected an object");
+}
 
-json::Value Num(double n) { return json::Value::OfNumber(n); }
-json::Value Str(std::string s) { return json::Value::OfString(std::move(s)); }
-json::Value Boolean(bool b) { return json::Value::OfBool(b); }
-json::Value Secs(Duration d) { return Num(ToSeconds(d)); }
+// --- enum names -------------------------------------------------------------
 
-// --- config <-> JSON --------------------------------------------------------
+// One name table per enum, read in both directions; an unknown name is
+// rejected with the table's names as the "(a|b|c)" hint.
+template <class E>
+struct EnumName {
+  E value;
+  const char* name;
+};
 
-const char* RateLimitActionName(RateLimitAction action) {
-  switch (action) {
-    case RateLimitAction::kDrop: return "drop";
-    case RateLimitAction::kServFail: return "servfail";
-    case RateLimitAction::kRefused: return "refused";
+template <class E, size_t N>
+struct EnumNames {
+  const char* noun;  // As in "unknown <noun> 'x' (a|b|c)".
+  EnumName<E> names[N];
+
+  const char* Name(E value) const {
+    for (const EnumName<E>& entry : names) {
+      if (entry.value == value) {
+        return entry.name;
+      }
+    }
+    return names[0].name;
   }
-  return "drop";
+
+  bool Parse(const std::string& text, E* out) const {
+    for (const EnumName<E>& entry : names) {
+      if (text == entry.name) {
+        *out = entry.value;
+        return true;
+      }
+    }
+    return false;
+  }
+
+  std::string Unknown(const std::string& text) const {
+    std::string choices;
+    for (const EnumName<E>& entry : names) {
+      choices += choices.empty() ? "" : "|";
+      choices += entry.name;
+    }
+    return "unknown " + std::string(noun) + " '" + text + "' (" + choices + ")";
+  }
+};
+
+constexpr EnumNames<QueryPattern, 5> kQueryPatterns = {
+    "pattern",
+    {{QueryPattern::kWc, "wc"},
+     {QueryPattern::kNx, "nx"},
+     {QueryPattern::kCq, "cq"},
+     {QueryPattern::kFf, "ff"},
+     {QueryPattern::kNxThenWc, "nx_then_wc"}}};
+constexpr EnumNames<RateLimitAction, 3> kRateLimitActions = {
+    "action",
+    {{RateLimitAction::kDrop, "drop"},
+     {RateLimitAction::kServFail, "servfail"},
+     {RateLimitAction::kRefused, "refused"}}};
+constexpr EnumNames<PolicyType, 3> kSignalPolicies = {
+    "policy",
+    {{PolicyType::kNone, "none"},
+     {PolicyType::kRateLimit, "ratelimit"},
+     {PolicyType::kBlock, "block"}}};
+constexpr EnumNames<ZoneKind, 2> kZoneKinds = {
+    "zone kind", {{ZoneKind::kTarget, "target"}, {ZoneKind::kAttacker, "attacker"}}};
+constexpr EnumNames<NodeKind, 4> kNodeKinds = {
+    "node kind",
+    {{NodeKind::kAuthoritative, "auth"},
+     {NodeKind::kResolver, "resolver"},
+     {NodeKind::kForwarder, "forwarder"},
+     {NodeKind::kFrontend, "frontend"}}};
+// The frontend names its own policies.
+const EnumNames<SteeringPolicy, 3> kSteeringPolicies = {
+    "steering policy",
+    {{SteeringPolicy::kConsistentHash,
+      SteeringPolicyName(SteeringPolicy::kConsistentHash)},
+     {SteeringPolicy::kLeastLoaded, SteeringPolicyName(SteeringPolicy::kLeastLoaded)},
+     {SteeringPolicy::kRoundRobin, SteeringPolicyName(SteeringPolicy::kRoundRobin)}}};
+
+// --- field tables -----------------------------------------------------------
+//
+// Each spec object is one table: a tuple of rows, one per JSON key, each
+// naming the key, the member it maps to and its kind. Three walkers go over
+// the tables, so a key is named nowhere else: WriteObject (spec -> JSON),
+// CheckKeys (a key no row names is an error, so typos surface instead of
+// silently applying defaults) and ReadFields (typed JSON -> spec, in table
+// order, so the first bad row is the error reported).
+//
+// Reading converts through the member's C++ type: every number must be
+// finite, integers must be integral and fit the member's type, and seconds
+// must fit a Duration in microseconds. Sign rules live in
+// ValidateScenarioSpec, where a negative stop or instance count means
+// "derive this".
+
+// A row's member: a data-member pointer, Inner(outer, inner) for a member
+// of a member, or Self<O> for the owner itself (a JSON object, like "run",
+// that groups some of its owner's fields).
+template <class Outer, class Member>
+struct Nested {
+  Outer outer;
+  Member inner;
+};
+
+template <class O>
+struct Self {};
+
+template <class O, class A, class B>
+constexpr Nested<A O::*, B> Inner(A O::*outer, B inner) {
+  return {outer, inner};
 }
 
-json::Value RrlToJson(const ResponseRateLimitConfig& rrl) {
-  json::Value out = json::Value::MakeObject();
-  out.Set("enabled", Boolean(rrl.enabled));
-  out.Set("noerror_qps", Num(rrl.noerror_qps));
-  out.Set("nxdomain_qps", Num(rrl.nxdomain_qps));
-  out.Set("burst", Num(rrl.burst));
-  out.Set("action", Str(RateLimitActionName(rrl.action)));
-  out.Set("per_class", Boolean(rrl.per_class));
-  out.Set("penalty", Secs(rrl.penalty));
-  return out;
+template <class O, class T>
+T& At(O& owner, T O::*member) {
+  return owner.*member;
+}
+template <class O, class T>
+const T& At(const O& owner, T O::*member) {
+  return owner.*member;
+}
+template <class O, class A, class B>
+auto& At(O& owner, const Nested<A, B>& member) {
+  return At(At(owner, member.outer), member.inner);
+}
+template <class O>
+O& At(O& owner, Self<std::remove_const_t<O>>) {
+  return owner;
 }
 
-void RrlFromJson(const json::Value& value, const std::string& path, Ctx& ctx,
-                 ResponseRateLimitConfig* rrl) {
-  ObjReader r(value, path, ctx);
-  r.AllowKeys({"enabled", "noerror_qps", "nxdomain_qps", "burst", "action",
-               "per_class", "penalty"});
-  rrl->enabled = r.Bool("enabled", rrl->enabled);
-  rrl->noerror_qps = r.Num("noerror_qps", rrl->noerror_qps);
-  rrl->nxdomain_qps = r.Num("nxdomain_qps", rrl->nxdomain_qps);
-  rrl->burst = r.Num("burst", rrl->burst);
-  rrl->per_class = r.Bool("per_class", rrl->per_class);
-  rrl->penalty = r.Secs("penalty", rrl->penalty);
-  const std::string action = r.Str("action", RateLimitActionName(rrl->action));
-  if (action == "drop") {
-    rrl->action = RateLimitAction::kDrop;
-  } else if (action == "servfail") {
-    rrl->action = RateLimitAction::kServFail;
-  } else if (action == "refused") {
-    rrl->action = RateLimitAction::kRefused;
+template <class M>
+struct OwnerOf;
+template <class O, class T>
+struct OwnerOf<T O::*> {
+  using type = O;
+};
+template <class A, class B>
+struct OwnerOf<Nested<A, B>> : OwnerOf<A> {};
+template <class O>
+struct OwnerOf<Self<O>> {
+  using type = O;
+};
+
+template <class M>
+using ValueOf = std::remove_cvref_t<decltype(At(
+    std::declval<typename OwnerOf<M>::type&>(), std::declval<const M&>()))>;
+
+// How a row's value is written and read: a scalar Kind, an enum's names,
+// a nested object's table (Nest), an array of objects (Each), or the fault
+// plan's text lines (PlanLines).
+enum class Kind { kNumber, kInteger, kSeconds, kBool, kString, kStrings };
+
+template <class Table>
+struct Nest {
+  Table table;
+};
+
+template <class Table>
+struct Each {
+  Table table;
+};
+
+struct PlanLines {};
+
+template <class M, class Codec>
+struct Row {
+  using Owner = typename OwnerOf<M>::type;
+  const char* key;
+  M member;
+  Codec codec;
+  // Written only when `when` holds and `present` is set; reading the key
+  // sets `present`.
+  bool (*when)(const Owner&) = nullptr;
+  bool Owner::*present = nullptr;
+  // An absent key reads as "" (an unknown enum name) instead of keeping
+  // the member's default.
+  bool required = false;
+};
+
+template <class M>
+constexpr Row<M, Kind> Num(const char* key, M member) {
+  static_assert(std::is_same_v<ValueOf<M>, double>);
+  return {key, member, Kind::kNumber};
+}
+template <class M>
+constexpr Row<M, Kind> Int(const char* key, M member) {
+  static_assert(std::is_integral_v<ValueOf<M>> && !std::is_same_v<ValueOf<M>, bool>);
+  return {key, member, Kind::kInteger};
+}
+template <class M>
+constexpr Row<M, Kind> Secs(const char* key, M member) {
+  static_assert(std::is_same_v<ValueOf<M>, Duration>);
+  return {key, member, Kind::kSeconds};
+}
+template <class M>
+constexpr Row<M, Kind> Bool(const char* key, M member) {
+  static_assert(std::is_same_v<ValueOf<M>, bool>);
+  return {key, member, Kind::kBool};
+}
+template <class M>
+constexpr Row<M, Kind> Str(const char* key, M member) {
+  static_assert(std::is_same_v<ValueOf<M>, std::string>);
+  return {key, member, Kind::kString};
+}
+template <class M>
+constexpr Row<M, Kind> Strs(const char* key, M member) {
+  static_assert(std::is_same_v<ValueOf<M>, std::vector<std::string>>);
+  return {key, member, Kind::kStrings};
+}
+template <class M, class E, size_t N>
+constexpr Row<M, const EnumNames<E, N>*> Enum(const char* key, M member,
+                                              const EnumNames<E, N>& names) {
+  return {key, member, &names};
+}
+template <class M, class Table>
+constexpr Row<M, Nest<Table>> Obj(const char* key, M member, Table table) {
+  return {key, member, {table}};
+}
+template <class M, class Table>
+constexpr Row<M, Each<Table>> List(const char* key, M member, Table table) {
+  return {key, member, {table}};
+}
+template <class M>
+constexpr Row<M, PlanLines> Plan(const char* key, M member) {
+  return {key, member, {}};
+}
+
+template <class R>
+constexpr R If(R row, bool (*when)(const typename R::Owner&)) {
+  row.when = when;
+  return row;
+}
+template <class R>
+constexpr R SetBy(R row, bool R::Owner::*present) {
+  row.present = present;
+  return row;
+}
+template <class R>
+constexpr R Required(R row) {
+  row.required = true;
+  return row;
+}
+
+// --- writing ----------------------------------------------------------------
+
+template <class O, class... Tables>
+json::Value WriteObject(const O& owner, const Tables&... tables);
+
+template <class T>
+json::Value ToJson(Kind kind, const T& value) {
+  if constexpr (std::is_same_v<T, bool>) {
+    return json::Value::OfBool(value);
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    return json::Value::OfString(value);
+  } else if constexpr (std::is_same_v<T, std::vector<std::string>>) {
+    json::Value out = json::Value::MakeArray();
+    for (const std::string& item : value) {
+      out.PushBack(json::Value::OfString(item));
+    }
+    return out;
   } else {
-    ctx.Fail(Sub(path, "action"), "unknown action '" + action +
-                                      "' (drop|servfail|refused)");
+    return json::Value::OfNumber(kind == Kind::kSeconds ? ToSeconds(value)
+                                                        : static_cast<double>(value));
   }
 }
 
-json::Value AuthConfigToJson(const AuthoritativeConfig& config) {
-  json::Value out = json::Value::MakeObject();
-  out.Set("rrl", RrlToJson(config.rrl));
-  out.Set("processing_delay", Secs(config.processing_delay));
-  return out;
+template <class E, size_t N>
+json::Value ToJson(const EnumNames<E, N>* names, E value) {
+  return json::Value::OfString(names->Name(value));
 }
 
-void AuthConfigFromJson(const json::Value& value, const std::string& path,
-                        Ctx& ctx, AuthoritativeConfig* config) {
-  ObjReader r(value, path, ctx);
-  r.AllowKeys({"rrl", "processing_delay"});
-  if (const json::Value* rrl = r.Obj("rrl"); rrl != nullptr) {
-    RrlFromJson(*rrl, Sub(path, "rrl"), ctx, &config->rrl);
+template <class Table, class T>
+json::Value ToJson(const Nest<Table>& nest, const T& value) {
+  return WriteObject(value, nest.table);
+}
+
+template <class Table, class T>
+json::Value ToJson(const Each<Table>& each, const std::vector<T>& list) {
+  json::Value out = json::Value::MakeArray();
+  for (const T& item : list) {
+    out.PushBack(WriteObject(item, each.table));
   }
-  config->processing_delay = r.Secs("processing_delay", config->processing_delay);
-}
-
-json::Value ResolverConfigToJson(const ResolverConfig& config) {
-  json::Value out = json::Value::MakeObject();
-  out.Set("upstream_timeout", Secs(config.upstream_timeout));
-  out.Set("upstream_retries", Num(config.upstream_retries));
-  out.Set("request_deadline", Secs(config.request_deadline));
-  out.Set("max_fetches_per_request", Num(config.max_fetches_per_request));
-  out.Set("qname_minimization", Boolean(config.qname_minimization));
-  out.Set("aggressive_nsec", Boolean(config.aggressive_nsec));
-  out.Set("attach_attribution", Boolean(config.attach_attribution));
-  out.Set("ingress_rrl", RrlToJson(config.ingress_rrl));
-  out.Set("egress_rl_enabled", Boolean(config.egress_rl_enabled));
-  out.Set("egress_qps", Num(config.egress_qps));
-  out.Set("egress_burst", Num(config.egress_burst));
-  out.Set("adaptive_retry", Boolean(config.adaptive_retry));
-  out.Set("serve_stale", Boolean(config.serve_stale));
-  out.Set("max_stale", Secs(config.max_stale));
-  out.Set("stale_answer_ttl", Num(config.stale_answer_ttl));
   return out;
 }
 
-void ResolverConfigFromJson(const json::Value& value, const std::string& path,
-                            Ctx& ctx, ResolverConfig* config) {
-  ObjReader r(value, path, ctx);
-  r.AllowKeys({"upstream_timeout", "upstream_retries", "request_deadline",
-               "max_fetches_per_request", "qname_minimization",
-               "aggressive_nsec", "attach_attribution", "ingress_rrl",
-               "egress_rl_enabled", "egress_qps", "egress_burst",
-               "adaptive_retry", "serve_stale", "max_stale",
-               "stale_answer_ttl"});
-  config->upstream_timeout = r.Secs("upstream_timeout", config->upstream_timeout);
-  config->upstream_retries = r.Int("upstream_retries", config->upstream_retries);
-  config->request_deadline = r.Secs("request_deadline", config->request_deadline);
-  config->max_fetches_per_request =
-      r.Int("max_fetches_per_request", config->max_fetches_per_request);
-  config->qname_minimization =
-      r.Bool("qname_minimization", config->qname_minimization);
-  config->aggressive_nsec = r.Bool("aggressive_nsec", config->aggressive_nsec);
-  config->attach_attribution =
-      r.Bool("attach_attribution", config->attach_attribution);
-  if (const json::Value* rrl = r.Obj("ingress_rrl"); rrl != nullptr) {
-    RrlFromJson(*rrl, Sub(path, "ingress_rrl"), ctx, &config->ingress_rrl);
+json::Value ToJson(PlanLines, const fault::FaultPlan& plan) {
+  json::Value out = json::Value::MakeArray();
+  std::string line;
+  for (const char c : fault::FormatFaultPlan(plan)) {
+    if (c != '\n') {
+      line.push_back(c);
+      continue;
+    }
+    out.PushBack(json::Value::OfString(line));
+    line.clear();
   }
-  config->egress_rl_enabled = r.Bool("egress_rl_enabled", config->egress_rl_enabled);
-  config->egress_qps = r.Num("egress_qps", config->egress_qps);
-  config->egress_burst = r.Num("egress_burst", config->egress_burst);
-  config->adaptive_retry = r.Bool("adaptive_retry", config->adaptive_retry);
-  config->serve_stale = r.Bool("serve_stale", config->serve_stale);
-  config->max_stale = r.Secs("max_stale", config->max_stale);
-  config->stale_answer_ttl =
-      static_cast<uint32_t>(r.Num("stale_answer_ttl", config->stale_answer_ttl));
-}
-
-json::Value ForwarderConfigToJson(const ForwarderConfig& config) {
-  json::Value out = json::Value::MakeObject();
-  out.Set("upstream_timeout", Secs(config.upstream_timeout));
-  out.Set("upstream_attempts", Num(config.upstream_attempts));
-  out.Set("cache_enabled", Boolean(config.cache_enabled));
-  out.Set("attach_attribution", Boolean(config.attach_attribution));
-  out.Set("adaptive_retry", Boolean(config.adaptive_retry));
-  out.Set("serve_stale", Boolean(config.serve_stale));
-  out.Set("max_stale", Secs(config.max_stale));
-  out.Set("stale_answer_ttl", Num(config.stale_answer_ttl));
+  if (!line.empty()) {
+    out.PushBack(json::Value::OfString(line));
+  }
   return out;
 }
 
-void ForwarderConfigFromJson(const json::Value& value, const std::string& path,
-                             Ctx& ctx, ForwarderConfig* config) {
-  ObjReader r(value, path, ctx);
-  r.AllowKeys({"upstream_timeout", "upstream_attempts", "cache_enabled",
-               "attach_attribution", "adaptive_retry", "serve_stale",
-               "max_stale", "stale_answer_ttl"});
-  config->upstream_timeout = r.Secs("upstream_timeout", config->upstream_timeout);
-  config->upstream_attempts = r.Int("upstream_attempts", config->upstream_attempts);
-  config->cache_enabled = r.Bool("cache_enabled", config->cache_enabled);
-  config->attach_attribution =
-      r.Bool("attach_attribution", config->attach_attribution);
-  config->adaptive_retry = r.Bool("adaptive_retry", config->adaptive_retry);
-  config->serve_stale = r.Bool("serve_stale", config->serve_stale);
-  config->max_stale = r.Secs("max_stale", config->max_stale);
-  config->stale_answer_ttl =
-      static_cast<uint32_t>(r.Num("stale_answer_ttl", config->stale_answer_ttl));
-}
-
-json::Value FrontendConfigToJson(const FrontendConfig& config) {
+template <class O, class... Tables>
+json::Value WriteObject(const O& owner, const Tables&... tables) {
   json::Value out = json::Value::MakeObject();
-  out.Set("steering", Str(SteeringPolicyName(config.steering)));
-  out.Set("processing_delay", Secs(config.processing_delay));
-  out.Set("max_attempts", Num(config.max_attempts));
-  out.Set("query_timeout", Secs(config.query_timeout));
-  out.Set("retry_backoff_factor", Num(config.retry_backoff_factor));
-  out.Set("retry_backoff_max", Secs(config.retry_backoff_max));
-  out.Set("retry_jitter", Num(config.retry_jitter));
-  out.Set("health_checks", Boolean(config.health_checks));
-  out.Set("probe_interval", Secs(config.probe_interval));
-  out.Set("probe_name", Str(config.probe_name));
-  out.Set("probe_timeout", Secs(config.probe_timeout));
-  out.Set("resteer_budget_qps", Num(config.resteer_budget_qps));
-  out.Set("resteer_budget_burst", Num(config.resteer_budget_burst));
-  out.Set("rotation_period", Secs(config.rotation_period));
-  out.Set("rotation_active", Num(config.rotation_active));
-  out.Set("attach_attribution", Boolean(config.attach_attribution));
-  out.Set("holddown_after", Num(config.upstream.holddown_after));
-  out.Set("holddown_initial", Secs(config.upstream.holddown_initial));
-  out.Set("holddown_max", Secs(config.upstream.holddown_max));
-  out.Set("min_rto", Secs(config.upstream.min_rto));
+  const auto write = [&](const auto& row) {
+    if ((row.when == nullptr || row.when(owner)) &&
+        (row.present == nullptr || owner.*row.present)) {
+      out.Set(row.key, ToJson(row.codec, At(owner, row.member)));
+    }
+  };
+  (std::apply([&](const auto&... rows) { (write(rows), ...); }, tables), ...);
   return out;
 }
 
-void FrontendConfigFromJson(const json::Value& value, const std::string& path,
-                            Ctx& ctx, FrontendConfig* config) {
-  ObjReader r(value, path, ctx);
-  r.AllowKeys({"steering", "processing_delay", "max_attempts", "query_timeout",
-               "retry_backoff_factor", "retry_backoff_max", "retry_jitter",
-               "health_checks", "probe_interval", "probe_name",
-               "probe_timeout", "resteer_budget_qps", "resteer_budget_burst",
-               "rotation_period", "rotation_active", "attach_attribution",
-               "holddown_after", "holddown_initial", "holddown_max",
-               "min_rto"});
-  const std::string steering = r.Str("steering", SteeringPolicyName(config->steering));
-  if (!ParseSteeringPolicyName(steering, &config->steering)) {
-    ctx.Fail(Sub(path, "steering"),
-             "unknown steering policy '" + steering +
-                 "' (consistent_hash|least_loaded|round_robin)");
+// --- reading ----------------------------------------------------------------
+
+template <class O, class Table>
+void ReadObject(const Input& in, O* owner, const Table& table);
+
+void Convert(Kind, const json::Value& value, const Input& in, const char* key,
+             bool* out) {
+  if (!value.is_bool()) {
+    in.Fail(key, "expected true or false");
     return;
   }
-  config->processing_delay = r.Secs("processing_delay", config->processing_delay);
-  config->max_attempts = r.Int("max_attempts", config->max_attempts);
-  config->query_timeout = r.Secs("query_timeout", config->query_timeout);
-  config->retry_backoff_factor =
-      r.Num("retry_backoff_factor", config->retry_backoff_factor);
-  config->retry_backoff_max = r.Secs("retry_backoff_max", config->retry_backoff_max);
-  config->retry_jitter = r.Num("retry_jitter", config->retry_jitter);
-  config->health_checks = r.Bool("health_checks", config->health_checks);
-  config->probe_interval = r.Secs("probe_interval", config->probe_interval);
-  config->probe_name = r.Str("probe_name", config->probe_name);
-  config->probe_timeout = r.Secs("probe_timeout", config->probe_timeout);
-  config->resteer_budget_qps =
-      r.Num("resteer_budget_qps", config->resteer_budget_qps);
-  config->resteer_budget_burst =
-      r.Num("resteer_budget_burst", config->resteer_budget_burst);
-  config->rotation_period = r.Secs("rotation_period", config->rotation_period);
-  config->rotation_active = r.Int("rotation_active", config->rotation_active);
-  config->attach_attribution =
-      r.Bool("attach_attribution", config->attach_attribution);
-  config->upstream.holddown_after =
-      r.Int("holddown_after", config->upstream.holddown_after);
-  config->upstream.holddown_initial =
-      r.Secs("holddown_initial", config->upstream.holddown_initial);
-  config->upstream.holddown_max =
-      r.Secs("holddown_max", config->upstream.holddown_max);
-  config->upstream.min_rto = r.Secs("min_rto", config->upstream.min_rto);
+  *out = value.AsBool();
 }
 
-const char* SignalPolicyName(PolicyType type) {
-  switch (type) {
-    case PolicyType::kNone: return "none";
-    case PolicyType::kRateLimit: return "ratelimit";
-    case PolicyType::kBlock: return "block";
+void Convert(Kind, const json::Value& value, const Input& in, const char* key,
+             std::string* out) {
+  if (!value.is_string()) {
+    in.Fail(key, "expected a string");
+    return;
   }
-  return "block";
+  *out = value.AsString();
 }
 
-json::Value DccConfigToJson(const DccConfig& config) {
-  json::Value scheduler = json::Value::MakeObject();
-  scheduler.Set("pool_capacity", Num(static_cast<double>(config.scheduler.pool_capacity)));
-  scheduler.Set("max_poq_depth", Num(config.scheduler.max_poq_depth));
-  scheduler.Set("max_rounds", Num(config.scheduler.max_rounds));
-  scheduler.Set("default_channel_qps", Num(config.scheduler.default_channel_qps));
-  scheduler.Set("channel_burst", Num(config.scheduler.channel_burst));
-
-  json::Value anomaly = json::Value::MakeObject();
-  anomaly.Set("window", Secs(config.anomaly.window));
-  anomaly.Set("window_buckets", Num(config.anomaly.window_buckets));
-  anomaly.Set("nx_ratio_threshold", Num(config.anomaly.nx_ratio_threshold));
-  anomaly.Set("nx_min_responses", Num(static_cast<double>(config.anomaly.nx_min_responses)));
-  anomaly.Set("amplification_threshold", Num(config.anomaly.amplification_threshold));
-  anomaly.Set("amp_min_requests", Num(static_cast<double>(config.anomaly.amp_min_requests)));
-  anomaly.Set("alarms_to_convict", Num(config.anomaly.alarms_to_convict));
-  anomaly.Set("suspicion_period", Secs(config.anomaly.suspicion_period));
-
-  json::Value capacity = json::Value::MakeObject();
-  capacity.Set("enabled", Boolean(config.capacity.enabled));
-  capacity.Set("initial_qps", Num(config.capacity.initial_qps));
-  capacity.Set("min_qps", Num(config.capacity.min_qps));
-  capacity.Set("max_qps", Num(config.capacity.max_qps));
-  capacity.Set("loss_threshold", Num(config.capacity.loss_threshold));
-  capacity.Set("decrease_factor", Num(config.capacity.decrease_factor));
-  capacity.Set("increase_qps", Num(config.capacity.increase_qps));
-  capacity.Set("utilization_threshold", Num(config.capacity.utilization_threshold));
-  capacity.Set("min_samples", Num(static_cast<double>(config.capacity.min_samples)));
-  capacity.Set("window", Secs(config.capacity.window));
-
-  json::Value out = json::Value::MakeObject();
-  out.Set("scheduler", std::move(scheduler));
-  out.Set("anomaly", std::move(anomaly));
-  out.Set("capacity", std::move(capacity));
-  out.Set("signaling_enabled", Boolean(config.signaling_enabled));
-  out.Set("countdown_police_threshold", Num(config.countdown_police_threshold));
-  out.Set("countdown_relay_decrement", Num(config.countdown_relay_decrement));
-  out.Set("nx_policy_qps", Num(config.nx_policy_qps));
-  out.Set("nx_policy_duration", Secs(config.nx_policy_duration));
-  out.Set("amp_policy_duration", Secs(config.amp_policy_duration));
-  out.Set("signal_policy", Str(SignalPolicyName(config.signal_policy)));
-  out.Set("signal_policy_duration", Secs(config.signal_policy_duration));
-  out.Set("emit_extended_errors", Boolean(config.emit_extended_errors));
-  out.Set("client_prefix_bits", Num(config.client_prefix_bits));
-  out.Set("purge_interval", Secs(config.purge_interval));
-  out.Set("state_idle_timeout", Secs(config.state_idle_timeout));
-  out.Set("pending_query_ttl", Secs(config.pending_query_ttl));
-  return out;
+void Convert(Kind, const json::Value& value, const Input& in, const char* key,
+             std::vector<std::string>* out) {
+  if (!value.is_array()) {
+    in.Fail(key, "expected an array");
+    return;
+  }
+  for (size_t i = 0; i < value.AsArray().size(); ++i) {
+    const json::Value& item = value.AsArray()[i];
+    if (!item.is_string()) {
+      in.ctx.Fail(Idx(Sub(in.path, key), i), "expected a string");
+      return;
+    }
+    out->push_back(item.AsString());
+  }
 }
 
-void DccConfigFromJson(const json::Value& value, const std::string& path,
-                       Ctx& ctx, DccConfig* config) {
-  ObjReader r(value, path, ctx);
-  r.AllowKeys({"scheduler", "anomaly", "capacity", "signaling_enabled",
-               "countdown_police_threshold", "countdown_relay_decrement",
-               "nx_policy_qps", "nx_policy_duration", "amp_policy_duration",
-               "signal_policy", "signal_policy_duration",
-               "emit_extended_errors", "client_prefix_bits", "purge_interval",
-               "state_idle_timeout", "pending_query_ttl"});
-  if (const json::Value* sched = r.Obj("scheduler"); sched != nullptr) {
-    const std::string sub = Sub(path, "scheduler");
-    ObjReader s(*sched, sub, ctx);
-    s.AllowKeys({"pool_capacity", "max_poq_depth", "max_rounds",
-                 "default_channel_qps", "channel_burst"});
-    config->scheduler.pool_capacity = static_cast<size_t>(
-        s.Num("pool_capacity", static_cast<double>(config->scheduler.pool_capacity)));
-    config->scheduler.max_poq_depth =
-        s.Int("max_poq_depth", config->scheduler.max_poq_depth);
-    config->scheduler.max_rounds = s.Int("max_rounds", config->scheduler.max_rounds);
-    config->scheduler.default_channel_qps =
-        s.Num("default_channel_qps", config->scheduler.default_channel_qps);
-    config->scheduler.channel_burst =
-        s.Num("channel_burst", config->scheduler.channel_burst);
-  }
-  if (const json::Value* anomaly = r.Obj("anomaly"); anomaly != nullptr) {
-    const std::string sub = Sub(path, "anomaly");
-    ObjReader a(*anomaly, sub, ctx);
-    a.AllowKeys({"window", "window_buckets", "nx_ratio_threshold",
-                 "nx_min_responses", "amplification_threshold",
-                 "amp_min_requests", "alarms_to_convict", "suspicion_period"});
-    config->anomaly.window = a.Secs("window", config->anomaly.window);
-    config->anomaly.window_buckets =
-        a.Int("window_buckets", config->anomaly.window_buckets);
-    config->anomaly.nx_ratio_threshold =
-        a.Num("nx_ratio_threshold", config->anomaly.nx_ratio_threshold);
-    config->anomaly.nx_min_responses = static_cast<int64_t>(
-        a.Num("nx_min_responses", static_cast<double>(config->anomaly.nx_min_responses)));
-    config->anomaly.amplification_threshold =
-        a.Num("amplification_threshold", config->anomaly.amplification_threshold);
-    config->anomaly.amp_min_requests = static_cast<int64_t>(
-        a.Num("amp_min_requests", static_cast<double>(config->anomaly.amp_min_requests)));
-    config->anomaly.alarms_to_convict =
-        a.Int("alarms_to_convict", config->anomaly.alarms_to_convict);
-    config->anomaly.suspicion_period =
-        a.Secs("suspicion_period", config->anomaly.suspicion_period);
-  }
-  if (const json::Value* capacity = r.Obj("capacity"); capacity != nullptr) {
-    const std::string sub = Sub(path, "capacity");
-    ObjReader c(*capacity, sub, ctx);
-    c.AllowKeys({"enabled", "initial_qps", "min_qps", "max_qps",
-                 "loss_threshold", "decrease_factor", "increase_qps",
-                 "utilization_threshold", "min_samples", "window"});
-    config->capacity.enabled = c.Bool("enabled", config->capacity.enabled);
-    config->capacity.initial_qps = c.Num("initial_qps", config->capacity.initial_qps);
-    config->capacity.min_qps = c.Num("min_qps", config->capacity.min_qps);
-    config->capacity.max_qps = c.Num("max_qps", config->capacity.max_qps);
-    config->capacity.loss_threshold =
-        c.Num("loss_threshold", config->capacity.loss_threshold);
-    config->capacity.decrease_factor =
-        c.Num("decrease_factor", config->capacity.decrease_factor);
-    config->capacity.increase_qps =
-        c.Num("increase_qps", config->capacity.increase_qps);
-    config->capacity.utilization_threshold =
-        c.Num("utilization_threshold", config->capacity.utilization_threshold);
-    config->capacity.min_samples = static_cast<int64_t>(
-        c.Num("min_samples", static_cast<double>(config->capacity.min_samples)));
-    config->capacity.window = c.Secs("window", config->capacity.window);
-  }
-  config->signaling_enabled = r.Bool("signaling_enabled", config->signaling_enabled);
-  config->countdown_police_threshold =
-      r.Int("countdown_police_threshold", config->countdown_police_threshold);
-  config->countdown_relay_decrement = static_cast<uint16_t>(
-      r.Num("countdown_relay_decrement", config->countdown_relay_decrement));
-  config->nx_policy_qps = r.Num("nx_policy_qps", config->nx_policy_qps);
-  config->nx_policy_duration = r.Secs("nx_policy_duration", config->nx_policy_duration);
-  config->amp_policy_duration =
-      r.Secs("amp_policy_duration", config->amp_policy_duration);
-  const std::string policy = r.Str("signal_policy", SignalPolicyName(config->signal_policy));
-  if (policy == "none") {
-    config->signal_policy = PolicyType::kNone;
-  } else if (policy == "ratelimit") {
-    config->signal_policy = PolicyType::kRateLimit;
-  } else if (policy == "block") {
-    config->signal_policy = PolicyType::kBlock;
+void Convert(Kind, const json::Value& value, const Input& in, const char* key,
+             double* out) {
+  if (!value.is_number()) {
+    in.Fail(key, "expected a number");
+  } else if (!std::isfinite(value.AsNumber())) {
+    in.Fail(key, "expected a finite number");
   } else {
-    ctx.Fail(Sub(path, "signal_policy"),
-             "unknown policy '" + policy + "' (none|ratelimit|block)");
+    *out = value.AsNumber();
   }
-  config->signal_policy_duration =
-      r.Secs("signal_policy_duration", config->signal_policy_duration);
-  config->emit_extended_errors =
-      r.Bool("emit_extended_errors", config->emit_extended_errors);
-  config->client_prefix_bits = r.Int("client_prefix_bits", config->client_prefix_bits);
-  config->purge_interval = r.Secs("purge_interval", config->purge_interval);
-  config->state_idle_timeout = r.Secs("state_idle_timeout", config->state_idle_timeout);
-  config->pending_query_ttl = r.Secs("pending_query_ttl", config->pending_query_ttl);
 }
+
+// Integers and seconds (Durations are integers of microseconds).
+template <class T>
+  requires std::is_integral_v<T>
+void Convert(Kind kind, const json::Value& value, const Input& in, const char* key,
+             T* out) {
+  using Limits = std::numeric_limits<T>;
+  if (!value.is_number()) {
+    in.Fail(key, kind == Kind::kSeconds ? "expected a duration in seconds"
+                                        : "expected a number");
+    return;
+  }
+  double n = value.AsNumber();
+  if (!Limits::is_signed && n < 0) {
+    in.Fail(key, "expected a non-negative integer");
+    return;
+  }
+  if (!std::isfinite(n)) {
+    in.Fail(key, "expected a finite number");
+    return;
+  }
+  if (kind == Kind::kSeconds) {
+    n = std::round(n * 1e6);
+  }
+  // [min, 2^digits) is exact in a double for every integer type.
+  if (n != std::trunc(n)) {
+    in.Fail(key, "expected an integer");
+  } else if (n < static_cast<double>(Limits::min()) ||
+             n >= std::ldexp(1.0, Limits::digits)) {
+    in.Fail(key, kind == Kind::kSeconds
+                       ? "out of range for a duration in microseconds"
+                       : "out of range [" + std::to_string(Limits::min()) + ", " +
+                             std::to_string(Limits::max()) + "]");
+  } else {
+    *out = static_cast<T>(n);
+  }
+}
+
+template <class E, size_t N>
+void Convert(const EnumNames<E, N>* names, const json::Value& value,
+             const Input& in, const char* key, E* out) {
+  if (!value.is_string()) {
+    in.Fail(key, "expected a string");
+  } else if (!names->Parse(value.AsString(), out)) {
+    in.Fail(key, names->Unknown(value.AsString()));
+  }
+}
+
+template <class Table, class T>
+void Convert(const Nest<Table>& nest, const json::Value& value, const Input& in,
+             const char* key, T* out) {
+  ReadObject(Input{value, Sub(in.path, key), in.ctx}, out, nest.table);
+}
+
+template <class Table, class T>
+void Convert(const Each<Table>& each, const json::Value& value, const Input& in,
+             const char* key, std::vector<T>* out) {
+  if (!value.is_array()) {
+    in.Fail(key, "expected an array");
+    return;
+  }
+  const std::string path = Sub(in.path, key);
+  for (size_t i = 0; i < value.AsArray().size(); ++i) {
+    T item;
+    ReadObject(Input{value.AsArray()[i], Idx(path, i), in.ctx}, &item, each.table);
+    out->push_back(std::move(item));
+  }
+}
+
+void Convert(PlanLines, const json::Value& value, const Input& in, const char* key,
+             fault::FaultPlan* out) {
+  if (!value.is_array()) {
+    in.Fail(key, "expected an array");
+    return;
+  }
+  std::string text;
+  for (size_t i = 0; i < value.AsArray().size(); ++i) {
+    const json::Value& line = value.AsArray()[i];
+    if (!line.is_string()) {
+      in.ctx.Fail(Idx(Sub(in.path, key), i), "expected a string (one plan line)");
+      return;
+    }
+    text += line.AsString();
+    text += '\n';
+  }
+  std::string error;
+  if (!fault::ParseFaultPlan(text, out, &error)) {
+    in.Fail(key, error);
+  }
+}
+
+// Reads the rows of `tables` present in `in`, in table order.
+template <class O, class... Tables>
+void ReadFields(const Input& in, O* owner, const Tables&... tables) {
+  static const json::Value kAbsent = json::Value::OfString("");
+  const auto read = [&](const auto& row) {
+    const json::Value* value = in.value.Find(row.key);
+    if (value == nullptr && !row.required) {
+      return;
+    }
+    Convert(row.codec, value != nullptr ? *value : kAbsent, in, row.key,
+            &At(*owner, row.member));
+    if (row.present != nullptr) {
+      owner->*row.present = true;
+    }
+  };
+  (std::apply([&](const auto&... rows) { (read(rows), ...); }, tables), ...);
+}
+
+// Fails on the first key of `in` that no row of `tables` names.
+template <class... Tables>
+void CheckKeys(const Input& in, const Tables&... tables) {
+  for (const auto& [key, unused] : in.value.AsObject()) {
+    (void)unused;
+    const auto names = [&](const auto& table) {
+      return std::apply([&](const auto&... rows) { return ((key == rows.key) || ...); },
+                        table);
+    };
+    if (!(names(tables) || ...)) {
+      in.ctx.Fail(Sub(in.path, key), "unknown key");
+      return;
+    }
+  }
+}
+
+template <class O, class Table>
+void ReadObject(const Input& in, O* owner, const Table& table) {
+  if (ExpectObject(in)) {
+    CheckKeys(in, table);
+    ReadFields(in, owner, table);
+  }
+}
+
+// --- the tables -------------------------------------------------------------
+
+constexpr auto kRrlFields = std::make_tuple(
+    Bool("enabled", &ResponseRateLimitConfig::enabled),
+    Num("noerror_qps", &ResponseRateLimitConfig::noerror_qps),
+    Num("nxdomain_qps", &ResponseRateLimitConfig::nxdomain_qps),
+    Num("burst", &ResponseRateLimitConfig::burst),
+    Bool("per_class", &ResponseRateLimitConfig::per_class),
+    Secs("penalty", &ResponseRateLimitConfig::penalty),
+    Enum("action", &ResponseRateLimitConfig::action, kRateLimitActions));
+
+constexpr auto kAuthFields = std::make_tuple(
+    Obj("rrl", &AuthoritativeConfig::rrl, kRrlFields),
+    Secs("processing_delay", &AuthoritativeConfig::processing_delay));
+
+constexpr auto kResolverFields = std::make_tuple(
+    Secs("upstream_timeout", &ResolverConfig::upstream_timeout),
+    Int("upstream_retries", &ResolverConfig::upstream_retries),
+    Secs("request_deadline", &ResolverConfig::request_deadline),
+    Int("max_fetches_per_request", &ResolverConfig::max_fetches_per_request),
+    Bool("qname_minimization", &ResolverConfig::qname_minimization),
+    Bool("aggressive_nsec", &ResolverConfig::aggressive_nsec),
+    Bool("attach_attribution", &ResolverConfig::attach_attribution),
+    Obj("ingress_rrl", &ResolverConfig::ingress_rrl, kRrlFields),
+    Bool("egress_rl_enabled", &ResolverConfig::egress_rl_enabled),
+    Num("egress_qps", &ResolverConfig::egress_qps),
+    Num("egress_burst", &ResolverConfig::egress_burst),
+    Bool("adaptive_retry", &ResolverConfig::adaptive_retry),
+    Bool("serve_stale", &ResolverConfig::serve_stale),
+    Secs("max_stale", &ResolverConfig::max_stale),
+    Int("stale_answer_ttl", &ResolverConfig::stale_answer_ttl));
+
+constexpr auto kForwarderFields = std::make_tuple(
+    Secs("upstream_timeout", &ForwarderConfig::upstream_timeout),
+    Int("upstream_attempts", &ForwarderConfig::upstream_attempts),
+    Bool("cache_enabled", &ForwarderConfig::cache_enabled),
+    Bool("attach_attribution", &ForwarderConfig::attach_attribution),
+    Bool("adaptive_retry", &ForwarderConfig::adaptive_retry),
+    Bool("serve_stale", &ForwarderConfig::serve_stale),
+    Secs("max_stale", &ForwarderConfig::max_stale),
+    Int("stale_answer_ttl", &ForwarderConfig::stale_answer_ttl));
+
+constexpr auto kUpstream = &FrontendConfig::upstream;
+constexpr auto kFrontendFields = std::make_tuple(
+    Enum("steering", &FrontendConfig::steering, kSteeringPolicies),
+    Secs("processing_delay", &FrontendConfig::processing_delay),
+    Int("max_attempts", &FrontendConfig::max_attempts),
+    Secs("query_timeout", &FrontendConfig::query_timeout),
+    Num("retry_backoff_factor", &FrontendConfig::retry_backoff_factor),
+    Secs("retry_backoff_max", &FrontendConfig::retry_backoff_max),
+    Num("retry_jitter", &FrontendConfig::retry_jitter),
+    Bool("health_checks", &FrontendConfig::health_checks),
+    Secs("probe_interval", &FrontendConfig::probe_interval),
+    Str("probe_name", &FrontendConfig::probe_name),
+    Secs("probe_timeout", &FrontendConfig::probe_timeout),
+    Num("resteer_budget_qps", &FrontendConfig::resteer_budget_qps),
+    Num("resteer_budget_burst", &FrontendConfig::resteer_budget_burst),
+    Secs("rotation_period", &FrontendConfig::rotation_period),
+    Int("rotation_active", &FrontendConfig::rotation_active),
+    Bool("attach_attribution", &FrontendConfig::attach_attribution),
+    Int("holddown_after", Inner(kUpstream, &UpstreamTrackerConfig::holddown_after)),
+    Secs("holddown_initial", Inner(kUpstream, &UpstreamTrackerConfig::holddown_initial)),
+    Secs("holddown_max", Inner(kUpstream, &UpstreamTrackerConfig::holddown_max)),
+    Secs("min_rto", Inner(kUpstream, &UpstreamTrackerConfig::min_rto)));
+
+constexpr auto kSchedulerFields = std::make_tuple(
+    Int("pool_capacity", &MopiFqConfig::pool_capacity),
+    Int("max_poq_depth", &MopiFqConfig::max_poq_depth),
+    Int("max_rounds", &MopiFqConfig::max_rounds),
+    Num("default_channel_qps", &MopiFqConfig::default_channel_qps),
+    Num("channel_burst", &MopiFqConfig::channel_burst));
+
+constexpr auto kAnomalyFields = std::make_tuple(
+    Secs("window", &AnomalyConfig::window),
+    Int("window_buckets", &AnomalyConfig::window_buckets),
+    Num("nx_ratio_threshold", &AnomalyConfig::nx_ratio_threshold),
+    Int("nx_min_responses", &AnomalyConfig::nx_min_responses),
+    Num("amplification_threshold", &AnomalyConfig::amplification_threshold),
+    Int("amp_min_requests", &AnomalyConfig::amp_min_requests),
+    Int("alarms_to_convict", &AnomalyConfig::alarms_to_convict),
+    Secs("suspicion_period", &AnomalyConfig::suspicion_period));
+
+constexpr auto kCapacityFields = std::make_tuple(
+    Bool("enabled", &CapacityEstimatorConfig::enabled),
+    Num("initial_qps", &CapacityEstimatorConfig::initial_qps),
+    Num("min_qps", &CapacityEstimatorConfig::min_qps),
+    Num("max_qps", &CapacityEstimatorConfig::max_qps),
+    Num("loss_threshold", &CapacityEstimatorConfig::loss_threshold),
+    Num("decrease_factor", &CapacityEstimatorConfig::decrease_factor),
+    Num("increase_qps", &CapacityEstimatorConfig::increase_qps),
+    Num("utilization_threshold", &CapacityEstimatorConfig::utilization_threshold),
+    Int("min_samples", &CapacityEstimatorConfig::min_samples),
+    Secs("window", &CapacityEstimatorConfig::window));
+
+constexpr auto kDccFields = std::make_tuple(
+    Obj("scheduler", &DccConfig::scheduler, kSchedulerFields),
+    Obj("anomaly", &DccConfig::anomaly, kAnomalyFields),
+    Obj("capacity", &DccConfig::capacity, kCapacityFields),
+    Bool("signaling_enabled", &DccConfig::signaling_enabled),
+    Int("countdown_police_threshold", &DccConfig::countdown_police_threshold),
+    Int("countdown_relay_decrement", &DccConfig::countdown_relay_decrement),
+    Num("nx_policy_qps", &DccConfig::nx_policy_qps),
+    Secs("nx_policy_duration", &DccConfig::nx_policy_duration),
+    Secs("amp_policy_duration", &DccConfig::amp_policy_duration),
+    Enum("signal_policy", &DccConfig::signal_policy, kSignalPolicies),
+    Secs("signal_policy_duration", &DccConfig::signal_policy_duration),
+    Bool("emit_extended_errors", &DccConfig::emit_extended_errors),
+    Int("client_prefix_bits", &DccConfig::client_prefix_bits),
+    Secs("purge_interval", &DccConfig::purge_interval),
+    Secs("state_idle_timeout", &DccConfig::state_idle_timeout),
+    Secs("pending_query_ttl", &DccConfig::pending_query_ttl));
 
 // --- zones ------------------------------------------------------------------
 
-json::Value ZoneToJson(const ZoneSpec& zone) {
-  json::Value out = json::Value::MakeObject();
-  out.Set("id", Str(zone.id));
-  out.Set("apex", Str(zone.apex));
-  if (zone.kind == ZoneKind::kTarget) {
-    out.Set("kind", Str("target"));
-    out.Set("ttl", Num(zone.target.ttl));
-    out.Set("cq_instances", Num(zone.target.cq_instances));
-    out.Set("cq_chain_length", Num(zone.target.cq_chain_length));
-    out.Set("cq_labels", Num(zone.target.cq_labels));
-  } else {
-    out.Set("kind", Str("attacker"));
-    out.Set("ttl", Num(zone.attacker.ttl));
-    out.Set("target_zone", Str(zone.target_zone));
-    out.Set("instances", Num(zone.attacker.instances));
-    out.Set("fanout_a", Num(zone.attacker.fanout_a));
-    out.Set("fanout_t", Num(zone.attacker.fanout_t));
-  }
-  return out;
+constexpr auto kTarget = &ZoneSpec::target;
+constexpr auto kAttacker = &ZoneSpec::attacker;
+// "kind" picks the zone's table, so it is read first; "id" and "apex" last.
+constexpr auto kZoneKindField = std::make_tuple(Enum("kind", &ZoneSpec::kind, kZoneKinds));
+constexpr auto kTargetZoneFields = std::make_tuple(
+    Int("ttl", Inner(kTarget, &TargetZoneOptions::ttl)),
+    Int("cq_instances", Inner(kTarget, &TargetZoneOptions::cq_instances)),
+    Int("cq_chain_length", Inner(kTarget, &TargetZoneOptions::cq_chain_length)),
+    Int("cq_labels", Inner(kTarget, &TargetZoneOptions::cq_labels)));
+constexpr auto kAttackerZoneFields = std::make_tuple(
+    Int("ttl", Inner(kAttacker, &AttackerZoneOptions::ttl)),
+    Str("target_zone", &ZoneSpec::target_zone),
+    Int("instances", Inner(kAttacker, &AttackerZoneOptions::instances)),
+    Int("fanout_a", Inner(kAttacker, &AttackerZoneOptions::fanout_a)),
+    Int("fanout_t", Inner(kAttacker, &AttackerZoneOptions::fanout_t)));
+constexpr auto kZoneFields =
+    std::make_tuple(Str("id", &ZoneSpec::id), Str("apex", &ZoneSpec::apex));
+
+struct ZoneTables {};
+
+template <class F>
+auto WithZoneTable(ZoneKind kind, F f) {
+  return kind == ZoneKind::kTarget ? f(kTargetZoneFields) : f(kAttackerZoneFields);
 }
 
-void ZoneFromJson(const json::Value& value, const std::string& path, Ctx& ctx,
-                  ZoneSpec* zone) {
-  ObjReader r(value, path, ctx);
-  const std::string kind = r.Str("kind", "target");
-  if (kind == "target") {
-    zone->kind = ZoneKind::kTarget;
-    r.AllowKeys({"id", "kind", "apex", "ttl", "cq_instances",
-                 "cq_chain_length", "cq_labels"});
-    zone->target.ttl = static_cast<uint32_t>(r.Num("ttl", zone->target.ttl));
-    zone->target.cq_instances = r.Int("cq_instances", zone->target.cq_instances);
-    zone->target.cq_chain_length =
-        r.Int("cq_chain_length", zone->target.cq_chain_length);
-    zone->target.cq_labels = r.Int("cq_labels", zone->target.cq_labels);
-  } else if (kind == "attacker") {
-    zone->kind = ZoneKind::kAttacker;
-    r.AllowKeys({"id", "kind", "apex", "ttl", "target_zone", "instances",
-                 "fanout_a", "fanout_t"});
-    zone->attacker.ttl = static_cast<uint32_t>(r.Num("ttl", zone->attacker.ttl));
-    zone->target_zone = r.Str("target_zone", "");
-    // Absent/<= 0 is "derive from the FF workload" (see ValidateScenarioSpec).
-    zone->attacker.instances =
-        r.Has("instances") ? r.Int("instances", 0) : 0;
-    zone->attacker.fanout_a = r.Int("fanout_a", zone->attacker.fanout_a);
-    zone->attacker.fanout_t = r.Int("fanout_t", zone->attacker.fanout_t);
-  } else {
-    ctx.Fail(Sub(path, "kind"), "unknown zone kind '" + kind + "' (target|attacker)");
+json::Value WriteObject(const ZoneSpec& zone, ZoneTables) {
+  return WithZoneTable(zone.kind, [&](const auto& table) {
+    return WriteObject(zone, kZoneKindField, table, kZoneFields);
+  });
+}
+
+void ReadObject(const Input& in, ZoneSpec* zone, ZoneTables) {
+  if (!ExpectObject(in)) {
     return;
   }
-  zone->id = r.Str("id", "");
-  zone->apex = r.Str("apex", "");
+  ReadFields(in, zone, kZoneKindField);
+  if (zone->kind == ZoneKind::kAttacker) {
+    // Absent or <= 0: derived from the FF workload by ValidateScenarioSpec.
+    zone->attacker.instances = 0;
+  }
+  WithZoneTable(zone->kind, [&](const auto& table) {
+    CheckKeys(in, kZoneKindField, table, kZoneFields);
+    ReadFields(in, zone, table, kZoneFields);
+  });
 }
 
 // --- nodes ------------------------------------------------------------------
 
-const char* NodeKindName(NodeKind kind) {
+constexpr auto kHintFields = std::make_tuple(Str("zone", &AuthorityHintSpec::zone),
+                                             Str("node", &AuthorityHintSpec::node));
+constexpr auto kChannelFields =
+    std::make_tuple(Str("node", &ChannelSpec::node), Num("qps", &ChannelSpec::qps));
+constexpr auto kMemberTemplateFields = std::make_tuple(
+    Obj("resolver", &FleetMemberTemplateSpec::resolver, kResolverFields),
+    List("hints", &FleetMemberTemplateSpec::hints, kHintFields));
+
+// "kind" picks the rest of the node's table, so it is read before the
+// keys are checked.
+constexpr auto kNodeFields = std::make_tuple(
+    Str("id", &NodeSpec::id), Required(Enum("kind", &NodeSpec::kind, kNodeKinds)));
+constexpr auto kAuthNodeFields = std::make_tuple(
+    Strs("zones", &NodeSpec::zones), Obj("auth", &NodeSpec::auth, kAuthFields));
+constexpr auto kResolverNodeFields =
+    std::make_tuple(Obj("resolver", &NodeSpec::resolver, kResolverFields),
+                    List("hints", &NodeSpec::hints, kHintFields));
+constexpr auto kForwarderNodeFields =
+    std::make_tuple(Obj("forwarder", &NodeSpec::forwarder, kForwarderFields),
+                    Strs("upstreams", &NodeSpec::upstreams));
+constexpr auto kFrontendNodeFields = std::make_tuple(
+    Obj("frontend", &NodeSpec::frontend, kFrontendFields),
+    Strs("members", &NodeSpec::members),
+    If(Int("replicate", &NodeSpec::replicate),
+       [](const NodeSpec& node) { return node.replicate > 0; }),
+    SetBy(Obj("member_template", &NodeSpec::member_template, kMemberTemplateFields),
+          &NodeSpec::has_member_template));
+// The optional DCC shim, read on resolvers and forwarders.
+constexpr auto kShimFields = std::make_tuple(
+    SetBy(Obj("dcc", &NodeSpec::dcc, kDccFields), &NodeSpec::dcc_enabled),
+    If(List("channels", &NodeSpec::channels, kChannelFields),
+       [](const NodeSpec& node) { return node.dcc_enabled; }));
+
+struct NodeTables {};
+
+template <class F>
+auto WithNodeTables(NodeKind kind, F f) {
   switch (kind) {
-    case NodeKind::kAuthoritative: return "auth";
-    case NodeKind::kResolver: return "resolver";
-    case NodeKind::kForwarder: return "forwarder";
-    case NodeKind::kFrontend: return "frontend";
-  }
-  return "auth";
-}
-
-json::Value HintsToJson(const std::vector<AuthorityHintSpec>& hints) {
-  json::Value out = json::Value::MakeArray();
-  for (const AuthorityHintSpec& hint : hints) {
-    json::Value h = json::Value::MakeObject();
-    h.Set("zone", Str(hint.zone));
-    h.Set("node", Str(hint.node));
-    out.PushBack(std::move(h));
-  }
-  return out;
-}
-
-void HintsFromJson(const json::Value* hints, const std::string& path, Ctx& ctx,
-                   std::vector<AuthorityHintSpec>* out) {
-  if (hints == nullptr) {
-    return;
-  }
-  for (size_t i = 0; i < hints->AsArray().size(); ++i) {
-    const std::string hint_path = Idx(path, i);
-    ObjReader h(hints->AsArray()[i], hint_path, ctx);
-    h.AllowKeys({"zone", "node"});
-    AuthorityHintSpec hint;
-    hint.zone = h.Str("zone", "");
-    hint.node = h.Str("node", "");
-    out->push_back(std::move(hint));
-  }
-}
-
-json::Value NodeToJson(const NodeSpec& node) {
-  json::Value out = json::Value::MakeObject();
-  out.Set("id", Str(node.id));
-  out.Set("kind", Str(NodeKindName(node.kind)));
-  switch (node.kind) {
-    case NodeKind::kAuthoritative: {
-      json::Value zones = json::Value::MakeArray();
-      for (const std::string& zone : node.zones) {
-        zones.PushBack(Str(zone));
-      }
-      out.Set("zones", std::move(zones));
-      out.Set("auth", AuthConfigToJson(node.auth));
+    case NodeKind::kResolver:
+      return f(kResolverNodeFields, kShimFields);
+    case NodeKind::kForwarder:
+      return f(kForwarderNodeFields, kShimFields);
+    case NodeKind::kFrontend:
+      return f(kFrontendNodeFields, std::tuple<>());
+    case NodeKind::kAuthoritative:
       break;
-    }
-    case NodeKind::kResolver: {
-      out.Set("resolver", ResolverConfigToJson(node.resolver));
-      out.Set("hints", HintsToJson(node.hints));
-      break;
-    }
-    case NodeKind::kForwarder: {
-      out.Set("forwarder", ForwarderConfigToJson(node.forwarder));
-      json::Value upstreams = json::Value::MakeArray();
-      for (const std::string& upstream : node.upstreams) {
-        upstreams.PushBack(Str(upstream));
-      }
-      out.Set("upstreams", std::move(upstreams));
-      break;
-    }
-    case NodeKind::kFrontend: {
-      out.Set("frontend", FrontendConfigToJson(node.frontend));
-      json::Value members = json::Value::MakeArray();
-      for (const std::string& member : node.members) {
-        members.PushBack(Str(member));
-      }
-      out.Set("members", std::move(members));
-      if (node.replicate > 0) {
-        out.Set("replicate", Num(node.replicate));
-      }
-      if (node.has_member_template) {
-        json::Value tmpl = json::Value::MakeObject();
-        tmpl.Set("resolver", ResolverConfigToJson(node.member_template.resolver));
-        tmpl.Set("hints", HintsToJson(node.member_template.hints));
-        out.Set("member_template", std::move(tmpl));
-      }
-      break;
-    }
   }
-  if (node.dcc_enabled) {
-    out.Set("dcc", DccConfigToJson(node.dcc));
-    json::Value channels = json::Value::MakeArray();
-    for (const ChannelSpec& channel : node.channels) {
-      json::Value c = json::Value::MakeObject();
-      c.Set("node", Str(channel.node));
-      c.Set("qps", Num(channel.qps));
-      channels.PushBack(std::move(c));
-    }
-    out.Set("channels", std::move(channels));
-  }
-  return out;
+  return f(kAuthNodeFields, std::tuple<>());
 }
 
-void NodeFromJson(const json::Value& value, const std::string& path, Ctx& ctx,
-                  NodeSpec* node) {
-  ObjReader r(value, path, ctx);
-  node->id = r.Str("id", "");
-  const std::string kind = r.Str("kind", "");
-  if (kind == "auth") {
-    node->kind = NodeKind::kAuthoritative;
-    r.AllowKeys({"id", "kind", "zones", "auth"});
-    node->zones = r.StrList("zones");
-    if (const json::Value* cfg = r.Obj("auth"); cfg != nullptr) {
-      AuthConfigFromJson(*cfg, Sub(path, "auth"), ctx, &node->auth);
-    }
+// A shim is written whenever it is enabled, so validation can reject one on
+// a node kind that does not read it.
+json::Value WriteObject(const NodeSpec& node, NodeTables) {
+  return WithNodeTables(node.kind, [&](const auto& table, const auto&) {
+    return WriteObject(node, kNodeFields, table, kShimFields);
+  });
+}
+
+void ReadObject(const Input& in, NodeSpec* node, NodeTables) {
+  if (!ExpectObject(in)) {
     return;
   }
-  if (kind == "resolver") {
-    node->kind = NodeKind::kResolver;
-    r.AllowKeys({"id", "kind", "resolver", "hints", "dcc", "channels"});
-    if (const json::Value* cfg = r.Obj("resolver"); cfg != nullptr) {
-      ResolverConfigFromJson(*cfg, Sub(path, "resolver"), ctx, &node->resolver);
-    }
-    HintsFromJson(r.Arr("hints"), Sub(path, "hints"), ctx, &node->hints);
-  } else if (kind == "forwarder") {
-    node->kind = NodeKind::kForwarder;
-    r.AllowKeys({"id", "kind", "forwarder", "upstreams", "dcc", "channels"});
-    if (const json::Value* cfg = r.Obj("forwarder"); cfg != nullptr) {
-      ForwarderConfigFromJson(*cfg, Sub(path, "forwarder"), ctx, &node->forwarder);
-    }
-    node->upstreams = r.StrList("upstreams");
-  } else if (kind == "frontend") {
-    node->kind = NodeKind::kFrontend;
-    r.AllowKeys({"id", "kind", "frontend", "members", "replicate",
-                 "member_template"});
-    if (const json::Value* cfg = r.Obj("frontend"); cfg != nullptr) {
-      FrontendConfigFromJson(*cfg, Sub(path, "frontend"), ctx, &node->frontend);
-    }
-    node->members = r.StrList("members");
-    node->replicate = r.Int("replicate", 0);
-    if (const json::Value* tmpl = r.Obj("member_template"); tmpl != nullptr) {
-      node->has_member_template = true;
-      const std::string tmpl_path = Sub(path, "member_template");
-      ObjReader t(*tmpl, tmpl_path, ctx);
-      t.AllowKeys({"resolver", "hints"});
-      if (const json::Value* cfg = t.Obj("resolver"); cfg != nullptr) {
-        ResolverConfigFromJson(*cfg, Sub(tmpl_path, "resolver"), ctx,
-                               &node->member_template.resolver);
-      }
-      HintsFromJson(t.Arr("hints"), Sub(tmpl_path, "hints"), ctx,
-                    &node->member_template.hints);
-    }
-    return;
-  } else {
-    ctx.Fail(Sub(path, "kind"),
-             "unknown node kind '" + kind +
-                 "' (auth|resolver|forwarder|frontend)");
-    return;
-  }
-  if (const json::Value* dcc = r.Obj("dcc"); dcc != nullptr) {
-    node->dcc_enabled = true;
-    DccConfigFromJson(*dcc, Sub(path, "dcc"), ctx, &node->dcc);
-  }
-  if (const json::Value* channels = r.Arr("channels"); channels != nullptr) {
-    for (size_t i = 0; i < channels->AsArray().size(); ++i) {
-      const std::string channel_path = Idx(Sub(path, "channels"), i);
-      ObjReader c(channels->AsArray()[i], channel_path, ctx);
-      c.AllowKeys({"node", "qps"});
-      ChannelSpec channel;
-      channel.node = c.Str("node", "");
-      channel.qps = c.Num("qps", 0);
-      node->channels.push_back(std::move(channel));
-    }
-  }
+  ReadFields(in, node, kNodeFields);
+  WithNodeTables(node->kind, [&](const auto& table, const auto& shim) {
+    CheckKeys(in, kNodeFields, table, shim);
+    ReadFields(in, node, table, shim);
+  });
 }
 
-// --- clients ----------------------------------------------------------------
+// --- the spec ---------------------------------------------------------------
 
-json::Value ClientToJson(const ClientSpec& client) {
-  json::Value out = json::Value::MakeObject();
-  out.Set("label", Str(client.label));
-  out.Set("qps", Num(client.qps));
-  out.Set("start", Secs(client.start));
-  out.Set("stop", Secs(client.stop));
-  out.Set("timeout", Secs(client.timeout));
-  out.Set("retries", Num(client.retries));
-  out.Set("dcc_aware", Boolean(client.dcc_aware));
-  out.Set("rotate_resolvers", Boolean(client.rotate_resolvers));
-  out.Set("attacker", Boolean(client.is_attacker));
-  out.Set("pattern", Str(QueryPatternName(client.pattern)));
-  out.Set("zone", Str(client.zone));
-  if (client.has_seed) {
-    out.Set("seed", Num(static_cast<double>(client.seed)));
-  }
-  if (client.unique_names != 0) {
-    out.Set("unique_names", Num(static_cast<double>(client.unique_names)));
-  }
-  if (client.pattern == QueryPattern::kNxThenWc) {
-    out.Set("nx_then_wc_switch", Secs(client.nx_then_wc_switch));
-  }
-  if (client.ramp_to_qps > 0) {
-    out.Set("ramp_to_qps", Num(client.ramp_to_qps));
-  }
-  json::Value resolvers = json::Value::MakeArray();
-  for (const std::string& resolver : client.resolvers) {
-    resolvers.PushBack(Str(resolver));
-  }
-  out.Set("resolvers", std::move(resolvers));
-  return out;
-}
+constexpr auto kClientFields = std::make_tuple(
+    Str("label", &ClientSpec::label),
+    Num("qps", &ClientSpec::qps),
+    Secs("start", &ClientSpec::start),
+    Secs("stop", &ClientSpec::stop),
+    Secs("timeout", &ClientSpec::timeout),
+    Int("retries", &ClientSpec::retries),
+    Bool("dcc_aware", &ClientSpec::dcc_aware),
+    Bool("rotate_resolvers", &ClientSpec::rotate_resolvers),
+    Bool("attacker", &ClientSpec::is_attacker),
+    Enum("pattern", &ClientSpec::pattern, kQueryPatterns),
+    Str("zone", &ClientSpec::zone),
+    SetBy(Int("seed", &ClientSpec::seed), &ClientSpec::has_seed),
+    If(Int("unique_names", &ClientSpec::unique_names),
+       [](const ClientSpec& client) { return client.unique_names != 0; }),
+    If(Secs("nx_then_wc_switch", &ClientSpec::nx_then_wc_switch),
+       [](const ClientSpec& client) { return client.pattern == QueryPattern::kNxThenWc; }),
+    If(Num("ramp_to_qps", &ClientSpec::ramp_to_qps),
+       [](const ClientSpec& client) { return client.ramp_to_qps > 0; }),
+    Strs("resolvers", &ClientSpec::resolvers));
 
-void ClientFromJson(const json::Value& value, const std::string& path, Ctx& ctx,
-                    ClientSpec* client) {
-  ObjReader r(value, path, ctx);
-  r.AllowKeys({"label", "qps", "start", "stop", "timeout", "retries",
-               "dcc_aware", "rotate_resolvers", "attacker", "pattern", "zone",
-               "seed", "unique_names", "nx_then_wc_switch", "ramp_to_qps",
-               "resolvers"});
-  client->label = r.Str("label", "");
-  client->qps = r.Num("qps", client->qps);
-  client->start = r.Secs("start", client->start);
-  client->stop = r.Secs("stop", client->stop);
-  client->timeout = r.Secs("timeout", client->timeout);
-  client->retries = r.Int("retries", client->retries);
-  client->dcc_aware = r.Bool("dcc_aware", client->dcc_aware);
-  client->rotate_resolvers = r.Bool("rotate_resolvers", client->rotate_resolvers);
-  client->is_attacker = r.Bool("attacker", client->is_attacker);
-  const std::string pattern = r.Str("pattern", "wc");
-  if (!ParseQueryPatternName(pattern, &client->pattern)) {
-    ctx.Fail(Sub(path, "pattern"),
-             "unknown pattern '" + pattern + "' (wc|nx|cq|ff|nx_then_wc)");
-    return;
-  }
-  client->zone = r.Str("zone", "");
-  if (r.Has("seed")) {
-    client->seed = r.U64("seed", 0);
-    client->has_seed = true;
-  }
-  client->unique_names = r.U64("unique_names", client->unique_names);
-  client->nx_then_wc_switch = r.Secs("nx_then_wc_switch", client->nx_then_wc_switch);
-  client->ramp_to_qps = r.Num("ramp_to_qps", client->ramp_to_qps);
-  client->resolvers = r.StrList("resolvers");
-}
+constexpr auto kPairDelayFields = std::make_tuple(Str("a", &PairDelaySpec::a),
+                                                  Str("b", &PairDelaySpec::b),
+                                                  Secs("one_way", &PairDelaySpec::one_way));
 
-// --- fault plan as text lines ------------------------------------------------
+constexpr auto kNetworkFields = std::make_tuple(
+    Secs("jitter", &NetworkSpec::jitter),
+    Int("jitter_seed", &NetworkSpec::jitter_seed),
+    Num("loss_probability", &NetworkSpec::loss_probability),
+    Int("loss_seed", &NetworkSpec::loss_seed),
+    If(List("pair_delays", &NetworkSpec::pair_delays, kPairDelayFields),
+       [](const NetworkSpec& network) { return !network.pair_delays.empty(); }));
 
-std::vector<std::string> SplitLines(const std::string& text) {
-  std::vector<std::string> lines;
-  std::string line;
-  for (const char c : text) {
-    if (c == '\n') {
-      lines.push_back(line);
-      line.clear();
-    } else {
-      line.push_back(c);
-    }
-  }
-  if (!line.empty()) {
-    lines.push_back(line);
-  }
-  return lines;
-}
+constexpr auto kRunFields = std::make_tuple(Secs("horizon", &ScenarioSpec::horizon),
+                                            Int("seed", &ScenarioSpec::seed));
+
+constexpr auto kFaultFields =
+    std::make_tuple(Bool("arm_before_sampling", &FaultSpec::arm_before_sampling),
+                    Plan("plan", &FaultSpec::plan));
+
+constexpr auto kAnsProbeFields = std::make_tuple(Str("node", &AnsProbeSpec::node),
+                                                 Str("label", &AnsProbeSpec::label));
+
+constexpr auto kMeasureFields = std::make_tuple(
+    Bool("client_series", &MeasureSpec::client_series),
+    List("ans", &MeasureSpec::ans, kAnsProbeFields),
+    Strs("resolver_series", &MeasureSpec::resolver_series),
+    Strs("trackers", &MeasureSpec::trackers));
+
+constexpr auto kSpecFields = std::make_tuple(
+    Str("name", &ScenarioSpec::name),
+    If(Strs("provenance", &ScenarioSpec::provenance),
+       [](const ScenarioSpec& spec) { return !spec.provenance.empty(); }),
+    Obj("run", Self<ScenarioSpec>(), kRunFields),
+    Obj("network", &ScenarioSpec::network, kNetworkFields),
+    List("zones", &ScenarioSpec::zones, ZoneTables()),
+    List("nodes", &ScenarioSpec::nodes, NodeTables()),
+    List("clients", &ScenarioSpec::clients, kClientFields),
+    If(Obj("faults", &ScenarioSpec::faults, kFaultFields),
+       [](const ScenarioSpec& spec) { return !spec.faults.plan.empty(); }),
+    Obj("measure", &ScenarioSpec::measure, kMeasureFields));
 
 }  // namespace
+
+const char* QueryPatternName(QueryPattern pattern) {
+  return kQueryPatterns.Name(pattern);
+}
+
+HostAddress SpecNodeAddress(const ScenarioSpec& spec, size_t node_index) {
+  (void)spec;
+  return static_cast<HostAddress>(0x0a000001u + node_index);
+}
+
+HostAddress SpecClientAddress(const ScenarioSpec& spec, size_t client_index) {
+  return static_cast<HostAddress>(0x0a000001u + spec.nodes.size() + client_index);
+}
 
 // --- top-level parse / write ------------------------------------------------
 
@@ -916,103 +867,7 @@ bool ParseScenarioSpec(std::string_view json_text, ScenarioSpec* spec,
   }
   Ctx ctx;
   ctx.error = error;
-  ObjReader r(root, "", ctx);
-  r.AllowKeys({"name", "run", "network", "zones", "nodes", "clients", "faults",
-               "measure", "provenance"});
-  spec->name = r.Str("name", "");
-  spec->provenance = r.StrList("provenance");
-  if (const json::Value* run = r.Obj("run"); run != nullptr) {
-    ObjReader rr(*run, "run", ctx);
-    rr.AllowKeys({"horizon", "seed"});
-    spec->horizon = rr.Secs("horizon", spec->horizon);
-    spec->seed = rr.U64("seed", spec->seed);
-  }
-  if (const json::Value* network = r.Obj("network"); network != nullptr) {
-    ObjReader n(*network, "network", ctx);
-    n.AllowKeys({"jitter", "jitter_seed", "loss_probability", "loss_seed",
-                 "pair_delays"});
-    spec->network.jitter = n.Secs("jitter", spec->network.jitter);
-    spec->network.jitter_seed = n.U64("jitter_seed", spec->network.jitter_seed);
-    spec->network.loss_probability =
-        n.Num("loss_probability", spec->network.loss_probability);
-    spec->network.loss_seed = n.U64("loss_seed", spec->network.loss_seed);
-    if (const json::Value* delays = n.Arr("pair_delays"); delays != nullptr) {
-      for (size_t i = 0; i < delays->AsArray().size(); ++i) {
-        const std::string delay_path = Idx("network.pair_delays", i);
-        ObjReader d(delays->AsArray()[i], delay_path, ctx);
-        d.AllowKeys({"a", "b", "one_way"});
-        PairDelaySpec delay;
-        delay.a = d.Str("a", "");
-        delay.b = d.Str("b", "");
-        delay.one_way = d.Secs("one_way", 0);
-        spec->network.pair_delays.push_back(std::move(delay));
-      }
-    }
-  }
-  if (const json::Value* zones = r.Arr("zones"); zones != nullptr) {
-    for (size_t i = 0; i < zones->AsArray().size(); ++i) {
-      ZoneSpec zone;
-      ZoneFromJson(zones->AsArray()[i], Idx("zones", i), ctx, &zone);
-      spec->zones.push_back(std::move(zone));
-    }
-  }
-  if (const json::Value* nodes = r.Arr("nodes"); nodes != nullptr) {
-    for (size_t i = 0; i < nodes->AsArray().size(); ++i) {
-      NodeSpec node;
-      NodeFromJson(nodes->AsArray()[i], Idx("nodes", i), ctx, &node);
-      spec->nodes.push_back(std::move(node));
-    }
-  }
-  if (const json::Value* clients = r.Arr("clients"); clients != nullptr) {
-    for (size_t i = 0; i < clients->AsArray().size(); ++i) {
-      ClientSpec client;
-      ClientFromJson(clients->AsArray()[i], Idx("clients", i), ctx, &client);
-      spec->clients.push_back(std::move(client));
-    }
-  }
-  if (const json::Value* faults = r.Obj("faults"); faults != nullptr) {
-    ObjReader f(*faults, "faults", ctx);
-    f.AllowKeys({"plan", "arm_before_sampling"});
-    spec->faults.arm_before_sampling =
-        f.Bool("arm_before_sampling", spec->faults.arm_before_sampling);
-    if (const json::Value* plan = f.Arr("plan"); plan != nullptr) {
-      std::string text;
-      for (size_t i = 0; i < plan->AsArray().size(); ++i) {
-        const json::Value& line = plan->AsArray()[i];
-        if (!line.is_string()) {
-          ctx.Fail(Idx("faults.plan", i), "expected a string (one plan line)");
-          break;
-        }
-        text += line.AsString();
-        text += '\n';
-      }
-      if (ctx.ok) {
-        std::string plan_error;
-        if (!fault::ParseFaultPlan(text, &spec->faults.plan, &plan_error)) {
-          ctx.Fail("faults.plan", plan_error);
-        }
-      }
-    }
-  }
-  if (const json::Value* measure = r.Obj("measure"); measure != nullptr) {
-    ObjReader m(*measure, "measure", ctx);
-    m.AllowKeys({"client_series", "ans", "resolver_series", "trackers"});
-    spec->measure.client_series =
-        m.Bool("client_series", spec->measure.client_series);
-    if (const json::Value* ans = m.Arr("ans"); ans != nullptr) {
-      for (size_t i = 0; i < ans->AsArray().size(); ++i) {
-        const std::string ans_path = Idx("measure.ans", i);
-        ObjReader a(ans->AsArray()[i], ans_path, ctx);
-        a.AllowKeys({"node", "label"});
-        AnsProbeSpec probe;
-        probe.node = a.Str("node", "");
-        probe.label = a.Str("label", "");
-        spec->measure.ans.push_back(std::move(probe));
-      }
-    }
-    spec->measure.resolver_series = m.StrList("resolver_series");
-    spec->measure.trackers = m.StrList("trackers");
-  }
+  ReadObject(Input{root, "", ctx}, spec, kSpecFields);
   return ctx.ok;
 }
 
@@ -1353,94 +1208,11 @@ bool ValidateScenarioSpec(ScenarioSpec* spec, std::string* error) {
   return true;
 }
 
+
 // --- serialization -----------------------------------------------------------
 
 json::Value ScenarioSpecToJson(const ScenarioSpec& spec) {
-  json::Value out = json::Value::MakeObject();
-  out.Set("name", Str(spec.name));
-  if (!spec.provenance.empty()) {
-    json::Value provenance = json::Value::MakeArray();
-    for (const std::string& line : spec.provenance) {
-      provenance.PushBack(Str(line));
-    }
-    out.Set("provenance", std::move(provenance));
-  }
-
-  json::Value run = json::Value::MakeObject();
-  run.Set("horizon", Secs(spec.horizon));
-  run.Set("seed", Num(static_cast<double>(spec.seed)));
-  out.Set("run", std::move(run));
-
-  json::Value network = json::Value::MakeObject();
-  network.Set("jitter", Secs(spec.network.jitter));
-  network.Set("jitter_seed", Num(static_cast<double>(spec.network.jitter_seed)));
-  network.Set("loss_probability", Num(spec.network.loss_probability));
-  network.Set("loss_seed", Num(static_cast<double>(spec.network.loss_seed)));
-  if (!spec.network.pair_delays.empty()) {
-    json::Value delays = json::Value::MakeArray();
-    for (const PairDelaySpec& delay : spec.network.pair_delays) {
-      json::Value d = json::Value::MakeObject();
-      d.Set("a", Str(delay.a));
-      d.Set("b", Str(delay.b));
-      d.Set("one_way", Secs(delay.one_way));
-      delays.PushBack(std::move(d));
-    }
-    network.Set("pair_delays", std::move(delays));
-  }
-  out.Set("network", std::move(network));
-
-  json::Value zones = json::Value::MakeArray();
-  for (const ZoneSpec& zone : spec.zones) {
-    zones.PushBack(ZoneToJson(zone));
-  }
-  out.Set("zones", std::move(zones));
-
-  json::Value nodes = json::Value::MakeArray();
-  for (const NodeSpec& node : spec.nodes) {
-    nodes.PushBack(NodeToJson(node));
-  }
-  out.Set("nodes", std::move(nodes));
-
-  json::Value clients = json::Value::MakeArray();
-  for (const ClientSpec& client : spec.clients) {
-    clients.PushBack(ClientToJson(client));
-  }
-  out.Set("clients", std::move(clients));
-
-  if (!spec.faults.plan.empty()) {
-    json::Value faults = json::Value::MakeObject();
-    json::Value plan = json::Value::MakeArray();
-    for (const std::string& line : SplitLines(fault::FormatFaultPlan(spec.faults.plan))) {
-      plan.PushBack(Str(line));
-    }
-    faults.Set("plan", std::move(plan));
-    faults.Set("arm_before_sampling", Boolean(spec.faults.arm_before_sampling));
-    out.Set("faults", std::move(faults));
-  }
-
-  json::Value measure = json::Value::MakeObject();
-  measure.Set("client_series", Boolean(spec.measure.client_series));
-  json::Value ans = json::Value::MakeArray();
-  for (const AnsProbeSpec& probe : spec.measure.ans) {
-    json::Value a = json::Value::MakeObject();
-    a.Set("node", Str(probe.node));
-    a.Set("label", Str(probe.label));
-    ans.PushBack(std::move(a));
-  }
-  measure.Set("ans", std::move(ans));
-  json::Value resolver_series = json::Value::MakeArray();
-  for (const std::string& node : spec.measure.resolver_series) {
-    resolver_series.PushBack(Str(node));
-  }
-  measure.Set("resolver_series", std::move(resolver_series));
-  json::Value trackers = json::Value::MakeArray();
-  for (const std::string& node : spec.measure.trackers) {
-    trackers.PushBack(Str(node));
-  }
-  measure.Set("trackers", std::move(trackers));
-  out.Set("measure", std::move(measure));
-
-  return out;
+  return WriteObject(spec, kSpecFields);
 }
 
 std::string WriteScenarioSpec(const ScenarioSpec& spec, int indent) {

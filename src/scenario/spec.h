@@ -54,7 +54,6 @@ enum class QueryPattern {
 };
 
 const char* QueryPatternName(QueryPattern pattern);
-bool ParseQueryPatternName(const std::string& text, QueryPattern* out);
 
 // --- topology ---------------------------------------------------------------
 
@@ -226,8 +225,10 @@ HostAddress SpecClientAddress(const ScenarioSpec& spec, size_t client_index);
 
 // Parses a JSON document into `spec`. Returns false with a diagnostic in
 // `error`: byte offset for malformed JSON, JSON path (e.g.
-// "nodes[2].upstreams[0]") for schema/semantic problems. Does NOT run
-// ValidateScenarioSpec.
+// "nodes[2].upstreams[0]") for schema/semantic problems, including a number
+// its field cannot hold (non-finite, fractional for an integer field,
+// outside the field's integer type, or a duration past INT64_MAX
+// microseconds). Does NOT run ValidateScenarioSpec.
 bool ParseScenarioSpec(std::string_view json_text, ScenarioSpec* spec,
                        std::string* error);
 

@@ -132,6 +132,15 @@ TEST(BenchCheckTest, SimEventDriftFailsInBothDirections) {
     ASSERT_EQ(violations.size(), 1u) << "factor " << factor;
     EXPECT_NE(violations[0].find("sim_events"), std::string::npos);
   }
+  // The simulator is deterministic: one event either way is a failure.
+  for (int delta : {-1, 1}) {
+    SuiteReport current = MakeSuite();
+    current.benches[0].metrics.sim_events += delta;
+    const std::vector<std::string> violations =
+        CompareReports(current, baseline, Tolerances{});
+    ASSERT_EQ(violations.size(), 1u) << "delta " << delta;
+    EXPECT_NE(violations[0].find("sim_events"), std::string::npos);
+  }
 }
 
 TEST(BenchCheckTest, RssGrowthBeyondSlackFails) {
@@ -204,18 +213,6 @@ TEST(BenchReportTest, ZeroSimEventsRendersNullRateAndRoundTrips) {
   ASSERT_EQ(parsed.benches.size(), 1u);
   EXPECT_EQ(parsed.benches[0].metrics.sim_events, 0u);
   EXPECT_EQ(parsed.benches[0].metrics.events_per_sec, 0.0);
-}
-
-TEST(BenchReportTest, ParseAcceptsLegacyPeakRssKey) {
-  const std::string json =
-      "{\"suite\": \"dcc_bench\", \"quick\": true, \"benches\": [\n"
-      "  {\"name\": \"fig8_resilience\", \"wall_ms\": 100.0, \"sim_events\": "
-      "5, \"events_per_sec\": 50.0, \"peak_rss_kb\": 116280, \"exit_code\": "
-      "0}\n]}";
-  SuiteReport parsed;
-  ASSERT_TRUE(ParseReportJson(json, &parsed));
-  ASSERT_EQ(parsed.benches.size(), 1u);
-  EXPECT_EQ(parsed.benches[0].metrics.peak_rss_delta_kb, 116280);
 }
 
 TEST(BenchCheckTest, ZeroEventBaselineSkipsWithNote) {

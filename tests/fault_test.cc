@@ -137,6 +137,36 @@ TEST(FaultPlanTest, RejectsMalformedLines) {
       ParseFaultPlan("blackout start=1s end=2s host=not-an-ip", &plan, &error));
 }
 
+// strtod takes "inf", "nan" and "1e300"; none of them is a time or a
+// probability, and a duration past INT64_MAX microseconds cannot be stored.
+TEST(FaultPlanTest, RejectsNonFiniteAndOverflowingNumbers) {
+  FaultPlan plan;
+  std::string error;
+  for (const char* line : {
+           "blackout start=infs end=25s host=10.0.0.1",
+           "blackout start=nan end=25s host=10.0.0.1",
+           "blackout start=1s end=1e300 host=10.0.0.1",
+           "blackout start=1s end=9300000000000s host=10.0.0.1",
+           "delay start=1s end=2s a=* b=* add=infms",
+           "flap start=0s end=10s a=* b=* period=1e17ms duty=0.5",
+           "flap start=0s end=10s a=* b=* period=1s duty=nan",
+           "loss start=1s end=2s a=* b=* p=nan",
+           "corrupt start=1s end=2s a=* b=* p=inf",
+       }) {
+    const std::string text = std::string("seed 1\n") + line;
+    EXPECT_FALSE(ParseFaultPlan(text, &plan, &error)) << line;
+    EXPECT_EQ(error.rfind("line 2: bad value for '", 0), 0u) << line << ": " << error;
+  }
+  // The largest durations that fit still parse and format back.
+  ASSERT_TRUE(ParseFaultPlan("blackout start=1s end=9000000000000s host=10.0.0.1",
+                             &plan, &error))
+      << error;
+  EXPECT_EQ(plan.events[0].end, Seconds(9000000000000));
+  FaultPlan reparsed;
+  ASSERT_TRUE(ParseFaultPlan(FormatFaultPlan(plan), &reparsed, &error)) << error;
+  EXPECT_EQ(reparsed.events[0].end, plan.events[0].end);
+}
+
 TEST(FaultPlanTest, RandomPlanIsDeterministicAndBounded) {
   RandomFaultOptions options;
   options.seed = 99;

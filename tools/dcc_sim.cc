@@ -5,7 +5,6 @@
 //
 //   dcc_sim run      --spec FILE [--horizon SECONDS] [--seed N]
 //                    [--fault-plan FILE] [--dump-effective] [output flags]
-//   dcc_sim validate --spec FILE
 //   dcc_sim probe    [--irl N] [--nx-irl N] [--erl N]
 //
 // Examples:
@@ -326,36 +325,6 @@ int RunSpec(int argc, char** argv) {
   return DumpTelemetry(argc, argv, sink.get());
 }
 
-// `dcc_sim validate --spec FILE`: lint + materialize without running. The
-// effective (derived fields baked in) spec goes to stdout; diagnostics and
-// the one-line verdict go to stderr so the JSON stays parseable on its own.
-int ValidateSpec(int argc, char** argv) {
-  const char* path = FlagValue(argc, argv, "--spec");
-  if (path == nullptr) {
-    std::fprintf(stderr, "validate requires --spec FILE ('-' for stdin)\n");
-    return 2;
-  }
-  scenario::ScenarioSpec spec;
-  std::string error;
-  if (!scenario::LoadScenarioSpecFile(path, &spec, &error)) {
-    std::fprintf(stderr, "%s: %s\n", path, error.c_str());
-    return 2;
-  }
-  if (!scenario::ValidateScenarioSpec(&spec, &error)) {
-    std::fprintf(stderr, "%s: invalid: %s\n", path, error.c_str());
-    return 2;
-  }
-  const std::string out = scenario::WriteScenarioSpec(spec);
-  std::fwrite(out.data(), 1, out.size(), stdout);
-  std::fprintf(stderr,
-               "%s: scenario '%s' ok — %zu zones, %zu nodes, %zu clients, "
-               "horizon %s, seed %llu\n",
-               path, spec.name.c_str(), spec.zones.size(), spec.nodes.size(),
-               spec.clients.size(), FormatDuration(spec.horizon).c_str(),
-               static_cast<unsigned long long>(spec.seed));
-  return 0;
-}
-
 int RunProbe(int argc, char** argv) {
   ResolverProfile profile;
   profile.name = "cli";
@@ -390,8 +359,6 @@ void PrintUsage(std::FILE* stream) {
       "commands:\n"
       "  run          execute a declarative scenario spec (JSON; see\n"
       "               examples/scenarios/ and DESIGN.md for the schema)\n"
-      "  validate     lint + materialize a scenario spec and print its\n"
-      "               effective form without running it\n"
       "  probe        measure a synthetic resolver's rate limits with the\n"
       "               Appendix A methodology and report the estimates\n"
       "\n"
@@ -409,7 +376,9 @@ void PrintUsage(std::FILE* stream) {
       "                       pinned values)\n"
       "  --fault-plan FILE    replace the spec's fault plan\n"
       "  --dump-effective     print the materialized spec (derived fields\n"
-      "                       baked in) to stdout instead of running\n"
+      "                       and overrides baked in) to stdout instead of\n"
+      "                       running; a spec that does not parse or\n"
+      "                       validate exits 2 naming the bad field\n"
       "  --summary-out FILE   write the full ScenarioOutcome as JSON ('-'\n"
       "                       for stdout): per-client totals/series, ANS\n"
       "                       peaks, resolver degradation, DCC counters and\n"
@@ -426,11 +395,6 @@ void PrintUsage(std::FILE* stream) {
       "                       tools/dcc_why). Adds an `audit` block to\n"
       "                       --summary-out. Like profiling, auditing never\n"
       "                       perturbs the simulation\n"
-      "\n"
-      "validate options:\n"
-      "  --spec FILE          scenario spec to check ('-' for stdin);\n"
-      "                       required. Exit 0 prints the materialized spec\n"
-      "                       on stdout; exit 2 prints the diagnostic\n"
       "\n"
       "probe options:\n"
       "  --irl N              true NOERROR ingress limit, QPS (default 300)\n"
@@ -459,7 +423,7 @@ void PrintUsage(std::FILE* stream) {
       "  dcc_sim run --spec examples/scenarios/fig8_ff.json --trace-out t.jsonl\n"
       "  dcc_sim run --spec examples/scenarios/chaos_dcc.json \\\n"
       "      --fault-plan examples/fault_plans/blackout.plan\n"
-      "  dcc_sim validate --spec examples/scenarios/fig4_d.json\n");
+      "  dcc_sim run --spec examples/scenarios/fig4_d.json --dump-effective\n");
 }
 
 }  // namespace
@@ -490,9 +454,6 @@ int main(int argc, char** argv) {
   ApplyLogLevel(argc, argv);
   if (command == "run") {
     return RunSpec(argc, argv);
-  }
-  if (command == "validate") {
-    return ValidateSpec(argc, argv);
   }
   if (command == "probe") {
     return RunProbe(argc, argv);
