@@ -1,6 +1,7 @@
 #include "src/fault/fault_plan.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
@@ -210,9 +211,13 @@ bool ParseFaultPlan(const std::string& text, FaultPlan* plan, std::string* error
     std::vector<std::string> tokens = SplitWhitespace(line);
     if (tokens[0] == "seed") {
       if (tokens.size() != 2) return Fail(error, line_number, "seed takes one value");
+      // strtoull wraps a negative value and saturates an overflowing one;
+      // both are errors here.
+      const char* value = tokens[1].c_str();
       char* end = nullptr;
-      result.seed = std::strtoull(tokens[1].c_str(), &end, 10);
-      if (end == tokens[1].c_str() || *end != '\0') {
+      errno = 0;
+      result.seed = std::strtoull(value, &end, 10);
+      if (end == value || *end != '\0' || value[0] == '-' || errno == ERANGE) {
         return Fail(error, line_number, "bad seed value '" + tokens[1] + "'");
       }
       continue;

@@ -952,10 +952,22 @@ bool ValidateScenarioSpec(ScenarioSpec* spec, std::string* error) {
           ff_qps = std::max(ff_qps, client.qps);
         }
       }
-      zone.attacker.instances =
-          ff_qps > 0
-              ? static_cast<int>(ff_qps * ToSeconds(spec->horizon)) + 8
-              : AttackerZoneOptions().instances;
+      if (ff_qps <= 0) {
+        zone.attacker.instances = AttackerZoneOptions().instances;
+        continue;
+      }
+      // Sized in double: qps x horizon can pass what the int field holds,
+      // and then the spec must set `instances` itself.
+      const double sized = std::trunc(ff_qps * ToSeconds(spec->horizon)) + 8;
+      if (sized > std::numeric_limits<int>::max()) {
+        return ctx.Fail(Sub(path, "instances"),
+                        "default sizing (FF qps x horizon + 8 = " +
+                            json::Write(json::Value::OfNumber(sized)) +
+                            ") exceeds " +
+                            std::to_string(std::numeric_limits<int>::max()) +
+                            "; set instances");
+      }
+      zone.attacker.instances = static_cast<int>(sized);
     }
   }
 
@@ -972,8 +984,9 @@ bool ValidateScenarioSpec(ScenarioSpec* spec, std::string* error) {
     }
     const std::string path = Idx("nodes", i);
     NodeSpec& node = spec->nodes[i];
-    if (node.replicate < 0) {
-      return ctx.Fail(Sub(path, "replicate"), "must be >= 0");
+    if (node.replicate < 0 || node.replicate > kMaxReplicate) {
+      return ctx.Fail(Sub(path, "replicate"),
+                      "out of range [0, " + std::to_string(kMaxReplicate) + "]");
     }
     if (!node.has_member_template) {
       return ctx.Fail(Sub(path, "member_template"),

@@ -91,7 +91,11 @@ struct ChannelSpec {
 // resolver NodeSpecs immediately after the frontend in spec order — address
 // assignment stays spec-order-deterministic — appends their generated ids
 // ("<frontend-id>-r<k>") to `members`, and zeroes `replicate` so a validated
-// spec re-validates unchanged.
+// spec re-validates unchanged. `replicate` above kMaxReplicate is rejected
+// before any member is built: the committed fleets stamp out at most four,
+// and a larger count would only exhaust memory.
+inline constexpr int kMaxReplicate = 1024;
+
 struct FleetMemberTemplateSpec {
   ResolverConfig resolver;
   std::vector<AuthorityHintSpec> hints;  // Ordered (selection order).

@@ -34,6 +34,9 @@ Forwarder::Forwarder(Transport& transport, ForwarderConfig config, uint64_t seed
 void Forwarder::AddUpstream(HostAddress resolver) { upstreams_.push_back(resolver); }
 
 void Forwarder::CrashReset() {
+  for (const auto& [port, pending] : pending_) {
+    transport_.loop().Cancel(pending.timer);
+  }
   pending_.clear();
   cache_ = DnsCache(config_.cache_max_entries,
                     config_.serve_stale ? config_.max_stale : 0);
@@ -136,6 +139,8 @@ void Forwarder::HandleDatagram(const Datagram& dgram) {
     }
     const uint16_t port = AllocatePort();
     Pending& pending = pending_[port];
+    // Live only if AllocatePort, out of free ports, reused a busy one.
+    transport_.loop().Cancel(pending.timer);
     pending.client = dgram.src;
     pending.local_port = dgram.dst.port;
     pending.query = std::move(*decoded);
@@ -178,6 +183,7 @@ void Forwarder::HandleDatagram(const Datagram& dgram) {
     Message response = std::move(*decoded);
     Pending done = std::move(pending);
     pending_.erase(dgram.dst.port);
+    transport_.loop().Cancel(done.timer);
     RespondToClient(done, std::move(response));
   }
 }
@@ -260,7 +266,6 @@ void Forwarder::ForwardQuery(uint16_t port) {
     }
   }
   --pending.attempts_left;
-  pending.generation = next_generation_++;
   const HostAddress upstream = upstreams_[slot];
   ++pending.upstream_index;
   pending.last_upstream = upstream;
@@ -282,20 +287,15 @@ void Forwarder::ForwardQuery(uint16_t port) {
   transport_.Send(port, Endpoint{upstream, kDnsPort}, pending.upstream_wire);
   ++queries_sent_;
 
-  const uint64_t generation = pending.generation;
-  transport_.loop().ScheduleAfter(AttemptTimeout(upstream, attempt),
-                                  "forwarder.timeout", [this, port, generation]() {
-                                    OnTimeout(port, generation);
-                                  });
+  pending.timer = transport_.loop().ScheduleAfter(
+      AttemptTimeout(upstream, attempt), "forwarder.timeout",
+      [this, port]() { OnTimeout(port); });
 }
 
-void Forwarder::OnTimeout(uint16_t port, uint64_t generation) {
-  auto it = pending_.find(port);
-  if (it == pending_.end() || it->second.generation != generation) {
-    return;
-  }
-  if (it->second.last_upstream != kInvalidAddress) {
-    tracker_.OnTimeout(it->second.last_upstream, transport_.now());
+void Forwarder::OnTimeout(uint16_t port) {
+  const HostAddress upstream = pending_.at(port).last_upstream;
+  if (upstream != kInvalidAddress) {
+    tracker_.OnTimeout(upstream, transport_.now());
   }
   ForwardQuery(port);
 }

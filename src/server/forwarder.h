@@ -76,7 +76,7 @@ class Forwarder : public DatagramHandler, public CrashResettable {
     Message query;
     int attempts_left = 0;
     size_t upstream_index = 0;
-    uint64_t generation = 0;
+    EventId timer;  // The current attempt's timeout.
     HostAddress last_upstream = kInvalidAddress;
     Time sent_at = 0;
     int attempt = 0;  // Transmissions already made (0 before the first).
@@ -86,7 +86,7 @@ class Forwarder : public DatagramHandler, public CrashResettable {
   };
 
   void ForwardQuery(uint16_t port);
-  void OnTimeout(uint16_t port, uint64_t generation);
+  void OnTimeout(uint16_t port);
   void RespondToClient(const Pending& pending, Message response);
   // Answers `pending` from a stale cache entry (TTL capped) or SERVFAIL.
   // `cause` and the observed/limit pair describe why the query is being
@@ -107,7 +107,6 @@ class Forwarder : public DatagramHandler, public CrashResettable {
   FlatMap<uint16_t, Pending> pending_;
   size_t next_upstream_ = 0;
   uint16_t next_port_ = 2048;
-  uint64_t next_generation_ = 1;
 
   uint64_t requests_received_ = 0;
   uint64_t responses_sent_ = 0;

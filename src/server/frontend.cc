@@ -119,38 +119,46 @@ void FleetFrontend::Start() {
 }
 
 void FleetFrontend::ArmTimers() {
-  for (CancelToken& timer : probe_timers_) {
-    timer.Cancel();
-  }
-  probe_timers_.clear();
-  rotation_timer_.Cancel();
+  CancelTimers();
   if (config_.health_checks && config_.probe_interval > 0) {
     for (size_t i = 0; i < members_.size(); ++i) {
       // Stagger the first round so a large fleet does not probe in lockstep.
       const Duration offset = static_cast<Duration>(
           config_.probe_interval * (i + 1) / (members_.size() + 1));
-      probe_timers_.push_back(transport_.loop().ScheduleCancelableAfter(
+      probe_timers_.push_back(transport_.loop().ScheduleAfter(
           offset, "frontend.probe", [this, i]() { SendProbe(i); }));
     }
   }
   if (config_.rotation_period > 0) {
-    rotation_timer_ = transport_.loop().ScheduleCancelableAfter(
+    rotation_timer_ = transport_.loop().ScheduleAfter(
         config_.rotation_period, "frontend.rotate",
         [this]() { OnRotationTick(); });
   }
 }
 
+void FleetFrontend::CancelTimers() {
+  EventLoop& loop = transport_.loop();
+  for (EventId timer : probe_timers_) {
+    loop.Cancel(timer);
+  }
+  probe_timers_.clear();
+  loop.Cancel(rotation_timer_);
+}
+
 void FleetFrontend::CrashReset() {
+  EventLoop& loop = transport_.loop();
+  for (const auto& [port, pending] : pending_) {
+    loop.Cancel(pending.timer);
+  }
+  for (const auto& [port, probe] : probe_pending_) {
+    loop.Cancel(probe.timer);
+  }
   pending_.clear();
   probe_pending_.clear();
   resteer_budget_ = TokenBucket(config_.resteer_budget_qps,
                                 config_.resteer_budget_burst, transport_.now());
   // A crashed frontend stops probing and rotating; CrashRestart re-arms.
-  for (CancelToken& timer : probe_timers_) {
-    timer.Cancel();
-  }
-  probe_timers_.clear();
-  rotation_timer_.Cancel();
+  CancelTimers();
 }
 
 void FleetFrontend::CrashRestart() {
@@ -401,6 +409,8 @@ void FleetFrontend::HandleDatagram(const Datagram& dgram) {
     }
     const uint16_t port = AllocatePort();
     Pending& pending = pending_[port];
+    // Live only if AllocatePort, out of free ports, reused a busy one.
+    transport_.loop().Cancel(pending.timer);
     pending.client = dgram.src;
     pending.local_port = dgram.dst.port;
     pending.query = std::move(*decoded);
@@ -417,6 +427,7 @@ void FleetFrontend::HandleDatagram(const Datagram& dgram) {
         return;
       }
       probe_pending_.erase(dgram.dst.port);
+      transport_.loop().Cancel(probe.timer);
       // Any probe answer counts as liveness; it also clears an active
       // hold-down (recovery) through the tracker.
       tracker_.OnResponse(probe.member, transport_.now() - probe.sent_at,
@@ -444,6 +455,7 @@ void FleetFrontend::HandleDatagram(const Datagram& dgram) {
     Message response = std::move(*decoded);
     Pending done = std::move(pending);
     pending_.erase(dgram.dst.port);
+    transport_.loop().Cancel(done.timer);
     RespondToClient(done, std::move(response));
   }
 }
@@ -478,7 +490,6 @@ void FleetFrontend::RelayQuery(uint16_t port, bool is_resteer) {
     ++resteers_;
   }
   --pending.attempts_left;
-  pending.generation = next_generation_++;
   const HostAddress member = PickMember(pending.query.Q().qname, now);
   pending.member = member;
   pending.sent_at = now;
@@ -503,19 +514,15 @@ void FleetFrontend::RelayQuery(uint16_t port, bool is_resteer) {
   transport_.Send(port, Endpoint{member, kDnsPort}, pending.wire);
   ++queries_sent_;
 
-  const uint64_t generation = pending.generation;
-  transport_.loop().ScheduleAfter(
+  pending.timer = transport_.loop().ScheduleAfter(
       AttemptTimeout(member, attempt), "frontend.timeout",
-      [this, port, generation]() { OnRelayTimeout(port, generation); });
+      [this, port]() { OnRelayTimeout(port); });
 }
 
-void FleetFrontend::OnRelayTimeout(uint16_t port, uint64_t generation) {
-  auto it = pending_.find(port);
-  if (it == pending_.end() || it->second.generation != generation) {
-    return;
-  }
-  if (it->second.member != kInvalidAddress) {
-    tracker_.OnTimeout(it->second.member, transport_.now());
+void FleetFrontend::OnRelayTimeout(uint16_t port) {
+  const HostAddress member = pending_.at(port).member;
+  if (member != kInvalidAddress) {
+    tracker_.OnTimeout(member, transport_.now());
   }
   RelayQuery(port, /*is_resteer=*/true);
 }
@@ -526,7 +533,7 @@ void FleetFrontend::SendProbe(size_t member_index) {
   }
   const HostAddress member = members_[member_index];
   if (member_index < probe_timers_.size()) {
-    probe_timers_[member_index] = transport_.loop().ScheduleCancelableAfter(
+    probe_timers_[member_index] = transport_.loop().ScheduleAfter(
         config_.probe_interval, "frontend.probe",
         [this, member_index]() { SendProbe(member_index); });
   }
@@ -537,27 +544,22 @@ void FleetFrontend::SendProbe(size_t member_index) {
   const uint16_t port = AllocatePort();
   const uint16_t id = next_probe_id_++;
   PendingProbe& probe = probe_pending_[port];
+  // Live only if AllocatePort, out of free ports, reused a busy one.
+  transport_.loop().Cancel(probe.timer);
   probe.member = member;
-  probe.generation = next_generation_++;
   probe.sent_at = transport_.now();
   probe.query_id = id;
   Message query = MakeQuery(id, *parsed, RecordType::kA);
   transport_.Send(port, Endpoint{member, kDnsPort}, EncodeMessage(query));
   ++probes_sent_;
-  const uint64_t generation = probe.generation;
   const Duration timeout = std::max<Duration>(
       tracker_.RetransmitTimeout(member, config_.probe_timeout), kMillisecond);
-  transport_.loop().ScheduleAfter(
-      timeout, "frontend.probe_timeout",
-      [this, port, generation]() { OnProbeTimeout(port, generation); });
+  probe.timer = transport_.loop().ScheduleAfter(
+      timeout, "frontend.probe_timeout", [this, port]() { OnProbeTimeout(port); });
 }
 
-void FleetFrontend::OnProbeTimeout(uint16_t port, uint64_t generation) {
-  auto it = probe_pending_.find(port);
-  if (it == probe_pending_.end() || it->second.generation != generation) {
-    return;
-  }
-  const HostAddress member = it->second.member;
+void FleetFrontend::OnProbeTimeout(uint16_t port) {
+  const HostAddress member = probe_pending_.at(port).member;
   probe_pending_.erase(port);
   ++probe_timeouts_;
   tracker_.OnTimeout(member, transport_.now());
@@ -566,7 +568,7 @@ void FleetFrontend::OnProbeTimeout(uint16_t port, uint64_t generation) {
 void FleetFrontend::OnRotationTick() {
   ++epoch_;
   ++rotations_;
-  rotation_timer_ = transport_.loop().ScheduleCancelableAfter(
+  rotation_timer_ = transport_.loop().ScheduleAfter(
       config_.rotation_period, "frontend.rotate",
       [this]() { OnRotationTick(); });
 }

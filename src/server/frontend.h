@@ -155,7 +155,7 @@ class FleetFrontend : public DatagramHandler, public CrashResettable {
     uint16_t local_port = kDnsPort;
     Message query;
     int attempts_left = 0;
-    uint64_t generation = 0;
+    EventId timer;  // The current attempt's timeout.
     HostAddress member = kInvalidAddress;
     Time sent_at = 0;
     Time first_sent_at = 0;
@@ -166,7 +166,7 @@ class FleetFrontend : public DatagramHandler, public CrashResettable {
   };
   struct PendingProbe {
     HostAddress member = kInvalidAddress;
-    uint64_t generation = 0;
+    EventId timer;
     Time sent_at = 0;
     uint16_t query_id = 0;
   };
@@ -181,13 +181,14 @@ class FleetFrontend : public DatagramHandler, public CrashResettable {
   HostAddress PickMember(const Name& qname, Time now);
 
   void RelayQuery(uint16_t port, bool is_resteer);
-  void OnRelayTimeout(uint16_t port, uint64_t generation);
+  void OnRelayTimeout(uint16_t port);
   void SendProbe(size_t member_index);
-  void OnProbeTimeout(uint16_t port, uint64_t generation);
+  void OnProbeTimeout(uint16_t port);
   void OnRotationTick();
   // Arms the staggered per-member probe timers and the rotation timer,
   // cancelling any that are still pending (idempotent re-arm).
   void ArmTimers();
+  void CancelTimers();
   void RespondToClient(const Pending& pending, Message response);
   // Answers `done` with SERVFAIL, attributing the fast-fail to `cause` with
   // the deciding observed/limit snapshot in the audit log and trace stream.
@@ -210,15 +211,14 @@ class FleetFrontend : public DatagramHandler, public CrashResettable {
   FlatMap<HostAddress, std::array<uint64_t, 2>> steered_;
   FlatMap<uint16_t, Pending> pending_;
   FlatMap<uint16_t, PendingProbe> probe_pending_;
-  // Cancellation handles for the periodic work: a crash cancels these so a
+  // The pending event of each periodic loop: a crash cancels these so a
   // dead frontend stops probing, and the restart handler re-arms them.
-  std::vector<CancelToken> probe_timers_;
-  CancelToken rotation_timer_;
+  std::vector<EventId> probe_timers_;
+  EventId rotation_timer_;
   bool started_ = false;
   uint64_t epoch_ = 0;
   size_t next_member_ = 0;  // Round-robin cursor.
   uint16_t next_port_ = 2048;
-  uint64_t next_generation_ = 1;
   uint16_t next_probe_id_ = 1;
 
   uint64_t requests_received_ = 0;

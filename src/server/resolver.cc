@@ -399,37 +399,32 @@ void RecursiveResolver::HandleClientRequest(const Datagram& dgram, Message query
   const Question& q = request.query.Q();
   request.root_task = CreateTask(request_id, /*parent=*/0, /*depth=*/0, q.qname, q.qtype);
 
-  transport_.loop().ScheduleAfter(config_.request_deadline, "resolver.deadline",
-                                  [this, request_id]() {
-    auto it = requests_.find(request_id);
-    if (it == requests_.end() || it->second.done) {
-      return;
-    }
-    // Deadline exceeded: tear down the resolution tree and answer stale if
-    // possible, SERVFAIL otherwise.
-    const uint64_t root = it->second.root_task;
-    FailChildrenOf(root);
-    EraseTask(root);
-    ObserveAmplification(it->second);
-    if (!TryServeStale(it->second)) {
-      if (obs_ != nullptr) {
-        const ClientRequest& expired = it->second;
-        obs_->Decide(
-            {.cause = telemetry::AuditCause::kResolverDeadlineExceeded,
-             .at = transport_.now(),
-             .actor = transport_.local_address(),
-             .client = expired.client.addr,
-             .trace_id = TraceIdFor(expired),
-             .span_id = telemetry::kClientSpanId,
-             .observed = static_cast<double>(config_.request_deadline),
-             .limit = static_cast<double>(config_.request_deadline),
-             .qname = expired.query.Q().qname.ToString()});
-      }
-      Message response = MakeResponse(it->second.query, Rcode::kServFail);
-      RespondToClient(it->second, std::move(response));
-    }
-    requests_.erase(request_id);
-  });
+  request.deadline = transport_.loop().ScheduleAfter(
+      config_.request_deadline, "resolver.deadline", [this, request_id]() {
+        // Deadline exceeded: tear down the resolution tree and answer stale
+        // if possible, SERVFAIL otherwise.
+        ClientRequest& expired = requests_.at(request_id);
+        FailChildrenOf(expired.root_task);
+        EraseTask(expired.root_task);
+        ObserveAmplification(expired);
+        if (!TryServeStale(expired)) {
+          if (obs_ != nullptr) {
+            obs_->Decide(
+                {.cause = telemetry::AuditCause::kResolverDeadlineExceeded,
+                 .at = transport_.now(),
+                 .actor = transport_.local_address(),
+                 .client = expired.client.addr,
+                 .trace_id = TraceIdFor(expired),
+                 .span_id = telemetry::kClientSpanId,
+                 .observed = static_cast<double>(config_.request_deadline),
+                 .limit = static_cast<double>(config_.request_deadline),
+                 .qname = expired.query.Q().qname.ToString()});
+          }
+          Message response = MakeResponse(expired.query, Rcode::kServFail);
+          RespondToClient(expired, std::move(response));
+        }
+        requests_.erase(request_id);
+      });
 
   RunTask(request.root_task);
 }
@@ -772,13 +767,14 @@ void RecursiveResolver::SendQuery(uint64_t task_id) {
   t.query_port = port;
   const uint16_t qid = static_cast<uint16_t>(rng_.Next());
   OutstandingQuery& oq = outstanding_[port];
+  // Live only if AllocatePort, out of free ports, reused a busy one.
+  transport_.loop().Cancel(oq.timer);
   oq.task_id = task_id;
   oq.id = qid;
   oq.server = server;
   oq.qname = sname;
   oq.qtype = stype;
   oq.retries_left = config_.upstream_retries;
-  oq.generation = next_generation_++;
   oq.sent_at = now;
   oq.attempt = 0;
 
@@ -841,19 +837,13 @@ void RecursiveResolver::SendQuery(uint64_t task_id) {
     }
   }
 
-  const uint64_t generation = oq.generation;
-  transport_.loop().ScheduleAfter(AttemptTimeout(server, /*attempt=*/0),
-                                  "resolver.timeout", [this, port, generation]() {
-                                    OnQueryTimeout(port, generation);
-                                  });
+  oq.timer = transport_.loop().ScheduleAfter(
+      AttemptTimeout(server, /*attempt=*/0), "resolver.timeout",
+      [this, port]() { OnQueryTimeout(port); });
 }
 
-void RecursiveResolver::OnQueryTimeout(uint16_t port, uint64_t generation) {
-  auto it = outstanding_.find(port);
-  if (it == outstanding_.end() || it->second.generation != generation) {
-    return;
-  }
-  OutstandingQuery& oq = it->second;
+void RecursiveResolver::OnQueryTimeout(uint16_t port) {
+  OutstandingQuery& oq = outstanding_.at(port);
   auto tit = tasks_.find(oq.task_id);
   if (tit == tasks_.end()) {
     outstanding_.erase(port);
@@ -885,7 +875,6 @@ void RecursiveResolver::OnQueryTimeout(uint16_t port, uint64_t generation) {
     oq.sent_at = now;
     oq.sent = false;
     ++upstream_retries_;
-    oq.generation = next_generation_++;
     // The retransmission opens a fresh span caused by the timed-out attempt,
     // so retry storms are visible as chains in the span tree.
     oq.parent_span_id = oq.span_id;
@@ -927,11 +916,9 @@ void RecursiveResolver::OnQueryTimeout(uint16_t port, uint64_t generation) {
     } else {
       ++egress_rate_limited_;
     }
-    const uint64_t new_generation = oq.generation;
-    transport_.loop().ScheduleAfter(AttemptTimeout(oq.server, oq.attempt),
-                                    "resolver.timeout", [this, port, new_generation]() {
-                                      OnQueryTimeout(port, new_generation);
-                                    });
+    oq.timer = transport_.loop().ScheduleAfter(
+        AttemptTimeout(oq.server, oq.attempt), "resolver.timeout",
+        [this, port]() { OnQueryTimeout(port); });
     return;
   }
   const uint64_t task_id = oq.task_id;
@@ -976,6 +963,7 @@ void RecursiveResolver::HandleUpstreamResponse(const Datagram& dgram, Message re
   }
   const OutstandingQuery oq = std::move(it->second);
   outstanding_.erase(dgram.dst.port);
+  transport_.loop().Cancel(oq.timer);
 
   // Health sample for the answering server. For retransmitted queries the
   // RTT is measured from the latest transmission, which may undershoot when
@@ -1173,6 +1161,7 @@ void RecursiveResolver::EraseTask(uint64_t task_id) {
 void RecursiveResolver::SweepOrphans() {
   for (const auto& [port, task_id] : orphans_) {
     if (OwnsLiveQuery(port, task_id)) {
+      transport_.loop().Cancel(outstanding_.at(port).timer);
       outstanding_.erase(port);
     }
   }
@@ -1229,7 +1218,7 @@ void RecursiveResolver::CompleteTask(uint64_t task_id, TaskStatus status,
     return;
   }
   ClientRequest& request = rit->second;
-  request.done = true;
+  transport_.loop().Cancel(request.deadline);
   ObserveAmplification(request);
   Message response = MakeResponse(request.query, Rcode::kNoError);
   switch (status) {
@@ -1262,6 +1251,13 @@ void RecursiveResolver::CompleteTask(uint64_t task_id, TaskStatus status,
 // ---------------------------------------------------------------------------
 
 void RecursiveResolver::CrashReset() {
+  EventLoop& loop = transport_.loop();
+  for (const auto& [id, request] : requests_) {
+    loop.Cancel(request.deadline);
+  }
+  for (const auto& [port, oq] : outstanding_) {
+    loop.Cancel(oq.timer);
+  }
   requests_.clear();
   tasks_.clear();
   outstanding_.clear();
@@ -1270,8 +1266,7 @@ void RecursiveResolver::CrashReset() {
   nsec_cache_.clear();
   ingress_rrl_state_.clear();
   egress_rl_state_.clear();
-  // Pending timeout/deadline timers find their request/query gone and
-  // no-op; statistics counters survive (they model external observation).
+  // Statistics counters survive (they model external observation).
 }
 
 size_t RecursiveResolver::MemoryFootprint() const {

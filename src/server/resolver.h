@@ -142,7 +142,7 @@ class RecursiveResolver : public DatagramHandler, public CrashResettable {
 
   // Simulated process crash: drops every client request, resolution task,
   // outstanding upstream query, and the (in-memory) cache, as a restart
-  // would. Stale timers for the dropped state become no-ops.
+  // would, cancelling the timers of the dropped state.
   void CrashReset() override;
 
  private:
@@ -156,8 +156,7 @@ class RecursiveResolver : public DatagramHandler, public CrashResettable {
     Message query;
     uint64_t root_task = 0;
     int fetches = 0;
-    uint64_t deadline_generation = 0;
-    bool done = false;
+    EventId deadline;  // Unset for requests answered from cache.
   };
 
   struct Task {
@@ -197,7 +196,7 @@ class RecursiveResolver : public DatagramHandler, public CrashResettable {
     Name qname;
     RecordType qtype = RecordType::kA;
     int retries_left = 0;
-    uint64_t generation = 0;
+    EventId timer;  // The latest transmission's timeout.
     Time sent_at = 0;   // Last transmission time (feeds the SRTT sample).
     int attempt = 0;    // 0 = initial send; grows with each retransmission.
     bool sent = false;  // False when the egress rate limit dropped the send.
@@ -232,7 +231,7 @@ class RecursiveResolver : public DatagramHandler, public CrashResettable {
                       const Name& qname, RecordType qtype);
   void RunTask(uint64_t task_id);
   void SendQuery(uint64_t task_id);
-  void OnQueryTimeout(uint16_t port, uint64_t generation);
+  void OnQueryTimeout(uint16_t port);
   void TryNextServer(uint64_t task_id);
   void SpawnNsChildren(uint64_t task_id);
   void CompleteTask(uint64_t task_id, TaskStatus status, const RrSet& records);
@@ -312,7 +311,6 @@ class RecursiveResolver : public DatagramHandler, public CrashResettable {
 
   uint64_t next_request_id_ = 1;
   uint64_t next_task_id_ = 1;
-  uint64_t next_generation_ = 1;
   // Sub-query span ids; kClientSpanId is reserved for root client spans.
   uint32_t next_span_id_ = telemetry::kClientSpanId + 1;
   uint16_t next_port_ = 1024;

@@ -100,6 +100,8 @@ void StubClient::LaunchRequest() {
   }
   const uint16_t port = AllocatePort();
   Pending& p = pending_[port];
+  // Live only if AllocatePort, out of free ports, reused a busy one.
+  transport_.loop().Cancel(p.timer);
   p.seq = next_seq_++;
   p.sent_at = transport_.now();
   p.attempts_left = config_.retries;
@@ -115,7 +117,6 @@ void StubClient::SendAttempt(uint16_t port) {
     return;
   }
   Pending& p = it->second;
-  p.generation = next_generation_++;
   const HostAddress resolver = resolvers_[p.resolver_index % resolvers_.size()];
   if (p.wire.empty()) {
     const Question q = generator_(p.seq);
@@ -136,11 +137,9 @@ void StubClient::SendAttempt(uint16_t port) {
                /*peer=*/resolver);
   }
 
-  const uint64_t generation = p.generation;
-  transport_.loop().ScheduleAfter(config_.timeout, "stub.timeout",
-                                  [this, port, generation]() {
-                                    OnTimeout(port, generation);
-                                  });
+  transport_.loop().Cancel(p.timer);
+  p.timer = transport_.loop().ScheduleAfter(
+      config_.timeout, "stub.timeout", [this, port]() { OnTimeout(port); });
 }
 
 void StubClient::Finish(uint16_t port, bool success, Time now) {
@@ -150,6 +149,7 @@ void StubClient::Finish(uint16_t port, bool success, Time now) {
   }
   const Pending p = it->second;
   pending_.erase(port);
+  transport_.loop().Cancel(p.timer);
   if (success) {
     ++succeeded_;
     latency_.Add(static_cast<double>(now - p.sent_at));
@@ -220,12 +220,8 @@ void StubClient::HandleDatagram(const Datagram& dgram) {
   Finish(dgram.dst.port, success, now);
 }
 
-void StubClient::OnTimeout(uint16_t port, uint64_t generation) {
-  auto it = pending_.find(port);
-  if (it == pending_.end() || it->second.generation != generation) {
-    return;
-  }
-  Pending& p = it->second;
+void StubClient::OnTimeout(uint16_t port) {
+  Pending& p = pending_.at(port);
   if (p.attempts_left > 0) {
     --p.attempts_left;
     p.resolver_index = (p.resolver_index + 1) % std::max<size_t>(1, resolvers_.size());

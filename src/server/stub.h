@@ -86,7 +86,7 @@ class StubClient : public DatagramHandler {
     Time sent_at = 0;
     int attempts_left = 0;
     size_t resolver_index = 0;
-    uint64_t generation = 0;
+    EventId timer;  // The current attempt's timeout.
     // Cached encoding of this request: the question is a pure function of
     // `seq`, so retries resend the same bytes without re-encoding.
     WireBytes wire;
@@ -94,7 +94,7 @@ class StubClient : public DatagramHandler {
 
   void LaunchRequest();
   void SendAttempt(uint16_t port);
-  void OnTimeout(uint16_t port, uint64_t generation);
+  void OnTimeout(uint16_t port);
   void Finish(uint16_t port, bool success, Time now);
   uint16_t AllocatePort();
 
@@ -107,7 +107,6 @@ class StubClient : public DatagramHandler {
   Time paused_until_ = 0;          // Set by DCC-aware policing handling.
   uint64_t next_seq_ = 0;
   uint16_t next_port_ = 10000;
-  uint64_t next_generation_ = 1;
 
   uint64_t requests_sent_ = 0;
   uint64_t succeeded_ = 0;

@@ -71,49 +71,49 @@ void EventLoop::InstallLogClock() {
   SetLogClock([this]() { return static_cast<uint64_t>(now_); });
 }
 
-void EventLoop::ScheduleAt(Time t, Handler fn) {
-  Schedule(t, kUncategorized, std::move(fn), nullptr);
+EventId EventLoop::ScheduleAt(Time t, Handler fn) {
+  return Schedule(t, kUncategorized, std::move(fn));
 }
 
-void EventLoop::ScheduleAt(Time t, const char* category, Handler fn) {
-  Schedule(t, category, std::move(fn), nullptr);
+EventId EventLoop::ScheduleAt(Time t, const char* category, Handler fn) {
+  return Schedule(t, category, std::move(fn));
 }
 
-void EventLoop::ScheduleAfter(Duration delay, Handler fn) {
-  Schedule(now_ + std::max<Duration>(0, delay), kUncategorized, std::move(fn),
-           nullptr);
+EventId EventLoop::ScheduleAfter(Duration delay, Handler fn) {
+  return Schedule(now_ + std::max<Duration>(0, delay), kUncategorized,
+                  std::move(fn));
 }
 
-void EventLoop::ScheduleAfter(Duration delay, const char* category, Handler fn) {
-  Schedule(now_ + std::max<Duration>(0, delay), category, std::move(fn),
-           nullptr);
+EventId EventLoop::ScheduleAfter(Duration delay, const char* category,
+                                 Handler fn) {
+  return Schedule(now_ + std::max<Duration>(0, delay), category,
+                  std::move(fn));
 }
 
-CancelToken EventLoop::ScheduleCancelableAt(Time t, const char* category,
-                                            Handler fn) {
-  auto flag = std::make_shared<bool>(false);
-  Schedule(t, category, std::move(fn), flag);
-  return CancelToken(std::move(flag));
-}
-
-CancelToken EventLoop::ScheduleCancelableAfter(Duration delay,
-                                               const char* category,
-                                               Handler fn) {
-  return ScheduleCancelableAt(now_ + std::max<Duration>(0, delay), category,
-                              std::move(fn));
-}
-
-CancelToken EventLoop::SchedulePeriodic(Duration period, Handler fn,
-                                        Time until) {
-  return SchedulePeriodic(period, "event.periodic", std::move(fn), until);
-}
-
-CancelToken EventLoop::SchedulePeriodic(Duration period, const char* category,
-                                        Handler fn, Time until) {
-  if (period <= 0 || now_ + period > until) {
-    return CancelToken();
+void EventLoop::Cancel(EventId id) {
+  if (id.slot >= slots_.size()) {
+    return;
   }
-  auto flag = std::make_shared<bool>(false);
+  const uint32_t pos = slots_[id.slot].heap_pos;
+  // A reused slot holds a later event, whose seq differs.
+  if (pos == kNotQueued || heap_[pos].seq != id.seq) {
+    return;
+  }
+  // Destroyed on return, after the heap is whole again: a capture's
+  // destructor may itself schedule or cancel.
+  Handler dead = std::move(slots_[id.slot].fn);
+  Remove(pos);
+}
+
+void EventLoop::SchedulePeriodic(Duration period, Handler fn, Time until) {
+  SchedulePeriodic(period, "event.periodic", std::move(fn), until);
+}
+
+void EventLoop::SchedulePeriodic(Duration period, const char* category,
+                                 Handler fn, Time until) {
+  if (period <= 0 || now_ + period > until) {
+    return;
+  }
   // The handler lives in shared state: each tick re-arms by copying a
   // shared_ptr (one refcount bump) instead of copying the std::function —
   // periodic samplers capture probe tables that used to be cloned per tick.
@@ -123,28 +123,21 @@ CancelToken EventLoop::SchedulePeriodic(Duration period, const char* category,
     const char* category;
     Handler fn;
     Time until;
-    std::shared_ptr<bool> cancelled;
 
     void Arm(std::shared_ptr<Tick> self) {
       EventLoop* target = loop;
-      const Time at = target->now_ + period;
-      const char* label = category;
-      std::shared_ptr<bool> flag_copy = cancelled;
-      target->Schedule(at, label,
+      target->Schedule(target->now_ + period, category,
                        [self = std::move(self)]() {
                          self->fn();
-                         if (!*self->cancelled &&
-                             self->loop->now_ + self->period <= self->until) {
+                         if (self->loop->now_ + self->period <= self->until) {
                            self->Arm(self);
                          }
-                       },
-                       std::move(flag_copy));
+                       });
     }
   };
   auto tick = std::make_shared<Tick>(
-      Tick{this, period, category, std::move(fn), until, flag});
+      Tick{this, period, category, std::move(fn), until});
   tick->Arm(tick);
-  return CancelToken(std::move(flag));
 }
 
 void EventLoop::ScheduleSeries(uint64_t count,
@@ -173,18 +166,15 @@ void EventLoop::ArmSeries(std::unique_ptr<Series> series, uint64_t index) {
            ArmSeries(std::move(series), index + 1);
          }
          self.fn(index);
-       },
-       nullptr);
+       });
 }
 
-void EventLoop::Schedule(Time t, const char* category, Handler&& fn,
-                         std::shared_ptr<bool> cancel) {
-  Push(std::max(t, now_), next_seq_++, category, std::move(fn),
-       std::move(cancel));
+EventId EventLoop::Schedule(Time t, const char* category, Handler&& fn) {
+  return Push(std::max(t, now_), next_seq_++, category, std::move(fn));
 }
 
-void EventLoop::Push(Time when, uint64_t seq, const char* category,
-                     Handler&& fn, std::shared_ptr<bool> cancel) {
+EventId EventLoop::Push(Time when, uint64_t seq, const char* category,
+                        Handler&& fn) {
   if (free_slots_.empty()) {
     free_slots_.push_back(static_cast<uint32_t>(slots_.size()));
     slots_.emplace_back();
@@ -195,34 +185,30 @@ void EventLoop::Push(Time when, uint64_t seq, const char* category,
   entry.fn = std::move(fn);
   entry.category = category;
   entry.enqueued_at = now_;
-  entry.cancelled = std::move(cancel);
-  // Sift the new key up from the end, moving parents down into the hole.
-  const Key key{when, seq, slot};
-  size_t i = heap_.size();
-  heap_.push_back(key);
+  heap_.emplace_back();
+  SiftUp(heap_.size() - 1, Key{when, seq, slot});
+  max_pending_ = std::max(max_pending_, heap_.size());
+  g_max_pending = std::max(g_max_pending, heap_.size());
+  prof::RecordQueueDepth(heap_.size());
+  return EventId{slot, seq};
+}
+
+void EventLoop::SiftUp(size_t i, Key key) {
+  // Move parents down into the hole until the key's place is found.
   while (i > 0) {
     const size_t parent = (i - 1) / kArity;
     if (!(key < heap_[parent])) {
       break;
     }
-    heap_[i] = heap_[parent];
+    Place(i, heap_[parent]);
     i = parent;
   }
-  heap_[i] = key;
-  max_pending_ = std::max(max_pending_, heap_.size());
-  g_max_pending = std::max(g_max_pending, heap_.size());
-  prof::RecordQueueDepth(heap_.size());
+  Place(i, key);
 }
 
-void EventLoop::PopTop() {
-  // Sift the last key down from the root, moving the least child up.
-  const Key last = heap_.back();
-  heap_.pop_back();
+void EventLoop::SiftDown(size_t i, Key key) {
+  // Move the least child up into the hole until the key's place is found.
   const size_t n = heap_.size();
-  if (n == 0) {
-    return;
-  }
-  size_t i = 0;
   for (;;) {
     const size_t first = i * kArity + 1;
     if (first >= n) {
@@ -235,13 +221,30 @@ void EventLoop::PopTop() {
         least = c;
       }
     }
-    if (!(heap_[least] < last)) {
+    if (!(heap_[least] < key)) {
       break;
     }
-    heap_[i] = heap_[least];
+    Place(i, heap_[least]);
     i = least;
   }
-  heap_[i] = last;
+  Place(i, key);
+}
+
+void EventLoop::Remove(size_t i) {
+  const uint32_t slot = heap_[i].slot;
+  slots_[slot].heap_pos = kNotQueued;
+  free_slots_.push_back(slot);
+  // Refill the hole with the last key, which may belong above or below it.
+  const Key last = heap_.back();
+  heap_.pop_back();
+  if (i == heap_.size()) {
+    return;
+  }
+  if (i > 0 && last < heap_[(i - 1) / kArity]) {
+    SiftUp(i, last);
+  } else {
+    SiftDown(i, last);
+  }
 }
 
 size_t EventLoop::Run(Time until) {
@@ -254,20 +257,13 @@ size_t EventLoop::Run(Time until) {
       now_ = until;
       return executed;
     }
-    PopTop();
     // Take everything out of the slot and recycle it before the handler
     // runs: the handler may schedule, which can reuse or reallocate slots_.
     Slot& slot = slots_[top.slot];
     Handler fn = std::move(slot.fn);
     const char* category = slot.category;
     const Time enqueued_at = slot.enqueued_at;
-    const bool cancelled = slot.cancelled != nullptr && *slot.cancelled;
-    slot.cancelled.reset();
-    free_slots_.push_back(top.slot);
-    if (cancelled) {
-      ++cancelled_skipped_;
-      continue;
-    }
+    Remove(0);
     now_ = top.when;
     {
       // Profiling only reads the host clock and thread-local counters, so

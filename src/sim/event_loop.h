@@ -27,12 +27,13 @@
 // labels: they never affect ordering, so labeled and unlabeled runs are
 // event-for-event identical.
 //
-// Cancellation: the Cancelable schedule variants and SchedulePeriodic return
-// a CancelToken. Cancelling marks the pending event(s) dead (a tombstone);
-// the loop skips dead events when their time drains without counting them
-// as executed or advancing the clock, so a cancelled retransmit timer or a
-// crashed node's periodic probe costs nothing and never shows up in the
-// profile.
+// Cancellation: every schedule call returns an EventId, and Cancel(id)
+// takes that event out of the heap at once (each slot records where its
+// key sits in the heap) and destroys its handler. A cancelled event never
+// runs, never counts as executed and never shows up in pending() or the
+// profile. Cancel draws no sequence number, so the events left run exactly
+// as before. A stale id (its event already ran or was cancelled, even if
+// its slot has been reused since) cancels nothing.
 
 #ifndef SRC_SIM_EVENT_LOOP_H_
 #define SRC_SIM_EVENT_LOOP_H_
@@ -56,29 +57,11 @@ class Observer;
 
 class EventLoop;
 
-// Handle to a scheduled (or periodic) event. Copyable; all copies refer to
-// the same underlying schedule. A default-constructed token is inert.
-class CancelToken {
- public:
-  CancelToken() = default;
-
-  // Marks the schedule dead. Idempotent; no-op on an inert token. The
-  // pending event is skipped (not executed, not counted) at drain time, and
-  // a periodic schedule stops re-arming.
-  void Cancel() const {
-    if (flag_ != nullptr) {
-      *flag_ = true;
-    }
-  }
-
-  // True while this token refers to a schedule that has not been cancelled.
-  bool active() const { return flag_ != nullptr && !*flag_; }
-
- private:
-  friend class EventLoop;
-  explicit CancelToken(std::shared_ptr<bool> flag) : flag_(std::move(flag)) {}
-
-  std::shared_ptr<bool> flag_;
+// Names one scheduled event for Cancel(). A default-constructed id names
+// nothing.
+struct EventId {
+  uint32_t slot = UINT32_MAX;
+  uint64_t seq = 0;
 };
 
 class EventLoop {
@@ -86,10 +69,10 @@ class EventLoop {
   // The work an event runs: a move-only `void()` callable. Captures of up
   // to kInlineBytes live inside the handler, so scheduling the common
   // closures (a network delivery `[this, src, dst, payload]` is 32 bytes, a
-  // timeout `[this, port, generation]` 24) allocates nothing; larger or
-  // over-aligned ones, and ones that may throw when moved, are moved to
-  // the heap. Calling an empty (default-constructed or moved-from) handler
-  // is undefined.
+  // timeout `[this, port]` 16) allocates nothing; larger or over-aligned
+  // ones, and ones that may throw when moved, are moved to the heap.
+  // Calling an empty (default-constructed or moved-from) handler is
+  // undefined.
   class Handler {
    public:
     static constexpr size_t kInlineBytes = 48;
@@ -193,30 +176,27 @@ class EventLoop {
 
   // Schedules `fn` at absolute time `t` (clamped to `now`). `category` must
   // be a string literal (or otherwise outlive the loop); it labels the event
-  // for the profiler's per-category table and flamegraph output.
-  void ScheduleAt(Time t, Handler fn);
-  void ScheduleAt(Time t, const char* category, Handler fn);
+  // for the profiler's per-category table and flamegraph output. The
+  // returned id can cancel the event until it runs.
+  EventId ScheduleAt(Time t, Handler fn);
+  EventId ScheduleAt(Time t, const char* category, Handler fn);
 
   // Schedules `fn` after `delay` from now.
-  void ScheduleAfter(Duration delay, Handler fn);
-  void ScheduleAfter(Duration delay, const char* category, Handler fn);
+  EventId ScheduleAfter(Duration delay, Handler fn);
+  EventId ScheduleAfter(Duration delay, const char* category, Handler fn);
 
-  // Like ScheduleAt/ScheduleAfter, but returns a token that can cancel the
-  // event before it fires. A cancelled event is skipped at drain time and
-  // does not count as executed.
-  CancelToken ScheduleCancelableAt(Time t, const char* category, Handler fn);
-  CancelToken ScheduleCancelableAfter(Duration delay, const char* category,
-                                      Handler fn);
+  // Takes the event out of the pending set and destroys its handler. A
+  // no-op for an id whose event has already run or been cancelled, and for
+  // a default-constructed id.
+  void Cancel(EventId id);
 
   // Schedules `fn` every `period`, starting at now + period, until the loop
-  // stops, `until` is reached (kTimeInfinity = forever), or the returned
-  // token is cancelled. The handler is stored once in shared state:
-  // re-arming each tick copies a shared_ptr, not the handler itself
-  // (periodic samplers capture non-trivial state).
-  CancelToken SchedulePeriodic(Duration period, Handler fn,
-                               Time until = kTimeInfinity);
-  CancelToken SchedulePeriodic(Duration period, const char* category,
-                               Handler fn, Time until = kTimeInfinity);
+  // stops or `until` is reached (kTimeInfinity = forever). The handler is
+  // stored once in shared state: re-arming each tick copies a shared_ptr,
+  // not the handler itself (periodic samplers capture non-trivial state).
+  void SchedulePeriodic(Duration period, Handler fn, Time until = kTimeInfinity);
+  void SchedulePeriodic(Duration period, const char* category, Handler fn,
+                        Time until = kTimeInfinity);
 
   // Schedules `count` events: member i runs `fn(i)` at `when(i)` (clamped to
   // now). `when` must be non-decreasing in i. The series takes `count`
@@ -250,17 +230,13 @@ class EventLoop {
 
   void Stop() { stopped_ = true; }
 
-  // Events in the heap: live ones plus cancelled-but-not-yet-reaped ones
-  // (cancelled events leave this count when their timestamp drains). A
-  // series counts once, for its next member.
+  // Events in the heap, all live: a cancelled event leaves at once. A series
+  // counts once, for its next member.
   size_t pending() const { return heap_.size(); }
 
   // Highest pending() observed since construction. Always tracked (two
   // instructions per schedule); the profiler report includes it.
   size_t max_pending() const { return max_pending_; }
-
-  // Events skipped at drain time because their token was cancelled first.
-  uint64_t cancelled_skipped() const { return cancelled_skipped_; }
 
  private:
   // Heap entry: ordering key plus the index of the event's slot.
@@ -273,22 +249,31 @@ class EventLoop {
       return when != other.when ? when < other.when : seq < other.seq;
     }
   };
+  // Slot::heap_pos of a slot whose event is not in the heap.
+  static constexpr uint32_t kNotQueued = UINT32_MAX;
   struct Slot {
     Handler fn;
     const char* category = nullptr;  // Set while in use; label only.
     Time enqueued_at = 0;  // Virtual enqueue time, for schedule-to-run lag.
-    std::shared_ptr<bool> cancelled;  // Null for non-cancellable events.
+    uint32_t heap_pos = kNotQueued;  // Index of the event's key in heap_.
   };
 
   struct Series;
 
-  void Schedule(Time t, const char* category, Handler&& fn,
-                std::shared_ptr<bool> cancel);
+  EventId Schedule(Time t, const char* category, Handler&& fn);
   // Inserts an event with an explicit key; `when` must not be before now.
-  void Push(Time when, uint64_t seq, const char* category, Handler&& fn,
-            std::shared_ptr<bool> cancel);
+  EventId Push(Time when, uint64_t seq, const char* category, Handler&& fn);
   void ArmSeries(std::unique_ptr<Series> series, uint64_t index);
-  void PopTop();
+  // Takes the key at heap_[i] out of the heap and frees its slot.
+  void Remove(size_t i);
+  // Place `key` in the hole at heap_[i], moving it up toward the root or
+  // down toward the leaves, and keep heap_pos current for every key moved.
+  void SiftUp(size_t i, Key key);
+  void SiftDown(size_t i, Key key);
+  void Place(size_t i, Key key) {
+    heap_[i] = key;
+    slots_[key.slot].heap_pos = static_cast<uint32_t>(i);
+  }
 
   std::vector<Key> heap_;         // 4-ary min-heap by (when, seq).
   std::vector<Slot> slots_;       // Indexed by Key::slot.
@@ -297,7 +282,6 @@ class EventLoop {
   Time now_ = 0;
   uint64_t next_seq_ = 0;
   size_t max_pending_ = 0;
-  uint64_t cancelled_skipped_ = 0;
   uint64_t executed_ = 0;  // Events this loop has run.
   bool stopped_ = false;
 };

@@ -1,9 +1,9 @@
 // Event-loop scheduler suite: FIFO stability within a tick, far-future
-// events, cancellation tombstones, Stop() and Run(until) boundaries,
-// zero-delay self-reschedule, a seeded randomized differential test
-// against an independent reference (when, seq) priority queue, series
-// against pre-scheduled members, and the inline handler's storage and
-// ownership.
+// events, cancellation by id, Stop() and Run(until) boundaries, zero-delay
+// self-reschedule, seeded randomized differential tests against an
+// independent reference (when, seq) model (with and without cancels),
+// series against pre-scheduled members, and the inline handler's storage
+// and ownership.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +12,7 @@
 #include <functional>
 #include <memory>
 #include <queue>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -85,17 +86,19 @@ TEST(EventLoopTest, FarFutureEventsKeepOrderAndTime) {
 TEST(EventLoopTest, CancelBeforeFireSkipsWithoutExecuting) {
   EventLoop loop;
   int fired = 0;
-  CancelToken token = loop.ScheduleCancelableAfter(
-      Microseconds(10), "el.cancel", [&]() { ++fired; });
+  const EventId id =
+      loop.ScheduleAfter(Microseconds(10), "el.cancel", [&]() { ++fired; });
   loop.ScheduleAfter(Microseconds(20), "el.after", [&]() { ++fired; });
-  EXPECT_TRUE(token.active());
-  token.Cancel();
-  EXPECT_FALSE(token.active());
+  EXPECT_EQ(loop.pending(), 2u);
+  loop.Cancel(id);
+  EXPECT_EQ(loop.pending(), 1u) << "a cancelled event leaves the heap at once";
+  loop.Cancel(id);  // Idempotent.
+  loop.Cancel(EventId{});  // An unset id names nothing.
+  EXPECT_EQ(loop.pending(), 1u);
   const size_t executed = loop.Run();
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(executed, 1u) << "cancelled events must not count as executed";
-  EXPECT_EQ(loop.cancelled_skipped(), 1u);
-  token.Cancel();  // Idempotent.
+  EXPECT_EQ(loop.now(), Microseconds(20));
 }
 
 TEST(EventLoopTest, StopMidTickKeepsSameTimeSiblings) {
@@ -128,29 +131,38 @@ TEST(EventLoopTest, StopMidTickKeepsSameTimeSiblings) {
 TEST(EventLoopTest, CancelledHeadDoesNotAdvancePastUntil) {
   EventLoop loop;
   int fired = 0;
-  CancelToken head = loop.ScheduleCancelableAt(Microseconds(10), "el.cancel",
-                                               [&]() { ++fired; });
+  const EventId head =
+      loop.ScheduleAt(Microseconds(10), "el.cancel", [&]() { ++fired; });
   loop.ScheduleAt(Microseconds(500), "el.late", [&]() { ++fired; });
-  head.Cancel();
-  EXPECT_EQ(loop.pending(), 2u) << "a cancelled event stays until it drains";
+  loop.Cancel(head);
+  EXPECT_EQ(loop.pending(), 1u) << "a cancelled head leaves the heap at once";
   EXPECT_EQ(loop.Run(Microseconds(100)), 0u);
   EXPECT_EQ(fired, 0);
   EXPECT_EQ(loop.now(), Microseconds(100));
   EXPECT_EQ(loop.pending(), 1u);
-  EXPECT_EQ(loop.cancelled_skipped(), 1u);
 }
 
-TEST(EventLoopTest, PeriodicCancelStopsRearming) {
+TEST(EventLoopTest, StaleIdsCancelNothing) {
   EventLoop loop;
-  int ticks = 0;
-  CancelToken token;
-  token = loop.SchedulePeriodic(Microseconds(10), "el.periodic",
-                                [&]() { ++ticks; });
-  loop.ScheduleAt(Microseconds(35), "el.stopper", [&]() { token.Cancel(); });
-  loop.Run(Seconds(1));
-  // Ticks at 10, 20, 30; the cancel at 35 stops the 40 us tick and all
-  // later ones, so the loop drains instead of running to the horizon.
-  EXPECT_EQ(ticks, 3);
+  std::vector<int> order;
+  const EventId ran =
+      loop.ScheduleAt(Microseconds(10), "el", [&]() { order.push_back(1); });
+  EXPECT_EQ(loop.Run(Microseconds(10)), 1u);
+  // The freed slot is reused by the next schedule; the old id still names
+  // the event that ran, so it must not cancel the new one.
+  const EventId reused =
+      loop.ScheduleAt(Microseconds(20), "el", [&]() { order.push_back(2); });
+  EXPECT_EQ(reused.slot, ran.slot);
+  loop.Cancel(ran);
+  EXPECT_EQ(loop.pending(), 1u);
+  // An event cancelling itself while it runs is a no-op too.
+  EventId self;
+  self = loop.ScheduleAt(Microseconds(30), "el", [&]() {
+    loop.Cancel(self);
+    order.push_back(3);
+  });
+  loop.Run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
 TEST(EventLoopTest, ZeroDelaySelfReschedule) {
@@ -183,6 +195,7 @@ struct RefEvent {
   bool operator>(const RefEvent& other) const {
     return when != other.when ? when > other.when : seq > other.seq;
   }
+  bool operator<(const RefEvent& other) const { return other > *this; }
 };
 
 // Deterministic per-event workload: how many children an event spawns and
@@ -262,6 +275,92 @@ TEST(EventLoopTest, SeededDifferentialAgainstReferenceHeap) {
           << "execution order diverged at event " << i << " (seed " << seed
           << ")";
     }
+  }
+}
+
+// Cancel against a reference model: a sorted set of the live
+// (when, seq, id) events, with seq drawn in schedule order as the loop
+// draws it. A seeded driver schedules on a coarse time grid (so many
+// events tie), cancels ids drawn from every id ever issued (live ones,
+// ones that already ran or were cancelled, ones whose slot a later event
+// has reused) from inside handlers and between Run(until) segments, and
+// requires every event to run in the model's order at the model's time.
+TEST(EventLoopTest, CancelMatchesSortedReferenceModel) {
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    EventLoop loop;
+    Rng rng(seed);
+    std::set<RefEvent, std::less<>> model;
+    std::vector<EventId> ids;   // By event id: every id ever issued.
+    std::vector<RefEvent> keys;  // By event id.
+    uint64_t next_seq = 0;
+    size_t ran = 0;
+    size_t live_cancels = 0;
+    size_t reused_slot_cancels = 0;
+    std::function<void(uint64_t)> body;
+
+    auto schedule = [&]() {
+      const Duration delay = Microseconds(10 * rng.NextBelow(5));
+      const uint64_t id = ids.size();
+      keys.push_back(RefEvent{loop.now() + delay, next_seq++, id});
+      model.insert(keys.back());
+      ids.push_back(loop.ScheduleAfter(delay, "el.model",
+                                       [&body, id]() { body(id); }));
+    };
+    auto cancel = [&]() {
+      const uint64_t victim = rng.NextBelow(ids.size());
+      if (model.erase(keys[victim]) == 1) {
+        ++live_cancels;
+      } else {
+        for (const RefEvent& live : model) {
+          if (ids[live.id].slot == ids[victim].slot) {
+            ++reused_slot_cancels;
+          }
+        }
+      }
+      loop.Cancel(ids[victim]);
+    };
+    auto churn = [&]() {
+      for (uint64_t n = rng.NextBelow(3); n > 0; --n) {
+        schedule();
+      }
+      for (uint64_t n = rng.NextBelow(3); n > 0; --n) {
+        cancel();
+      }
+    };
+    body = [&](uint64_t id) {
+      ASSERT_FALSE(model.empty()) << "seed " << seed;
+      const RefEvent expected = *model.begin();
+      model.erase(model.begin());
+      ASSERT_EQ(id, expected.id) << "seed " << seed << ", event " << ran;
+      ASSERT_EQ(loop.now(), expected.when) << "seed " << seed;
+      ++ran;
+      if (ran < 4000) {
+        churn();
+      }
+      ASSERT_EQ(loop.pending(), model.size()) << "seed " << seed;
+    };
+
+    for (int i = 0; i < 64; ++i) {
+      schedule();
+    }
+    Time until = 0;
+    while (loop.pending() > 0) {
+      if (ran < 4000) {
+        churn();
+      }
+      until += Microseconds(10 * rng.NextBelow(4));
+      loop.Run(until);
+      ASSERT_EQ(loop.now(), until) << "seed " << seed;
+      ASSERT_EQ(loop.pending(), model.size()) << "seed " << seed;
+      if (!model.empty()) {
+        ASSERT_GT(model.begin()->when, until) << "seed " << seed;
+      }
+    }
+    EXPECT_TRUE(model.empty());
+    EXPECT_GE(ran, 4000u);
+    EXPECT_GT(live_cancels, 100u);
+    EXPECT_GT(reused_slot_cancels, 10u)
+        << "the stale-id-on-a-reused-slot case must be exercised";
   }
 }
 
@@ -449,11 +548,9 @@ TEST(EventLoopHandlerTest, HotCapturesAreStoredInline) {
     (void)payload;
   };
   const uint16_t port = 5;
-  const uint64_t generation = 6;
-  auto timeout = [self, port, generation]() {
+  auto timeout = [self, port]() {
     (void)self;
     (void)port;
-    (void)generation;
   };
   static_assert(EventLoop::Handler::kStoredInline<decltype(deliver)>);
   static_assert(EventLoop::Handler::kStoredInline<decltype(timeout)>);
@@ -537,7 +634,16 @@ TEST(EventLoopHandlerTest, UnrunHandlersAreDestroyedWithTheLoop) {
     std::array<uint64_t, 8> padding{};
     loop.ScheduleAt(Seconds(1), "el.inline", [token]() {});
     loop.ScheduleAt(Seconds(2), "el.heap", [token, padding]() { (void)padding; });
-    loop.ScheduleCancelableAt(Seconds(3), "el.cancel", [token]() {}).Cancel();
+    // Cancelled handlers, inline and heap-stored, release their captures at
+    // Cancel, not when the loop drains or dies.
+    const EventId small = loop.ScheduleAt(Seconds(3), "el.cancel", [token]() {});
+    const EventId big = loop.ScheduleAt(Seconds(4), "el.cancel",
+                                        [token, padding]() { (void)padding; });
+    EXPECT_EQ(token.use_count(), 5);
+    loop.Cancel(small);
+    EXPECT_EQ(token.use_count(), 4) << "an inline handler's captures outlived Cancel";
+    loop.Cancel(big);
+    EXPECT_EQ(token.use_count(), 3) << "a heap handler's captures outlived Cancel";
     loop.SchedulePeriodic(Seconds(1), "el.periodic", [token]() {});
     loop.ScheduleSeries(
         5, [](uint64_t i) { return Seconds(static_cast<Duration>(i + 1)); },

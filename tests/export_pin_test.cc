@@ -31,11 +31,11 @@ struct Pin {
 };
 
 constexpr Pin kPins[] = {
-    {"fig8_wc.json", 0x6ab0efa7e0a142d5, 0xe5dbfe4dea5e609c,
+    {"fig8_wc.json", 0x0a5e4192238eec36, 0x3073dc1e2383b8cb,
      0x318fcc7478fabd38, 0xbd4e1516353cfced, 0x108959d0ab292261},
-    {"fleet_blackout.json", 0xf2c8d38e538838b8, 0x2d117bb7fc3e4e05,
+    {"fleet_blackout.json", 0x445090be700fcfc9, 0x9079114104ea8394,
      0x9de49704d9d305cb, 0x623c8a3a11fc83a6, 0x4130230cf4b890a4},
-    {"chain_ff_loss.json", 0x89e124e0a9b6620d, 0x19b5732caae9ea42,
+    {"chain_ff_loss.json", 0x39bf850da416ef86, 0xde96d480165a576b,
      0x17c3a87db034b75f, 0x451b508b4e0c38e3, 0x688d2d3f8746f19e},
 };
 

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -165,6 +166,19 @@ TEST(FaultPlanTest, RejectsNonFiniteAndOverflowingNumbers) {
   FaultPlan reparsed;
   ASSERT_TRUE(ParseFaultPlan(FormatFaultPlan(plan), &reparsed, &error)) << error;
   EXPECT_EQ(reparsed.events[0].end, plan.events[0].end);
+}
+
+TEST(FaultPlanTest, RejectsSeedsThatDoNotFitUnsigned64) {
+  FaultPlan plan;
+  std::string error;
+  for (const char* seed : {"-1", "-0", "18446744073709551616", "99999999999999999999999"}) {
+    const std::string text = std::string("seed ") + seed + "\n";
+    EXPECT_FALSE(ParseFaultPlan(text, &plan, &error)) << seed;
+    EXPECT_EQ(error.rfind("line 1: bad seed value '", 0), 0u) << seed << ": " << error;
+  }
+  ASSERT_TRUE(ParseFaultPlan("seed 18446744073709551615\n", &plan, &error)) << error;
+  EXPECT_EQ(plan.seed, UINT64_MAX);
+  EXPECT_NE(FormatFaultPlan(plan).find("seed 18446744073709551615"), std::string::npos);
 }
 
 TEST(FaultPlanTest, RandomPlanIsDeterministicAndBounded) {

@@ -1,5 +1,5 @@
-// Resolver timeout-path tests: the per-query deadline timer must be a no-op
-// once the answer has arrived, and retry exhaustion against a dead upstream
+// Resolver timeout-path tests: the answer must cancel the request's
+// deadline and its query's timeout, and retry exhaustion against a dead upstream
 // must produce a SERVFAIL plus retry telemetry. The teardown tests pin which
 // orphaned upstream queries a request teardown erases, and when: a query
 // whose task is gone stays outstanding (its late answer still feeds the
@@ -67,7 +67,8 @@ TEST(ResolverTimeoutTest, DeadlineTimerAfterAnswerIsNoOp) {
                                  FixedQuestion("one.wc.target-domain"));
   stub.AddResolver(resolver_addr);
   stub.Start();
-  // Run far past the upstream timeout so the stale deadline timer fires.
+  // Run far past the upstream timeout and the deadline, where timers the
+  // answer failed to cancel would fire.
   bed.RunFor(Seconds(10));
   EXPECT_EQ(stub.succeeded(), 1u);
   EXPECT_EQ(stub.failed(), 0u);

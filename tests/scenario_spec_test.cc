@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -212,6 +213,67 @@ TEST(SpecValidateTest, KindMismatchesAreRejected) {
     spec.network.loss_probability = 1.5;
     EXPECT_NE(ValidationError(spec).find("loss_probability"), std::string::npos);
   }
+}
+
+TEST(SpecValidateTest, DefaultFfSizingThatOverflowsIntIsRejected) {
+  // fig8_ff's attacker zone leaves `instances` to the default sizing, FF
+  // qps x horizon + 8; a qps that pushes it past int is a spec error at
+  // the zone's path, not a wrapped instance count.
+  const ScenarioSpec base = testing_specs::LoadExampleSpec("fig8_ff.json");
+  size_t zone_index = base.zones.size();
+  size_t ff_client = base.clients.size();
+  for (size_t i = 0; i < base.zones.size(); ++i) {
+    if (base.zones[i].kind == ZoneKind::kAttacker) {
+      zone_index = i;
+    }
+  }
+  for (size_t i = 0; i < base.clients.size(); ++i) {
+    if (base.clients[i].pattern == QueryPattern::kFf) {
+      ff_client = i;
+    }
+  }
+  ASSERT_LT(zone_index, base.zones.size());
+  ASSERT_LT(ff_client, base.clients.size());
+  ASSERT_LE(base.zones[zone_index].attacker.instances, 0);
+  const std::string path = "zones[" + std::to_string(zone_index) + "].instances: ";
+  for (double qps : {1e12, 1e300}) {
+    ScenarioSpec spec = base;
+    spec.clients[ff_client].qps = qps;
+    EXPECT_EQ(ValidationError(spec).rfind(path, 0), 0u) << qps;
+  }
+  // The largest sizing that fits is kept exactly.
+  ScenarioSpec spec = base;
+  spec.horizon = Seconds(1);
+  spec.clients[ff_client].qps = std::numeric_limits<int>::max() - 8;
+  std::string error;
+  ASSERT_TRUE(ValidateScenarioSpec(&spec, &error)) << error;
+  EXPECT_EQ(spec.zones[zone_index].attacker.instances, std::numeric_limits<int>::max());
+  spec = base;
+  spec.horizon = Seconds(1);
+  spec.clients[ff_client].qps = std::numeric_limits<int>::max() - 7;
+  EXPECT_EQ(ValidationError(spec).rfind(path, 0), 0u);
+}
+
+TEST(SpecValidateTest, ReplicateIsBoundedBeforeAnythingIsBuilt) {
+  const ScenarioSpec base = testing_specs::LoadExampleSpec("fleet_blackout.json");
+  size_t frontend = base.nodes.size();
+  for (size_t i = 0; i < base.nodes.size(); ++i) {
+    if (base.nodes[i].replicate > 0) {
+      frontend = i;
+    }
+  }
+  ASSERT_LT(frontend, base.nodes.size());
+  const std::string path = "nodes[" + std::to_string(frontend) + "].replicate: ";
+  for (int replicate : {kMaxReplicate + 1, std::numeric_limits<int>::max(), -1}) {
+    ScenarioSpec spec = base;
+    spec.nodes[frontend].replicate = replicate;
+    EXPECT_EQ(ValidationError(spec).rfind(path, 0), 0u) << replicate;
+  }
+  ScenarioSpec spec = base;
+  spec.nodes[frontend].replicate = kMaxReplicate;
+  std::string error;
+  ASSERT_TRUE(ValidateScenarioSpec(&spec, &error)) << error;
+  EXPECT_EQ(spec.nodes[frontend].members.size(), static_cast<size_t>(kMaxReplicate));
 }
 
 // Every committed spec: the paper-figure setups, the fleet and chain
@@ -453,18 +515,18 @@ struct GoldenPin {
 
 const std::vector<GoldenPin>& GoldenPins() {
   static const std::vector<GoldenPin> pins = {
-      {"fig4_a.json", 50, false, 112920, {{250, 0}, {90, 44}, {90, 42}, {90, 39}}},
-      {"fig4_b.json", 50, false, 121158, {{250, 0}, {143, 58}, {144, 62}, {140, 59}}},
-      {"fig4_c.json", 50, false, 119189, {{5000, 715}, {90, 5}, {90, 4}, {90, 4}}},
-      {"fig4_d.json", 50, false, 88027, {{250, 0}, {90, 80}, {90, 75}, {90, 75}}},
-      {"fig8_wc.json", 12, true, 132097, {{7200, 6702}, {4200, 4198}, {0, 0}, {2200, 703}}},
-      {"fig8_nx.json", 12, true, 132162, {{7200, 6702}, {4200, 4198}, {0, 0}, {2200, 704}}},
-      {"fig8_cq.json", 12, true, 132635, {{7200, 6707}, {4200, 4198}, {0, 0}, {200, 0}}},
-      {"fig8_ff.json", 12, true, 130442, {{7200, 6703}, {4200, 4198}, {0, 0}, {100, 0}}},
-      {"fig9_nx.json", 12, false, 188974, {{9004, 8437}, {5251, 5245}, {0, 0}, {1001, 809}}},
-      {"fig9_ff.json", 12, false, 205189, {{9004, 7268}, {5251, 5246}, {0, 0}, {101, 0}}},
-      {"chaos.json", 20, false, 4844, {{800, 800}}},
-      {"chaos_dcc.json", 20, false, 4946, {{800, 800}}},
+      {"fig4_a.json", 50, false, 107936, {{250, 0}, {90, 44}, {90, 42}, {90, 39}}},
+      {"fig4_b.json", 50, false, 113930, {{250, 0}, {143, 58}, {144, 62}, {140, 59}}},
+      {"fig4_c.json", 50, false, 102892, {{5000, 715}, {90, 5}, {90, 4}, {90, 4}}},
+      {"fig4_d.json", 50, false, 81840, {{250, 0}, {90, 80}, {90, 75}, {90, 75}}},
+      {"fig8_wc.json", 12, true, 93344, {{7200, 6702}, {4200, 4198}, {0, 0}, {2200, 703}}},
+      {"fig8_nx.json", 12, true, 93406, {{7200, 6702}, {4200, 4198}, {0, 0}, {2200, 704}}},
+      {"fig8_cq.json", 12, true, 95572, {{7200, 6707}, {4200, 4198}, {0, 0}, {200, 0}}},
+      {"fig8_ff.json", 12, true, 91471, {{7200, 6703}, {4200, 4198}, {0, 0}, {100, 0}}},
+      {"fig9_nx.json", 12, false, 140014, {{9004, 8437}, {5251, 5245}, {0, 0}, {1001, 809}}},
+      {"fig9_ff.json", 12, false, 149135, {{9004, 7268}, {5251, 5246}, {0, 0}, {101, 0}}},
+      {"chaos.json", 20, false, 3579, {{800, 800}}},
+      {"chaos_dcc.json", 20, false, 3681, {{800, 800}}},
   };
   return pins;
 }

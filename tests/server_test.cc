@@ -767,5 +767,156 @@ TEST(StubTest, PacedStartKeepsOneLaunchPending) {
   EXPECT_EQ(stub.failed(), 1891u);  // Sent by 1.990 s: timed out by 2 s.
 }
 
+// --- timers after a teardown -----------------------------------------------
+//
+// A timeout captures only its entry's key (a local port), so a timer left
+// behind by a finished or crash-dropped entry would act on whatever entry
+// holds that port next. Every path that drops an entry cancels its timer;
+// these tests drop an entry, cycle the port allocator until the same port
+// is handed out again, and run past the old timer's time.
+
+// Records every send with its local port; sends nothing anywhere.
+class PortLogTransport : public Transport {
+ public:
+  PortLogTransport(EventLoop& loop, HostAddress address)
+      : loop_(loop), address_(address) {}
+
+  struct Sent {
+    uint16_t port;
+    Endpoint dst;
+    WireBytes payload;
+  };
+
+  void Send(uint16_t src_port, Endpoint dst, WireBytes payload) override {
+    sent.push_back(Sent{src_port, dst, std::move(payload)});
+  }
+  Time now() const override { return loop_.now(); }
+  EventLoop& loop() override { return loop_; }
+  HostAddress local_address() const override { return address_; }
+
+  size_t SentFrom(uint16_t port) const {
+    size_t n = 0;
+    for (const Sent& s : sent) {
+      n += s.port == port ? 1 : 0;
+    }
+    return n;
+  }
+
+  std::vector<Sent> sent;
+
+ private:
+  EventLoop& loop_;
+  HostAddress address_;
+};
+
+TEST(TimerTeardownTest, ResolverCrashCancelsTimersBeforeItsPortsAreReused) {
+  constexpr HostAddress kResolver = 0x0a000002;
+  constexpr HostAddress kAuth = 0x0a000001;
+  constexpr HostAddress kClient = 0x0a000003;
+  EventLoop loop;
+  PortLogTransport transport(loop, kResolver);
+  ResolverConfig config;
+  config.qname_minimization = false;  // One upstream query per request.
+  config.adaptive_retry = false;      // Fixed 1 s upstream timeout.
+  config.upstream_timeout = Seconds(1);
+  config.upstream_retries = 1;
+  config.request_deadline = Seconds(60);
+  RecursiveResolver resolver(transport, config);
+  resolver.AddAuthorityHint(TargetApex(), kAuth);
+  uint16_t next_client_port = 0;
+  auto ask = [&](uint64_t i) {
+    const Name qname = *Name::Parse("q" + std::to_string(i) + ".target-domain");
+    Datagram carrier{{kClient, static_cast<uint16_t>(2000 + next_client_port++ % 50000)},
+                     {kResolver, kDnsPort}, {}};
+    resolver.HandleMessage(carrier, MakeQuery(static_cast<uint16_t>(i), qname,
+                                              RecordType::kA));
+  };
+
+  ask(0);
+  ASSERT_EQ(transport.sent.size(), 1u);
+  const uint16_t port = transport.sent[0].port;
+  EXPECT_EQ(loop.pending(), 2u) << "the upstream timeout and the deadline";
+  loop.Run(Milliseconds(100));
+  resolver.CrashReset();
+  EXPECT_EQ(loop.pending(), 0u) << "a crash must cancel the dropped state's timers";
+
+  // The restarted resolver hands out every other port once, then `port`
+  // again; none is answered, so all stay outstanding.
+  loop.Run(Milliseconds(200));
+  uint64_t asked = 1;
+  do {
+    ask(asked++);
+    ASSERT_LT(asked, 70000u) << "the port allocator never came back to " << port;
+  } while (transport.sent.back().port != port);
+  EXPECT_EQ(resolver.OutstandingQueryCount(), asked - 1);
+  EXPECT_EQ(transport.SentFrom(port), 2u);
+
+  // Every port is now in use, so the allocator hands out its fallback
+  // port, and later the same one again, over the live query there.
+  ask(asked++);
+  const uint16_t fallback = transport.sent.back().port;
+  loop.Run(Milliseconds(500));
+  ask(asked++);
+  EXPECT_EQ(transport.sent.back().port, fallback);
+  EXPECT_EQ(transport.SentFrom(fallback), 2u);
+
+  // The pre-crash timeout was due at 1 s. Had it survived, it would have
+  // timed out the new query on `port` there and retransmitted it.
+  loop.Run(Milliseconds(1100));
+  EXPECT_EQ(transport.SentFrom(port), 2u);
+  EXPECT_EQ(resolver.upstream_tracker().timeouts_observed(), 0u);
+  EXPECT_EQ(resolver.queries_sent(), asked);
+  // At 1.2 s the query on `port` times out and is retransmitted once; the
+  // overwritten query's timeout, due then too, must not touch the query
+  // that replaced it on `fallback`.
+  loop.Run(Milliseconds(1300));
+  EXPECT_EQ(transport.SentFrom(port), 3u);
+  EXPECT_EQ(transport.SentFrom(fallback), 2u);
+  // That query's own timeout (1.5 s) retransmits it.
+  loop.Run(Milliseconds(1600));
+  EXPECT_EQ(transport.SentFrom(fallback), 3u);
+}
+
+TEST(TimerTeardownTest, StubAnswerCancelsItsTimeoutBeforeThePortIsReused) {
+  constexpr HostAddress kResolver = 0x0a000001;
+  EventLoop loop;
+  PortLogTransport transport(loop, 0x0a000009);
+  StubConfig config;
+  config.timeout = Seconds(1);
+  StubClient stub(transport, config,
+                  [](uint64_t) { return Question{TargetApex(), RecordType::kA}; });
+  stub.AddResolver(kResolver);
+  // Request 0 at 0; then one launch per microsecond from 1 ms, enough to
+  // hand out every stub port once and then request 0's port again.
+  constexpr uint64_t kLaunches = 65536 - 10000 + 1;
+  std::vector<Time> times(kLaunches);
+  for (uint64_t i = 1; i < kLaunches; ++i) {
+    times[i] = Milliseconds(1) + static_cast<Duration>(i);
+  }
+  stub.StartWithSchedule(times);
+
+  loop.Run(0);
+  ASSERT_EQ(transport.sent.size(), 1u);
+  const uint16_t port = transport.sent[0].port;
+  EXPECT_EQ(loop.pending(), 2u) << "the next launch and request 0's timeout";
+  const Message query = *DecodeMessage(transport.sent[0].payload);
+  stub.HandleDatagram(Datagram{{kResolver, kDnsPort},
+                               {transport.local_address(), port},
+                               EncodeMessage(MakeResponse(query, Rcode::kNoError))});
+  EXPECT_EQ(stub.succeeded(), 1u);
+  EXPECT_EQ(loop.pending(), 1u) << "the answer must cancel its timeout";
+
+  loop.Run(Milliseconds(500));
+  ASSERT_EQ(transport.sent.size(), kLaunches);
+  EXPECT_EQ(transport.sent.back().port, port) << "the last launch reuses the port";
+  // Request 0's timeout was due at 1 s. Had it survived, it would have
+  // failed the last request there.
+  loop.Run(Seconds(1));
+  EXPECT_EQ(stub.failed(), 0u);
+  loop.Run(Seconds(3));
+  EXPECT_EQ(stub.failed(), kLaunches - 1);
+  EXPECT_EQ(stub.succeeded(), 1u);
+}
+
 }  // namespace
 }  // namespace dcc
