@@ -40,13 +40,14 @@ const CacheEntry* DnsCache::LookupStale(const Name& name, RecordType type, Time 
   return &it->second;
 }
 
-void DnsCache::EvictOneIfFull() {
-  if (entries_.size() < max_entries_) {
+void DnsCache::EvictOneIfFull(const Key& incoming) {
+  if (entries_.size() < max_entries_ || entries_.contains(incoming)) {
     return;
   }
-  // Unordered eviction of whatever slot iteration yields first; cheap and
-  // adequate for experiment workloads (the cache is sized to avoid pressure).
-  const Key victim = entries_.begin()->first;
+  if (evict_hand_ >= entries_.size()) {
+    evict_hand_ = 0;
+  }
+  const Key victim = (entries_.begin() + static_cast<ptrdiff_t>(evict_hand_++))->first;
   entries_.erase(victim);
 }
 
@@ -55,8 +56,9 @@ void DnsCache::StorePositive(const Name& name, RecordType type, RrSet records, T
   for (const auto& rr : records) {
     ttl = std::max(ttl, rr.ttl);
   }
-  EvictOneIfFull();
-  CacheEntry& entry = entries_[Key{name, type}];
+  const Key key{name, type};
+  EvictOneIfFull(key);
+  CacheEntry& entry = entries_[key];
   entry.kind = CacheEntryKind::kPositive;
   entry.records = std::move(records);
   entry.expiry = now + static_cast<Duration>(ttl) * kSecond;
@@ -64,8 +66,9 @@ void DnsCache::StorePositive(const Name& name, RecordType type, RrSet records, T
 
 void DnsCache::StoreNegative(const Name& name, RecordType type, CacheEntryKind kind,
                              uint32_t ttl, Time now) {
-  EvictOneIfFull();
-  CacheEntry& entry = entries_[Key{name, type}];
+  const Key key{name, type};
+  EvictOneIfFull(key);
+  CacheEntry& entry = entries_[key];
   entry.kind = kind;
   entry.records.clear();
   entry.expiry = now + static_cast<Duration>(ttl) * kSecond;

@@ -78,11 +78,19 @@ class DnsCache {
     }
   };
 
-  void EvictOneIfFull();
+  // Makes room for `incoming` when the cache is full and the key is new.
+  // The victim is the entry under a hand that steps through the table's
+  // dense entry order, one position per eviction, wrapping at the end: O(1)
+  // and a function of the operation sequence alone. An eviction moves the
+  // last (newest) entry into the hole behind the hand, so with no other
+  // erasures every entry present when the cache filled is evicted within
+  // max_entries evictions, oldest position first.
+  void EvictOneIfFull(const Key& incoming);
 
   size_t max_entries_;
   Duration stale_retention_;
   FlatMap<Key, CacheEntry, KeyHash> entries_;
+  size_t evict_hand_ = 0;  // Dense index of the next eviction victim.
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
   uint64_t stale_hits_ = 0;

@@ -58,7 +58,7 @@ Duration Forwarder::AttemptTimeout(HostAddress upstream, int attempt) {
   return std::max<Duration>(static_cast<Duration>(timeout), kMillisecond);
 }
 
-uint16_t Forwarder::AllocatePort() {
+std::optional<uint16_t> Forwarder::AllocatePort() {
   for (int attempts = 0; attempts < 65536; ++attempts) {
     const uint16_t port = next_port_++;
     if (next_port_ == 0) {
@@ -68,7 +68,7 @@ uint16_t Forwarder::AllocatePort() {
       return port;
     }
   }
-  return 1023;
+  return std::nullopt;
 }
 
 void Forwarder::RespondToClient(const Pending& pending, Message response) {
@@ -137,16 +137,24 @@ void Forwarder::HandleDatagram(const Datagram& dgram) {
         return;
       }
     }
-    const uint16_t port = AllocatePort();
-    Pending& pending = pending_[port];
-    // Live only if AllocatePort, out of free ports, reused a busy one.
-    transport_.loop().Cancel(pending.timer);
+    const std::optional<uint16_t> port = AllocatePort();
+    if (!port.has_value()) {
+      // Every local port awaits an upstream answer: refuse this query
+      // rather than overwrite one in flight.
+      Pending refused;
+      refused.client = dgram.src;
+      refused.local_port = dgram.dst.port;
+      refused.query = std::move(*decoded);
+      RespondToClient(refused, MakeResponse(refused.query, Rcode::kServFail));
+      return;
+    }
+    Pending& pending = pending_[*port];
     pending.client = dgram.src;
     pending.local_port = dgram.dst.port;
     pending.query = std::move(*decoded);
     pending.attempts_left = config_.upstream_attempts;
     pending.upstream_index = next_upstream_++ % upstreams_.size();
-    ForwardQuery(port);
+    ForwardQuery(*port);
     return;
   }
 

@@ -7,6 +7,7 @@
 #define SRC_SERVER_FORWARDER_H_
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "src/common/flat_map.h"
@@ -96,7 +97,8 @@ class Forwarder : public DatagramHandler, public CrashResettable {
                    double limit);
   Duration AttemptTimeout(HostAddress upstream, int attempt);
 
-  uint16_t AllocatePort();
+  // A free local port, or nullopt when every one is in use.
+  std::optional<uint16_t> AllocatePort();
 
   Transport& transport_;
   ForwarderConfig config_;

@@ -313,7 +313,7 @@ Duration FleetFrontend::AttemptTimeout(HostAddress member, int attempt) {
   return std::max<Duration>(static_cast<Duration>(timeout), kMillisecond);
 }
 
-uint16_t FleetFrontend::AllocatePort() {
+std::optional<uint16_t> FleetFrontend::AllocatePort() {
   for (int attempts = 0; attempts < 65536; ++attempts) {
     const uint16_t port = next_port_++;
     if (next_port_ == 0) {
@@ -324,7 +324,7 @@ uint16_t FleetFrontend::AllocatePort() {
       return port;
     }
   }
-  return 1023;
+  return std::nullopt;
 }
 
 void FleetFrontend::RespondToClient(const Pending& pending, Message response) {
@@ -407,15 +407,23 @@ void FleetFrontend::HandleDatagram(const Datagram& dgram) {
       ++responses_sent_;
       return;
     }
-    const uint16_t port = AllocatePort();
-    Pending& pending = pending_[port];
-    // Live only if AllocatePort, out of free ports, reused a busy one.
-    transport_.loop().Cancel(pending.timer);
+    const std::optional<uint16_t> port = AllocatePort();
+    if (!port.has_value()) {
+      // Every local port awaits a member's answer: refuse this query
+      // rather than overwrite one in flight.
+      Pending refused;
+      refused.client = dgram.src;
+      refused.local_port = dgram.dst.port;
+      refused.query = std::move(*decoded);
+      RespondToClient(refused, MakeResponse(refused.query, Rcode::kServFail));
+      return;
+    }
+    Pending& pending = pending_[*port];
     pending.client = dgram.src;
     pending.local_port = dgram.dst.port;
     pending.query = std::move(*decoded);
     pending.attempts_left = config_.max_attempts;
-    RelayQuery(port, /*is_resteer=*/false);
+    RelayQuery(*port, /*is_resteer=*/false);
     return;
   }
 
@@ -541,11 +549,13 @@ void FleetFrontend::SendProbe(size_t member_index) {
   if (!parsed.has_value()) {
     return;
   }
-  const uint16_t port = AllocatePort();
+  const std::optional<uint16_t> free_port = AllocatePort();
+  if (!free_port.has_value()) {
+    return;  // Every port is busy; the next probe tick tries again.
+  }
+  const uint16_t port = *free_port;
   const uint16_t id = next_probe_id_++;
   PendingProbe& probe = probe_pending_[port];
-  // Live only if AllocatePort, out of free ports, reused a busy one.
-  transport_.loop().Cancel(probe.timer);
   probe.member = member;
   probe.sent_at = transport_.now();
   probe.query_id = id;

@@ -28,6 +28,7 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -195,7 +196,8 @@ class FleetFrontend : public DatagramHandler, public CrashResettable {
   void FailPending(Pending done, telemetry::AuditCause cause, double observed,
                    double limit);
   Duration AttemptTimeout(HostAddress member, int attempt);
-  uint16_t AllocatePort();
+  // A free local port, or nullopt when every one is in use.
+  std::optional<uint16_t> AllocatePort();
 
   // Counts a relay to `member`; the first of each steering reason registers
   // that reason's `frontend_steered_total` counter.

@@ -104,7 +104,7 @@ void RecursiveResolver::SeedCache(const Name& name, RecordType type, RrSet recor
   cache_.StorePositive(name, type, std::move(records), transport_.now());
 }
 
-uint16_t RecursiveResolver::AllocatePort() {
+std::optional<uint16_t> RecursiveResolver::AllocatePort() {
   for (int attempts = 0; attempts < 65536; ++attempts) {
     const uint16_t port = next_port_++;
     if (next_port_ == 0) {
@@ -114,7 +114,7 @@ uint16_t RecursiveResolver::AllocatePort() {
       return port;
     }
   }
-  return 1023;  // Unreachable in practice (64K outstanding queries).
+  return std::nullopt;
 }
 
 // ---------------------------------------------------------------------------
@@ -763,12 +763,16 @@ void RecursiveResolver::SendQuery(uint64_t task_id) {
       sname.LabelCount() == t.qname.LabelCount() ? t.qtype : RecordType::kNs;
 
   assert(!OwnsLiveQuery(t.query_port, task_id));
-  const uint16_t port = AllocatePort();
+  const std::optional<uint16_t> free_port = AllocatePort();
+  if (!free_port.has_value()) {
+    // No port to ask from: the sub-query fails as if no server answered.
+    CompleteTask(task_id, TaskStatus::kFail, {});
+    return;
+  }
+  const uint16_t port = *free_port;
   t.query_port = port;
   const uint16_t qid = static_cast<uint16_t>(rng_.Next());
   OutstandingQuery& oq = outstanding_[port];
-  // Live only if AllocatePort, out of free ports, reused a busy one.
-  transport_.loop().Cancel(oq.timer);
   oq.task_id = task_id;
   oq.id = qid;
   oq.server = server;

@@ -265,7 +265,8 @@ class RecursiveResolver : public DatagramHandler, public CrashResettable {
   bool PassesIngressRrl(HostAddress client, Rcode rcode);
   bool PassesEgressRl(HostAddress server);
 
-  uint16_t AllocatePort();
+  // A free local port, or nullopt when every one is in use.
+  std::optional<uint16_t> AllocatePort();
 
   // ---- causal tracing / amplification attribution --------------------------
   // End-to-end trace id of `request` (same key the stub and shim derive).

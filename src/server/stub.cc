@@ -47,7 +47,7 @@ double StubClient::SuccessRatio() const {
   return total > 0 ? static_cast<double>(succeeded_) / static_cast<double>(total) : 0.0;
 }
 
-uint16_t StubClient::AllocatePort() {
+std::optional<uint16_t> StubClient::AllocatePort() {
   for (int attempts = 0; attempts < 65536; ++attempts) {
     const uint16_t port = next_port_++;
     if (next_port_ == 0) {
@@ -57,7 +57,7 @@ uint16_t StubClient::AllocatePort() {
       return port;
     }
   }
-  return 1023;
+  return std::nullopt;
 }
 
 void StubClient::Start() {
@@ -98,17 +98,20 @@ void StubClient::LaunchRequest() {
     ++skipped_policed_;
     return;
   }
-  const uint16_t port = AllocatePort();
-  Pending& p = pending_[port];
-  // Live only if AllocatePort, out of free ports, reused a busy one.
-  transport_.loop().Cancel(p.timer);
+  const std::optional<uint16_t> port = AllocatePort();
+  if (!port.has_value()) {
+    ++next_seq_;  // Request i keeps the generator's question i.
+    ++failed_;
+    return;
+  }
+  Pending& p = pending_[*port];
   p.seq = next_seq_++;
   p.sent_at = transport_.now();
   p.attempts_left = config_.retries;
   p.resolver_index = config_.rotate_resolvers && !resolvers_.empty()
                          ? p.seq % resolvers_.size()
                          : preferred_resolver_;
-  SendAttempt(port);
+  SendAttempt(*port);
 }
 
 void StubClient::SendAttempt(uint16_t port) {

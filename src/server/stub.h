@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "src/common/flat_map.h"
@@ -96,7 +97,8 @@ class StubClient : public DatagramHandler {
   void SendAttempt(uint16_t port);
   void OnTimeout(uint16_t port);
   void Finish(uint16_t port, bool success, Time now);
-  uint16_t AllocatePort();
+  // A free local port, or nullopt when every one is in use.
+  std::optional<uint16_t> AllocatePort();
 
   Transport& transport_;
   StubConfig config_;

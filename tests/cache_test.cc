@@ -83,12 +83,35 @@ TEST(DnsCacheTest, OverwriteReplacesEntry) {
 }
 
 TEST(DnsCacheTest, CapacityEvictionKeepsBound) {
-  DnsCache cache(/*max_entries=*/16);
+  constexpr int kMax = 16;
+  DnsCache cache(/*max_entries=*/kMax);
+  DnsCache twin(/*max_entries=*/kMax);
+  auto name = [](int i) { return *Name::Parse("n" + std::to_string(i) + ".example"); };
   for (int i = 0; i < 100; ++i) {
-    const Name name = *Name::Parse("n" + std::to_string(i) + ".example");
-    cache.StorePositive(name, RecordType::kA, {MakeA(name, 300, 1)}, 0);
+    for (DnsCache* c : {&cache, &twin}) {
+      c->StorePositive(name(i), RecordType::kA, {MakeA(name(i), 300, 1)}, 0);
+      // Re-storing a present key evicts nothing.
+      c->StorePositive(name(i), RecordType::kA, {MakeA(name(i), 300, 2)}, 0);
+    }
+    EXPECT_LE(cache.size(), static_cast<size_t>(kMax)) << i;
+    EXPECT_NE(cache.Lookup(name(i), RecordType::kA, 0), nullptr) << "just stored " << i;
+    if (i == kMax - 1) {
+      EXPECT_NE(cache.Lookup(name(0), RecordType::kA, 0), nullptr);
+    }
   }
-  EXPECT_LE(cache.size(), 16u);
+  EXPECT_EQ(cache.size(), static_cast<size_t>(kMax));
+  // The victim rule is deterministic: same sequence, same survivors.
+  size_t present = 0;
+  for (int i = 0; i < 100; ++i) {
+    const bool held = cache.Lookup(name(i), RecordType::kA, 0) != nullptr;
+    EXPECT_EQ(held, twin.Lookup(name(i), RecordType::kA, 0) != nullptr) << i;
+    present += held ? 1 : 0;
+  }
+  EXPECT_EQ(present, static_cast<size_t>(kMax));
+  // Entries stored before the cache filled do not stay forever.
+  for (int i = 0; i < kMax - 1; ++i) {
+    EXPECT_EQ(cache.Lookup(name(i), RecordType::kA, 0), nullptr) << i;
+  }
 }
 
 TEST(DnsCacheTest, PurgeExpiredSweeps) {

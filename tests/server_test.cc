@@ -851,30 +851,27 @@ TEST(TimerTeardownTest, ResolverCrashCancelsTimersBeforeItsPortsAreReused) {
   EXPECT_EQ(resolver.OutstandingQueryCount(), asked - 1);
   EXPECT_EQ(transport.SentFrom(port), 2u);
 
-  // Every port is now in use, so the allocator hands out its fallback
-  // port, and later the same one again, over the live query there.
+  // Every port is now in use: the next request's sub-query has no port to
+  // go out on, so it fails like an unanswerable one and the client gets
+  // SERVFAIL at once. No query in flight is overwritten.
+  const size_t sent_before = transport.sent.size();
   ask(asked++);
-  const uint16_t fallback = transport.sent.back().port;
-  loop.Run(Milliseconds(500));
-  ask(asked++);
-  EXPECT_EQ(transport.sent.back().port, fallback);
-  EXPECT_EQ(transport.SentFrom(fallback), 2u);
+  loop.Run(Milliseconds(201));  // Past the resolver's processing delay.
+  ASSERT_EQ(transport.sent.size(), sent_before + 1);
+  EXPECT_EQ(transport.sent.back().dst.addr, kClient);
+  EXPECT_EQ(DecodeMessage(transport.sent.back().payload)->header.rcode, Rcode::kServFail);
+  EXPECT_EQ(resolver.OutstandingQueryCount(), asked - 2);
+  EXPECT_EQ(loop.pending(), 2 * (asked - 2)) << "each query's timeout and deadline";
 
   // The pre-crash timeout was due at 1 s. Had it survived, it would have
   // timed out the new query on `port` there and retransmitted it.
   loop.Run(Milliseconds(1100));
   EXPECT_EQ(transport.SentFrom(port), 2u);
   EXPECT_EQ(resolver.upstream_tracker().timeouts_observed(), 0u);
-  EXPECT_EQ(resolver.queries_sent(), asked);
-  // At 1.2 s the query on `port` times out and is retransmitted once; the
-  // overwritten query's timeout, due then too, must not touch the query
-  // that replaced it on `fallback`.
+  EXPECT_EQ(resolver.queries_sent(), asked - 1);
+  // At 1.2 s the query on `port` times out and is retransmitted once.
   loop.Run(Milliseconds(1300));
   EXPECT_EQ(transport.SentFrom(port), 3u);
-  EXPECT_EQ(transport.SentFrom(fallback), 2u);
-  // That query's own timeout (1.5 s) retransmits it.
-  loop.Run(Milliseconds(1600));
-  EXPECT_EQ(transport.SentFrom(fallback), 3u);
 }
 
 TEST(TimerTeardownTest, StubAnswerCancelsItsTimeoutBeforeThePortIsReused) {
@@ -916,6 +913,112 @@ TEST(TimerTeardownTest, StubAnswerCancelsItsTimeoutBeforeThePortIsReused) {
   loop.Run(Seconds(3));
   EXPECT_EQ(stub.failed(), kLaunches - 1);
   EXPECT_EQ(stub.succeeded(), 1u);
+}
+
+// --- port exhaustion -------------------------------------------------------
+//
+// A node that has every local port waiting on an answer cannot send a new
+// query. Each component fails the new query visibly instead of reusing a
+// busy port, which would silently drop the query already waiting there.
+
+TEST(PortExhaustionTest, StubCountsTheQueryItCannotSendAsFailed) {
+  EventLoop loop;
+  PortLogTransport transport(loop, 0x0a000009);
+  StubConfig config;
+  config.timeout = Seconds(1);
+  StubClient stub(transport, config,
+                  [](uint64_t) { return Question{TargetApex(), RecordType::kA}; });
+  stub.AddResolver(0x0a000001);
+  // One launch per microsecond; the stub's 55,536 ports (10000 and up)
+  // run out two launches before the end.
+  constexpr uint64_t kPorts = 65536 - 10000;
+  constexpr uint64_t kLaunches = kPorts + 2;
+  std::vector<Time> times(kLaunches);
+  for (uint64_t i = 0; i < kLaunches; ++i) {
+    times[i] = static_cast<Duration>(i);
+  }
+  stub.StartWithSchedule(times);
+  loop.Run(Milliseconds(500));
+  EXPECT_EQ(transport.sent.size(), kPorts);
+  EXPECT_EQ(stub.failed(), 2u) << "the two launches that found no free port";
+  loop.Run(Seconds(3));
+  EXPECT_EQ(stub.failed(), kLaunches) << "every query ends exactly once";
+  EXPECT_EQ(stub.succeeded(), 0u);
+}
+
+// Sends `count` distinct client queries to `node` and returns the response
+// (if any) that the last one got straight away.
+template <class Node>
+std::optional<Message> FloodWithQueries(Node& node, PortLogTransport& transport,
+                                        HostAddress client, uint64_t count) {
+  for (uint64_t i = 0; i < count; ++i) {
+    const Name qname = *Name::Parse("q" + std::to_string(i) + ".target-domain");
+    const size_t before = transport.sent.size();
+    node.HandleDatagram(Datagram{{client, static_cast<uint16_t>(1024 + i % 60000)},
+                                 {transport.local_address(), kDnsPort},
+                                 EncodeMessage(MakeQuery(static_cast<uint16_t>(i), qname,
+                                                         RecordType::kA))});
+    if (i + 1 == count && transport.sent.size() > before &&
+        transport.sent.back().dst.addr == client) {
+      return DecodeMessage(transport.sent.back().payload);
+    }
+  }
+  return std::nullopt;
+}
+
+TEST(PortExhaustionTest, ResolverFailsTheSubQueryItCannotSend) {
+  constexpr HostAddress kClient = 0x0a000003;
+  EventLoop loop;
+  PortLogTransport transport(loop, 0x0a000002);
+  ResolverConfig config;
+  config.qname_minimization = false;  // One upstream query per request.
+  config.processing_delay = 0;
+  RecursiveResolver resolver(transport, config);
+  resolver.AddAuthorityHint(TargetApex(), 0x0a000001);
+  constexpr uint64_t kPorts = 65536 - 1024;  // 1024 and up.
+  const std::optional<Message> reply =
+      FloodWithQueries(resolver, transport, kClient, kPorts + 1);
+  ASSERT_TRUE(reply.has_value()) << "the query beyond the port space got no answer";
+  EXPECT_EQ(reply->header.rcode, Rcode::kServFail);
+  EXPECT_EQ(reply->header.id, static_cast<uint16_t>(kPorts));
+  EXPECT_EQ(resolver.OutstandingQueryCount(), kPorts) << "no query in flight was dropped";
+  EXPECT_EQ(resolver.queries_sent(), kPorts);
+}
+
+TEST(PortExhaustionTest, ForwarderAnswersServfailWhenNoPortIsFree) {
+  constexpr HostAddress kClient = 0x0a000003;
+  EventLoop loop;
+  PortLogTransport transport(loop, 0x0a000002);
+  ForwarderConfig config;
+  config.cache_enabled = false;
+  config.processing_delay = 0;
+  Forwarder forwarder(transport, config);
+  forwarder.AddUpstream(0x0a000001);
+  constexpr uint64_t kPorts = 65536 - 2048;  // 2048 and up.
+  const std::optional<Message> reply =
+      FloodWithQueries(forwarder, transport, kClient, kPorts + 1);
+  ASSERT_TRUE(reply.has_value()) << "the query beyond the port space got no answer";
+  EXPECT_EQ(reply->header.rcode, Rcode::kServFail);
+  EXPECT_EQ(reply->header.id, static_cast<uint16_t>(kPorts));
+  EXPECT_EQ(forwarder.PendingCount(), kPorts) << "no query in flight was dropped";
+}
+
+TEST(PortExhaustionTest, FrontendAnswersServfailWhenNoPortIsFree) {
+  constexpr HostAddress kClient = 0x0a000003;
+  EventLoop loop;
+  PortLogTransport transport(loop, 0x0a000002);
+  FrontendConfig config;
+  config.processing_delay = 0;
+  FleetFrontend frontend(transport, config);
+  frontend.AddMember(0x0a000001);
+  constexpr uint64_t kPorts = 65536 - 2048;  // 2048 and up.
+  const std::optional<Message> reply =
+      FloodWithQueries(frontend, transport, kClient, kPorts + 1);
+  ASSERT_TRUE(reply.has_value()) << "the query beyond the port space got no answer";
+  EXPECT_EQ(reply->header.rcode, Rcode::kServFail);
+  EXPECT_EQ(reply->header.id, static_cast<uint16_t>(kPorts));
+  EXPECT_EQ(frontend.PendingCount(), kPorts) << "no query in flight was dropped";
+  EXPECT_EQ(frontend.servfails_sent(), 1u);
 }
 
 }  // namespace
