@@ -160,33 +160,26 @@ DccNode::ClientSignalState& DccNode::SignalStateFor(SourceId client) {
 // Incoming traffic (network -> resolver)
 // ---------------------------------------------------------------------------
 
-void DccNode::OnDatagram(const Datagram& dgram) {
+void DccNode::OnDatagram(Datagram dgram) {
   DCC_PROF_SCOPE("dcc.datagram");
   if (server_ == nullptr) {
     return;
   }
-  auto decoded = DecodeMessage(dgram.payload);
-  if (!decoded.has_value()) {
-    server_->HandleDatagram(dgram);
-    return;
+  // Bytes (a fault rewrote them) are decoded here, once, and the message is
+  // passed on in their place.
+  const Message* msg = dgram.payload.Get<Message>();
+  if (msg != nullptr && msg->IsQuery() && dgram.dst.port == kDnsPort) {
+    // Client request: account it for anomaly metrics and pass through — the
+    // resolver's fast path (cache hits) is untouched by DCC (§3.2).
+    monitor_.RecordRequest(AggregateClient(dgram.src.addr), now());
+  } else if (msg != nullptr && msg->IsResponse()) {
+    HandleIncomingAnswer(dgram);
   }
-  if (decoded->IsQuery() && dgram.dst.port == kDnsPort) {
-    HandleIncomingQuery(dgram, std::move(*decoded));
-  } else if (decoded->IsResponse()) {
-    HandleIncomingAnswer(dgram, std::move(*decoded));
-  } else {
-    server_->HandleDatagram(dgram);
-  }
+  server_->HandleDatagram(std::move(dgram));
 }
 
-void DccNode::HandleIncomingQuery(const Datagram& dgram, Message /*msg*/) {
-  // Client request: account it for anomaly metrics and pass through — the
-  // resolver's fast path (cache hits) is untouched by DCC (§3.2).
-  monitor_.RecordRequest(AggregateClient(dgram.src.addr), now());
-  server_->HandleDatagram(dgram);
-}
-
-void DccNode::HandleIncomingAnswer(const Datagram& dgram, Message msg) {
+void DccNode::HandleIncomingAnswer(Datagram& dgram) {
+  const Message& msg = *dgram.payload.Carried<Message>();
   if (capacity_estimator_.enabled()) {
     capacity_estimator_.RecordAnswered(dgram.src.addr, now());
   }
@@ -209,16 +202,9 @@ void DccNode::HandleIncomingAnswer(const Datagram& dgram, Message msg) {
   if (config_.signaling_enabled) {
     ProcessUpstreamSignals(msg, culprit);
   }
-  const size_t stripped = StripDccOptions(msg);
-  if (stripped == 0 && it == pending_.end()) {
-    // Untouched message with no tracked state: deliver as-is.
-    server_->HandleDatagram(dgram);
-    return;
+  if (HasDccOptions(msg)) {
+    StripDccOptions(*dgram.payload.GetMutable<Message>());
   }
-  // Stripped message: hand the decoded form straight to the server. The
-  // carrier keeps the original addressing; a handler without a message-level
-  // path re-encodes and sees exactly the old stripped datagram.
-  server_->HandleMessage(dgram, std::move(msg));
 }
 
 void DccNode::ProcessUpstreamSignals(const Message& answer, SourceId culprit) {
@@ -274,27 +260,13 @@ void DccNode::ProcessUpstreamSignals(const Message& answer, SourceId culprit) {
 // ---------------------------------------------------------------------------
 
 void DccNode::Send(uint16_t src_port, Endpoint dst, WireBytes payload) {
-  auto decoded = DecodeMessage(payload);
-  if (!decoded.has_value()) {
-    SendDatagram(src_port, dst, std::move(payload));
-    return;
-  }
-  if (decoded->IsQuery() && dst.port == kDnsPort) {
-    HandleOutgoingQuery(src_port, dst, std::move(*decoded));
-  } else if (decoded->IsResponse()) {
-    HandleOutgoingResponse(src_port, dst, std::move(*decoded));
+  const Message* msg = payload.Get<Message>();
+  if (msg != nullptr && msg->IsQuery() && dst.port == kDnsPort) {
+    HandleOutgoingQuery(src_port, dst, std::move(payload));
+  } else if (msg != nullptr && msg->IsResponse()) {
+    HandleOutgoingResponse(src_port, dst, std::move(payload));
   } else {
     SendDatagram(src_port, dst, std::move(payload));
-  }
-}
-
-void DccNode::SendMessage(uint16_t src_port, Endpoint dst, Message msg) {
-  if (msg.IsQuery() && dst.port == kDnsPort) {
-    HandleOutgoingQuery(src_port, dst, std::move(msg));
-  } else if (msg.IsResponse()) {
-    HandleOutgoingResponse(src_port, dst, std::move(msg));
-  } else {
-    SendDatagram(src_port, dst, EncodeMessage(msg));
   }
 }
 
@@ -323,7 +295,8 @@ void DccNode::FailQuery(const QueuedQuery& queued, telemetry::AuditCause cause,
                         double observed, double limit) {
   // Synthesize SERVFAIL to the wrapped resolver so it fails fast instead of
   // waiting out a timeout (§3.2.1).
-  Message response = MakeResponse(queued.query, Rcode::kServFail);
+  const Message& query = queued.query();
+  Message response = MakeResponse(query, Rcode::kServFail);
   response.header.qr = true;
   if (queued.has_attribution) {
     // Carry the span coordinates on the synthesized failure so trace trees
@@ -333,9 +306,10 @@ void DccNode::FailQuery(const QueuedQuery& queued, telemetry::AuditCause cause,
   Datagram dgram;
   dgram.src = queued.dst;  // Appears to come from the intended upstream.
   dgram.dst = Endpoint{address(), queued.src_port};
+  dgram.payload = WireBytes(std::move(response));
   ++servfails_synthesized_;
   if (obs_ != nullptr) {
-    const std::string qname = queued.query.QnameText();
+    const std::string qname = query.QnameText();
     telemetry::Decision decision{.cause = cause,
                                  .at = now(),
                                  .actor = address(),
@@ -360,18 +334,16 @@ void DccNode::FailQuery(const QueuedQuery& queued, telemetry::AuditCause cause,
     ++state.congestion_drops;
     state.last_drop_output = queued.dst.addr;
   }
-  // Deliver asynchronously to keep resolver re-entrancy simple. The decoded
-  // message rides along so the resolver never pays an encode/decode pair
-  // for a response that exists only inside this process.
-  loop().ScheduleAfter(
-      0, "dcc.deliver", [this, dgram, response = std::move(response)]() mutable {
-        if (server_ != nullptr) {
-          server_->HandleMessage(dgram, std::move(response));
-        }
-      });
+  // Deliver asynchronously to keep resolver re-entrancy simple.
+  loop().ScheduleAfter(0, "dcc.deliver", [this, dgram = std::move(dgram)]() mutable {
+    if (server_ != nullptr) {
+      server_->HandleDatagram(std::move(dgram));
+    }
+  });
 }
 
-void DccNode::HandleOutgoingQuery(uint16_t src_port, Endpoint dst, Message msg) {
+void DccNode::HandleOutgoingQuery(uint16_t src_port, Endpoint dst, WireBytes payload) {
+  const Message& msg = *payload.Carried<Message>();
   Attribution attribution;
   bool has_attribution = false;
   const SourceId source = AttributionSource(msg, &attribution, &has_attribution);
@@ -392,7 +364,7 @@ void DccNode::HandleOutgoingQuery(uint16_t src_port, Endpoint dst, Message msg) 
             ? telemetry::AuditCause::kPolicerBlocked
             : telemetry::AuditCause::kPolicerRateExceeded;
     QueuedQuery rejected;
-    rejected.query = std::move(msg);
+    rejected.payload = std::move(payload);
     rejected.src_port = src_port;
     rejected.dst = dst;
     rejected.attribution = attribution;
@@ -408,10 +380,12 @@ void DccNode::HandleOutgoingQuery(uint16_t src_port, Endpoint dst, Message msg) 
                       : 0;
   monitor_.RecordAttributedQuery(source, request_key, now());
 
-  StripDccOptions(msg);
+  if (HasDccOptions(msg)) {
+    StripDccOptions(*payload.GetMutable<Message>());
+  }
   const uint64_t cookie = next_cookie_++;
   QueuedQuery& queued = queued_[cookie];
-  queued.query = std::move(msg);
+  queued.payload = std::move(payload);
   queued.src_port = src_port;
   queued.dst = dst;
   queued.attribution = attribution;
@@ -459,7 +433,7 @@ void DccNode::Drain() {
     }
     QueuedQuery& queued = node.mapped();
     PendingInfo& info =
-        pending_[PendingKey(queued.src_port, queued.query.header.id)];
+        pending_[PendingKey(queued.src_port, queued.query().header.id)];
     info.attribution = queued.attribution;
     info.has_attribution = queued.has_attribution;
     info.created = now();
@@ -474,7 +448,7 @@ void DccNode::Drain() {
                  static_cast<int32_t>(queued.dst.addr), SpanOf(a),
                  a.parent_span_id, /*peer=*/queued.dst.addr);
     }
-    SendDatagram(queued.src_port, queued.dst, EncodeMessage(queued.query));
+    SendDatagram(queued.src_port, queued.dst, std::move(queued.payload));
     ++queries_sent_;
   }
   const Time next = scheduler_.NextReadyTime(now());
@@ -497,13 +471,14 @@ void DccNode::ScheduleDrainAt(Time t) {
   });
 }
 
-void DccNode::HandleOutgoingResponse(uint16_t src_port, Endpoint dst, Message msg) {
+void DccNode::HandleOutgoingResponse(uint16_t src_port, Endpoint dst,
+                                     WireBytes payload) {
   const SourceId client = AggregateClient(dst.addr);
-  monitor_.RecordClientResponse(client, msg.header.rcode, now());
+  monitor_.RecordClientResponse(client, payload.Carried<Message>()->header.rcode, now());
   if (config_.signaling_enabled) {
-    AttachSignals(msg, client, dst.port);
+    AttachSignals(*payload.GetMutable<Message>(), client, dst.port);
   }
-  SendDatagram(src_port, dst, EncodeMessage(msg));
+  SendDatagram(src_port, dst, std::move(payload));
 }
 
 void DccNode::AttachSignals(Message& response, SourceId client, uint16_t client_port) {
@@ -697,8 +672,10 @@ size_t DccNode::MemoryFootprint() const {
   bytes += pending_.size() * (sizeof(uint64_t) + sizeof(PendingInfo) + 2 * sizeof(void*));
   bytes += client_signals_.size() *
            (sizeof(SourceId) + sizeof(ClientSignalState) + 2 * sizeof(void*));
+  // A queued query's state is its entry and the message its payload holds.
   for (const auto& [cookie, queued] : queued_) {
-    bytes += sizeof(uint64_t) + sizeof(QueuedQuery) + queued.query.Q().qname.WireLength();
+    bytes += sizeof(uint64_t) + sizeof(QueuedQuery) - sizeof(WireBytes) + sizeof(Message) +
+             queued.query().Q().qname.WireLength();
   }
   return bytes;
 }

@@ -25,6 +25,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/dns/codec.h"
 #include "src/dns/edns_options.h"
 #include "src/dns/message.h"
 #include "src/dcc/anomaly.h"
@@ -105,14 +106,11 @@ class DccNode : public Node, public Transport {
   void OnUpstreamHoldDown(HostAddress server, bool down, Time now);
 
   // Node:
-  void OnDatagram(const Datagram& dgram) override;
+  void OnDatagram(Datagram dgram) override;
 
-  // Transport (for the wrapped server):
+  // Transport (for the wrapped server). Reads and edits the message the
+  // payload carries in place; nothing is encoded or decoded on the way.
   void Send(uint16_t src_port, Endpoint dst, WireBytes payload) override;
-  // Message-level fast path: the wrapped resolver hands over its decoded
-  // message directly, skipping the encode-then-decode round trip Send()
-  // pays to interpose on the byte stream.
-  void SendMessage(uint16_t src_port, Endpoint dst, Message msg) override;
   Time now() const override { return Node::now(); }
   EventLoop& loop() override { return Node::loop(); }
   HostAddress local_address() const override { return address(); }
@@ -149,7 +147,8 @@ class DccNode : public Node, public Transport {
 
  private:
   struct QueuedQuery {
-    Message query;  // Attribution already stripped.
+    WireBytes payload;  // Carries the query, attribution already stripped.
+    const Message& query() const { return *payload.Carried<Message>(); }
     uint16_t src_port = 0;
     Endpoint dst;
     Attribution attribution;
@@ -187,10 +186,11 @@ class DccNode : public Node, public Transport {
     return (static_cast<uint64_t>(port) << 16) | id;
   }
 
-  void HandleIncomingQuery(const Datagram& dgram, Message msg);
-  void HandleIncomingAnswer(const Datagram& dgram, Message msg);
-  void HandleOutgoingQuery(uint16_t src_port, Endpoint dst, Message msg);
-  void HandleOutgoingResponse(uint16_t src_port, Endpoint dst, Message msg);
+  // Each takes a payload that carries a message (Get<Message>() succeeded).
+  // The answer is processed and stripped in place, then passed on.
+  void HandleIncomingAnswer(Datagram& dgram);
+  void HandleOutgoingQuery(uint16_t src_port, Endpoint dst, WireBytes payload);
+  void HandleOutgoingResponse(uint16_t src_port, Endpoint dst, WireBytes payload);
 
   void ProcessUpstreamSignals(const Message& answer, SourceId culprit);
   void AttachSignals(Message& response, SourceId client, uint16_t client_port);

@@ -1,8 +1,10 @@
 // DNS wire-format codec (RFC 1035 §4.1) with name compression and EDNS(0).
 //
-// The simulator carries serialized messages across links, so every hop
-// exercises this codec exactly as a real deployment would. Decoding is
-// defensive: any malformed input yields std::nullopt rather than UB.
+// Simulated links carry the sender's Message itself (src/common/wire_bytes.h),
+// so a hop runs this codec only where something reads the bytes: the fault
+// layer's corruption and truncation, and the receiver of bytes so rewritten.
+// Decoding is defensive: any malformed input yields std::nullopt rather than
+// UB.
 
 #ifndef SRC_DNS_CODEC_H_
 #define SRC_DNS_CODEC_H_
@@ -12,6 +14,7 @@
 #include <span>
 #include <vector>
 
+#include "src/common/wire_bytes.h"
 #include "src/dns/message.h"
 
 namespace dcc {
@@ -23,6 +26,16 @@ std::vector<uint8_t> EncodeMessage(const Message& msg);
 // Parses a wire-format message. Returns nullopt on any syntactic error
 // (truncation, bad compression pointers, label overruns, nested OPT, ...).
 std::optional<Message> DecodeMessage(std::span<const uint8_t> wire);
+
+// Lets a datagram payload carry a Message: WireBytes(std::move(msg)) on the
+// sending side, payload.Take<Message>() on the receiving side.
+template <>
+struct WireCodec<Message> {
+  static std::vector<uint8_t> Encode(const Message& msg) { return EncodeMessage(msg); }
+  static std::optional<Message> Decode(std::span<const uint8_t> wire) {
+    return DecodeMessage(wire);
+  }
+};
 
 }  // namespace dcc
 

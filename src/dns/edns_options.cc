@@ -1,8 +1,18 @@
 #include "src/dns/edns_options.h"
 
+#include <algorithm>
+
 namespace dcc {
 namespace {
 
+// The options DCC adds to a message: attribution and the three signals.
+bool IsDccOptionCode(uint16_t code) {
+  return code == kAttributionOptionCode || code == kAnomalySignalCode ||
+         code == kPolicingSignalCode || code == kCongestionSignalCode;
+}
+
+// Encoders reserve each option's exact size before these append to it, so
+// a payload is one allocation.
 void PutU16(std::vector<uint8_t>& out, uint16_t v) {
   out.push_back(static_cast<uint8_t>(v >> 8));
   out.push_back(static_cast<uint8_t>(v));
@@ -76,6 +86,7 @@ const char* PolicyTypeName(PolicyType type) {
 EdnsOption EncodeExtendedError(const ExtendedError& error) {
   EdnsOption opt;
   opt.code = kExtendedErrorOptionCode;
+  opt.payload.reserve(2 + error.extra_text.size());
   PutU16(opt.payload, error.info_code);
   for (char c : error.extra_text) {
     opt.payload.push_back(static_cast<uint8_t>(c));
@@ -100,6 +111,7 @@ std::optional<ExtendedError> DecodeExtendedError(const EdnsOption& option) {
 EdnsOption EncodeAttribution(const Attribution& attribution) {
   EdnsOption opt;
   opt.code = kAttributionOptionCode;
+  opt.payload.reserve(16);
   PutU32(opt.payload, attribution.client_addr);
   PutU16(opt.payload, attribution.client_port);
   PutU16(opt.payload, attribution.request_id);
@@ -136,6 +148,7 @@ std::optional<Attribution> DecodeAttribution(const EdnsOption& option) {
 EdnsOption EncodeAnomalySignal(const AnomalySignal& signal) {
   EdnsOption opt;
   opt.code = kAnomalySignalCode;
+  opt.payload.reserve(8);
   opt.payload.push_back(static_cast<uint8_t>(signal.reason));
   opt.payload.push_back(static_cast<uint8_t>(signal.policy));
   PutU32(opt.payload, signal.suspicion_remaining_ms);
@@ -164,6 +177,7 @@ std::optional<AnomalySignal> DecodeAnomalySignal(const EdnsOption& option) {
 EdnsOption EncodePolicingSignal(const PolicingSignal& signal) {
   EdnsOption opt;
   opt.code = kPolicingSignalCode;
+  opt.payload.reserve(5);
   opt.payload.push_back(static_cast<uint8_t>(signal.policy));
   PutU32(opt.payload, signal.expiry_remaining_ms);
   return opt;
@@ -187,6 +201,7 @@ std::optional<PolicingSignal> DecodePolicingSignal(const EdnsOption& option) {
 EdnsOption EncodeCongestionSignal(const CongestionSignal& signal) {
   EdnsOption opt;
   opt.code = kCongestionSignalCode;
+  opt.payload.reserve(8);
   PutU32(opt.payload, signal.dropped_queries);
   PutU32(opt.payload, signal.allocated_qps);
   return opt;
@@ -248,16 +263,18 @@ std::optional<CongestionSignal> GetCongestionSignal(const Message& msg) {
   return GetOption<CongestionSignal>(msg, kCongestionSignalCode, DecodeCongestionSignal);
 }
 
+bool HasDccOptions(const Message& msg) {
+  return msg.edns.has_value() &&
+         std::ranges::any_of(msg.edns->options,
+                             [](const EdnsOption& opt) { return IsDccOptionCode(opt.code); });
+}
+
 size_t StripDccOptions(Message& msg) {
   if (!msg.edns.has_value()) {
     return 0;
   }
-  size_t removed = 0;
-  removed += msg.edns->Remove(kAttributionOptionCode);
-  removed += msg.edns->Remove(kAnomalySignalCode);
-  removed += msg.edns->Remove(kPolicingSignalCode);
-  removed += msg.edns->Remove(kCongestionSignalCode);
-  return removed;
+  return std::erase_if(msg.edns->options,
+                       [](const EdnsOption& opt) { return IsDccOptionCode(opt.code); });
 }
 
 }  // namespace dcc

@@ -133,6 +133,9 @@ std::optional<AnomalySignal> GetAnomalySignal(const Message& msg);
 std::optional<PolicingSignal> GetPolicingSignal(const Message& msg);
 std::optional<CongestionSignal> GetCongestionSignal(const Message& msg);
 
+// True when `msg` carries any DCC option (attribution or a signal).
+bool HasDccOptions(const Message& msg);
+
 // Removes all DCC options (attribution + signals) from `msg`; returns how
 // many were stripped. Used before forwarding upstream / delivering to the
 // wrapped resolver.

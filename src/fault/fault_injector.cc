@@ -198,8 +198,9 @@ NetworkFaultHook::Verdict FaultInjector::OnDatagram(const Endpoint& src,
         }
         break;
       case FaultType::kTruncation:
-        if (MatchLink(event, src.addr, dst.addr) && payload.size() > 1 &&
-            rng_.NextBool(event.probability)) {
+        // The draw comes first: reading a carried message's size encodes it.
+        if (MatchLink(event, src.addr, dst.addr) && rng_.NextBool(event.probability) &&
+            payload.size() > 1) {
           payload.Mutable().resize(
               1 + static_cast<size_t>(rng_.NextBelow(payload.size() - 1)));
           ++datagrams_truncated_;

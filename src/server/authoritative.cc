@@ -73,26 +73,27 @@ void AuthoritativeServer::Respond(const Datagram& request_dgram, Message respons
   const Duration delay = config_.processing_delay;
   const Endpoint reply_to = request_dgram.src;
   const uint16_t local_port = request_dgram.dst.port;
-  auto wire = EncodeMessage(response);
+  WireBytes payload(std::move(response));
   if (delay > 0) {
     transport_.loop().ScheduleAfter(delay, "auth.respond",
                                     [this, local_port, reply_to,
-                                     wire = std::move(wire)]() mutable {
-                                      transport_.Send(local_port, reply_to, std::move(wire));
+                                     payload = std::move(payload)]() mutable {
+                                      transport_.Send(local_port, reply_to, std::move(payload));
                                     });
   } else {
-    transport_.Send(local_port, reply_to, std::move(wire));
+    transport_.Send(local_port, reply_to, std::move(payload));
   }
   ++responses_sent_;
 }
 
-void AuthoritativeServer::HandleDatagram(const Datagram& dgram) {
+void AuthoritativeServer::HandleDatagram(Datagram dgram) {
   DCC_PROF_SCOPE("auth.handle");
-  auto decoded = DecodeMessage(dgram.payload);
-  if (!decoded.has_value() || !decoded->IsQuery() || decoded->question.empty()) {
+  // Read in place: the query is never kept, so a shared payload is not copied.
+  const Message* decoded = dgram.payload.Get<Message>();
+  if (decoded == nullptr || !decoded->IsQuery() || decoded->question.empty()) {
     return;
   }
-  Message& query = *decoded;
+  const Message& query = *decoded;
   ++queries_received_;
 
   const Question& q = query.Q();

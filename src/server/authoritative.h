@@ -62,7 +62,7 @@ class AuthoritativeServer : public DatagramHandler {
   void AddZone(std::shared_ptr<const Zone> zone);
   void AddZone(Zone zone) { AddZone(std::make_shared<const Zone>(std::move(zone))); }
 
-  void HandleDatagram(const Datagram& dgram) override;
+  void HandleDatagram(Datagram dgram) override;
 
   // Counters for experiment harnesses. Per-second query series (Fig. 2
   // egress-QPS style measurements) come from a telemetry::TimeSeriesSampler

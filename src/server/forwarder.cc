@@ -76,24 +76,24 @@ void Forwarder::RespondToClient(const Pending& pending, Message response) {
   response.header.qr = true;
   response.header.ra = true;
   response.question = pending.query.question;
-  auto wire = EncodeMessage(response);
+  WireBytes payload(std::move(response));
   const Endpoint client = pending.client;
   const uint16_t local_port = pending.local_port;
   if (config_.processing_delay > 0) {
     transport_.loop().ScheduleAfter(
         config_.processing_delay, "forwarder.respond",
-        [this, local_port, client, wire = std::move(wire)]() mutable {
-          transport_.Send(local_port, client, std::move(wire));
+        [this, local_port, client, payload = std::move(payload)]() mutable {
+          transport_.Send(local_port, client, std::move(payload));
         });
   } else {
-    transport_.Send(local_port, client, std::move(wire));
+    transport_.Send(local_port, client, std::move(payload));
   }
   ++responses_sent_;
 }
 
-void Forwarder::HandleDatagram(const Datagram& dgram) {
+void Forwarder::HandleDatagram(Datagram dgram) {
   DCC_PROF_SCOPE("forwarder.handle");
-  auto decoded = DecodeMessage(dgram.payload);
+  std::optional<Message> decoded = dgram.payload.Take<Message>();
   if (!decoded.has_value()) {
     return;
   }
@@ -113,8 +113,8 @@ void Forwarder::HandleDatagram(const Datagram& dgram) {
                       .limit = 1,
                       .qname = decoded->QnameText()});
       }
-      Message response = MakeResponse(*decoded, Rcode::kServFail);
-      transport_.Send(dgram.dst.port, dgram.src, EncodeMessage(response));
+      transport_.Send(dgram.dst.port, dgram.src,
+                      WireBytes(MakeResponse(*decoded, Rcode::kServFail)));
       ++responses_sent_;
       return;
     }
@@ -280,19 +280,17 @@ void Forwarder::ForwardQuery(uint16_t port) {
   pending.sent_at = now;
   const int attempt = pending.attempt++;
 
-  if (pending.upstream_wire.empty()) {
-    Message query = pending.query;
-    query.header.rd = true;
-    if (config_.attach_attribution) {
-      SetOption(query, EncodeAttribution(Attribution{pending.client.addr,
-                                                     pending.client.port,
-                                                     pending.query.header.id}));
-    }
-    pending.upstream_wire = EncodeMessage(query);
-  } else {
-    prof::CountEncodeCacheHit();
+  // The rd flag and attribution option depend only on the original query,
+  // so every attempt sends the same message: a fresh copy, which its
+  // receiver owns outright.
+  Message query = pending.query;
+  query.header.rd = true;
+  if (config_.attach_attribution) {
+    SetOption(query, EncodeAttribution(Attribution{pending.client.addr,
+                                                   pending.client.port,
+                                                   pending.query.header.id}));
   }
-  transport_.Send(port, Endpoint{upstream, kDnsPort}, pending.upstream_wire);
+  transport_.Send(port, Endpoint{upstream, kDnsPort}, WireBytes(std::move(query)));
   ++queries_sent_;
 
   pending.timer = transport_.loop().ScheduleAfter(

@@ -54,7 +54,7 @@ class Forwarder : public DatagramHandler, public CrashResettable {
 
   void AddUpstream(HostAddress resolver);
 
-  void HandleDatagram(const Datagram& dgram) override;
+  void HandleDatagram(Datagram dgram) override;
 
   uint64_t requests_received() const { return requests_received_; }
   uint64_t responses_sent() const { return responses_sent_; }
@@ -81,9 +81,6 @@ class Forwarder : public DatagramHandler, public CrashResettable {
     HostAddress last_upstream = kInvalidAddress;
     Time sent_at = 0;
     int attempt = 0;  // Transmissions already made (0 before the first).
-    // Cached upstream encoding: the rd flag and attribution option depend
-    // only on the original query, so every retry resends the same bytes.
-    WireBytes upstream_wire;
   };
 
   void ForwardQuery(uint16_t port);

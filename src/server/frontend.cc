@@ -335,17 +335,17 @@ void FleetFrontend::RespondToClient(const Pending& pending, Message response) {
   if (response.header.rcode == Rcode::kServFail) {
     ++servfails_sent_;
   }
-  auto wire = EncodeMessage(response);
+  WireBytes payload(std::move(response));
   const Endpoint client = pending.client;
   const uint16_t local_port = pending.local_port;
   if (config_.processing_delay > 0) {
     transport_.loop().ScheduleAfter(
         config_.processing_delay, "frontend.respond",
-        [this, local_port, client, wire = std::move(wire)]() mutable {
-          transport_.Send(local_port, client, std::move(wire));
+        [this, local_port, client, payload = std::move(payload)]() mutable {
+          transport_.Send(local_port, client, std::move(payload));
         });
   } else {
-    transport_.Send(local_port, client, std::move(wire));
+    transport_.Send(local_port, client, std::move(payload));
   }
   ++responses_sent_;
 }
@@ -374,9 +374,9 @@ void FleetFrontend::FailPending(Pending done, telemetry::AuditCause cause,
   RespondToClient(done, MakeResponse(done.query, Rcode::kServFail));
 }
 
-void FleetFrontend::HandleDatagram(const Datagram& dgram) {
+void FleetFrontend::HandleDatagram(Datagram dgram) {
   DCC_PROF_SCOPE("frontend.handle");
-  auto decoded = DecodeMessage(dgram.payload);
+  std::optional<Message> decoded = dgram.payload.Take<Message>();
   if (!decoded.has_value()) {
     return;
   }
@@ -384,7 +384,7 @@ void FleetFrontend::HandleDatagram(const Datagram& dgram) {
   if (decoded->IsQuery() && dgram.dst.port == kDnsPort) {
     ++requests_received_;
     if (decoded->question.empty() || members_.empty()) {
-      Message response = MakeResponse(*decoded, Rcode::kServFail);
+      WireBytes response(MakeResponse(*decoded, Rcode::kServFail));
       ++servfails_sent_;
       if (obs_ != nullptr) {
         const uint64_t trace_id = telemetry::MakeTraceId(
@@ -403,7 +403,7 @@ void FleetFrontend::HandleDatagram(const Datagram& dgram) {
                       .limit = 1,
                       .qname = decoded->QnameText()});
       }
-      transport_.Send(dgram.dst.port, dgram.src, EncodeMessage(response));
+      transport_.Send(dgram.dst.port, dgram.src, std::move(response));
       ++responses_sent_;
       return;
     }
@@ -507,19 +507,16 @@ void FleetFrontend::RelayQuery(uint16_t port, bool is_resteer) {
   const int attempt = pending.attempt++;
   CountSteer(member, is_resteer);
 
-  if (pending.wire.empty()) {
-    Message query = pending.query;
-    query.header.rd = true;
-    if (config_.attach_attribution) {
-      SetOption(query, EncodeAttribution(Attribution{pending.client.addr,
-                                                     pending.client.port,
-                                                     pending.query.header.id}));
-    }
-    pending.wire = EncodeMessage(query);
-  } else {
-    prof::CountEncodeCacheHit();
+  // Re-steering changes the member, not the query: each attempt sends a
+  // fresh copy, which its receiver owns outright.
+  Message query = pending.query;
+  query.header.rd = true;
+  if (config_.attach_attribution) {
+    SetOption(query, EncodeAttribution(Attribution{pending.client.addr,
+                                                   pending.client.port,
+                                                   pending.query.header.id}));
   }
-  transport_.Send(port, Endpoint{member, kDnsPort}, pending.wire);
+  transport_.Send(port, Endpoint{member, kDnsPort}, WireBytes(std::move(query)));
   ++queries_sent_;
 
   pending.timer = transport_.loop().ScheduleAfter(
@@ -559,8 +556,8 @@ void FleetFrontend::SendProbe(size_t member_index) {
   probe.member = member;
   probe.sent_at = transport_.now();
   probe.query_id = id;
-  Message query = MakeQuery(id, *parsed, RecordType::kA);
-  transport_.Send(port, Endpoint{member, kDnsPort}, EncodeMessage(query));
+  transport_.Send(port, Endpoint{member, kDnsPort},
+                  WireBytes(MakeQuery(id, *parsed, RecordType::kA)));
   ++probes_sent_;
   const Duration timeout = std::max<Duration>(
       tracker_.RetransmitTimeout(member, config_.probe_timeout), kMillisecond);

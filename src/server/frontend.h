@@ -109,7 +109,7 @@ class FleetFrontend : public DatagramHandler, public CrashResettable {
   // clock. Idempotent.
   void Start();
 
-  void HandleDatagram(const Datagram& dgram) override;
+  void HandleDatagram(Datagram dgram) override;
 
   // Simulated process crash: drops all relayed-in-flight and probe state.
   void CrashReset() override;
@@ -161,9 +161,6 @@ class FleetFrontend : public DatagramHandler, public CrashResettable {
     Time sent_at = 0;
     Time first_sent_at = 0;
     int attempt = 0;  // Transmissions already made (0 before the first).
-    // Cached upstream encoding: re-steering changes the member, not the
-    // bytes, so every attempt resends the same buffer.
-    WireBytes wire;
   };
   struct PendingProbe {
     HostAddress member = kInvalidAddress;

@@ -241,18 +241,16 @@ void RecursiveResolver::StoreNsec(const Message& response, Time now) {
   }
 }
 
-void RecursiveResolver::HandleDatagram(const Datagram& dgram) {
-  if (auto decoded = DecodeMessage(dgram.payload); decoded.has_value()) {
-    HandleMessage(dgram, std::move(*decoded));
-  }
-}
-
-void RecursiveResolver::HandleMessage(const Datagram& carrier, Message msg) {
+void RecursiveResolver::HandleDatagram(Datagram dgram) {
   DCC_PROF_SCOPE("resolver.handle");
-  if (msg.IsQuery() && carrier.dst.port == kDnsPort) {
-    HandleClientRequest(carrier, std::move(msg));
-  } else if (msg.IsResponse()) {
-    HandleUpstreamResponse(carrier, std::move(msg));
+  std::optional<Message> msg = dgram.payload.Take<Message>();
+  if (!msg.has_value()) {
+    return;
+  }
+  if (msg->IsQuery() && dgram.dst.port == kDnsPort) {
+    HandleClientRequest(dgram, std::move(*msg));
+  } else if (msg->IsResponse()) {
+    HandleUpstreamResponse(dgram, std::move(*msg));
   }
 }
 
@@ -359,8 +357,8 @@ bool RecursiveResolver::TryServeStale(ClientRequest& request) {
 void RecursiveResolver::HandleClientRequest(const Datagram& dgram, Message query) {
   ++requests_received_;
   if (query.question.empty()) {
-    Message response = MakeResponse(query, Rcode::kFormErr);
-    transport_.SendMessage(dgram.dst.port, dgram.src, std::move(response));
+    transport_.Send(dgram.dst.port, dgram.src,
+                    WireBytes(MakeResponse(query, Rcode::kFormErr)));
     return;
   }
   const Time now = transport_.now();
@@ -376,7 +374,7 @@ void RecursiveResolver::HandleClientRequest(const Datagram& dgram, Message query
     ClientRequest fast;
     fast.client = dgram.src;
     fast.local_port = dgram.dst.port;
-    fast.query = query;
+    fast.query = std::move(query);
     RespondToClient(fast, std::move(*cached));
     return;
   }
@@ -470,14 +468,15 @@ void RecursiveResolver::RespondToClient(ClientRequest& request, Message response
   }
   const Endpoint client = request.client;
   const uint16_t local_port = request.local_port;
+  WireBytes payload(std::move(response));
   if (config_.processing_delay > 0) {
     transport_.loop().ScheduleAfter(
         config_.processing_delay, "resolver.respond",
-        [this, local_port, client, response = std::move(response)]() mutable {
-          transport_.SendMessage(local_port, client, std::move(response));
+        [this, local_port, client, payload = std::move(payload)]() mutable {
+          transport_.Send(local_port, client, std::move(payload));
         });
   } else {
-    transport_.SendMessage(local_port, client, std::move(response));
+    transport_.Send(local_port, client, std::move(payload));
   }
   ++responses_sent_;
 }
@@ -800,26 +799,9 @@ void RecursiveResolver::SendQuery(uint64_t task_id) {
   t.last_span = oq.span_id;
   RecordSubQuerySend(request, oq);
 
-  Message query = MakeQuery(qid, sname, stype, /*rd=*/false);
-  query.EnsureEdns();
-  if (config_.attach_attribution) {
-    SetOption(query, EncodeAttribution(Attribution{request.client.addr,
-                                                   request.client.port,
-                                                   request.query.header.id,
-                                                   oq.span_id,
-                                                   oq.parent_span_id}));
-  }
   if (PassesEgressRl(server)) {
     oq.sent = true;
-    if (!config_.attach_attribution) {
-      WireBytes wire = EncodeMessage(query);
-      oq.wire = wire;  // Retransmissions will resend these exact bytes.
-      transport_.Send(port, Endpoint{server, kDnsPort}, std::move(wire));
-    } else {
-      // Span ids change per attempt, so there is nothing to cache; hand the
-      // message itself over (the DCC shim then skips its decode).
-      transport_.SendMessage(port, Endpoint{server, kDnsPort}, std::move(query));
-    }
+    SendSubQuery(port, oq, &request);
     ++queries_sent_;
   } else {
     // Dropped by our own egress rate limit; the timeout path handles it.
@@ -844,6 +826,31 @@ void RecursiveResolver::SendQuery(uint64_t task_id) {
   oq.timer = transport_.loop().ScheduleAfter(
       AttemptTimeout(server, /*attempt=*/0), "resolver.timeout",
       [this, port]() { OnQueryTimeout(port); });
+}
+
+void RecursiveResolver::SendSubQuery(uint16_t port, OutstandingQuery& oq,
+                                     const ClientRequest* request) {
+  if (!oq.payload.empty()) {
+    // Without attribution every attempt is the same message: resend it.
+    // Its receivers only read it, so sharing costs no copy.
+    prof::CountEncodeCacheHit();
+    transport_.Send(port, Endpoint{oq.server, kDnsPort}, oq.payload);
+    return;
+  }
+  Message query = MakeQuery(oq.id, oq.qname, oq.qtype, /*rd=*/false);
+  query.EnsureEdns();
+  if (config_.attach_attribution && request != nullptr) {
+    SetOption(query, EncodeAttribution(Attribution{request->client.addr,
+                                                   request->client.port,
+                                                   request->query.header.id,
+                                                   oq.span_id,
+                                                   oq.parent_span_id}));
+  }
+  WireBytes payload(std::move(query));
+  if (!config_.attach_attribution) {
+    oq.payload = payload;
+  }
+  transport_.Send(port, Endpoint{oq.server, kDnsPort}, std::move(payload));
 }
 
 void RecursiveResolver::OnQueryTimeout(uint16_t port) {
@@ -891,31 +898,7 @@ void RecursiveResolver::OnQueryTimeout(uint16_t port) {
     }
     if (PassesEgressRl(oq.server)) {
       oq.sent = true;
-      if (!oq.wire.empty()) {
-        // Without attribution the retransmission is byte-identical to the
-        // first send; reuse the cached buffer.
-        prof::CountEncodeCacheHit();
-        transport_.Send(port, Endpoint{oq.server, kDnsPort}, oq.wire);
-      } else {
-        Message query = MakeQuery(oq.id, oq.qname, oq.qtype, /*rd=*/false);
-        query.EnsureEdns();
-        if (config_.attach_attribution && rit != requests_.end()) {
-          SetOption(query,
-                    EncodeAttribution(Attribution{rit->second.client.addr,
-                                                  rit->second.client.port,
-                                                  rit->second.query.header.id,
-                                                  oq.span_id,
-                                                  oq.parent_span_id}));
-        }
-        if (!config_.attach_attribution) {
-          WireBytes wire = EncodeMessage(query);
-          oq.wire = wire;
-          transport_.Send(port, Endpoint{oq.server, kDnsPort}, std::move(wire));
-        } else {
-          transport_.SendMessage(port, Endpoint{oq.server, kDnsPort},
-                                 std::move(query));
-        }
-      }
+      SendSubQuery(port, oq, rit != requests_.end() ? &rit->second : nullptr);
       ++queries_sent_;
     } else {
       ++egress_rate_limited_;

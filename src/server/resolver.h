@@ -108,10 +108,7 @@ class RecursiveResolver : public DatagramHandler, public CrashResettable {
   // per apex are allowed (redundant authoritatives).
   void AddAuthorityHint(const Name& apex, HostAddress server);
 
-  void HandleDatagram(const Datagram& dgram) override;
-  // Pre-decoded delivery from an interposing carrier (the DCC shim);
-  // skips the wire decode HandleDatagram pays.
-  void HandleMessage(const Datagram& carrier, Message msg) override;
+  void HandleDatagram(Datagram dgram) override;
 
   // Primes the cache with an RRset (warm start / benchmarking). Records are
   // stored exactly as if learned from an authoritative answer at `now`.
@@ -204,15 +201,21 @@ class RecursiveResolver : public DatagramHandler, public CrashResettable {
     // fresh span whose parent is the previous attempt's span.
     uint32_t span_id = 0;
     uint32_t parent_span_id = 0;
-    // Cached encoding of the question, kept only when attribution is off —
-    // span ids change per attempt, so attributed sends cannot share bytes.
-    WireBytes wire;
+    // Payload of the first attempt, kept only when attribution is off — span
+    // ids change per attempt, so attributed sends cannot share one. Resending
+    // it spares each retransmission a fresh message and its allocations.
+    WireBytes payload;
     telemetry::SubQueryCause cause = telemetry::SubQueryCause::kInitial;
   };
 
   // ---- request / response plumbing ----------------------------------------
   void HandleClientRequest(const Datagram& dgram, Message query);
   void HandleUpstreamResponse(const Datagram& dgram, Message response);
+  // Sends the query `oq` stands for: its cached payload if it has one, else
+  // a fresh message. With attribution on, the message carries `request`'s
+  // client (if the request is still live) and the attempt's span ids; with
+  // it off, the payload is cached for the retransmissions.
+  void SendSubQuery(uint16_t port, OutstandingQuery& oq, const ClientRequest* request);
   void RespondToClient(ClientRequest& request, Message response);
 
   // Serves (qname, qtype) fully from cache, following cached CNAMEs.

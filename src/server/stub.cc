@@ -121,15 +121,12 @@ void StubClient::SendAttempt(uint16_t port) {
   }
   Pending& p = it->second;
   const HostAddress resolver = resolvers_[p.resolver_index % resolvers_.size()];
-  if (p.wire.empty()) {
-    const Question q = generator_(p.seq);
-    Message query = MakeQuery(static_cast<uint16_t>(p.seq), q.qname, q.qtype);
-    query.EnsureEdns();
-    p.wire = EncodeMessage(query);
-  } else {
-    prof::CountEncodeCacheHit();
-  }
-  transport_.Send(port, Endpoint{resolver, kDnsPort}, p.wire);
+  // The question is a pure function of `seq`, so a retry rebuilds the same
+  // query, and the receiver owns each one outright.
+  const Question q = generator_(p.seq);
+  Message query = MakeQuery(static_cast<uint16_t>(p.seq), q.qname, q.qtype);
+  query.EnsureEdns();
+  transport_.Send(port, Endpoint{resolver, kDnsPort}, WireBytes(std::move(query)));
   ++requests_sent_;
   if (obs_ != nullptr) {
     obs_->Span(telemetry::MakeTraceId(transport_.local_address(), port,
@@ -164,10 +161,10 @@ void StubClient::Finish(uint16_t port, bool success, Time now) {
   }
 }
 
-void StubClient::HandleDatagram(const Datagram& dgram) {
+void StubClient::HandleDatagram(Datagram dgram) {
   DCC_PROF_SCOPE("stub.handle");
-  auto decoded = DecodeMessage(dgram.payload);
-  if (!decoded.has_value() || !decoded->IsResponse()) {
+  const Message* decoded = dgram.payload.Get<Message>();  // Read in place.
+  if (decoded == nullptr || !decoded->IsResponse()) {
     return;
   }
   auto it = pending_.find(dgram.dst.port);

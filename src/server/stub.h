@@ -61,7 +61,7 @@ class StubClient : public DatagramHandler {
   // replay); request i uses the generator's question for sequence i.
   void StartWithSchedule(const std::vector<Time>& times);
 
-  void HandleDatagram(const Datagram& dgram) override;
+  void HandleDatagram(Datagram dgram) override;
 
   // Client queries launched by every StubClient on this thread (each
   // simulation runs on one thread), whether sent or skipped while policed;
@@ -88,9 +88,6 @@ class StubClient : public DatagramHandler {
     int attempts_left = 0;
     size_t resolver_index = 0;
     EventId timer;  // The current attempt's timeout.
-    // Cached encoding of this request: the question is a pure function of
-    // `seq`, so retries resend the same bytes without re-encoding.
-    WireBytes wire;
   };
 
   void LaunchRequest();

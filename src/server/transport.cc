@@ -2,28 +2,15 @@
 
 #include <utility>
 
-#include "src/dns/codec.h"
-#include "src/dns/message.h"
-
 namespace dcc {
-
-void Transport::SendMessage(uint16_t src_port, Endpoint dst, Message msg) {
-  Send(src_port, dst, EncodeMessage(msg));
-}
-
-void DatagramHandler::HandleMessage(const Datagram& carrier, Message msg) {
-  Datagram dgram = carrier;
-  dgram.payload = EncodeMessage(msg);
-  HandleDatagram(dgram);
-}
 
 HostNode::HostNode(Network& network, HostAddress addr) {
   network.RegisterNode(this, addr);
 }
 
-void HostNode::OnDatagram(const Datagram& dgram) {
+void HostNode::OnDatagram(Datagram dgram) {
   if (handler_ != nullptr) {
-    handler_->HandleDatagram(dgram);
+    handler_->HandleDatagram(std::move(dgram));
   }
 }
 

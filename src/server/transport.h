@@ -11,7 +11,6 @@
 #define SRC_SERVER_TRANSPORT_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "src/common/ids.h"
 #include "src/common/time.h"
@@ -20,8 +19,6 @@
 
 namespace dcc {
 
-struct Message;
-
 // The standard DNS port used throughout the simulation.
 inline constexpr uint16_t kDnsPort = 53;
 
@@ -29,17 +26,11 @@ class Transport {
  public:
   virtual ~Transport() = default;
 
-  // Sends a datagram from local `src_port` to `dst`. WireBytes converts
-  // implicitly from std::vector<uint8_t>, and retransmit paths can pass the
-  // same buffer repeatedly without copying.
+  // Sends a datagram from local `src_port` to `dst`: the one send entry.
+  // Servers pass WireBytes(std::move(msg)), which carries the message
+  // itself. A retransmit path may keep a copy of the payload and pass it
+  // again; copies share one block.
   virtual void Send(uint16_t src_port, Endpoint dst, WireBytes payload) = 0;
-
-  // Message-level send. The default encodes immediately and forwards to
-  // Send(); an interposing transport (the DCC shim) overrides it to inspect
-  // and reroute the message without a decode/encode round trip. Callers
-  // that cache wire encodings for byte-identical retransmission should keep
-  // using Send().
-  virtual void SendMessage(uint16_t src_port, Endpoint dst, Message msg);
 
   virtual Time now() const = 0;
   virtual EventLoop& loop() = 0;
@@ -47,18 +38,14 @@ class Transport {
 };
 
 // A server's datagram-handling half; HostNode and the DCC shim deliver
-// incoming traffic through this.
+// incoming traffic through this, the one receive entry. The handler owns
+// `dgram`: it takes the message out (dgram.payload.Take<Message>()) or, if
+// it keeps nothing of it, reads it in place (Get<Message>()). Either decodes
+// only a payload that is bytes.
 class DatagramHandler {
  public:
   virtual ~DatagramHandler() = default;
-  virtual void HandleDatagram(const Datagram& dgram) = 0;
-
-  // Message-level delivery for carriers that already hold the decoded
-  // message (the DCC shim after option stripping, or a synthesized
-  // SERVFAIL). `carrier` supplies the addressing; its payload may be stale.
-  // The default re-encodes `msg` into a fresh datagram so handlers unaware
-  // of this fast path see exactly what the wire would have carried.
-  virtual void HandleMessage(const Datagram& carrier, Message msg);
+  virtual void HandleDatagram(Datagram dgram) = 0;
 };
 
 // Optional interface for servers whose volatile state can be wiped by the
@@ -83,7 +70,7 @@ class HostNode : public Node, public Transport {
   void SetHandler(DatagramHandler* handler) { handler_ = handler; }
 
   // Node:
-  void OnDatagram(const Datagram& dgram) override;
+  void OnDatagram(Datagram dgram) override;
 
   // Transport:
   void Send(uint16_t src_port, Endpoint dst, WireBytes payload) override;

@@ -66,7 +66,7 @@ Duration Network::DelayFor(HostAddress a, HostAddress b) const {
 void Network::Send(Endpoint src, Endpoint dst, WireBytes payload) {
   DCC_PROF_SCOPE("net.send");
   ++datagrams_sent_;
-  prof::CountPayloadHop(payload.size());
+  prof::CountPayloadHop();
   auto down = [this](HostAddress addr) {
     auto it = host_down_.find(addr);
     return it != host_down_.end() && it->second;
@@ -107,8 +107,7 @@ void Network::Send(Endpoint src, Endpoint dst, WireBytes payload) {
       return;
     }
     ++fates_[kDelivered];
-    Datagram dgram{src, dst, std::move(payload)};
-    it->second->OnDatagram(dgram);
+    it->second->OnDatagram(Datagram{src, dst, std::move(payload)});
   });
 }
 

@@ -1,7 +1,8 @@
 // Simulated datagram network.
 //
 // Nodes register under a HostAddress and exchange UDP-like datagrams carrying
-// serialized DNS messages. Delivery latency defaults to a configurable
+// DNS messages (src/common/wire_bytes.h: the sender's message itself, or
+// bytes where a fault rewrote them). Delivery latency defaults to a configurable
 // one-way delay (the paper's testbed RTT between resolver and nameserver is
 // ~1 ms) and can be overridden per address pair; optional loss injects
 // failures for robustness tests.
@@ -26,8 +27,8 @@ namespace dcc {
 struct Datagram {
   Endpoint src;
   Endpoint dst;
-  // Refcounted: fan-out and retransmissions share one buffer. Readers that
-  // want a vector/span get one via implicit conversion.
+  // Refcounted: retransmissions share one block with the sender's cache.
+  // The receiver owns the datagram and takes the message out of it.
   WireBytes payload;
 };
 
@@ -36,8 +37,9 @@ class Network;
 // Per-datagram fault seam consulted by Network::Send before its own loss and
 // delay model. The fault layer (src/fault) implements this to apply scripted
 // loss windows, latency spikes, and payload corruption/truncation. The hook
-// may mutate the payload via WireBytes::Mutable() — copy-on-write, so a
-// shared retransmit buffer is cloned before the edit and other holders are
+// may mutate the payload via WireBytes::Mutable(), which encodes a carried
+// message and turns the payload into bytes — copy-on-write, so a shared
+// retransmit payload is cloned before the edit and other holders are
 // unaffected. A returned `drop` discards the datagram and `extra_delay` is
 // added on top of the pair delay + jitter.
 class NetworkFaultHook {
@@ -59,7 +61,7 @@ class Node {
  public:
   virtual ~Node() = default;
 
-  virtual void OnDatagram(const Datagram& dgram) = 0;
+  virtual void OnDatagram(Datagram dgram) = 0;
 
   HostAddress address() const { return address_; }
 

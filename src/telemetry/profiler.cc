@@ -391,7 +391,6 @@ json::Value ProfileJsonValue(const ProfileReport& report) {
   count("decode_calls", c.decode_calls);
   count("decode_bytes", c.decode_bytes);
   count("payload_hops", c.payload_hops);
-  count("payload_hop_bytes", c.payload_hop_bytes);
   count("encode_cache_hits", c.encode_cache_hits);
   root.Set("copies", std::move(copies));
 

@@ -115,7 +115,7 @@ struct EventCategoryReport {
 };
 
 // Message / buffer churn counters fed by src/dns and src/sim/network, plus
-// cached-encoding reuse.
+// cached-payload reuse.
 struct CopyCounters {
   uint64_t msg_copies = 0;        // dcc::Message copy ctor/assign
   uint64_t msg_moves = 0;         // dcc::Message move ctor/assign
@@ -124,8 +124,7 @@ struct CopyCounters {
   uint64_t decode_calls = 0;      // DecodeMessage invocations
   uint64_t decode_bytes = 0;      // wire bytes parsed
   uint64_t payload_hops = 0;      // Network::Send datagrams accepted
-  uint64_t payload_hop_bytes = 0; // payload bytes pushed through Send
-  uint64_t encode_cache_hits = 0; // sends reusing a cached wire encoding
+  uint64_t encode_cache_hits = 0; // retransmits reusing a cached payload
   // Always 0: the buffer pool and the timing wheel that fed these are gone.
   // They stay only until benchmark/dcc_benchmark.cc stops reading them.
   uint64_t pool_hits = 0;
@@ -258,11 +257,10 @@ inline void CountDecode(uint64_t bytes) {
     c.decode_bytes += bytes;
   }
 }
-inline void CountPayloadHop(uint64_t bytes) {
+// Counts the hop only: reading the payload's size would encode it.
+inline void CountPayloadHop() {
   if (TlsEnabled()) {
-    CopyCounters& c = MutableCopyCounters();
-    ++c.payload_hops;
-    c.payload_hop_bytes += bytes;
+    ++MutableCopyCounters().payload_hops;
   }
 }
 inline void CountEncodeCacheHit() {

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/attack/patterns.h"
@@ -16,6 +17,7 @@
 #include "src/fault/fault_plan.h"
 #include "src/sim/event_loop.h"
 #include "src/sim/network.h"
+#include "src/telemetry/profiler.h"
 #include "src/zone/experiment_zones.h"
 
 namespace dcc {
@@ -24,7 +26,7 @@ namespace {
 
 class RecordingNode : public Node {
  public:
-  void OnDatagram(const Datagram& dgram) override {
+  void OnDatagram(Datagram dgram) override {
     payloads.push_back(dgram.payload);
     receive_times.push_back(now());
   }
@@ -368,6 +370,55 @@ TEST(FaultInjectorTest, TruncationShortensButNeverEmpties) {
     EXPECT_LT(payload.size(), wire.size());
     DecodeMessage(payload);  // Must not crash.
   }
+}
+
+// Keeps each delivered payload as it came, so the receiver reads no bytes.
+class PayloadSink : public Node {
+ public:
+  void OnDatagram(Datagram dgram) override { payloads.push_back(std::move(dgram.payload)); }
+  std::vector<WireBytes> payloads;
+};
+
+// A truncate window reads the bytes of the datagrams it truncates and of no
+// other: a message payload it passes over is delivered without an encode.
+TEST(FaultInjectorTest, TruncationEncodesOnlyWhatItTruncates) {
+  EventLoop loop;
+  Network net(loop);
+  RecordingNode a;
+  PayloadSink b;
+  net.RegisterNode(&a, 1);
+  net.RegisterNode(&b, 2);
+  FaultPlan plan;
+  plan.seed = 8;
+  FaultEvent trunc = LinkEvent(FaultType::kTruncation, 0, Seconds(10));
+  trunc.probability = 0.5;
+  plan.events.push_back(trunc);
+  FaultInjector injector(net, plan);
+  injector.Arm();
+  Message query;
+  query.header.id = 78;
+  query.question.push_back(Question{*Name::Parse("c.example"), RecordType::kA});
+  for (Time t = 0; t < Seconds(5); t += Milliseconds(100)) {
+    loop.ScheduleAt(t, [&net, query] {
+      net.Send(Endpoint{1, 1000}, Endpoint{2, 53}, WireBytes(query));
+    });
+  }
+  prof::Reset();
+  prof::Enable();
+  loop.Run();
+  prof::Disable();
+  const prof::CopyCounters copies = prof::Snapshot().copies;
+  prof::Reset();
+
+  ASSERT_EQ(b.payloads.size(), 50u);
+  EXPECT_GT(injector.datagrams_truncated(), 0u);
+  EXPECT_LT(injector.datagrams_truncated(), 50u);
+  EXPECT_EQ(copies.encode_calls, injector.datagrams_truncated());
+  size_t carried = 0;
+  for (const WireBytes& payload : b.payloads) {
+    carried += payload.Carried<Message>() != nullptr ? 1 : 0;
+  }
+  EXPECT_EQ(carried, 50u - injector.datagrams_truncated());
 }
 
 TEST(FaultInjectorTest, SeededPlanReplaysIdentically) {

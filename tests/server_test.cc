@@ -826,10 +826,10 @@ TEST(TimerTeardownTest, ResolverCrashCancelsTimersBeforeItsPortsAreReused) {
   uint16_t next_client_port = 0;
   auto ask = [&](uint64_t i) {
     const Name qname = *Name::Parse("q" + std::to_string(i) + ".target-domain");
-    Datagram carrier{{kClient, static_cast<uint16_t>(2000 + next_client_port++ % 50000)},
-                     {kResolver, kDnsPort}, {}};
-    resolver.HandleMessage(carrier, MakeQuery(static_cast<uint16_t>(i), qname,
-                                              RecordType::kA));
+    resolver.HandleDatagram(
+        Datagram{{kClient, static_cast<uint16_t>(2000 + next_client_port++ % 50000)},
+                 {kResolver, kDnsPort},
+                 WireBytes(MakeQuery(static_cast<uint16_t>(i), qname, RecordType::kA))});
   };
 
   ask(0);

@@ -100,7 +100,7 @@ TEST(EventLoopTest, PastEventsClampToNow) {
 
 class RecordingNode : public Node {
  public:
-  void OnDatagram(const Datagram& dgram) override {
+  void OnDatagram(Datagram dgram) override {
     received.push_back(dgram);
     receive_times.push_back(now());
   }

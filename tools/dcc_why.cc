@@ -989,8 +989,8 @@ int CmdCopies(const Selected& selected) {
   // numbers the acceptance criteria and docs actually talk about.
   const double hops = copies->Number("payload_hops");
   if (hops > 0) {
-    // A cache hit resends a prior encoding without calling EncodeMessage,
-    // so encode_calls already reflects the saving.
+    // Datagrams carry messages, so encodes happen only where bytes are
+    // read (corrupt/truncate faults); these read 0 on fault-free runs.
     std::printf("%-20s %14.2f\n%-20s %14.2f\n%-20s %14.1f\n",
                 "msg_copies_per_hop", copies->Number("msg_copies") / hops,
                 "encodes_per_hop", copies->Number("encode_calls") / hops,
