@@ -1,14 +1,23 @@
 #include "src/common/ids.h"
 
+#include <charconv>
 #include <cstdio>
 
 namespace dcc {
 
+char* AppendAddress(char* out, HostAddress addr) {
+  for (int shift = 24; shift >= 0; shift -= 8) {
+    if (shift != 24) {
+      *out++ = '.';
+    }
+    out = std::to_chars(out, out + 3, (addr >> shift) & 0xff).ptr;
+  }
+  return out;
+}
+
 std::string FormatAddress(HostAddress addr) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%u.%u.%u.%u", (addr >> 24) & 0xff,
-                (addr >> 16) & 0xff, (addr >> 8) & 0xff, addr & 0xff);
-  return buf;
+  char buf[kMaxAddressChars];
+  return std::string(buf, AppendAddress(buf, addr));
 }
 
 bool ParseAddress(const std::string& text, HostAddress* out) {

@@ -7,6 +7,7 @@
 #ifndef SRC_COMMON_IDS_H_
 #define SRC_COMMON_IDS_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -16,6 +17,15 @@ namespace dcc {
 using HostAddress = uint32_t;
 
 inline constexpr HostAddress kInvalidAddress = 0;
+
+// The longest dotted quad, "255.255.255.255".
+inline constexpr size_t kMaxAddressChars = 15;
+
+// Writes `addr` as a dotted quad at `out`, which must have room for
+// kMaxAddressChars bytes, and returns one past the last byte written. No
+// terminating NUL. The one address formatter: FormatAddress and the
+// telemetry exports both render through it.
+char* AppendAddress(char* out, HostAddress addr);
 
 // Renders an address as a dotted quad, e.g. 0x0a000001 -> "10.0.0.1".
 std::string FormatAddress(HostAddress addr);

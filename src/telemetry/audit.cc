@@ -1,11 +1,10 @@
 #include "src/telemetry/audit.h"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
 #include <cstring>
 
 #include "src/common/ids.h"
+#include "src/telemetry/line_writer.h"
 
 namespace dcc {
 namespace telemetry {
@@ -78,72 +77,75 @@ void SetAuditQname(AuditRecord& record, std::string_view name) {
   record.qname[n] = '\0';
 }
 
-DecisionAuditLog::DecisionAuditLog(size_t capacity)
-    : capacity_(std::max<size_t>(1, capacity)) {
-  // Reserve eagerly so Record() never allocates on the hot path.
-  ring_.reserve(capacity_);
-}
+DecisionAuditLog::DecisionAuditLog(size_t capacity) : ring_(capacity) {}
 
-void DecisionAuditLog::Record(const AuditRecord& record) {
-  if (ring_.size() < capacity_) {
-    ring_.push_back(record);
-  } else {
-    ring_[next_ % capacity_] = record;
-  }
-  next_ = (next_ + 1) % capacity_;
-  ++total_recorded_;
-}
-
-size_t DecisionAuditLog::size() const { return ring_.size(); }
-
-uint64_t DecisionAuditLog::dropped() const {
-  return total_recorded_ - static_cast<uint64_t>(ring_.size());
-}
+void DecisionAuditLog::Record(const AuditRecord& record) { ring_.Push(record); }
 
 std::vector<AuditRecord> DecisionAuditLog::Records() const {
   std::vector<AuditRecord> out;
   out.reserve(ring_.size());
-  if (ring_.size() < capacity_) {
-    out = ring_;
-  } else {
-    // `next_` points at the oldest retained record once the ring wrapped.
-    for (size_t i = 0; i < capacity_; ++i) {
-      out.push_back(ring_[(next_ + i) % capacity_]);
-    }
-  }
+  ring_.ForEach([&](const AuditRecord& record) { out.push_back(record); });
   return out;
 }
 
 std::vector<uint64_t> DecisionAuditLog::CauseHistogram() const {
   std::vector<uint64_t> histogram(kAuditCauseCount, 0);
-  for (const AuditRecord& record : Records()) {
+  ring_.ForEach([&](const AuditRecord& record) {
     const size_t ordinal = static_cast<size_t>(record.cause);
     if (ordinal < histogram.size()) {
       ++histogram[ordinal];
     }
-  }
+  });
   return histogram;
 }
 
+// The audit line's fixed text: the line format with its fields left out.
+constexpr std::string_view kAuditLineText =
+    R"({"ts_us":,"cause":"","actor":"","client":"","channel":"")"
+    R"(,"trace_id":"","span_id":,"parent_span_id":)"
+    R"(,"observed":,"limit":,"qname":""})"
+    "\n";
+// The longest AuditCauseName, "forwarder.attempts_exhausted".
+constexpr size_t kMaxCauseChars = 28;
+
+const size_t DecisionAuditLog::kMaxLineBytes =
+    kAuditLineText.size() + kMaxIntChars<Time> + kMaxCauseChars +
+    3 * kMaxAddressChars + LineWriter::kHex16Chars +
+    2 * kMaxIntChars<uint32_t> + 2 * LineWriter::kMaxDoubleChars +
+    (kAuditQnameCapacity - 1);
+static_assert(DecisionAuditLog::kMaxLineBytes <= LineWriter::kLineCapacity);
+
 std::string DecisionAuditLog::ExportJsonLines() const {
   std::string out;
-  char buf[384];
-  for (const AuditRecord& record : Records()) {
-    std::snprintf(
-        buf, sizeof(buf),
-        "{\"ts_us\":%" PRId64
-        ",\"cause\":\"%s\",\"actor\":\"%s\",\"client\":\"%s\""
-        ",\"channel\":\"%s\",\"trace_id\":\"%016" PRIx64
-        "\",\"span_id\":%u,\"parent_span_id\":%u"
-        ",\"observed\":%.6g,\"limit\":%.6g,\"qname\":\"%s\"}\n",
-        record.at, AuditCauseName(record.cause),
-        FormatAddress(record.actor).c_str(),
-        FormatAddress(record.client).c_str(),
-        FormatAddress(record.channel).c_str(), record.trace_id,
-        record.span_id, record.parent_span_id, record.observed, record.limit,
-        record.qname);
-    out += buf;
-  }
+  // Reserved, not resized: zero-filling would touch every page.
+  out.reserve(ring_.size() * kMaxLineBytes);
+  LineWriter line(&out);
+  ring_.ForEach([&](const AuditRecord& record) {
+    line.Text(R"({"ts_us":)")
+        .Int(record.at)
+        .Text(R"(,"cause":")")
+        .Text(AuditCauseName(record.cause))
+        .Text(R"(","actor":")")
+        .Address(record.actor)
+        .Text(R"(","client":")")
+        .Address(record.client)
+        .Text(R"(","channel":")")
+        .Address(record.channel)
+        .Text(R"(","trace_id":")")
+        .Hex16(record.trace_id)
+        .Text(R"(","span_id":)")
+        .Int(record.span_id)
+        .Text(R"(,"parent_span_id":)")
+        .Int(record.parent_span_id)
+        .Text(R"(,"observed":)")
+        .Double(record.observed)
+        .Text(R"(,"limit":)")
+        .Double(record.limit)
+        .Text(R"(,"qname":")")
+        .Text({record.qname, strnlen(record.qname, kAuditQnameCapacity)})
+        .Text(R"("})")
+        .End();
+  });
   return out;
 }
 

@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "src/common/time.h"
+#include "src/telemetry/ring.h"
 
 namespace dcc {
 namespace telemetry {
@@ -125,10 +126,10 @@ class DecisionAuditLog {
   // Records currently retained, oldest first.
   std::vector<AuditRecord> Records() const;
 
-  size_t capacity() const { return capacity_; }
-  size_t size() const;
-  uint64_t total_recorded() const { return total_recorded_; }
-  uint64_t dropped() const;
+  size_t capacity() const { return ring_.capacity(); }
+  size_t size() const { return ring_.size(); }
+  uint64_t total_recorded() const { return ring_.total(); }
+  uint64_t dropped() const { return ring_.dropped(); }
 
   // Retained-record count per cause ordinal (size kAuditCauseCount).
   std::vector<uint64_t> CauseHistogram() const;
@@ -139,14 +140,15 @@ class DecisionAuditLog {
   //    "trace_id":"00000a00000c0001","span_id":1,"parent_span_id":0,
   //    "observed":100,"limit":100,"qname":"a.target-domain."}
   // trace_id uses the tracer's %016x encoding so audit lines string-join
-  // against trace JSONL.
+  // against trace JSONL. The output is reserved once, size() lines of
+  // kMaxLineBytes.
   std::string ExportJsonLines() const;
 
+  // The longest line ExportJsonLines writes: every field at its widest.
+  static const size_t kMaxLineBytes;
+
  private:
-  size_t capacity_;
-  std::vector<AuditRecord> ring_;
-  size_t next_ = 0;  // Ring write cursor.
-  uint64_t total_recorded_ = 0;
+  Ring<AuditRecord> ring_;
 };
 
 }  // namespace telemetry

@@ -1,13 +1,12 @@
 #include "src/telemetry/trace.h"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
 #include <cstdlib>
 #include <unordered_set>
 
 #include "src/common/ids.h"
 #include "src/common/json.h"
+#include "src/telemetry/line_writer.h"
 
 namespace dcc {
 namespace telemetry {
@@ -69,54 +68,32 @@ const char* SubQueryCauseName(SubQueryCause cause) {
   return "?";
 }
 
-QueryTracer::QueryTracer(size_t capacity)
-    : capacity_(std::max<size_t>(1, capacity)) {
-  // Reserve eagerly so Record() never allocates on the hot path.
-  ring_.reserve(capacity_);
-}
+QueryTracer::QueryTracer(size_t capacity) : ring_(capacity) {}
 
 void QueryTracer::Record(uint64_t trace_id, SpanKind kind, Time at,
                          uint32_t actor, int32_t detail, uint32_t span_id,
                          uint32_t parent_span_id, uint32_t peer) {
-  SpanEvent event{trace_id, at,      actor,          kind,
-                  detail,   span_id, parent_span_id, peer};
-  if (ring_.size() < capacity_) {
-    ring_.push_back(event);
-  } else {
-    last_evicted_at_ = std::max(last_evicted_at_, ring_[next_ % capacity_].at);
-    ring_[next_ % capacity_] = event;
+  if (ring_.full()) {
+    last_evicted_at_ = std::max(last_evicted_at_, ring_.oldest().at);
   }
-  next_ = (next_ + 1) % capacity_;
-  ++total_recorded_;
-}
-
-size_t QueryTracer::size() const { return ring_.size(); }
-
-uint64_t QueryTracer::dropped() const {
-  return total_recorded_ - static_cast<uint64_t>(ring_.size());
+  ring_.Push({trace_id, at, actor, kind, detail, span_id, parent_span_id,
+              peer});
 }
 
 std::vector<SpanEvent> QueryTracer::Events() const {
   std::vector<SpanEvent> out;
   out.reserve(ring_.size());
-  if (ring_.size() < capacity_) {
-    out = ring_;
-  } else {
-    // `next_` points at the oldest retained event once the ring wrapped.
-    for (size_t i = 0; i < capacity_; ++i) {
-      out.push_back(ring_[(next_ + i) % capacity_]);
-    }
-  }
+  ring_.ForEach([&](const SpanEvent& event) { out.push_back(event); });
   return out;
 }
 
 std::vector<SpanEvent> QueryTracer::EventsFor(uint64_t trace_id) const {
   std::vector<SpanEvent> out;
-  for (const SpanEvent& event : Events()) {
+  ring_.ForEach([&](const SpanEvent& event) {
     if (event.trace_id == trace_id) {
       out.push_back(event);
     }
-  }
+  });
   return out;
 }
 
@@ -146,7 +123,7 @@ std::vector<uint64_t> QueryTracer::CompleteTraceIds() const {
   std::unordered_set<uint64_t> sent;
   std::unordered_set<uint64_t> seen;
   std::vector<uint64_t> out;
-  for (const SpanEvent& event : Events()) {
+  ring_.ForEach([&](const SpanEvent& event) {
     if (event.kind == SpanKind::kStubSend) {
       sent.insert(event.trace_id);
     } else if (event.kind == SpanKind::kClientReceive &&
@@ -154,28 +131,55 @@ std::vector<uint64_t> QueryTracer::CompleteTraceIds() const {
                seen.insert(event.trace_id).second) {
       out.push_back(event.trace_id);
     }
-  }
+  });
   return out;
 }
 
+// The span line's fixed text: the line format with its fields left out.
+constexpr std::string_view kSpanLineText =
+    R"({"trace_id":"","ts_us":,"span":"","actor":"","detail":)"
+    R"(,"span_id":,"parent_span_id":,"peer":""})"
+    "\n";
+// The longest SpanKindName, "scheduler_enqueue".
+constexpr size_t kMaxSpanKindChars = 17;
+
+const size_t QueryTracer::kMaxLineBytes =
+    kSpanLineText.size() + LineWriter::kHex16Chars + kMaxIntChars<Time> +
+    kMaxSpanKindChars + 2 * kMaxAddressChars + kMaxIntChars<int32_t> +
+    2 * kMaxIntChars<uint32_t>;
+static_assert(QueryTracer::kMaxLineBytes <= LineWriter::kLineCapacity);
+
 std::string QueryTracer::ExportJsonLines() const {
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "{\"ring\":{\"dropped\":%" PRIu64 ",\"last_evicted_us\":%" PRId64
-                "}}\n",
-                dropped(), last_evicted_at_);
-  std::string out = buf;
-  for (const SpanEvent& event : Events()) {
-    std::snprintf(buf, sizeof(buf),
-                  "{\"trace_id\":\"%016" PRIx64 "\",\"ts_us\":%" PRId64
-                  ",\"span\":\"%s\",\"actor\":\"%s\",\"detail\":%d"
-                  ",\"span_id\":%u,\"parent_span_id\":%u,\"peer\":\"%s\"}\n",
-                  event.trace_id, event.at, SpanKindName(event.kind),
-                  FormatAddress(event.actor).c_str(), event.detail,
-                  event.span_id, event.parent_span_id,
-                  FormatAddress(event.peer).c_str());
-    out += buf;
-  }
+  std::string out;
+  // Reserved, not resized: zero-filling would touch every page.
+  out.reserve((ring_.size() + 1) * kMaxLineBytes);
+  LineWriter line(&out);
+  line.Text(R"({"ring":{"dropped":)")
+      .Int(dropped())
+      .Text(R"(,"last_evicted_us":)")
+      .Int(last_evicted_at_)
+      .Text("}}")
+      .End();
+  ring_.ForEach([&](const SpanEvent& event) {
+    line.Text(R"({"trace_id":")")
+        .Hex16(event.trace_id)
+        .Text(R"(","ts_us":)")
+        .Int(event.at)
+        .Text(R"(,"span":")")
+        .Text(SpanKindName(event.kind))
+        .Text(R"(","actor":")")
+        .Address(event.actor)
+        .Text(R"(","detail":)")
+        .Int(event.detail)
+        .Text(R"(,"span_id":)")
+        .Int(event.span_id)
+        .Text(R"(,"parent_span_id":)")
+        .Int(event.parent_span_id)
+        .Text(R"(,"peer":")")
+        .Address(event.peer)
+        .Text(R"("})")
+        .End();
+  });
   return out;
 }
 

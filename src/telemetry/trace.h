@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "src/common/time.h"
+#include "src/telemetry/ring.h"
 
 namespace dcc {
 namespace telemetry {
@@ -137,12 +138,12 @@ class QueryTracer {
   // kClientReceive event) among the retained window.
   std::vector<uint64_t> CompleteTraceIds() const;
 
-  size_t capacity() const { return capacity_; }
+  size_t capacity() const { return ring_.capacity(); }
   // Events retained right now (<= capacity).
-  size_t size() const;
+  size_t size() const { return ring_.size(); }
   // Events ever recorded, including overwritten ones.
-  uint64_t total_recorded() const { return total_recorded_; }
-  uint64_t dropped() const;
+  uint64_t total_recorded() const { return ring_.total(); }
+  uint64_t dropped() const { return ring_.dropped(); }
   RingState ring_state() const { return {dropped(), last_evicted_at_}; }
 
   // The free PossiblyTruncated rule applied to `trace_id`'s retained window.
@@ -153,13 +154,14 @@ class QueryTracer {
   //   {"ring":{"dropped":0,"last_evicted_us":0}}
   //   {"trace_id":"...","ts_us":...,"span":"stub_send","actor":"10.0.0.7",
   //    "detail":...,"span_id":...,"parent_span_id":...,"peer":"10.0.3.1"}
+  // The output is reserved once, size() + 1 lines of kMaxLineBytes.
   std::string ExportJsonLines() const;
 
+  // The longest line ExportJsonLines writes: every field at its widest.
+  static const size_t kMaxLineBytes;
+
  private:
-  size_t capacity_;
-  std::vector<SpanEvent> ring_;
-  size_t next_ = 0;          // Ring write cursor.
-  uint64_t total_recorded_ = 0;
+  Ring<SpanEvent> ring_;
   Time last_evicted_at_ = 0;  // Timestamp of the newest overwritten event.
 };
 

@@ -10,7 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cinttypes>
+#include <cmath>
+#include <cstdio>
 #include <cstring>
+#include <limits>
 #include <set>
 #include <string>
 #include <unordered_set>
@@ -159,6 +164,133 @@ TEST(AuditLogTest, ExportJsonLinesEmitsSchemaFields) {
       << jsonl;
   // The export is a pure function of the retained window.
   EXPECT_EQ(jsonl, log.ExportJsonLines());
+}
+
+TEST(AuditLogTest, WrappedRingExportsOldestFirst) {
+  DecisionAuditLog log(/*capacity=*/3);
+  for (int i = 1; i <= 10; ++i) {
+    log.Record(MakeRecord(AuditCause::kMopiQueueFull, /*at=*/i));
+  }
+  EXPECT_EQ(log.dropped(), 7u);
+  const std::string jsonl = log.ExportJsonLines();
+  EXPECT_EQ(jsonl.rfind("{\"ts_us\":8,", 0), 0u) << jsonl;
+  const size_t nine = jsonl.find("{\"ts_us\":9,");
+  const size_t ten = jsonl.find("{\"ts_us\":10,");
+  ASSERT_NE(nine, std::string::npos) << jsonl;
+  ASSERT_NE(ten, std::string::npos) << jsonl;
+  EXPECT_LT(nine, ten);
+  EXPECT_EQ(std::count(jsonl.begin(), jsonl.end(), '\n'), 3);
+}
+
+// The dotted quad as printf renders it.
+std::string PrintfAddress(uint32_t addr) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%u.%u.%u.%u", (addr >> 24) & 0xff,
+                (addr >> 16) & 0xff, (addr >> 8) & 0xff, addr & 0xff);
+  return buf;
+}
+
+// The audit export rendered with printf format strings: the reference the
+// to_chars writer must match byte for byte.
+std::string PrintfAuditExport(const DecisionAuditLog& log) {
+  std::string out;
+  char buf[512];
+  for (const AuditRecord& record : log.Records()) {
+    std::snprintf(
+        buf, sizeof(buf),
+        "{\"ts_us\":%" PRId64
+        ",\"cause\":\"%s\",\"actor\":\"%s\",\"client\":\"%s\""
+        ",\"channel\":\"%s\",\"trace_id\":\"%016" PRIx64
+        "\",\"span_id\":%u,\"parent_span_id\":%u"
+        ",\"observed\":%.6g,\"limit\":%.6g,\"qname\":\"%s\"}\n",
+        record.at, telemetry::AuditCauseName(record.cause),
+        PrintfAddress(record.actor).c_str(),
+        PrintfAddress(record.client).c_str(),
+        PrintfAddress(record.channel).c_str(), record.trace_id,
+        record.span_id, record.parent_span_id, record.observed, record.limit,
+        record.qname);
+    out += buf;
+  }
+  return out;
+}
+
+TEST(AuditLogTest, ExportMatchesPrintfOnEdgeValues) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  const double values[] = {0,
+                           0.1,
+                           1e-5,
+                           1234567,
+                           1e21,
+                           -2.5,
+                           kInf,
+                           kNan,
+                           -0.0,
+                           -kInf,
+                           std::copysign(kNan, -1.0),
+                           std::numeric_limits<double>::max(),
+                           std::numeric_limits<double>::denorm_min(),
+                           -2.2250738585072014e-308,
+                           123456.5,
+                           999999.5};
+  constexpr size_t kValues = sizeof(values) / sizeof(values[0]);
+  const uint32_t addresses[] = {0, 0xffffffff, 0x0a000001};
+  const std::string qnames[] = {"", std::string(47, 'q'), "a.target-domain.",
+                                std::string(60, 'z')};
+  DecisionAuditLog log(/*capacity=*/7);
+  for (size_t i = 0; i < 2 * kValues; ++i) {  // Wraps the ring.
+    AuditRecord rec;
+    rec.at = i % 3 == 0 ? std::numeric_limits<Time>::min()
+                        : static_cast<Time>(i * 999983);
+    rec.cause = static_cast<AuditCause>(i % telemetry::kAuditCauseCount);
+    rec.actor = addresses[i % 3];
+    rec.client = addresses[(i + 1) % 3];
+    rec.channel = addresses[(i + 2) % 3];
+    rec.trace_id = i % 2 == 0 ? std::numeric_limits<uint64_t>::max() : i;
+    rec.span_id = i % 2 == 0 ? std::numeric_limits<uint32_t>::max() : 0;
+    rec.parent_span_id = static_cast<uint32_t>(i);
+    rec.observed = values[i % kValues];
+    rec.limit = values[(i + 5) % kValues];
+    telemetry::SetAuditQname(rec, qnames[i % 4]);
+    log.Record(rec);
+  }
+  ASSERT_GT(log.dropped(), 0u);
+  EXPECT_EQ(log.ExportJsonLines(), PrintfAuditExport(log));
+
+  // The retained window holds every value as observed and as limit.
+  DecisionAuditLog whole(/*capacity=*/kValues);
+  for (size_t i = 0; i < kValues; ++i) {
+    AuditRecord rec;
+    rec.observed = values[i];
+    rec.limit = values[kValues - 1 - i];
+    whole.Record(rec);
+  }
+  EXPECT_EQ(whole.ExportJsonLines(), PrintfAuditExport(whole));
+  EXPECT_EQ(DecisionAuditLog(4).ExportJsonLines(), "");
+}
+
+// kMaxLineBytes, which sizes the export's one reservation, is the longest
+// line any cause renders.
+TEST(AuditLogTest, MaxLineBytesIsTheWidestLine) {
+  DecisionAuditLog log(telemetry::kAuditCauseCount);
+  for (int c = 0; c < telemetry::kAuditCauseCount; ++c) {
+    AuditRecord rec;
+    rec.at = std::numeric_limits<Time>::min();
+    rec.cause = static_cast<AuditCause>(c);
+    rec.actor = rec.client = rec.channel = 0xffffffff;
+    rec.span_id = rec.parent_span_id = std::numeric_limits<uint32_t>::max();
+    rec.observed = rec.limit = -2.2250738585072014e-308;
+    telemetry::SetAuditQname(rec, std::string(100, 'q'));
+    log.Record(rec);
+  }
+  const std::string jsonl = log.ExportJsonLines();
+  size_t widest = 0;
+  for (size_t pos = 0; pos < jsonl.size();) {
+    const size_t end = jsonl.find('\n', pos) + 1;
+    widest = std::max(widest, end - pos);
+    pos = end;
+  }
+  EXPECT_EQ(widest, DecisionAuditLog::kMaxLineBytes);
 }
 
 TEST(AuditLogTest, QnamesAreSanitizedAndTruncated) {

@@ -332,6 +332,9 @@ TEST(JainIndexTest, StarvationLowersIndex) {
 
 TEST(IdsTest, FormatAddress) {
   EXPECT_EQ(FormatAddress(0x0a000001), "10.0.0.1");
+  EXPECT_EQ(FormatAddress(0), "0.0.0.0");
+  EXPECT_EQ(FormatAddress(0xffffffff), "255.255.255.255");
+  EXPECT_EQ(FormatAddress(0xc0a8640a), "192.168.100.10");
   EXPECT_EQ(FormatEndpoint(Endpoint{0x7f000001, 53}), "127.0.0.1:53");
 }
 

@@ -402,6 +402,50 @@ TEST(DccSignalingTest, StateGaugesSumOverEveryShim) {
             static_cast<double>(fwd.queries_sent() + res.queries_sent()));
 }
 
+// Answers every query with NOERROR and a DCC policing option, as a DCC
+// resolver that polices its client does.
+class PolicingUpstream : public Node {
+ public:
+  void OnDatagram(Datagram dgram) override {
+    const Message* query = dgram.payload.Get<Message>();
+    if (query == nullptr || !query->IsQuery()) {
+      return;
+    }
+    Message answer = MakeResponse(*query, Rcode::kNoError);
+    SetOption(answer, EncodePolicingSignal({PolicyType::kRateLimit, 5000}));
+    ++answered;
+    SendDatagram(dgram.dst.port, dgram.src, WireBytes(std::move(answer)));
+  }
+
+  uint64_t answered = 0;
+};
+
+TEST(DccNodeTest, ForwarderStripsUpstreamDccOptions) {
+  // A forwarder relays the upstream message, EDNS options included, so only
+  // the shim's strip keeps an upstream's DCC signals from its clients. With
+  // signaling off the shim attaches none of its own either.
+  PolicingUpstream upstream;
+  Testbed bed;
+  const HostAddress upstream_addr = bed.NextAddress();
+  const HostAddress forwarder_addr = bed.NextAddress();
+  bed.network().RegisterNode(&upstream, upstream_addr);
+  DccConfig dcc = FastDcc(1000);
+  dcc.signaling_enabled = false;
+  auto [shim, forwarder] = bed.AddDccForwarder(forwarder_addr, dcc);
+  forwarder.AddUpstream(upstream_addr);
+  shim.SetChannelCapacity(upstream_addr, 1000);
+  StubConfig config = Rate(20, 0, Seconds(1));
+  config.dcc_aware = true;
+  StubClient& stub = bed.AddStub(bed.NextAddress(), config,
+                                 MakeWcGenerator(TargetApex(), 7));
+  stub.AddResolver(forwarder_addr);
+  stub.Start();
+  bed.RunFor(Seconds(3));
+  EXPECT_GT(upstream.answered, 0u);
+  EXPECT_GT(stub.succeeded(), 0u);
+  EXPECT_EQ(stub.policing_signals_seen(), 0u);
+}
+
 TEST(DccNodeTest, PolicedClientReceivesExtendedDnsError) {
   // A client whose queries are policed learns why via the standard RFC 8914
   // Extended DNS Error on its failed responses (§6), independent of the

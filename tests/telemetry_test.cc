@@ -8,6 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cinttypes>
+#include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -311,6 +314,103 @@ TEST(QueryTracerTest, ExportJsonLinesRendersSpans) {
   EXPECT_NE(text.find("\"ts_us\":123"), std::string::npos);
   EXPECT_NE(text.find("\"span\":\"stub_send\""), std::string::npos);
   EXPECT_NE(text.find("\"actor\":\"10.0.0.1\""), std::string::npos);
+}
+
+TEST(QueryTracerTest, WrappedRingExportsOldestFirst) {
+  QueryTracer tracer(3);
+  for (int i = 1; i <= 10; ++i) {
+    tracer.Record(static_cast<uint64_t>(i), SpanKind::kStubSend, i * 100);
+  }
+  EXPECT_EQ(tracer.dropped(), 7u);
+  const std::string text = tracer.ExportJsonLines();
+  EXPECT_EQ(text.rfind("{\"ring\":{\"dropped\":7,\"last_evicted_us\":700}}\n", 0),
+            0u)
+      << text;
+  const size_t eight = text.find("\"ts_us\":800,");
+  const size_t nine = text.find("\"ts_us\":900,");
+  const size_t ten = text.find("\"ts_us\":1000,");
+  ASSERT_NE(eight, std::string::npos) << text;
+  ASSERT_NE(nine, std::string::npos) << text;
+  ASSERT_NE(ten, std::string::npos) << text;
+  EXPECT_LT(eight, nine);
+  EXPECT_LT(nine, ten);
+  EXPECT_EQ(text.find("\"ts_us\":700,"), std::string::npos);
+  EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 4);
+}
+
+// The dotted quad as printf renders it.
+std::string PrintfAddress(uint32_t addr) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%u.%u.%u.%u", (addr >> 24) & 0xff,
+                (addr >> 16) & 0xff, (addr >> 8) & 0xff, addr & 0xff);
+  return buf;
+}
+
+// The trace export rendered with printf format strings: the reference the
+// to_chars writer must match byte for byte.
+std::string PrintfTraceExport(const QueryTracer& tracer) {
+  char buf[512];
+  std::snprintf(buf, sizeof(buf),
+                "{\"ring\":{\"dropped\":%" PRIu64 ",\"last_evicted_us\":%" PRId64
+                "}}\n",
+                tracer.dropped(), tracer.ring_state().last_evicted_at);
+  std::string out = buf;
+  for (const SpanEvent& event : tracer.Events()) {
+    std::snprintf(buf, sizeof(buf),
+                  "{\"trace_id\":\"%016" PRIx64 "\",\"ts_us\":%" PRId64
+                  ",\"span\":\"%s\",\"actor\":\"%s\",\"detail\":%d"
+                  ",\"span_id\":%u,\"parent_span_id\":%u,\"peer\":\"%s\"}\n",
+                  event.trace_id, event.at, SpanKindName(event.kind),
+                  PrintfAddress(event.actor).c_str(), event.detail,
+                  event.span_id, event.parent_span_id,
+                  PrintfAddress(event.peer).c_str());
+    out += buf;
+  }
+  return out;
+}
+
+TEST(QueryTracerTest, ExportMatchesPrintfOnEdgeValues) {
+  constexpr uint32_t kMaxU32 = std::numeric_limits<uint32_t>::max();
+  constexpr int32_t kMinI32 = std::numeric_limits<int32_t>::min();
+  const uint32_t addresses[] = {0, kMaxU32, 0x0a000001, 0x7f00ff01};
+  const uint64_t trace_ids[] = {0, 1, 0x0a00000114e90007ull,
+                                std::numeric_limits<uint64_t>::max()};
+  const int32_t details[] = {0, kMinI32, std::numeric_limits<int32_t>::max(),
+                             -1, 7};
+  const uint32_t span_ids[] = {0, kClientSpanId, 1234567, kMaxU32};
+  const Time times[] = {std::numeric_limits<Time>::max(),
+                        std::numeric_limits<Time>::min(), 0, 1000003};
+  QueryTracer tracer(5);
+  for (int i = 0; i < 13; ++i) {  // Wraps the ring twice.
+    tracer.Record(trace_ids[i % 4], static_cast<SpanKind>(i % kSpanKindCount),
+                  times[(i + 1) % 4], addresses[i % 4], details[i % 5], span_ids[i % 4],
+                  span_ids[(i + 1) % 4], addresses[(i + 1) % 4]);
+  }
+  ASSERT_GT(tracer.dropped(), 0u);
+  EXPECT_EQ(tracer.ExportJsonLines(), PrintfTraceExport(tracer));
+
+  QueryTracer empty(4);
+  EXPECT_EQ(empty.ExportJsonLines(), PrintfTraceExport(empty));
+}
+
+// kMaxLineBytes, which sizes the export's one reservation, is the longest
+// line any span kind renders.
+TEST(QueryTracerTest, MaxLineBytesIsTheWidestLine) {
+  QueryTracer tracer(kSpanKindCount);
+  for (int k = 0; k < kSpanKindCount; ++k) {
+    tracer.Record(std::numeric_limits<uint64_t>::max(),
+                  static_cast<SpanKind>(k), std::numeric_limits<Time>::min(),
+                  0xffffffff, std::numeric_limits<int32_t>::min(),
+                  0xffffffff, 0xffffffff, 0xffffffff);
+  }
+  const std::string text = tracer.ExportJsonLines();
+  size_t widest = 0;
+  for (size_t pos = 0; pos < text.size();) {
+    const size_t end = text.find('\n', pos) + 1;
+    widest = std::max(widest, end - pos);
+    pos = end;
+  }
+  EXPECT_EQ(widest, QueryTracer::kMaxLineBytes);
 }
 
 TEST(QueryTracerTest, ReportShowsOffsets) {
