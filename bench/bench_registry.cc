@@ -9,12 +9,29 @@ namespace dcc {
 namespace bench {
 
 scenario::ScenarioSpec LoadExampleSpec(const std::string& name) {
-  const std::string path =
-      std::string(DCC_SOURCE_DIR) + "/examples/scenarios/" + name;
+  // The path goes in a fixed buffer, not a std::string: dcc_bench counts
+  // every allocation a bench makes, and a path string would make those
+  // counts depend on where the checkout lives.
+  char path[4096];
+  const int length = std::snprintf(path, sizeof(path), "%s/examples/scenarios/%s",
+                                   DCC_SOURCE_DIR, name.c_str());
+  std::FILE* file = length > 0 && static_cast<size_t>(length) < sizeof(path)
+                        ? std::fopen(path, "rb")
+                        : nullptr;
+  if (file == nullptr) {
+    std::fprintf(stderr, "%s: cannot open\n", path);
+    std::abort();
+  }
+  std::string text;
+  char buffer[4096];
+  for (size_t n; (n = std::fread(buffer, 1, sizeof(buffer), file)) > 0;) {
+    text.append(buffer, n);
+  }
+  std::fclose(file);
   scenario::ScenarioSpec spec;
   std::string error;
-  if (!scenario::LoadScenarioSpecFile(path, &spec, &error)) {
-    std::fprintf(stderr, "%s: %s\n", path.c_str(), error.c_str());
+  if (!scenario::ParseScenarioSpec(text, &spec, &error)) {
+    std::fprintf(stderr, "%s: %s\n", path, error.c_str());
     std::abort();
   }
   return spec;

@@ -383,8 +383,7 @@ void DccNode::HandleOutgoingQuery(uint16_t src_port, Endpoint dst, WireBytes pay
   if (HasDccOptions(msg)) {
     StripDccOptions(*payload.GetMutable<Message>());
   }
-  const uint64_t cookie = next_cookie_++;
-  QueuedQuery& queued = queued_[cookie];
+  auto [cookie, queued] = queued_.emplace();
   queued.payload = std::move(payload);
   queued.src_port = src_port;
   queued.dst = dst;
@@ -406,9 +405,8 @@ void DccNode::HandleOutgoingQuery(uint16_t src_port, Endpoint dst, WireBytes pay
   }
   if (outcome.evicted.has_value()) {
     ++evictions_;
-    auto evicted = queued_.extract(outcome.evicted->cookie);
-    if (!evicted.empty()) {
-      FailQuery(evicted.mapped(), telemetry::AuditCause::kMopiEvicted,
+    if (const std::optional<QueuedQuery> evicted = queued_.Take(outcome.evicted->cookie)) {
+      FailQuery(*evicted, telemetry::AuditCause::kMopiEvicted,
                 static_cast<double>(scheduler_.QueueDepth(dst.addr)),
                 static_cast<double>(config_.scheduler.max_poq_depth));
     }
@@ -417,9 +415,8 @@ void DccNode::HandleOutgoingQuery(uint16_t src_port, Endpoint dst, WireBytes pay
     Drain();
     return;
   }
-  auto failed = queued_.extract(cookie);
-  if (!failed.empty()) {
-    FailQuery(failed.mapped(), AuditCauseForEnqueue(outcome.result),
+  if (const std::optional<QueuedQuery> failed = queued_.Take(cookie)) {
+    FailQuery(*failed, AuditCauseForEnqueue(outcome.result),
               static_cast<double>(scheduler_.QueueDepth(dst.addr)),
               static_cast<double>(config_.scheduler.max_poq_depth));
   }
@@ -427,11 +424,11 @@ void DccNode::HandleOutgoingQuery(uint16_t src_port, Endpoint dst, WireBytes pay
 
 void DccNode::Drain() {
   while (auto msg = scheduler_.Dequeue(now())) {
-    auto node = queued_.extract(msg->cookie);
-    if (node.empty()) {
+    std::optional<QueuedQuery> taken = queued_.Take(msg->cookie);
+    if (!taken.has_value()) {
       continue;
     }
-    QueuedQuery& queued = node.mapped();
+    QueuedQuery& queued = *taken;
     PendingInfo& info =
         pending_[PendingKey(queued.src_port, queued.query().header.id)];
     info.attribution = queued.attribution;
@@ -673,10 +670,10 @@ size_t DccNode::MemoryFootprint() const {
   bytes += client_signals_.size() *
            (sizeof(SourceId) + sizeof(ClientSignalState) + 2 * sizeof(void*));
   // A queued query's state is its entry and the message its payload holds.
-  for (const auto& [cookie, queued] : queued_) {
+  queued_.ForEach([&bytes](const QueuedQuery& queued) {
     bytes += sizeof(uint64_t) + sizeof(QueuedQuery) - sizeof(WireBytes) + sizeof(Message) +
              queued.query().Q().qname.WireLength();
-  }
+  });
   return bytes;
 }
 

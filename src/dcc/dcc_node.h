@@ -25,6 +25,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/common/slot_table.h"
 #include "src/dns/codec.h"
 #include "src/dns/edns_options.h"
 #include "src/dns/message.h"
@@ -218,8 +219,7 @@ class DccNode : public Node, public Transport {
   PreQueuePolicer policer_;
   CapacityEstimator capacity_estimator_;
 
-  std::unordered_map<uint64_t, QueuedQuery> queued_;  // By scheduler cookie.
-  uint64_t next_cookie_ = 1;
+  SlotTable<QueuedQuery> queued_;  // By scheduler cookie (the slot id).
   std::unordered_map<uint64_t, PendingInfo> pending_;  // By (port, id).
   std::unordered_map<SourceId, ClientSignalState> client_signals_;
 

@@ -26,8 +26,8 @@ using SourceId = HostAddress;
 using OutputId = HostAddress;
 
 // One schedulable message. `cookie` is an opaque handle the caller uses to
-// find its query context again on dequeue/eviction (DCC stores the pending
-// resolver-query id there).
+// find its query context again on dequeue/eviction (DCC stores the id of the
+// query's SlotTable entry there). Schedulers never order by it.
 struct SchedMessage {
   SourceId source = 0;
   OutputId output = 0;

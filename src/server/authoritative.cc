@@ -98,36 +98,49 @@ void AuthoritativeServer::HandleDatagram(Datagram dgram) {
 
   const Question& q = query.Q();
   const Zone* zone = FindZone(q.qname);
-  Message response = MakeResponse(query, Rcode::kNoError);
-  if (query.edns.has_value()) {
-    response.EnsureEdns();
-  }
-
   if (zone == nullptr) {
-    response.header.rcode = Rcode::kRefused;
+    Message response = MakeResponse(query, Rcode::kRefused);
+    if (query.edns.has_value()) {
+      response.EnsureEdns();
+    }
     Respond(dgram, std::move(response));
     return;
   }
 
-  LookupResult result = zone->Lookup(q.qname, q.qtype);
+  // The match alone fixes the response code, so RRL decides before any
+  // record is copied: an answer it suppresses is never rendered.
+  const ZoneMatch match = zone->Find(q.qname, q.qtype);
+  const Rcode rcode = match.status == LookupStatus::kNxDomain    ? Rcode::kNxDomain
+                      : match.status == LookupStatus::kNotInZone ? Rcode::kRefused
+                                                                 : Rcode::kNoError;
+  if (!PassesRrl(dgram.src.addr, rcode)) {
+    ++rate_limited_;
+    switch (config_.rrl.action) {
+      case RateLimitAction::kDrop:
+        return;
+      case RateLimitAction::kServFail:
+        Respond(dgram, MakeResponse(query, Rcode::kServFail));
+        return;
+      case RateLimitAction::kRefused:
+        Respond(dgram, MakeResponse(query, Rcode::kRefused));
+        return;
+    }
+  }
+
+  Message response = MakeResponse(query, rcode);
+  if (query.edns.has_value()) {
+    response.EnsureEdns();
+  }
+  LookupResult result = zone->Render(match, q.qname);
   switch (result.status) {
     case LookupStatus::kSuccess:
-      response.header.aa = true;
-      response.answers = std::move(result.records);
-      break;
     case LookupStatus::kCname:
       response.header.aa = true;
       response.answers = std::move(result.records);
       break;
     case LookupStatus::kNoData:
-      response.header.aa = true;
-      if (result.soa.has_value()) {
-        response.authority.push_back(std::move(*result.soa));
-      }
-      break;
     case LookupStatus::kNxDomain:
       response.header.aa = true;
-      response.header.rcode = Rcode::kNxDomain;
       if (result.soa.has_value()) {
         response.authority.push_back(std::move(*result.soa));
       }
@@ -141,22 +154,7 @@ void AuthoritativeServer::HandleDatagram(Datagram dgram) {
       response.additional = std::move(result.glue);
       break;
     case LookupStatus::kNotInZone:
-      response.header.rcode = Rcode::kRefused;
       break;
-  }
-
-  if (!PassesRrl(dgram.src.addr, response.header.rcode)) {
-    ++rate_limited_;
-    switch (config_.rrl.action) {
-      case RateLimitAction::kDrop:
-        return;
-      case RateLimitAction::kServFail:
-        response = MakeResponse(query, Rcode::kServFail);
-        break;
-      case RateLimitAction::kRefused:
-        response = MakeResponse(query, Rcode::kRefused);
-        break;
-    }
   }
   Respond(dgram, std::move(response));
 }

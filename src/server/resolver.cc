@@ -143,11 +143,11 @@ void RecursiveResolver::RecordSubQueryDone(uint64_t request_id,
   if (obs_ == nullptr) {
     return;
   }
-  auto rit = requests_.find(request_id);
-  if (rit == requests_.end()) {
+  const ClientRequest* request = requests_.find(request_id);
+  if (request == nullptr) {
     return;
   }
-  obs_->Span(TraceIdFor(rit->second), telemetry::SpanKind::kSubQueryDone,
+  obs_->Span(TraceIdFor(*request), telemetry::SpanKind::kSubQueryDone,
              transport_.now(), transport_.local_address(),
              /*detail=*/answered ? 1 : 0, oq.span_id, oq.parent_span_id,
              oq.server);
@@ -387,8 +387,7 @@ void RecursiveResolver::HandleClientRequest(const Datagram& dgram, Message query
         /*detail=*/0);
   }
 
-  const uint64_t request_id = next_request_id_++;
-  ClientRequest& request = requests_[request_id];
+  auto [request_id, request] = requests_.emplace();
   request.id = request_id;
   request.client = dgram.src;
   request.local_port = dgram.dst.port;
@@ -487,8 +486,7 @@ void RecursiveResolver::RespondToClient(ClientRequest& request, Message response
 
 uint64_t RecursiveResolver::CreateTask(uint64_t request_id, uint64_t parent, int depth,
                                        const Name& qname, RecordType qtype) {
-  const uint64_t id = next_task_id_++;
-  Task& t = tasks_[id];
+  auto [id, t] = tasks_.emplace();
   t.id = id;
   t.request_id = request_id;
   t.parent_task = parent;
@@ -588,11 +586,11 @@ bool RecursiveResolver::EstablishZoneCut(Task& task) {
 }
 
 void RecursiveResolver::RunTask(uint64_t task_id) {
-  auto it = tasks_.find(task_id);
-  if (it == tasks_.end()) {
+  Task* task = tasks_.find(task_id);
+  if (task == nullptr) {
     return;
   }
-  Task& t = it->second;
+  Task& t = *task;
   const Time now = transport_.now();
 
   // Serve from cache, following cached CNAMEs.
@@ -699,12 +697,12 @@ void RecursiveResolver::SpawnNsChildren(uint64_t task_id) {
 
 void RecursiveResolver::SendQuery(uint64_t task_id) {
   Task& t = tasks_.at(task_id);
-  auto rit = requests_.find(t.request_id);
-  if (rit == requests_.end()) {
+  ClientRequest* live_request = requests_.find(t.request_id);
+  if (live_request == nullptr) {
     EraseTask(task_id);
     return;
   }
-  ClientRequest& request = rit->second;
+  ClientRequest& request = *live_request;
 
   // Fast-forward the QMIN walk through levels whose NS existence is already
   // cached, so repeated lookups under one subtree cost one query, not one
@@ -855,8 +853,8 @@ void RecursiveResolver::SendSubQuery(uint16_t port, OutstandingQuery& oq,
 
 void RecursiveResolver::OnQueryTimeout(uint16_t port) {
   OutstandingQuery& oq = outstanding_.at(port);
-  auto tit = tasks_.find(oq.task_id);
-  if (tit == tasks_.end()) {
+  Task* task = tasks_.find(oq.task_id);
+  if (task == nullptr) {
     outstanding_.erase(port);
     return;
   }
@@ -872,7 +870,7 @@ void RecursiveResolver::OnQueryTimeout(uint16_t port) {
     // The server just entered (or is in) hold-down: spending the remaining
     // retransmissions on it is pointless if the task knows a live
     // alternative — fail over immediately instead.
-    const Task& t = tit->second;
+    const Task& t = *task;
     for (size_t k = t.server_index + 1; k < t.servers.size(); ++k) {
       if (!tracker_.IsHeldDown(t.servers[k], now)) {
         skip_retries = true;
@@ -891,14 +889,14 @@ void RecursiveResolver::OnQueryTimeout(uint16_t port) {
     oq.parent_span_id = oq.span_id;
     oq.span_id = next_span_id_++;
     oq.cause = telemetry::SubQueryCause::kRetry;
-    tit->second.last_span = oq.span_id;
-    auto rit = requests_.find(tit->second.request_id);
-    if (rit != requests_.end()) {
-      RecordSubQuerySend(rit->second, oq);
+    task->last_span = oq.span_id;
+    const ClientRequest* request = requests_.find(task->request_id);
+    if (request != nullptr) {
+      RecordSubQuerySend(*request, oq);
     }
     if (PassesEgressRl(oq.server)) {
       oq.sent = true;
-      SendSubQuery(port, oq, rit != requests_.end() ? &rit->second : nullptr);
+      SendSubQuery(port, oq, request);
       ++queries_sent_;
     } else {
       ++egress_rate_limited_;
@@ -909,17 +907,17 @@ void RecursiveResolver::OnQueryTimeout(uint16_t port) {
     return;
   }
   const uint64_t task_id = oq.task_id;
-  RecordSubQueryDone(tit->second.request_id, oq, /*answered=*/false);
+  RecordSubQueryDone(task->request_id, oq, /*answered=*/false);
   outstanding_.erase(port);
   TryNextServer(task_id);
 }
 
 void RecursiveResolver::TryNextServer(uint64_t task_id) {
-  auto it = tasks_.find(task_id);
-  if (it == tasks_.end()) {
+  Task* task = tasks_.find(task_id);
+  if (task == nullptr) {
     return;
   }
-  Task& t = it->second;
+  Task& t = *task;
   ++t.server_index;
   if (t.server_index < t.servers.size()) {
     SendQuery(task_id);
@@ -960,12 +958,12 @@ void RecursiveResolver::HandleUpstreamResponse(const Datagram& dgram, Message re
     tracker_.OnResponse(oq.server, transport_.now() - oq.sent_at, transport_.now());
   }
 
-  auto tit = tasks_.find(oq.task_id);
-  if (tit == tasks_.end()) {
+  Task* task = tasks_.find(oq.task_id);
+  if (task == nullptr) {
     return;
   }
   const uint64_t task_id = oq.task_id;
-  Task& t = tit->second;
+  Task& t = *task;
   const Time now = transport_.now();
   const Rcode rcode = response.header.rcode;
   RecordSubQueryDone(t.request_id, oq, /*answered=*/true);
@@ -1114,12 +1112,12 @@ void RecursiveResolver::FailChildrenOf(uint64_t task_id) {
 }
 
 void RecursiveResolver::EraseDescendants(uint64_t task_id) {
-  auto it = tasks_.find(task_id);
-  if (it == tasks_.end()) {
+  Task* task = tasks_.find(task_id);
+  if (task == nullptr) {
     return;
   }
   // Every caller erases `task_id` next, so its child list can be taken.
-  const std::vector<uint64_t> children = std::move(it->second.children);
+  const std::vector<uint64_t> children = std::move(task->children);
   for (uint64_t child : children) {
     EraseDescendants(child);
     EraseTask(child);
@@ -1132,15 +1130,15 @@ bool RecursiveResolver::OwnsLiveQuery(uint16_t port, uint64_t task_id) const {
 }
 
 void RecursiveResolver::EraseTask(uint64_t task_id) {
-  auto it = tasks_.find(task_id);
-  if (it == tasks_.end()) {
+  const Task* task = tasks_.find(task_id);
+  if (task == nullptr) {
     return;
   }
   // The list stays short: every teardown empties it, and between teardowns
   // only a request deadline adds to it (its root task's query), right after
   // its own teardown.
-  if (OwnsLiveQuery(it->second.query_port, task_id)) {
-    orphans_.emplace_back(it->second.query_port, task_id);
+  if (OwnsLiveQuery(task->query_port, task_id)) {
+    orphans_.emplace_back(task->query_port, task_id);
   }
   tasks_.erase(task_id);
 }
@@ -1157,23 +1155,22 @@ void RecursiveResolver::SweepOrphans() {
 
 void RecursiveResolver::CompleteTask(uint64_t task_id, TaskStatus status,
                                      const RrSet& records) {
-  auto it = tasks_.find(task_id);
-  if (it == tasks_.end()) {
+  Task* live = tasks_.find(task_id);
+  if (live == nullptr) {
     return;
   }
-  if (!it->second.children.empty()) {
-    FailChildrenOf(task_id);
-    it = tasks_.find(task_id);  // The map may rehash during teardown.
+  if (!live->children.empty()) {
+    FailChildrenOf(task_id);  // Erases other entries only: `live` stays put.
   }
-  Task task = std::move(it->second);
+  Task task = std::move(*live);
   EraseTask(task_id);
 
   if (task.parent_task != 0) {
-    auto pit = tasks_.find(task.parent_task);
-    if (pit == tasks_.end()) {
+    Task* parent_task = tasks_.find(task.parent_task);
+    if (parent_task == nullptr) {
       return;
     }
-    Task& parent = pit->second;
+    Task& parent = *parent_task;
     --parent.pending_children;
     if (status == TaskStatus::kAnswer) {
       for (const auto& rr : records) {
@@ -1200,11 +1197,11 @@ void RecursiveResolver::CompleteTask(uint64_t task_id, TaskStatus status,
   }
 
   // Root task: answer the client.
-  auto rit = requests_.find(task.request_id);
-  if (rit == requests_.end()) {
+  ClientRequest* live_request = requests_.find(task.request_id);
+  if (live_request == nullptr) {
     return;
   }
-  ClientRequest& request = rit->second;
+  ClientRequest& request = *live_request;
   transport_.loop().Cancel(request.deadline);
   ObserveAmplification(request);
   Message response = MakeResponse(request.query, Rcode::kNoError);
@@ -1239,9 +1236,7 @@ void RecursiveResolver::CompleteTask(uint64_t task_id, TaskStatus status,
 
 void RecursiveResolver::CrashReset() {
   EventLoop& loop = transport_.loop();
-  for (const auto& [id, request] : requests_) {
-    loop.Cancel(request.deadline);
-  }
+  requests_.ForEach([&loop](const ClientRequest& request) { loop.Cancel(request.deadline); });
   for (const auto& [port, oq] : outstanding_) {
     loop.Cancel(oq.timer);
   }

@@ -29,6 +29,7 @@
 
 #include "src/common/flat_map.h"
 #include "src/common/rng.h"
+#include "src/common/slot_table.h"
 #include "src/common/token_bucket.h"
 #include "src/dns/edns_options.h"
 #include "src/dns/message.h"
@@ -291,8 +292,10 @@ class RecursiveResolver : public DatagramHandler, public CrashResettable {
 
   std::vector<std::pair<Name, HostAddress>> hints_;
 
-  FlatMap<uint64_t, ClientRequest> requests_;
-  FlatMap<uint64_t, Task> tasks_;
+  // Ids are minted by the tables (never 0, never reused), so a task's
+  // parent_task of 0 names no task.
+  SlotTable<ClientRequest> requests_;
+  SlotTable<Task> tasks_;
   FlatMap<uint16_t, OutstandingQuery> outstanding_;  // By local port.
   // (port, task id) of queries whose task was erased while they were in
   // flight; entries no longer owned by that task are skipped by the sweep.
@@ -313,8 +316,6 @@ class RecursiveResolver : public DatagramHandler, public CrashResettable {
   };
   std::map<Name, NsecInterval> nsec_cache_;  // Keyed by NSEC owner.
 
-  uint64_t next_request_id_ = 1;
-  uint64_t next_task_id_ = 1;
   // Sub-query span ids; kClientSpanId is reserved for root client spans.
   uint32_t next_span_id_ = telemetry::kClientSpanId + 1;
   uint16_t next_port_ = 1024;

@@ -153,139 +153,108 @@ std::pair<uint32_t, uint32_t> Zone::RrSetRange(const Node& node, RecordType type
   return {begin, end};
 }
 
-RrSet Zone::CopyRrSet(std::pair<uint32_t, uint32_t> range) const {
-  return RrSet(records_.begin() + range.first, records_.begin() + range.second);
-}
-
-const Zone::Node* Zone::FindDelegation(const Name& qname) const {
-  // Walk from just below the apex towards qname, returning the first
-  // (highest) delegation cut encountered. A cut at the apex itself is the
-  // zone's own NS RRset, not a delegation. The index holds every ancestor of
-  // every owner, so the walk ends at the first name it lacks.
-  const size_t apex_count = apex_.LabelCount();
-  for (size_t count = apex_count + 1; count <= qname.LabelCount(); ++count) {
-    const Node* node = FindNode(qname.Suffix(count));
-    if (node == nullptr) {
-      return nullptr;
-    }
-    const auto ns = RrSetRange(*node, RecordType::kNs);
-    if (ns.first != ns.second) {
-      return node;
-    }
-  }
-  return nullptr;
-}
-
-LookupResult Zone::MakeNegative(LookupStatus status) const {
-  LookupResult result;
-  result.status = status;
-  result.soa = MakeSoa(apex_, std::min(default_ttl_, soa_.minimum), soa_);
-  return result;
-}
-
-LookupResult Zone::Lookup(const Name& qname, RecordType qtype) const {
+ZoneMatch Zone::Find(const Name& qname, RecordType qtype) const {
+  ZoneMatch match;
   if (!qname.IsSubdomainOf(apex_)) {
-    LookupResult result;
-    result.status = LookupStatus::kNotInZone;
-    return result;
+    return match;  // kNotInZone.
   }
+  const auto matched = [&match](LookupStatus status, std::pair<uint32_t, uint32_t> range) {
+    match.status = status;
+    match.begin = range.first;
+    match.end = range.second;
+    return match;
+  };
 
-  // Delegations take precedence over everything below the cut.
-  if (const Node* cut = FindDelegation(qname); cut != nullptr) {
-    // A query for the NS RRset exactly at the cut would be answered by the
-    // child zone; the parent serves a referral either way.
-    LookupResult result;
-    result.status = LookupStatus::kDelegation;
-    result.records = CopyRrSet(RrSetRange(*cut, RecordType::kNs));
-    for (const auto& ns : result.records) {
-      if (const Node* glue_node = FindNode(ns.target()); glue_node != nullptr) {
-        const auto glue = RrSetRange(*glue_node, RecordType::kA);
-        result.glue.insert(result.glue.end(), records_.begin() + glue.first,
-                           records_.begin() + glue.second);
+  // One walk from just below the apex down to qname. A cut on the way is a
+  // delegation, which takes precedence over everything below it (a cut at
+  // the apex itself is the zone's own NS RRset, so the walk starts below
+  // it). The index holds every ancestor of every owner, so the first name
+  // the walk lacks has no indexed descendants: the name above it is the
+  // closest encloser.
+  const size_t apex_count = apex_.LabelCount();
+  const size_t labels = qname.LabelCount();
+  const Node* node = labels == apex_count ? FindNode(qname) : nullptr;
+  for (size_t count = apex_count + 1; count <= labels; ++count) {
+    const Node* step =
+        count == labels ? FindNode(qname) : FindNode(qname.Suffix(count));
+    if (step == nullptr) {
+      // Wildcard synthesis (RFC 4592): the "*" child of the closest encloser
+      // matches, since by construction the next label towards qname does not
+      // exist.
+      const auto wildcard_name = qname.Suffix(count - 1).Prepend("*");
+      node = wildcard_name.has_value() ? FindNode(*wildcard_name) : nullptr;
+      if (node == nullptr) {
+        match.status = LookupStatus::kNxDomain;
+        return match;
       }
-    }
-    return result;
-  }
-
-  const Node* node = FindNode(qname);
-  if (node != nullptr) {
-    // An indexed name without records is an empty non-terminal: NODATA.
-    if (const auto rrs = RrSetRange(*node, qtype); rrs.first != rrs.second) {
-      LookupResult result;
-      result.status = LookupStatus::kSuccess;
-      result.records = CopyRrSet(rrs);
-      return result;
-    }
-    if (qtype != RecordType::kCname) {
-      if (const auto rrs = RrSetRange(*node, RecordType::kCname); rrs.first != rrs.second) {
-        LookupResult result;
-        result.status = LookupStatus::kCname;
-        result.records = CopyRrSet(rrs);
-        return result;
-      }
-    }
-    return MakeNegative(LookupStatus::kNoData);
-  }
-
-  // Wildcard synthesis (RFC 4592): the closest encloser is the nearest
-  // indexed ancestor (an owner or an empty non-terminal); look for the "*"
-  // child directly below it.
-  Name closest = qname;
-  while (closest.LabelCount() > apex_.LabelCount()) {
-    closest = closest.Parent();
-    if (FindNode(closest) != nullptr) {
+      match.wildcard = true;
       break;
     }
-  }
-  const auto wildcard_name = closest.Prepend("*");
-  const Node* wild = wildcard_name.has_value() ? FindNode(*wildcard_name) : nullptr;
-  // The wildcard only matches names that are not covered by an existing
-  // sibling subtree; `closest` is the closest encloser by construction, so a
-  // match at "*.closest" is valid unless the next label towards qname exists.
-  if (wild != nullptr) {
-    auto synthesize = [&](std::pair<uint32_t, uint32_t> range) {
-      RrSet out = CopyRrSet(range);
-      for (auto& rr : out) {
-        rr.name = qname;
-      }
-      return out;
-    };
-    if (const auto rrs = RrSetRange(*wild, qtype); rrs.first != rrs.second) {
-      LookupResult result;
-      result.status = LookupStatus::kSuccess;
-      result.records = synthesize(rrs);
-      result.wildcard = true;
-      return result;
+    // A query for the NS RRset exactly at a cut would be answered by the
+    // child zone; the parent serves a referral either way.
+    if (const auto ns = RrSetRange(*step, RecordType::kNs); ns.first != ns.second) {
+      return matched(LookupStatus::kDelegation, ns);
     }
-    if (qtype != RecordType::kCname) {
-      if (const auto rrs = RrSetRange(*wild, RecordType::kCname); rrs.first != rrs.second) {
-        LookupResult result;
-        result.status = LookupStatus::kCname;
-        result.records = synthesize(rrs);
-        result.wildcard = true;
-        return result;
-      }
-    }
-    LookupResult result = MakeNegative(LookupStatus::kNoData);
-    result.wildcard = true;
-    return result;
+    node = step;
   }
 
-  LookupResult negative = MakeNegative(LookupStatus::kNxDomain);
-  if (nsec_enabled()) {
-    // The denial interval is bounded by the nearest owners in the zone's
-    // canonical (suffix-first) order; `next` wraps to the apex at the end of
-    // the zone (RFC 4034 §4.1.1).
-    const auto successor = std::upper_bound(
-        ordered_owners_.begin(), ordered_owners_.end(), qname,
-        [this](const Name& name, uint32_t begin) { return name < records_[begin].name; });
-    const Name& next =
-        successor != ordered_owners_.end() ? records_[*successor].name : apex_;
-    const Name& owner =
-        successor != ordered_owners_.begin() ? records_[*std::prev(successor)].name : apex_;
-    negative.nsec = MakeNsec(owner, std::min(default_ttl_, soa_.minimum), next);
+  // An indexed name without records is an empty non-terminal: NODATA.
+  if (const auto rrs = RrSetRange(*node, qtype); rrs.first != rrs.second) {
+    return matched(LookupStatus::kSuccess, rrs);
   }
-  return negative;
+  if (qtype != RecordType::kCname) {
+    if (const auto rrs = RrSetRange(*node, RecordType::kCname); rrs.first != rrs.second) {
+      return matched(LookupStatus::kCname, rrs);
+    }
+  }
+  match.status = LookupStatus::kNoData;
+  return match;
+}
+
+LookupResult Zone::Render(const ZoneMatch& match, const Name& qname) const {
+  LookupResult result;
+  result.status = match.status;
+  result.wildcard = match.wildcard;
+  result.records.assign(records_.begin() + match.begin, records_.begin() + match.end);
+  switch (match.status) {
+    case LookupStatus::kSuccess:
+    case LookupStatus::kCname:
+      if (match.wildcard) {
+        for (auto& rr : result.records) {
+          rr.name = qname;
+        }
+      }
+      break;
+    case LookupStatus::kDelegation:
+      for (const auto& ns : result.records) {
+        if (const Node* glue_node = FindNode(ns.target()); glue_node != nullptr) {
+          const auto glue = RrSetRange(*glue_node, RecordType::kA);
+          result.glue.insert(result.glue.end(), records_.begin() + glue.first,
+                             records_.begin() + glue.second);
+        }
+      }
+      break;
+    case LookupStatus::kNoData:
+    case LookupStatus::kNxDomain:
+      result.soa = MakeSoa(apex_, std::min(default_ttl_, soa_.minimum), soa_);
+      if (match.status == LookupStatus::kNxDomain && nsec_enabled()) {
+        // The denial interval is bounded by the nearest owners in the zone's
+        // canonical (suffix-first) order; `next` wraps to the apex at the end
+        // of the zone (RFC 4034 §4.1.1).
+        const auto successor = std::upper_bound(
+            ordered_owners_.begin(), ordered_owners_.end(), qname,
+            [this](const Name& name, uint32_t begin) { return name < records_[begin].name; });
+        const Name& next =
+            successor != ordered_owners_.end() ? records_[*successor].name : apex_;
+        const Name& owner =
+            successor != ordered_owners_.begin() ? records_[*std::prev(successor)].name : apex_;
+        result.nsec = MakeNsec(owner, std::min(default_ttl_, soa_.minimum), next);
+      }
+      break;
+    case LookupStatus::kNotInZone:
+      break;
+  }
+  return result;
 }
 
 size_t Zone::RrSetCount() const {

@@ -43,6 +43,20 @@ struct LookupResult {
   bool wildcard = false;  // Answer was synthesized from a wildcard.
 };
 
+// What a lookup matched, as ranges into the zone's immutable record array:
+// Zone::Find fills it without copying a record, and Zone::Render copies the
+// matched records out. It stays valid as long as its zone.
+struct ZoneMatch {
+  LookupStatus status = LookupStatus::kNotInZone;
+  // records() range of the answer RRset (kSuccess), the CNAME (kCname) or
+  // the cut's NS RRset (kDelegation); empty otherwise.
+  uint32_t begin = 0;
+  uint32_t end = 0;
+  // The match came from a wildcard: a rendered answer takes the qname as
+  // its owner.
+  bool wildcard = false;
+};
+
 struct ZoneOptions {
   // TTL of the zone SOA record; also caps the negative-caching TTL.
   uint32_t default_ttl = 600;
@@ -73,8 +87,21 @@ class Zone {
   // Every record, the zone SOA included, grouped by owner and then by type.
   const std::vector<ResourceRecord>& records() const { return records_; }
 
-  // Performs an authoritative lookup per RFC 1034 §4.3.2.
-  LookupResult Lookup(const Name& qname, RecordType qtype) const;
+  // Performs an authoritative lookup per RFC 1034 §4.3.2 in one walk of the
+  // index. The status alone decides the response code, so a caller that may
+  // discard the answer (a rate-limited server) decides before rendering.
+  ZoneMatch Find(const Name& qname, RecordType qtype) const;
+
+  // Copies what `match` (found for `qname`) names into a result: the
+  // answer or NS records (renamed to `qname` for a wildcard), the glue of a
+  // delegation, and the SOA plus, with NSEC on, the denial record of a
+  // negative answer.
+  LookupResult Render(const ZoneMatch& match, const Name& qname) const;
+
+  // Find followed by Render.
+  LookupResult Lookup(const Name& qname, RecordType qtype) const {
+    return Render(Find(qname, qtype), qname);
+  }
 
   // Number of (name, type) RRsets stored.
   size_t RrSetCount() const;
@@ -97,16 +124,9 @@ class Zone {
 
   // The RRset of `type` at `node`, as a records_ range (empty if none).
   std::pair<uint32_t, uint32_t> RrSetRange(const Node& node, RecordType type) const;
-  RrSet CopyRrSet(std::pair<uint32_t, uint32_t> range) const;
-
-  // The first (highest) delegation cut strictly below the apex and at or
-  // above `qname`, or nullptr.
-  const Node* FindDelegation(const Name& qname) const;
 
   // Indexes the ancestors of the freshly indexed `name` up to the apex.
   void IndexAncestors(const Name& name);
-
-  LookupResult MakeNegative(LookupStatus status) const;
 
   Name apex_;
   SoaData soa_;

@@ -362,8 +362,8 @@ INSTANTIATE_TEST_SUITE_P(
         FairnessCase{100, {5, 45, 80, 300}, "staircase"},
         FairnessCase{50, {100, 100, 100, 100, 100}, "five_heavy"},
         FairnessCase{200, {20, 40, 60, 80, 100}, "ramp"}),
-    [](const ::testing::TestParamInfo<FairnessCase>& info) {
-      return info.param.label;
+    [](const ::testing::TestParamInfo<FairnessCase>& param_info) {
+      return param_info.param.label;
     });
 
 // Randomized fairness sweep: Jain index of heavy sources must be ~1.

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -155,6 +157,234 @@ TEST(AuthoritativeTest, SeparateNxdomainLimit) {
   bed.RunFor(Seconds(5));
   EXPECT_GT(wc_stub.SuccessRatio(), 0.95);  // NOERROR limit not hit.
   EXPECT_LT(nx_stub.SuccessRatio(), 0.5);   // NXDOMAIN responses dropped.
+}
+
+// --- RRL decides before the answer is rendered ----------------------------
+//
+// The authoritative asks RRL on the zone match's response code and renders
+// only what RRL admits. Before, it built every answer in full and then asked
+// RRL. OldOrderAuthoritative keeps that order as the reference: the whole
+// response from Zone::Lookup first, then the per-client token buckets, with
+// the server's own configuration. A seeded burst over every match kind must
+// send the same datagrams and count the same queries and suppressions.
+
+struct SentDatagram {
+  Time at = 0;
+  uint16_t src_port = 0;
+  Endpoint dst;
+  Message message;
+  friend bool operator==(const SentDatagram&, const SentDatagram&) = default;
+};
+
+// Logs every datagram sent, with its virtual send time.
+class SendLogTransport : public Transport {
+ public:
+  SendLogTransport(EventLoop& loop, HostAddress addr) : loop_(loop), addr_(addr) {}
+
+  void Send(uint16_t src_port, Endpoint dst, WireBytes payload) override {
+    sent.push_back({loop_.now(), src_port, dst, *payload.Get<Message>()});
+  }
+  Time now() const override { return loop_.now(); }
+  EventLoop& loop() override { return loop_; }
+  HostAddress local_address() const override { return addr_; }
+
+  std::vector<SentDatagram> sent;
+
+ private:
+  EventLoop& loop_;
+  HostAddress addr_;
+};
+
+class OldOrderAuthoritative {
+ public:
+  OldOrderAuthoritative(const Zone& zone, AuthoritativeConfig config)
+      : zone_(zone), config_(config) {}
+
+  // The response sent for `query` from `client` at `now`; nullopt if dropped.
+  std::optional<Message> Answer(const Message& query, HostAddress client, Time now) {
+    ++queries_received;
+    const Question& q = query.Q();
+    Message response = MakeResponse(query, Rcode::kNoError);
+    if (query.edns.has_value()) {
+      response.EnsureEdns();
+    }
+    if (!q.qname.IsSubdomainOf(zone_.apex())) {
+      response.header.rcode = Rcode::kRefused;
+      return response;  // No zone: refused before RRL.
+    }
+    LookupResult result = zone_.Lookup(q.qname, q.qtype);
+    switch (result.status) {
+      case LookupStatus::kSuccess:
+      case LookupStatus::kCname:
+        response.header.aa = true;
+        response.answers = std::move(result.records);
+        break;
+      case LookupStatus::kNoData:
+      case LookupStatus::kNxDomain:
+        response.header.aa = true;
+        if (result.status == LookupStatus::kNxDomain) {
+          response.header.rcode = Rcode::kNxDomain;
+        }
+        response.authority.push_back(std::move(*result.soa));
+        if (result.nsec.has_value()) {
+          response.authority.push_back(std::move(*result.nsec));
+        }
+        break;
+      case LookupStatus::kDelegation:
+        response.authority = std::move(result.records);
+        response.additional = std::move(result.glue);
+        break;
+      case LookupStatus::kNotInZone:
+        response.header.rcode = Rcode::kRefused;
+        break;
+    }
+    if (PassesRrl(client, response.header.rcode, now)) {
+      return response;
+    }
+    ++rate_limited;
+    switch (config_.rrl.action) {
+      case RateLimitAction::kDrop:
+        return std::nullopt;
+      case RateLimitAction::kServFail:
+        return MakeResponse(query, Rcode::kServFail);
+      case RateLimitAction::kRefused:
+        return MakeResponse(query, Rcode::kRefused);
+    }
+    return std::nullopt;
+  }
+
+  uint64_t queries_received = 0;
+  uint64_t rate_limited = 0;
+
+ private:
+  struct Buckets {
+    TokenBucket noerror;
+    TokenBucket nxdomain;
+    Time blocked_until = 0;
+  };
+
+  bool PassesRrl(HostAddress client, Rcode rcode, Time now) {
+    const ResponseRateLimitConfig& rrl = config_.rrl;
+    auto [it, inserted] = buckets_.try_emplace(
+        client, Buckets{TokenBucket(rrl.noerror_qps, rrl.burst, now),
+                        TokenBucket(rrl.nxdomain_qps, rrl.burst, now), 0});
+    Buckets& state = it->second;
+    if (state.blocked_until > now) {
+      return false;
+    }
+    TokenBucket& bucket =
+        rrl.per_class && rcode == Rcode::kNxDomain ? state.nxdomain : state.noerror;
+    if (bucket.TryConsume(now)) {
+      return true;
+    }
+    if (rrl.penalty > 0) {
+      state.blocked_until = now + rrl.penalty;
+    }
+    return false;
+  }
+
+  const Zone& zone_;
+  AuthoritativeConfig config_;
+  std::map<HostAddress, Buckets> buckets_;
+};
+
+// Every match kind: answer, CNAME, wildcard answer / CNAME / NODATA,
+// delegation with glue, empty non-terminal, NXDOMAIN with NSEC.
+std::shared_ptr<const Zone> MakeBurstZone() {
+  const Name apex = *Name::Parse("burst.test");
+  SoaData soa;
+  soa.mname = *apex.Prepend("ns1");
+  soa.minimum = 120;
+  std::vector<ResourceRecord> records = {
+      MakeNs(apex, 600, *apex.Prepend("ns1")),
+      MakeA(*apex.Prepend("ns1"), 600, 0x0a000001),
+      MakeA(*apex.Prepend("www"), 600, 0x0a000002),
+      MakeCname(*apex.Prepend("alias"), 600, *apex.Prepend("www")),
+      MakeTxt(*Name::Parse("deep.sub.burst.test"), 600, {"anchor"}),
+      MakeA(*Name::Parse("*.wild.burst.test"), 600, 0x0a0000ff),
+      MakeCname(*Name::Parse("*.wc.burst.test"), 600, *apex.Prepend("www")),
+      MakeNs(*Name::Parse("child.burst.test"), 600, *Name::Parse("ns.child.burst.test")),
+      MakeA(*Name::Parse("ns.child.burst.test"), 600, 0x0a000003),
+  };
+  return std::make_shared<const Zone>(apex, soa, std::move(records),
+                                      ZoneOptions{.default_ttl = 600, .nsec = true});
+}
+
+TEST(AuthoritativeRrlOrderTest, RenderAfterRrlSendsWhatTheOldOrderSent) {
+  const std::shared_ptr<const Zone> zone = MakeBurstZone();
+  const std::vector<std::string> fixed = {
+      "www.burst.test",      "alias.burst.test",    "child.burst.test",
+      "x.child.burst.test",  "sub.burst.test",      "deep.sub.burst.test",
+      "burst.test",          "elsewhere.net",
+  };
+  for (const RateLimitAction action :
+       {RateLimitAction::kDrop, RateLimitAction::kServFail, RateLimitAction::kRefused}) {
+    for (const Duration penalty : {Duration{0}, Milliseconds(150)}) {
+      SCOPED_TRACE(testing::Message() << "action " << static_cast<int>(action)
+                                      << " penalty " << penalty);
+      AuthoritativeConfig config;
+      config.rrl.enabled = true;
+      config.rrl.noerror_qps = 150;
+      config.rrl.nxdomain_qps = 60;
+      config.rrl.burst = 5;
+      config.rrl.action = action;
+      config.rrl.penalty = penalty;
+      const HostAddress auth_addr = 0x0a000035;
+      EventLoop loop;
+      SendLogTransport transport(loop, auth_addr);
+      AuthoritativeServer auth(transport, config);
+      auth.AddZone(zone);
+      OldOrderAuthoritative reference(*zone, config);
+      std::vector<SentDatagram> expected;
+
+      Rng rng(27);
+      Time at = 0;
+      for (uint16_t id = 0; id < 2000; ++id) {
+        at += static_cast<Time>(rng.NextBelow(2000));  // ~1,000 queries/s.
+        const Endpoint client{0x0a000100 + static_cast<HostAddress>(rng.NextBelow(3)),
+                              static_cast<uint16_t>(1024 + rng.NextBelow(100))};
+        Name qname;
+        switch (rng.NextBelow(4)) {
+          case 0:
+            qname = *Name::Parse(rng.NextLabel(6) + ".wild.burst.test");
+            break;
+          case 1:
+            qname = *Name::Parse(rng.NextLabel(6) + ".wc.burst.test");
+            break;
+          case 2:
+            qname = *Name::Parse(rng.NextLabel(6) + ".burst.test");  // NXDOMAIN.
+            break;
+          default:
+            qname = *Name::Parse(fixed[rng.NextBelow(fixed.size())]);
+            break;
+        }
+        const RecordType qtype = rng.NextBelow(4) == 0 ? RecordType::kTxt : RecordType::kA;
+        Message query = MakeQuery(id, qname, qtype, /*rd=*/false);
+        if (rng.NextBelow(2) == 0) {
+          query.EnsureEdns();
+        }
+        loop.ScheduleAt(at, "test.query", [&, client, query = std::move(query)]() {
+          if (std::optional<Message> answer = reference.Answer(query, client.addr, loop.now())) {
+            expected.push_back({loop.now() + config.processing_delay, kDnsPort, client,
+                                std::move(*answer)});
+          }
+          auth.HandleDatagram(
+              Datagram{client, Endpoint{auth_addr, kDnsPort}, WireBytes(Message(query))});
+        });
+      }
+      loop.Run(at + Seconds(1));
+
+      EXPECT_GT(reference.rate_limited, 100u);  // The burst trips RRL...
+      EXPECT_GT(expected.size(), 500u);         // ...and still gets answers out.
+      EXPECT_EQ(auth.queries_received(), reference.queries_received);
+      EXPECT_EQ(auth.rate_limited(), reference.rate_limited);
+      EXPECT_EQ(auth.responses_sent(), expected.size());
+      ASSERT_EQ(transport.sent.size(), expected.size());
+      for (size_t i = 0; i < expected.size(); ++i) {
+        ASSERT_TRUE(transport.sent[i] == expected[i]) << "datagram " << i;
+      }
+    }
+  }
 }
 
 TEST(ResolverTest, ResolvesViaHintAndCaches) {

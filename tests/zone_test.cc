@@ -147,6 +147,117 @@ TEST(ZoneTest, RrSetCountCountsTypes) {
   EXPECT_EQ(MakeTestZone({same_rrset, new_type}).RrSetCount(), before + 1);
 }
 
+// --- Find, then render -------------------------------------------------------
+//
+// An authoritative server asks RRL on the match's status before it copies a
+// record, so Find must settle everything the response code depends on and
+// Render must produce exactly what the one-step lookup produced. The
+// expected results below are the one-step lookup's, field for field.
+
+LookupResult FindThenRender(const Zone& zone, const char* qname, RecordType qtype) {
+  const Name name = *Name::Parse(qname);
+  return zone.Render(zone.Find(name, qtype), name);
+}
+
+void ExpectSameResult(const char* label, const LookupResult& actual,
+                      const LookupResult& expected) {
+  EXPECT_EQ(actual.status, expected.status) << label;
+  EXPECT_EQ(actual.records, expected.records) << label;
+  EXPECT_EQ(actual.glue, expected.glue) << label;
+  EXPECT_EQ(actual.soa, expected.soa) << label;
+  EXPECT_EQ(actual.nsec, expected.nsec) << label;
+  EXPECT_EQ(actual.wildcard, expected.wildcard) << label;
+}
+
+// MakeTestZone plus a wildcard CNAME, NSEC on or off.
+Zone MakeRenderZone(bool nsec) {
+  const Name apex = *Name::Parse("example.com");
+  const Zone base = MakeTestZone();
+  std::vector<ResourceRecord> records;
+  for (const ResourceRecord& rr : base.records()) {
+    if (rr.type != RecordType::kSoa) {  // The rebuilt zone adds its own.
+      records.push_back(rr);
+    }
+  }
+  records.push_back(MakeCname(*Name::Parse("*.wc.example.com"), 600, *apex.Prepend("www")));
+  return Zone(apex, base.SoaRecord().soa(), std::move(records),
+              {.default_ttl = 600, .nsec = nsec});
+}
+
+TEST(ZoneRenderTest, FindThenRenderEqualsOneStepLookup) {
+  for (const bool nsec : {false, true}) {
+    SCOPED_TRACE(nsec ? "nsec on" : "nsec off");
+    const Zone zone = MakeRenderZone(nsec);
+    const Name apex = *Name::Parse("example.com");
+    // Negative answers carry the SOA at min(default TTL, SOA minimum).
+    const ResourceRecord negative_soa = MakeSoa(apex, 300, zone.SoaRecord().soa());
+    auto expect = [](LookupStatus status, RrSet records = {}, bool wildcard = false) {
+      LookupResult result;
+      result.status = status;
+      result.records = std::move(records);
+      result.wildcard = wildcard;
+      return result;
+    };
+    auto negative = [&](LookupStatus status, bool wildcard = false) {
+      LookupResult result = expect(status, {}, wildcard);
+      result.soa = negative_soa;
+      return result;
+    };
+    const Name www = *apex.Prepend("www");
+
+    ExpectSameResult("exact answer", FindThenRender(zone, "www.example.com", RecordType::kA),
+                     expect(LookupStatus::kSuccess, {MakeA(www, 600, 0x0a000002)}));
+    ExpectSameResult(
+        "CNAME", FindThenRender(zone, "alias.example.com", RecordType::kA),
+        expect(LookupStatus::kCname, {MakeCname(*apex.Prepend("alias"), 600, www)}));
+    ExpectSameResult(
+        "wildcard answer", FindThenRender(zone, "x.wild.example.com", RecordType::kA),
+        expect(LookupStatus::kSuccess,
+               {MakeA(*Name::Parse("x.wild.example.com"), 600, 0x0a0000ff)}, true));
+    ExpectSameResult(
+        "wildcard CNAME", FindThenRender(zone, "y.wc.example.com", RecordType::kA),
+        expect(LookupStatus::kCname, {MakeCname(*Name::Parse("y.wc.example.com"), 600, www)},
+               true));
+    ExpectSameResult("wildcard NODATA",
+                     FindThenRender(zone, "x.wild.example.com", RecordType::kTxt),
+                     negative(LookupStatus::kNoData, true));
+    const Name child = *Name::Parse("child.example.com");
+    const Name child_ns = *Name::Parse("ns.child.example.com");
+    LookupResult referral = expect(LookupStatus::kDelegation, {MakeNs(child, 600, child_ns)});
+    referral.glue = {MakeA(child_ns, 600, 0x0a000003)};
+    ExpectSameResult("delegation with glue",
+                     FindThenRender(zone, "x.child.example.com", RecordType::kA), referral);
+    ExpectSameResult("empty non-terminal",
+                     FindThenRender(zone, "sub.example.com", RecordType::kA),
+                     negative(LookupStatus::kNoData));
+    LookupResult denied = negative(LookupStatus::kNxDomain);
+    if (nsec) {
+      // Canonically, "missing" sorts after the child subtree and before
+      // "ns1".
+      denied.nsec = MakeNsec(child_ns, 300, *apex.Prepend("ns1"));
+    }
+    ExpectSameResult("NXDOMAIN", FindThenRender(zone, "missing.example.com", RecordType::kA),
+                     denied);
+    ExpectSameResult("not in zone", FindThenRender(zone, "other.net", RecordType::kA),
+                     expect(LookupStatus::kNotInZone));
+  }
+}
+
+TEST(ZoneRenderTest, FindCopiesNothingAndRangesIntoTheRecordArray) {
+  const Zone zone = MakeRenderZone(/*nsec=*/false);
+  const ZoneMatch match = zone.Find(*Name::Parse("x.child.example.com"), RecordType::kA);
+  EXPECT_EQ(match.status, LookupStatus::kDelegation);
+  ASSERT_EQ(match.end - match.begin, 1u);
+  const ResourceRecord& ns = zone.records()[match.begin];
+  EXPECT_EQ(ns.type, RecordType::kNs);
+  EXPECT_EQ(ns.name, *Name::Parse("child.example.com"));
+  // A wildcard match ranges over the "*" owner's records; only a render
+  // renames them.
+  const ZoneMatch wild = zone.Find(*Name::Parse("x.wild.example.com"), RecordType::kA);
+  EXPECT_TRUE(wild.wildcard);
+  EXPECT_EQ(zone.records()[wild.begin].name, *Name::Parse("*.wild.example.com"));
+}
+
 // --- experiment zones -------------------------------------------------------
 
 TEST(ExperimentZoneTest, TargetZoneWildcardAnswersRandomNames) {
