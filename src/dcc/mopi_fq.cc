@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
 
 #include "src/common/logging.h"
 #include "src/telemetry/profiler.h"
@@ -188,11 +186,6 @@ EnqueueOutcome MopiFq::Enqueue(const SchedMessage& msg, Time now) {
         std::max<int32_t>(2, std::min(config_.max_rounds,
                                       config_.max_poq_depth / std::max(1, active)));
     if (src_next >= current + dynamic_cap) {
-      if (getenv("MOPI_DEBUG")) {
-        std::fprintf(stderr, "DYNCAP src=%u next=%d cur=%d latest=%d cap=%d depth=%d active=%d t=%lld\n",
-                     msg.source, src_next, current, latest, dynamic_cap,
-                     poq ? poq->depth : 0, active, (long long)now);
-      }
       out.result = EnqueueResult::kChannelCongested;
       return out;
     }

@@ -455,12 +455,13 @@ bool ReadRecord(Reader& r, Message& msg, std::vector<ResourceRecord>& section,
       break;
     }
     case RecordType::kSoa: {
-      SoaData& s = rr.rdata.emplace<SoaData>();
+      SoaData s;
       if (!r.ReadName(s.mname) || !r.ReadName(s.rname) || !r.U32(s.serial) ||
           !r.U32(s.refresh) || !r.U32(s.retry) || !r.U32(s.expire) ||
           !r.U32(s.minimum) || r.pos() != rdata_end) {
         return false;
       }
+      rr.rdata.emplace<SharedSoa>(std::move(s));
       break;
     }
     case RecordType::kTxt: {

@@ -91,7 +91,7 @@ ResourceRecord MakeCname(const Name& name, uint32_t ttl, const Name& target) {
 }
 
 ResourceRecord MakeSoa(const Name& name, uint32_t ttl, SoaData soa) {
-  return ResourceRecord{name, RecordType::kSoa, ttl, std::move(soa)};
+  return ResourceRecord{name, RecordType::kSoa, ttl, SharedSoa(std::move(soa))};
 }
 
 ResourceRecord MakeTxt(const Name& name, uint32_t ttl, std::vector<std::string> strings) {

@@ -3,6 +3,15 @@
 #include <algorithm>
 
 namespace dcc {
+namespace {
+
+// The memory model's charges per entry, in bytes. They are fixed model
+// values, not sizeof() of the current layout, so that a layout change does
+// not move the reported footprint (DESIGN.md §14).
+constexpr size_t kEntryBytes = 112;   // Key, entry and two table words.
+constexpr size_t kRecordBytes = 184;  // One cached record.
+
+}  // namespace
 
 DnsCache::DnsCache(size_t max_entries, Duration stale_retention)
     : max_entries_(std::max<size_t>(1, max_entries)), stale_retention_(stale_retention) {}
@@ -77,10 +86,9 @@ void DnsCache::StoreNegative(const Name& name, RecordType type, CacheEntryKind k
 size_t DnsCache::MemoryFootprint() const {
   size_t bytes = 0;
   for (const auto& [key, entry] : entries_) {
-    bytes += sizeof(Key) + sizeof(CacheEntry) + 2 * sizeof(void*);
-    bytes += key.name.HeapBytes();
+    bytes += kEntryBytes + key.name.HeapBytes();
     for (const auto& rr : entry.records) {
-      bytes += sizeof(ResourceRecord) + rr.name.HeapBytes();
+      bytes += kRecordBytes + rr.name.HeapBytes();
     }
   }
   return bytes;

@@ -7,6 +7,13 @@
 #include "src/telemetry/profiler.h"
 
 namespace dcc {
+namespace {
+
+// Fixed memory-model charges per entry, in bytes; not sizeof(), see
+// DESIGN.md §14 "Fixed memory-model charges".
+constexpr size_t kPendingBytes = 354;
+
+}  // namespace
 
 Forwarder::Forwarder(Transport& transport, ForwarderConfig config, uint64_t seed,
                      telemetry::Observer* obs)
@@ -308,7 +315,7 @@ void Forwarder::OnTimeout(uint16_t port) {
 
 size_t Forwarder::MemoryFootprint() const {
   size_t bytes = cache_.MemoryFootprint() + tracker_.MemoryFootprint();
-  bytes += pending_.size() * (sizeof(uint16_t) + sizeof(Pending) + 128);
+  bytes += pending_.size() * kPendingBytes;
   return bytes;
 }
 

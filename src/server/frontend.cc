@@ -10,6 +10,12 @@
 namespace dcc {
 namespace {
 
+// Fixed memory-model charges per entry, in bytes; not sizeof(), see
+// DESIGN.md §14 "Fixed memory-model charges".
+constexpr size_t kMemberBytes = 4;
+constexpr size_t kPendingBytes = 354;
+constexpr size_t kProbeBytes = 106;
+
 // splitmix64 finalizer: cheap, well-mixed 64-bit hash for rendezvous scoring.
 uint64_t Mix64(uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
@@ -582,9 +588,9 @@ void FleetFrontend::OnRotationTick() {
 
 size_t FleetFrontend::MemoryFootprint() const {
   size_t bytes = tracker_.MemoryFootprint();
-  bytes += members_.size() * sizeof(HostAddress);
-  bytes += pending_.size() * (sizeof(uint16_t) + sizeof(Pending) + 128);
-  bytes += probe_pending_.size() * (sizeof(uint16_t) + sizeof(PendingProbe) + 64);
+  bytes += members_.size() * kMemberBytes;
+  bytes += pending_.size() * kPendingBytes;
+  bytes += probe_pending_.size() * kProbeBytes;
   return bytes;
 }
 

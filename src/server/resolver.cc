@@ -10,6 +10,15 @@
 namespace dcc {
 namespace {
 
+// Fixed memory-model charges per entry, in bytes; not sizeof(), see
+// DESIGN.md §14 "Fixed memory-model charges".
+constexpr size_t kRequestBytes = 344;
+constexpr size_t kTaskBytes = 416;
+constexpr size_t kOutstandingBytes = 194;
+constexpr size_t kIngressRrlBytes = 116;
+constexpr size_t kEgressRlBytes = 68;
+constexpr size_t kNsecIntervalBytes = 176;  // Plus the heap blocks of its names.
+
 // Extracts records owned by `name` of the given type from a section.
 RrSet OwnedRecords(const std::vector<ResourceRecord>& section, const Name& name,
                    RecordType type) {
@@ -1253,14 +1262,14 @@ void RecursiveResolver::CrashReset() {
 
 size_t RecursiveResolver::MemoryFootprint() const {
   size_t bytes = cache_.MemoryFootprint() + tracker_.MemoryFootprint();
-  bytes += requests_.size() * (sizeof(uint64_t) + sizeof(ClientRequest) + 128);
-  bytes += tasks_.size() * (sizeof(uint64_t) + sizeof(Task) + 128);
-  bytes += outstanding_.size() * (sizeof(uint16_t) + sizeof(OutstandingQuery) + 64);
-  bytes += ingress_rrl_state_.size() * (sizeof(HostAddress) + sizeof(ClientRrl) + 32);
-  bytes += egress_rl_state_.size() * (sizeof(HostAddress) + sizeof(TokenBucket) + 32);
+  bytes += requests_.size() * kRequestBytes;
+  bytes += tasks_.size() * kTaskBytes;
+  bytes += outstanding_.size() * kOutstandingBytes;
+  bytes += ingress_rrl_state_.size() * kIngressRrlBytes;
+  bytes += egress_rl_state_.size() * kEgressRlBytes;
   for (const auto& [owner, interval] : nsec_cache_) {
-    bytes += sizeof(Name) + sizeof(NsecInterval) + 3 * sizeof(void*) + owner.HeapBytes() +
-             interval.next.HeapBytes() + interval.zone_apex.HeapBytes();
+    bytes += kNsecIntervalBytes + owner.HeapBytes() + interval.next.HeapBytes() +
+             interval.zone_apex.HeapBytes();
   }
   return bytes;
 }

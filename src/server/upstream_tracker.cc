@@ -5,6 +5,13 @@
 #include <utility>
 
 namespace dcc {
+namespace {
+
+// Fixed memory-model charges per entry, in bytes; not sizeof(), see
+// DESIGN.md §14 "Fixed memory-model charges".
+constexpr size_t kServerBytes = 76;
+
+}  // namespace
 
 UpstreamTracker::UpstreamTracker(UpstreamTrackerConfig config, uint64_t seed,
                                  telemetry::Observer* obs, HostAddress actor)
@@ -140,7 +147,7 @@ void UpstreamTracker::SetHoldDownListener(
 }
 
 size_t UpstreamTracker::MemoryFootprint() const {
-  return servers_.size() * (sizeof(HostAddress) + sizeof(ServerState));
+  return servers_.size() * kServerBytes;
 }
 
 void UpstreamTracker::Purge(Time now, Duration idle) {

@@ -7,13 +7,17 @@ namespace dcc {
 
 Zone::Zone(Name apex, SoaData soa, std::vector<ResourceRecord> records,
            ZoneOptions options)
-    : apex_(std::move(apex)), soa_(std::move(soa)), default_ttl_(options.default_ttl) {
+    : apex_(std::move(apex)),
+      default_ttl_(options.default_ttl),
+      soa_record_(MakeSoa(apex_, default_ttl_, std::move(soa))),
+      negative_soa_(soa_record_) {
+  negative_soa_.ttl = std::min(default_ttl_, soa_record_.soa().minimum);
   const auto outside = std::remove_if(
       records.begin(), records.end(),
       [this](const ResourceRecord& rr) { return !rr.name.IsSubdomainOf(apex_); });
   rejected_ = static_cast<size_t>(records.end() - outside);
   records.erase(outside, records.end());
-  records.push_back(SoaRecord());
+  records.push_back(soa_record_);
   const auto n = static_cast<uint32_t>(records.size());
   const uint32_t soa_index = n - 1;
 
@@ -21,8 +25,11 @@ Zone::Zone(Name apex, SoaData soa, std::vector<ResourceRecord> records,
   // appearance. While building, an owner's `end` holds its number plus one
   // (0 = not an owner yet).
   std::vector<uint32_t> owner_of(n);
+  // Owners number at most the records: reserving spares the growth copies.
   std::vector<uint32_t> group_size;
   std::vector<uint32_t> first_record;
+  group_size.reserve(n);
+  first_record.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
     const Name& name = records[i].name;
     if (i > 0 && name == records[i - 1].name) {
@@ -236,7 +243,7 @@ LookupResult Zone::Render(const ZoneMatch& match, const Name& qname) const {
       break;
     case LookupStatus::kNoData:
     case LookupStatus::kNxDomain:
-      result.soa = MakeSoa(apex_, std::min(default_ttl_, soa_.minimum), soa_);
+      result.soa = negative_soa_;
       if (match.status == LookupStatus::kNxDomain && nsec_enabled()) {
         // The denial interval is bounded by the nearest owners in the zone's
         // canonical (suffix-first) order; `next` wraps to the apex at the end
@@ -248,7 +255,7 @@ LookupResult Zone::Render(const ZoneMatch& match, const Name& qname) const {
             successor != ordered_owners_.end() ? records_[*successor].name : apex_;
         const Name& owner =
             successor != ordered_owners_.begin() ? records_[*std::prev(successor)].name : apex_;
-        result.nsec = MakeNsec(owner, std::min(default_ttl_, soa_.minimum), next);
+        result.nsec = MakeNsec(owner, negative_soa_.ttl, next);
       }
       break;
     case LookupStatus::kNotInZone:
@@ -268,7 +275,5 @@ size_t Zone::RrSetCount() const {
   }
   return count;
 }
-
-ResourceRecord Zone::SoaRecord() const { return MakeSoa(apex_, default_ttl_, soa_); }
 
 }  // namespace dcc

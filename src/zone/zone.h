@@ -107,7 +107,7 @@ class Zone {
   size_t RrSetCount() const;
 
   // The zone SOA as a resource record.
-  ResourceRecord SoaRecord() const;
+  ResourceRecord SoaRecord() const { return soa_record_; }
 
  private:
   // Index entry of one name: an owner's records are records_[begin, end),
@@ -129,8 +129,12 @@ class Zone {
   void IndexAncestors(const Name& name);
 
   Name apex_;
-  SoaData soa_;
   uint32_t default_ttl_;
+  // The zone SOA record, and the copy a negative answer carries (TTL capped
+  // at the SOA minimum, RFC 2308 §3). Both share one SOA block, so
+  // rendering a negative answer copies a record and allocates nothing.
+  ResourceRecord soa_record_;
+  ResourceRecord negative_soa_;
   size_t rejected_ = 0;
   std::vector<ResourceRecord> records_;  // Grouped by owner, then type.
   FlatMap<Name, Node, NameHash> index_;

@@ -135,6 +135,25 @@ TEST(DnsCacheTest, MemoryFootprintTracksContents) {
   EXPECT_GT(cache.MemoryFootprint(), empty + 50 * 32);
 }
 
+TEST(DnsCacheTest, MemoryFootprintIsPinnedForFixedContents) {
+  // The model charges fixed per-entry and per-record bytes, not sizeof(), so
+  // this figure moves only when the model does: 112 per entry, 184 per
+  // cached record, plus the heap blocks of names past the inline buffer.
+  DnsCache cache;
+  const Name long_name = *Name::Parse(
+      "a-label-long-enough.to-push-this-name.past-the-inline-buffer.example");
+  ASSERT_GT(long_name.HeapBytes(), 0u);
+  cache.StorePositive(N("a.example"), RecordType::kA,
+                      {MakeA(*Name::Parse("a.example"), 300, 0x01020304),
+                       MakeA(*Name::Parse("a.example"), 300, 0x01020305)},
+                      0);
+  cache.StorePositive(long_name, RecordType::kNs,
+                      {MakeNs(long_name, 300, *Name::Parse("ns.example"))}, 0);
+  cache.StoreNegative(N("nx.example"), RecordType::kA, CacheEntryKind::kNegativeNxDomain, 60, 0);
+  EXPECT_EQ(cache.MemoryFootprint(), 3 * 112 + 3 * 184 + 2 * long_name.HeapBytes());
+  EXPECT_EQ(cache.MemoryFootprint(), 1026u);
+}
+
 TEST(DnsCacheTest, CaseInsensitiveKeys) {
   DnsCache cache;
   cache.StorePositive(N("MiXeD.Example"), RecordType::kA,

@@ -2,11 +2,39 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
 #include "src/dns/codec.h"
 #include "src/dns/edns_options.h"
 #include "src/dns/message.h"
 #include "src/dns/name.h"
 #include "src/dns/rr.h"
+
+namespace dcc {
+namespace {
+
+// Heap allocations made by this binary; the replaced operator new below
+// counts them.
+std::atomic<size_t> g_allocations{0};
+
+}  // namespace
+}  // namespace dcc
+
+// Both out of line, so no caller sees new's malloc paired with free (GCC's
+// -Wmismatched-new-delete would flag it).
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  dcc::g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* block = std::malloc(size == 0 ? 1 : size)) {
+    return block;
+  }
+  throw std::bad_alloc();
+}
+
+[[gnu::noinline]] void operator delete(void* block) noexcept { std::free(block); }
+
+void operator delete(void* block, std::size_t) noexcept { ::operator delete(block); }
 
 namespace dcc {
 namespace {
@@ -389,6 +417,59 @@ TEST(RrTest, ToStringCoversTypes) {
   EXPECT_NE(MakeCname(n, 60, *Name::Parse("c.example")).ToString().find("CNAME"),
             std::string::npos);
   EXPECT_NE(MakeTxt(n, 60, {"abc"}).ToString().find("abc"), std::string::npos);
+}
+
+SoaData TestSoa(const Name& apex, uint32_t minimum) {
+  SoaData soa;
+  soa.mname = *apex.Prepend("ns1");
+  soa.rname = *apex.Prepend("hostmaster");
+  soa.serial = 2024110401;
+  soa.refresh = 3600;
+  soa.retry = 600;
+  soa.expire = 86400;
+  soa.minimum = minimum;
+  return soa;
+}
+
+TEST(RrTest, RecordFitsItsSizeBound) {
+  // Every A and NS record pays the width of the widest Rdata alternative,
+  // so the SOA lives out of line (DESIGN.md §14).
+  EXPECT_LE(sizeof(ResourceRecord), 112u);
+}
+
+TEST(RrTest, SoaCopySharesItsBlockWithoutAllocating) {
+  const Name apex = *Name::Parse("example.com");
+  const ResourceRecord rr = MakeSoa(apex, 600, TestSoa(apex, 300));
+  const size_t before = g_allocations.load();
+  const ResourceRecord copy = rr;
+  RrSet copies(4, rr);  // One allocation: the vector's buffer.
+  EXPECT_EQ(g_allocations.load() - before, 1u);
+  EXPECT_EQ(&copy.soa(), &rr.soa());
+  EXPECT_EQ(&copies.back().soa(), &rr.soa());
+  EXPECT_EQ(copy, rr);
+}
+
+TEST(RrTest, SoaRecordsCompareByValue) {
+  const Name apex = *Name::Parse("example.com");
+  const ResourceRecord a = MakeSoa(apex, 600, TestSoa(apex, 300));
+  const ResourceRecord b = MakeSoa(apex, 600, TestSoa(apex, 300));
+  EXPECT_NE(&a.soa(), &b.soa());
+  EXPECT_EQ(a, b);
+  EXPECT_NE(a, MakeSoa(apex, 600, TestSoa(apex, 301)));
+  EXPECT_NE(a, MakeSoa(apex, 300, TestSoa(apex, 300)));
+}
+
+TEST(RrTest, SoaRecordRoundTripsThroughTheCodecByteForByte) {
+  const Name apex = *Name::Parse("example.com");
+  Message msg = MakeResponse(MakeQuery(5, *apex.Prepend("nope"), RecordType::kA),
+                             Rcode::kNxDomain);
+  msg.authority.push_back(MakeSoa(apex, 300, TestSoa(apex, 300)));
+  const auto wire = EncodeMessage(msg);
+  const auto decoded = DecodeMessage(wire);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(*decoded, msg);
+  EXPECT_EQ(decoded->authority[0].soa(), msg.authority[0].soa());
+  EXPECT_EQ(EncodeMessage(*decoded), wire);
 }
 
 TEST(RrTest, EnumNames) {

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/common/rng.h"
 
 #include "src/zone/experiment_zones.h"
@@ -57,6 +59,24 @@ TEST(ZoneTest, NxDomainWithSoa) {
   EXPECT_EQ(result.status, LookupStatus::kNxDomain);
   ASSERT_TRUE(result.soa.has_value());
   EXPECT_EQ(result.soa->soa().minimum, 300u);
+}
+
+TEST(ZoneTest, NegativeAnswersShareOneSoaBlock) {
+  // default_ttl 600 > minimum 300 in the test zone, so the negative SOA
+  // takes the minimum as its TTL (RFC 2308 §3).
+  const Zone zone = MakeTestZone();
+  const auto nxdomain = zone.Lookup(*Name::Parse("missing.example.com"), RecordType::kA);
+  const auto nodata = zone.Lookup(*Name::Parse("www.example.com"), RecordType::kTxt);
+  ASSERT_TRUE(nxdomain.soa.has_value());
+  ASSERT_TRUE(nodata.soa.has_value());
+  const ResourceRecord apex_soa = zone.SoaRecord();
+  EXPECT_EQ(&nxdomain.soa->soa(), &nodata.soa->soa());
+  EXPECT_EQ(&nxdomain.soa->soa(), &apex_soa.soa());
+  const SoaData& soa = apex_soa.soa();
+  EXPECT_EQ(*nxdomain.soa,
+            MakeSoa(zone.apex(), std::min(zone.default_ttl(), soa.minimum), soa));
+  EXPECT_EQ(nxdomain.soa->ttl, 300u);
+  EXPECT_EQ(*nodata.soa, *nxdomain.soa);
 }
 
 TEST(ZoneTest, CnameReturnedForOtherTypes) {
